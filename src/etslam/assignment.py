@@ -1,11 +1,11 @@
-"""Rectangular linear assignment: Kuhn-Munkres solver plus exhaustive oracle.
+"""Rectangular linear assignment: scipy LAP solver plus exhaustive oracle.
 
 ``solve_assignment`` finds a minimum-cost injection of rows into columns
-(rows <= columns).  The optimal value is unique; when several argmins exist
-the returned assignment is the lexicographically smallest row-major
-assignment vector, recovered from the tight-edge graph of the optimal dual
-potentials.  ``solve_assignment_bruteforce`` enumerates every injection and
-is kept in-tree as the oracle that gates the fast solver in tests.
+(rows <= columns) with ``scipy.optimize.linear_sum_assignment`` (Crouse
+2016, shortest augmenting path).  The optimal total is unique; when several
+argmins exist the solver breaks the tie and no canonical choice is made.
+``solve_assignment_bruteforce`` enumerates every injection and is kept
+in-tree as the oracle that gates the fast solver in tests.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.optimize import linear_sum_assignment
 
 
 def solve_assignment_bruteforce(costs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -33,102 +32,11 @@ def solve_assignment_bruteforce(costs: np.ndarray) -> tuple[np.ndarray, float]:
     return np.array(best_perm, dtype=int), best_total
 
 
-def _augmenting_path_lap(costs: np.ndarray):
-    """Shortest-augmenting-path LAP (e-maxx formulation), rows <= columns.
-
-    Returns (col4row, u, v): the optimal assignment and dual potentials
-    with zero reduced cost on matched pairs.
-    """
-    n, m = costs.shape
-    INF = np.inf
-    u = np.zeros(n + 1)
-    v = np.zeros(m + 1)
-    p = np.zeros(m + 1, dtype=int)  # p[j] = row (1-based) matched to column j; 0 = free
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(m + 1, INF)
-        way = np.zeros(m + 1, dtype=int)
-        used = np.zeros(m + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            free = ~used
-            free[0] = False
-            cur = costs[i0 - 1, :] - u[i0] - v[1:]
-            jj = np.flatnonzero(free)
-            better = cur[jj - 1] < minv[jj]
-            upd = jj[better]
-            minv[upd] = cur[upd - 1]
-            way[upd] = j0
-            j1 = jj[np.argmin(minv[jj])]
-            delta = minv[j1]
-            u[p[used]] += delta
-            v[used] -= delta
-            minv[free] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    col4row = np.empty(n, dtype=int)
-    for j in range(1, m + 1):
-        if p[j]:
-            col4row[p[j] - 1] = j - 1
-    return col4row, u[1:], v[1:]
-
-
-def _rows_matchable(tight: np.ndarray, first_row: int, used: np.ndarray) -> bool:
-    """Can rows first_row.. all be matched to distinct unused columns?"""
-    rows = tight[first_row:][:, ~used]
-    need = rows.shape[0]
-    if need == 0:
-        return True
-    if rows.shape[1] < need:
-        return False
-    matching = maximum_bipartite_matching(csr_matrix(rows), perm_type="column")
-    return int(np.count_nonzero(matching >= 0)) == need
-
-
-def _lex_smallest_optimal(costs: np.ndarray, tol: float) -> np.ndarray:
-    """Lexicographically-smallest optimal injection of rows into columns.
-
-    The rectangular problem is padded to a square one with zero-cost rows;
-    there every perfect matching on tight edges (zero reduced cost under the
-    optimal dual potentials) is optimal and vice versa, so a greedy
-    fix-and-check over tight columns, ascending and row by row, recovers the
-    canonical argmin.  Padding is essential: on the rectangular matrix the
-    unmatched columns carry different potentials, so not every tight
-    row-perfect matching is optimal.
-    """
-    n, m = costs.shape
-    padded = np.vstack([costs, np.zeros((m - n, m))]) if n < m else costs
-    _, u, v = _augmenting_path_lap(padded)
-    tight = (padded - u[:, None] - v[None, :]) <= tol
-    used = np.zeros(m, dtype=bool)
-    chosen: list[int] = []
-    for i in range(n):
-        placed = False
-        for c in np.flatnonzero(tight[i] & ~used):
-            used[c] = True
-            if _rows_matchable(tight, i + 1, used):
-                chosen.append(int(c))
-                placed = True
-                break
-            used[c] = False
-        if not placed:  # numerically degenerate; should not happen
-            raise RuntimeError("tight-edge canonicalization failed")
-    return np.array(chosen, dtype=int)
-
-
-def solve_assignment(costs: np.ndarray, canonical: bool = True) -> tuple[np.ndarray, float]:
+def solve_assignment(costs: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum-cost injection of rows into columns.
 
-    Returns (col4row, total).  ``canonical=True`` additionally makes the
-    argmin deterministic across tie configurations (lexicographically
-    smallest assignment vector); the total is unaffected.
+    Returns (col4row, total).  Among tied optima the solver's choice is
+    returned; the total is the same for every optimal assignment.
     """
     costs = np.asarray(costs, dtype=float)
     if costs.ndim != 2:
@@ -140,9 +48,7 @@ def solve_assignment(costs: np.ndarray, canonical: bool = True) -> tuple[np.ndar
         return np.zeros(0, dtype=int), 0.0
     if n_rows > n_cols:
         raise ValueError("rows must not exceed columns (transpose or pad first)")
-    col4row, _, _ = _augmenting_path_lap(costs)
-    if canonical:
-        scale = max(1.0, float(np.max(np.abs(costs))))
-        col4row = _lex_smallest_optimal(costs, tol=1e-9 * scale)
+    # rows <= columns, so every row is assigned and row_ind is arange(n_rows)
+    _, col4row = linear_sum_assignment(costs)
     total = float(costs[np.arange(n_rows), col4row].sum())
     return col4row, total

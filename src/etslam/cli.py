@@ -38,16 +38,24 @@ def _load_cfg(args) -> harness.ExperimentConfig:
 
 
 def _read_csv(path: str, n_cols: int) -> np.ndarray:
+    """Numeric rows of at least ``n_cols`` fields; only the first data line may be a header."""
     rows = []
-    for line in Path(path).read_text().splitlines():
+    header_allowed = True
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        first, header_allowed = header_allowed, False
         parts = line.split(",")
         try:
-            rows.append([float(p) for p in parts[:n_cols]])
+            values = [float(p) for p in parts[:n_cols]]
         except ValueError:
-            continue  # header line
+            if first:
+                continue  # header line
+            raise ValueError(f"{path}:{lineno}: non-numeric row {line!r}") from None
+        if len(values) < n_cols:
+            raise ValueError(f"{path}:{lineno}: expected {n_cols} fields, got {len(values)}")
+        rows.append(values)
     return np.array(rows).reshape(-1, n_cols)
 
 

@@ -42,7 +42,8 @@ class MetricParams:
 @dataclass(frozen=True)
 class EtGospaResult:
     value: float
-    assignment: tuple[Optional[int], ...]  # per target: estimate index or None
+    # per target: estimate index or None; one optimal assignment, ties broken by the solver
+    assignment: tuple[Optional[int], ...]
     sum_pair_costs: float
     cardinality_term: float
     missed_count: int
@@ -183,9 +184,9 @@ def gospa_baseline(
     d2 = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1)
     ground = np.minimum(d2, params.c) ** params.p
     if len(x) <= len(y):
-        _, matched = solve_assignment(ground, canonical=False)
+        _, matched = solve_assignment(ground)
     else:
-        _, matched = solve_assignment(ground.T, canonical=False)
+        _, matched = solve_assignment(ground.T)
     unmatched = abs(len(x) - len(y))
     return float((matched + (cp / params.alpha) * unmatched) ** (1.0 / params.p))
 

@@ -175,10 +175,15 @@ def update_grid(grid: OccupancyGrid, pose: Pose, scan: Scan) -> OccupancyGrid:
     end_lin = np.unique(end_cells[:, 0] * (ny_key + 1) + end_cells[:, 1])
     keep = ~np.isin(cells[:, 0] * (ny_key + 1) + cells[:, 1], end_lin)
     cells, ray_idx = cells[keep], ray_idx[keep]
-    # dedupe (ray, cell) so each ray decrements a crossed cell once
-    key = np.stack([ray_idx, cells[:, 0], cells[:, 1]], axis=1)
-    key = np.unique(key, axis=0)
-    free_cells = key[:, 1:]
+    # dedupe (ray, cell) so each ray decrements a crossed cell once; the
+    # offset 1-D key sorts like the (ray, cx, cy) rows, out-of-grid cells too
+    if len(cells):
+        lo = cells.min(axis=0)
+        span_x, span_y = cells.max(axis=0) - lo + 1
+        key = np.unique((ray_idx * span_x + cells[:, 0] - lo[0]) * span_y + cells[:, 1] - lo[1])
+        free_cells = np.stack([key // span_y % span_x + lo[0], key % span_y + lo[1]], axis=1)
+    else:
+        free_cells = cells
     nx, ny = grid.shape
     for cell_arr, delta in ((free_cells, -grid.l_free), (end_cells, grid.l_occ)):
         ok = (

@@ -2,9 +2,10 @@
 
 from importlib import resources
 
+import pytest
 import yaml
 
-from etslam.cli import main
+from etslam.cli import _read_csv, main
 
 DEFAULT_SCENE = str(resources.files("etslam") / "configs" / "default_scene.yaml")
 
@@ -72,6 +73,24 @@ def test_cluster_command(tmp_path, capsys):
     rows = dst.read_text().splitlines()
     assert rows[1] == "x,y,label"
     assert [r.split(",")[2] for r in rows[2:]] == ["0", "0", "1", "1", "-1"]
+
+
+def test_read_csv_rejects_later_non_numeric_row(tmp_path):
+    src = tmp_path / "pts.csv"
+    src.write_text("# comment\nx,y\n0,0\n\nx,y\n1,1\n")
+    with pytest.raises(ValueError, match=r"pts\.csv:5: non-numeric row"):
+        _read_csv(str(src), 2)
+
+
+def test_read_csv_rejects_short_row(tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("target_id,x,y\n1,0,0\n2,10\n")
+    est = tmp_path / "est.csv"
+    est.write_text("0,0\n")
+    with pytest.raises(ValueError, match=r"truth\.csv:3: expected 3 fields, got 2"):
+        _read_csv(str(truth), 3)
+    assert main(["metric", "et-gospa", "--truth", str(truth), "--est", str(est)]) == 2
+    assert "truth.csv:3:" in capsys.readouterr().err
 
 
 def test_simulate_writes_outputs(tmp_path, capsys):

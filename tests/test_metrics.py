@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etslam.metrics import (
     EtGospaResult,
@@ -245,6 +247,38 @@ def test_permutation_invariance():
                   for i in rng.permutation(len(targets))]
         e_perm = est[rng.permutation(len(est))]
         assert et_gospa(t_perm, e_perm, params).value == pytest.approx(base, abs=1e-9)
+
+
+_half_grid = st.integers(-10, 10).map(lambda k: 0.5 * k)  # quantized: many ties
+_point = st.tuples(_half_grid, _half_grid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    targets=st.lists(st.lists(_point, min_size=1, max_size=4), min_size=1, max_size=4),
+    near=st.lists(_point, max_size=6),
+    n_far=st.integers(0, 5),
+    c=st.integers(1, 9).map(float),
+    p=st.sampled_from([1.0, 2.0]),
+    alpha=st.sampled_from([1.0, 2.0]),
+    data=st.data(),
+)
+def test_value_invariant_under_reordering(targets, near, n_far, c, p, alpha, data):
+    """The argmin is not canonical, but value and sum_pair_costs are invariant."""
+    params = MetricParams(c=c, p=p, alpha=alpha)
+    targets = [np.array(t) for t in targets]
+    # far from every target: pair cost exactly c against each target
+    far = [(100.0 + 10.0 * k, -100.0) for k in range(n_far)]
+    est = np.array(near + far, dtype=float).reshape(-1, 2)
+    if n_far:
+        assert np.all(cost_matrix(targets, est, params)[:, len(near):] == c)
+    base = et_gospa(targets, est, params)
+    t_order = data.draw(st.permutations(range(len(targets))))
+    e_order = data.draw(st.permutations(range(len(est))))
+    got = et_gospa([targets[i] for i in t_order], est[list(e_order)], params)
+    assert got.value == pytest.approx(base.value, rel=1e-12, abs=1e-12)
+    assert got.sum_pair_costs == pytest.approx(base.sum_pair_costs, rel=1e-12, abs=1e-12)
+    assert (got.missed_count, got.extra_count) == (base.missed_count, base.extra_count)
 
 
 def _fig3_instance(rng):

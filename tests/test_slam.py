@@ -146,6 +146,65 @@ def test_grid_expansion_when_unclipped():
     assert grid.log_odds[end] > 0
 
 
+def _update_grid_reference(grid, pose, scan):
+    """update_grid with the former 2-D ``np.unique(axis=0)`` (ray, cx, cy) dedupe."""
+    if len(scan) == 0:
+        return grid
+    ends = scan_to_points(scan, pose)
+    start = pose.position
+    end_cells = grid.cell_of(ends)
+    dists = np.linalg.norm(ends - start, axis=1)
+    counts = np.maximum(1, np.ceil(dists / (grid.resolution * 0.5)).astype(int))
+    ray_idx = np.repeat(np.arange(len(scan)), counts)
+    fracs = np.concatenate([np.arange(k) / k for k in counts])
+    cells = grid.cell_of(start + fracs[:, None] * (ends[ray_idx] - start))
+    _, ny_key = grid.shape
+    end_lin = np.unique(end_cells[:, 0] * (ny_key + 1) + end_cells[:, 1])
+    keep = ~np.isin(cells[:, 0] * (ny_key + 1) + cells[:, 1], end_lin)
+    cells, ray_idx = cells[keep], ray_idx[keep]
+    key = np.unique(np.stack([ray_idx, cells[:, 0], cells[:, 1]], axis=1), axis=0)
+    free_cells = key[:, 1:]
+    nx, ny = grid.shape
+    for cell_arr, delta in ((free_cells, -grid.l_free), (end_cells, grid.l_occ)):
+        ok = (
+            (cell_arr[:, 0] >= 0) & (cell_arr[:, 0] < nx)
+            & (cell_arr[:, 1] >= 0) & (cell_arr[:, 1] < ny)
+        )
+        lin = cell_arr[ok, 0] * ny + cell_arr[ok, 1]
+        if delta < 0:
+            lin = lin[grid.log_odds.reshape(-1)[lin] <= 0.0]
+        np.add.at(grid.log_odds.reshape(-1), lin, delta)
+    np.clip(grid.log_odds, -LOG_ODDS_CLAMP, LOG_ODDS_CLAMP, out=grid.log_odds)
+    return grid
+
+
+def test_update_grid_matches_2d_unique_reference():
+    """The 1-D cell key leaves log-odds bytes identical across sequential scans."""
+    rng = np.random.default_rng(5)
+
+    def fresh():
+        return OccupancyGrid(origin=np.array([-5.0, -5.0]), resolution=0.1,
+                             log_odds=np.zeros((100, 80)))
+
+    fast, ref = fresh(), fresh()
+    scans = [
+        # ranges up to 9 m from poses near the edge: endpoints leave the grid
+        (Pose(x, y, h), Scan.from_polar(rng.uniform(0.05, 9.0, 60),
+                                        rng.uniform(-math.pi, math.pi, 60)))
+        for x, y, h in rng.uniform([-4.5, -4.5, -math.pi], [4.5, 2.5, math.pi], (6, 3))
+    ]
+    # every sample of these short rays lies in its own endpoint cell
+    scans.insert(3, (Pose(0.55, 0.55, 0.0),
+                     Scan.from_polar(np.array([0.01, 0.02]), np.array([0.0, 1.0]))))
+    scans.append((Pose(0.0, 0.0, 0.3), _sensor(0.05, 1.0)(_scene(), Pose(0.0, 0.0, 0.3),
+                                                          np.random.default_rng(1))))
+    for pose, scan in scans:
+        update_grid(fast, pose, scan)
+        _update_grid_reference(ref, pose, scan)
+        assert fast.log_odds.tobytes() == ref.log_odds.tobytes()
+    assert fast.occupied_count() > 0 and np.any(fast.log_odds < 0)
+
+
 # ---------------------------------------------------------------------------
 # scan matching
 
