@@ -1,10 +1,13 @@
 """DBSCAN recognition of extended targets from accumulated map points.
 
-Classic DBSCAN semantics: a point is core iff it has >= min_pts neighbors
-within eps (closed ball, itself included).  Clusters are grown from core
-points scanned in input order with FIFO expansion, so border points attach
-to the first core cluster that reaches them.  Core/noise status is
-independent of input order; border labels can differ by permutation.
+Classic DBSCAN semantics (Ester et al. 1996): a point is core iff it has
+>= min_pts neighbors within eps (closed ball, itself included).  Clusters are
+the connected components of the core points under the eps-neighbor relation,
+numbered in order of each cluster's first core point in the input.  A border
+point (not core, within eps of a core point) joins the lowest-id cluster
+among its core neighbors; every other point is noise.  Core/noise status and
+the partition of the core points do not depend on input order; cluster ids
+and border labels can change under a permutation.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 NOISE = -1
@@ -37,26 +42,22 @@ def dbscan(points: np.ndarray, params: ClusterParams = ClusterParams()) -> np.nd
         return np.zeros(0, dtype=int)
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
-    tree = cKDTree(points)
-    neighbors = tree.query_ball_point(points, params.eps)
-    core = np.array([len(nb) >= params.min_pts for nb in neighbors])
+    edges = cKDTree(points).query_pairs(params.eps, output_type="ndarray")
+    core = np.bincount(edges.ravel(), minlength=n) + 1 >= params.min_pts
+    a, b = edges.T
+    core_a, core_b = core[a], core[b]
+    # clusters: components of the core-core edges, numbered by first core point
+    both = core_a & core_b
+    graph = coo_matrix((np.ones(both.sum()), (a[both], b[both])), shape=(n, n))
+    _, comp = connected_components(graph, directed=False)
+    _, first, inverse = np.unique(comp[core], return_index=True, return_inverse=True)
     labels = np.full(n, NOISE, dtype=int)
-    cid = 0
-    for seed in range(n):
-        if not core[seed] or labels[seed] != NOISE:
-            continue
-        labels[seed] = cid
-        queue = [seed]
-        while queue:
-            i = queue.pop(0)
-            if not core[i]:
-                continue
-            for j in sorted(neighbors[i]):
-                if labels[j] == NOISE:
-                    labels[j] = cid
-                    queue.append(j)
-        cid += 1
-    return labels
+    labels[core] = np.argsort(np.argsort(first))[inverse]
+    # border points: the smallest cluster id among their core neighbors
+    border = np.full(n, len(first))
+    for src, dst, reach in ((a, b, core_a & ~core_b), (b, a, core_b & ~core_a)):
+        np.minimum.at(border, dst[reach], labels[src[reach]])
+    return np.where(border < len(first), border, labels)
 
 
 def cluster_centroids(points: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -104,7 +104,6 @@ def _parse_slam(doc: dict) -> SlamConfig:
         window=window,
         l_occ=float(doc.get("l_occ", 0.85)),
         l_free=float(doc.get("l_free", 0.4)),
-        keyframe_every=int(doc.get("keyframe_every", 5)),
         matching_enabled=bool(doc.get("matching_enabled", True)),
     )
 

@@ -21,7 +21,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -113,7 +113,7 @@ class WaveformConfig:
             d=None,
         )
         if "d_over_lambda" in doc:
-            cfg = dataclass_replace(cfg, d=float(doc["d_over_lambda"]) * cfg.wavelength)
+            cfg = replace(cfg, d=float(doc["d_over_lambda"]) * cfg.wavelength)
         if "B" in doc:
             b = float(doc["B"])
             if abs(b - cfg.bandwidth) > 0.01 * cfg.bandwidth:
@@ -121,12 +121,6 @@ class WaveformConfig:
                     f"configured bandwidth B={b:g} inconsistent with N*delta_f={cfg.bandwidth:g}"
                 )
         return cfg
-
-
-def dataclass_replace(cfg: WaveformConfig, **kw) -> WaveformConfig:
-    import dataclasses
-
-    return dataclasses.replace(cfg, **kw)
 
 
 @dataclass(frozen=True)
@@ -141,19 +135,6 @@ class EchoPath:
             raise ValueError("path range must be >= 0")
         if abs(self.amplitude) <= 0:
             raise ValueError("path amplitude must be nonzero")
-
-
-@dataclass(frozen=True)
-class ProfileSpectrum:
-    magnitudes: np.ndarray
-    bin_semantics: str  # "range" | "velocity" | "angle"
-    config: WaveformConfig
-
-    def __len__(self) -> int:
-        return len(self.magnitudes)
-
-    def peak_index(self) -> int:
-        return int(np.argmax(self.magnitudes))
 
 
 def generate_frame(cfg: WaveformConfig, rng: np.random.Generator) -> np.ndarray:

@@ -166,21 +166,24 @@ def update_grid(grid: OccupancyGrid, pose: Pose, scan: Scan) -> OccupancyGrid:
     step = grid.resolution * 0.5
     counts = np.maximum(1, np.ceil(dists / step).astype(int))
     ray_idx = np.repeat(np.arange(len(scan)), counts)
-    fracs = np.concatenate([np.arange(k) / k for k in counts])
+    # sample j of a ray with k samples sits at fraction j / k along it
+    first = np.repeat(np.cumsum(counts) - counts, counts)  # flat index of each ray's sample 0
+    fracs = (np.arange(len(ray_idx)) - first) / counts[ray_idx]
     samples = start + fracs[:, None] * (ends[ray_idx] - start)
     cells = grid.cell_of(samples)
     # drop samples landing in any endpoint cell of this scan: grazing rays
     # must not erode cells another ray just observed as occupied
     _, ny_key = grid.shape
-    end_lin = np.unique(end_cells[:, 0] * (ny_key + 1) + end_cells[:, 1])
-    keep = ~np.isin(cells[:, 0] * (ny_key + 1) + cells[:, 1], end_lin)
+    end_key = end_cells[:, 0] * (ny_key + 1) + end_cells[:, 1]
+    keep = ~np.isin(cells[:, 0] * (ny_key + 1) + cells[:, 1], end_key, kind="sort")
     cells, ray_idx = cells[keep], ray_idx[keep]
     # dedupe (ray, cell) so each ray decrements a crossed cell once; the
     # offset 1-D key sorts like the (ray, cx, cy) rows, out-of-grid cells too
     if len(cells):
         lo = cells.min(axis=0)
         span_x, span_y = cells.max(axis=0) - lo + 1
-        key = np.unique((ray_idx * span_x + cells[:, 0] - lo[0]) * span_y + cells[:, 1] - lo[1])
+        key = np.sort((ray_idx * span_x + cells[:, 0] - lo[0]) * span_y + cells[:, 1] - lo[1])
+        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
         free_cells = np.stack([key // span_y % span_x + lo[0], key % span_y + lo[1]], axis=1)
     else:
         free_cells = cells
@@ -217,7 +220,6 @@ class SlamConfig:
     window: SearchWindow = SearchWindow()
     l_occ: float = 0.85
     l_free: float = 0.4
-    keyframe_every: int = 5
     matching_enabled: bool = True
     clip_outside: bool = True
 
@@ -229,9 +231,7 @@ class SlamState:
     grid: OccupancyGrid
     map_points: list[np.ndarray] = field(default_factory=list)
     map_times: list[float] = field(default_factory=list)
-    keyframes: list[Scan] = field(default_factory=list)
     time: float = 0.0
-    step_count: int = 0
 
     @classmethod
     def initial(cls, scene: Scene, cfg: SlamConfig) -> "SlamState":
@@ -288,9 +288,6 @@ def slam_step(
         state.map_times.extend([new_time] * len(pts))
     update_grid(state.grid, estimate, scan)
 
-    state.step_count += 1
-    if cfg.keyframe_every > 0 and state.step_count % cfg.keyframe_every == 0:
-        state.keyframes.append(scan)
     state.pose_truth = new_truth
     state.pose_estimate = estimate
     state.time = new_time

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etslam.clustering import (
     NOISE,
@@ -16,8 +18,10 @@ from etslam.scene import load_scene
 def reference_dbscan(points: np.ndarray, params: ClusterParams) -> np.ndarray:
     """Brute-force DBSCAN with the same scan-order semantics as the library.
 
-    Neighborhoods come from a full pairwise-distance pass; the growth loop
-    mirrors the FIFO / sorted-neighbor order, so labels must agree exactly.
+    Neighborhoods come from a full pairwise-distance pass; clusters grow from
+    core seeds in input order with FIFO expansion over sorted neighbors, so a
+    border point keeps the first cluster that reaches it.  The library's
+    graph formulation must reproduce these labels exactly.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(points)
@@ -104,6 +108,51 @@ def test_centroid_label_alignment_checked():
         cluster_centroids(np.zeros((3, 2)), np.zeros(2, dtype=int))
 
 
+def test_border_point_joins_lowest_cluster_id():
+    # cluster 0 starts at index 0; cluster 1's core next to the border point
+    # (x=0.9, index 1) precedes cluster 0's (x=-0.9, index 8)
+    xs = [-1.6, 0.9, 0.0, 1.2, 1.4, 1.6, -1.4, -1.2, -0.9]
+    pts = np.column_stack([xs, np.zeros(len(xs))])
+    params = ClusterParams(eps=1.0, min_pts=4)
+    labels = dbscan(pts, params)
+    assert list(labels) == [0, 1, 0, 1, 1, 1, 0, 0, 0]
+    assert np.array_equal(labels, reference_dbscan(pts, params))
+
+
+def test_min_pts_one_isolated_points_numbered_by_index():
+    pts = np.array([[3.0, 0.0], [0.0, 0.0], [0.2, 0.0], [-3.0, 0.0], [9.0, 9.0]])
+    params = ClusterParams(eps=0.5, min_pts=1)
+    labels = dbscan(pts, params)
+    assert list(labels) == [0, 1, 1, 2, 3]
+    assert np.array_equal(labels, reference_dbscan(pts, params))
+
+
+@pytest.mark.parametrize("eps", [0.5, 1.0])
+@pytest.mark.parametrize("min_pts", [1, 2, 3, 5, 8])
+def test_lattice_exact_boundary_matches_reference(eps, min_pts):
+    """On a 0.5 m lattice many pairwise distances equal eps exactly."""
+    rng = np.random.default_rng(int(eps * 10) + 100 * min_pts)
+    cells = np.array([(i, j) for i in range(-6, 7) for j in range(-6, 7)])
+    for _ in range(10):
+        keep = rng.random(len(cells)) < rng.uniform(0.15, 0.7)
+        pts = 0.5 * cells[keep] + np.array([40.0, -12.5])
+        params = ClusterParams(eps=eps, min_pts=min_pts)
+        assert np.array_equal(dbscan(pts, params), reference_dbscan(pts, params))
+
+
+def test_duplicate_points_match_reference():
+    rng = np.random.default_rng(3)
+    base = rng.uniform(-3.0, 3.0, size=(15, 2))
+    pts = base[rng.integers(0, len(base), size=60)]
+    for min_pts in (1, 2, 3, 4, 6):
+        for eps in (0.05, 0.5, 1.0):
+            params = ClusterParams(eps=eps, min_pts=min_pts)
+            assert np.array_equal(dbscan(pts, params), reference_dbscan(pts, params))
+    # a point repeated min_pts times is core on its own
+    labels = dbscan(np.array([[1.0, 1.0]] * 3 + [[9.0, 9.0]]), ClusterParams(0.1, 3))
+    assert list(labels) == [0, 0, 0, NOISE]
+
+
 # ---------------------------------------------------------------------------
 # reference equivalence and invariances
 
@@ -165,6 +214,34 @@ def test_density_connectivity_witness():
                     reached.add(j)
                     frontier.append(j)
         assert reached == set(members)
+
+
+_lattice = st.integers(-8, 8).map(lambda k: 0.5 * k)
+_lattice_points = st.lists(st.tuples(_lattice, _lattice), max_size=60)
+_lattice_params = st.builds(ClusterParams, eps=st.sampled_from([0.5, 0.75, 1.0]),
+                            min_pts=st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=_lattice_points, params=_lattice_params)
+def test_lattice_inputs_match_reference(points, params):
+    pts = np.array(points, dtype=float).reshape(-1, 2)
+    assert np.array_equal(dbscan(pts, params), reference_dbscan(pts, params))
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=_lattice_points, params=_lattice_params, data=st.data())
+def test_core_partition_and_noise_permutation_invariant(points, params, data):
+    pts = np.array(points, dtype=float).reshape(-1, 2)
+    perm = np.array(data.draw(st.permutations(range(len(pts)))), dtype=int)
+    base, shuffled = dbscan(pts, params)[perm], dbscan(pts[perm], params)
+    assert np.array_equal(base == NOISE, shuffled == NOISE)
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    core = ((d2 <= params.eps**2).sum(axis=1) >= params.min_pts)[perm]
+    # core points share a cluster in one order iff they share it in the other
+    same_base = base[core][:, None] == base[core][None, :]
+    same_shuffled = shuffled[core][:, None] == shuffled[core][None, :]
+    assert np.array_equal(same_base, same_shuffled)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from etslam.ofdm import (
     OfdmSensor,
     PeakPolicy,
     WaveformConfig,
+    _equalized_column,
     angle_spectrum,
     bin_to_angle,
     bin_to_range,
@@ -130,6 +131,23 @@ def test_single_path_constant_modulus():
     y = synthesize_echo(cfg, frame, [EchoPath(range_m=7.0, amplitude=0.5j)])
     s_g = equalize(y, frame)
     assert np.allclose(np.abs(s_g), 0.5, atol=1e-12)
+
+
+def test_equalized_column_matches_synthesis_noiseless():
+    """sense's analytic symbol-0 column equals equalized full synthesis without noise."""
+    cfg = small_cfg()
+    assert cfg.snr_db is None
+    frame = generate_frame(cfg, np.random.default_rng(6))
+    paths = [EchoPath(range_m=3.1, amplitude=1.0, bearing=0.6),
+             EchoPath(range_m=17.45, amplitude=0.3 - 0.8j, bearing=math.pi / 2),
+             EchoPath(range_m=42.0, amplitude=-0.5 + 0.2j, bearing=2.3)]
+    ranges = np.array([p.range_m for p in paths])
+    amps = np.array([p.amplitude for p in paths])
+    omegas = (2.0 * np.pi * cfg.d / cfg.wavelength) * np.cos([p.bearing for p in paths])
+    col = _equalized_column(cfg, ranges, omegas, amps, None)
+    want = equalize(synthesize_echo(cfg, frame, paths), frame)[:, 0, :]
+    assert col.shape == want.shape == (cfg.n_rx, cfg.n_subcarriers)
+    np.testing.assert_allclose(col, want, rtol=1e-9, atol=0.0)
 
 
 def test_equalize_shape_mismatch():

@@ -15,7 +15,6 @@ from etslam.slam import (
     OdometryModel,
     SearchWindow,
     SlamConfig,
-    SlamState,
     match_scan,
     run_slam,
     scan_to_points,
@@ -179,7 +178,7 @@ def _update_grid_reference(grid, pose, scan):
 
 
 def test_update_grid_matches_2d_unique_reference():
-    """The 1-D cell key leaves log-odds bytes identical across sequential scans."""
+    """Vectorized ray sampling and the 1-D cell key keep log-odds bytes identical."""
     rng = np.random.default_rng(5)
 
     def fresh():
@@ -198,6 +197,12 @@ def test_update_grid_matches_2d_unique_reference():
                      Scan.from_polar(np.array([0.01, 0.02]), np.array([0.0, 1.0]))))
     scans.append((Pose(0.0, 0.0, 0.3), _sensor(0.05, 1.0)(_scene(), Pose(0.0, 0.0, 0.3),
                                                           np.random.default_rng(1))))
+    # zero-length rays end at the pose: one sample each, in the endpoint cell
+    scans.append((Pose(1.23, -0.47, 0.7),
+                  Scan.from_polar(np.array([0.0, 0.0, 0.35]), np.array([0.0, 2.0, -1.0]))))
+    # one ray of 1200 samples, far past the grid, among 80 short ones
+    ranges = np.concatenate([[60.0], rng.uniform(0.0, 0.4, 80)])
+    scans.append((Pose(-2.0, 1.0, 0.2), Scan.from_polar(ranges, rng.uniform(-3.0, 3.0, 81))))
     for pose, scan in scans:
         update_grid(fast, pose, scan)
         _update_grid_reference(ref, pose, scan)
@@ -386,14 +391,3 @@ def test_dead_reckoning_error_grows():
         early.append(np.mean(errs[:4]))
         late.append(np.mean(errs[-4:]))
     assert np.mean(late) > np.mean(early)
-
-
-def test_keyframes_recorded():
-    scene = _scene()
-    cfg = SlamConfig(keyframe_every=3)
-    state = SlamState.initial(scene, cfg)
-    from etslam.slam import slam_step
-    for _ in range(7):
-        slam_step(state, scene, _sensor(), OdometryModel(),
-                  np.random.default_rng(0), cfg)
-    assert len(state.keyframes) == 2
