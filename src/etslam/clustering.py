@@ -77,16 +77,13 @@ def recovered_target_count(
 ) -> int:
     """Number of distinct targets claimed by at least one cluster centroid.
 
-    A centroid claims the target whose boundary is nearest, provided that
-    distance is below ``max_distance``.
+    A centroid claims the target whose boundary is nearest (the first such
+    target on a tie), provided that distance is at most ``max_distance``.
     """
-    claimed = set()
-    for c in np.atleast_2d(centroids):
-        best_id, best_d = None, np.inf
-        for tgt in targets:
-            d = abs(float(tgt.shape.signed_distance(c[None, :])[0]))
-            if d < best_d:
-                best_id, best_d = tgt.id, d
-        if best_id is not None and best_d <= max_distance:
-            claimed.add(best_id)
-    return len(claimed)
+    centroids = np.atleast_2d(np.asarray(centroids, dtype=float))
+    if centroids.size == 0 or not targets:
+        return 0
+    dist = np.abs(np.stack([tgt.shape.signed_distance(centroids) for tgt in targets]))
+    nearest = np.argmin(dist, axis=0)
+    claimed = nearest[dist[nearest, np.arange(len(centroids))] <= max_distance]
+    return len(np.unique(np.array([tgt.id for tgt in targets])[claimed]))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
@@ -21,13 +20,12 @@ import yaml
 
 from etslam.clustering import ClusterParams, cluster_centroids, dbscan, recovered_target_count
 from etslam.metrics import MetricParams, et_gospa
-from etslam.ofdm import OfdmSensor, PeakPolicy, WaveformConfig
+from etslam.ofdm import WAVEFORM_KEYS, OfdmSensor, PeakPolicy, WaveformConfig
 from etslam.parametric import ErrorModel, ParametricSensor
-from etslam.scene import Scene, load_scene
+from etslam.scene import Scene, as_radians, convert, load_scene, parse_section
 from etslam.slam import OdometryModel, SearchWindow, SlamConfig, run_slam
 
 CSV_HEADER_COMMENT = "# etslam csv v1"
-SEED_ENV_VAR = "ETSLAM_SEED"
 
 
 @dataclass(frozen=True)
@@ -92,24 +90,34 @@ def _resolve_scene(ref, base_dir: Optional[Path]) -> Scene:
     raise FileNotFoundError(f"scene document '{ref}' not found")
 
 
-def _parse_slam(doc: dict) -> SlamConfig:
-    window = SearchWindow(
-        dxy_max=float(doc.get("search_dxy_max", 0.5)),
-        dxy_step=float(doc.get("search_dxy_step", 0.1)),
-        dtheta_max=math.radians(float(doc.get("search_dtheta_max_deg", 2.0))),
-        dtheta_step=math.radians(float(doc.get("search_dtheta_step_deg", 0.5))),
-    )
-    return SlamConfig(
-        resolution=float(doc.get("resolution", 0.1)),
-        window=window,
-        l_occ=float(doc.get("l_occ", 0.85)),
-        l_free=float(doc.get("l_free", 0.4)),
-        matching_enabled=bool(doc.get("matching_enabled", True)),
-    )
+# config key -> (dataclass field, kind), one table per dataclass
+_SENSOR_KEYS = {"backend": ("backend", str), "bearing_step_deg": ("bearing_step_deg", float),
+                "angle_peak_threshold_db": ("angle_peak_threshold_db", float),
+                "angle_max_peaks": ("angle_max_peaks", int)}
+_ERROR_MODEL_KEYS = {"delta_r_m": ("delta_r", float), "delta_theta_deg": ("delta_theta", as_radians)}
+_SLAM_KEYS = {"resolution": ("resolution", float), "l_occ": ("l_occ", float),
+              "l_free": ("l_free", float), "matching_enabled": ("matching_enabled", bool)}
+_WINDOW_KEYS = {"search_dxy_max": ("dxy_max", float), "search_dxy_step": ("dxy_step", float),
+                "search_dtheta_max_deg": ("dtheta_max", as_radians),
+                "search_dtheta_step_deg": ("dtheta_step", as_radians)}
+_ODOMETRY_KEYS = {"translation_noise_std": ("translation_noise_std", float),
+                  "rotation_noise_std_deg": ("rotation_noise_std", as_radians)}
+_CLUSTER_KEYS = {"eps": ("eps", float), "min_pts": ("min_pts", int)}
+_METRIC_KEYS = {key: (key, float) for key in ("c", "p", "alpha")}
+_RUN_KEYS = {"trials": ("trials", int), "duration": ("duration", float), "seed": ("seed", int),
+             "snapshot_cadence": ("snapshot_cadence", float), "estimate_cap": ("estimate_cap", int)}
+_SWEEP_KEYS = {"conditions": ("sweep_conditions", lambda v: tuple(convert(v, list)))}
+# a sweep condition takes the sensor keys plus these
+_CONDITION_KEYS = {"name": ("name", str), "snr_db": WAVEFORM_KEYS["snr_db"]}
+_EXPERIMENT_KEYS = {
+    key: (key, dict)
+    for key in ("sensor", "waveform", "slam", "odometry", "cluster", "metric", "run", "sweep")
+}
+_EXPERIMENT_KEYS["scene"] = ("scene", lambda ref: ref)  # a filename, a path or a mapping
 
 
 def load_experiment(source: Union[str, Path, dict]) -> ExperimentConfig:
-    """Parse an experiment YAML; ETSLAM_SEED overrides the configured seed."""
+    """Parse and validate an experiment YAML, its sweep conditions included."""
     if isinstance(source, dict):
         doc, base_dir = source, None
     else:
@@ -122,62 +130,44 @@ def load_experiment(source: Union[str, Path, dict]) -> ExperimentConfig:
                 raise FileNotFoundError(f"config '{source}' not found")
         doc = yaml.safe_load(path.read_text())
         base_dir = path.parent
-    sensor_doc = doc.get("sensor", {})
-    run_doc = doc.get("run", {})
-    odo_doc = doc.get("odometry", {})
-    waveform = None
-    if "waveform" in doc:
-        waveform = WaveformConfig.from_mapping(doc["waveform"])
-    seed = int(run_doc.get("seed", 0))
-    if os.environ.get(SEED_ENV_VAR):
-        seed = int(os.environ[SEED_ENV_VAR])
-    return ExperimentConfig(
-        scene=_resolve_scene(doc["scene"], base_dir),
-        backend=str(sensor_doc.get("backend", "parametric")),
-        error_model=ErrorModel.from_mapping(sensor_doc),
-        bearing_step_deg=float(sensor_doc.get("bearing_step_deg", 2.0)),
-        angle_peak_threshold_db=float(sensor_doc.get("angle_peak_threshold_db", 6.0)),
-        angle_max_peaks=int(sensor_doc.get("angle_max_peaks", 4)),
-        waveform=waveform,
-        slam=_parse_slam(doc.get("slam", {})),
-        odometry=OdometryModel(
-            translation_noise_std=float(odo_doc.get("translation_noise_std", 0.0)),
-            rotation_noise_std=math.radians(float(odo_doc.get("rotation_noise_std_deg", 0.0))),
-        ),
-        cluster=ClusterParams(
-            eps=float(doc.get("cluster", {}).get("eps", 0.5)),
-            min_pts=int(doc.get("cluster", {}).get("min_pts", 3)),
-        ),
-        metric=MetricParams(
-            c=float(doc.get("metric", {}).get("c", 5.0)),
-            p=float(doc.get("metric", {}).get("p", 1.0)),
-            alpha=float(doc.get("metric", {}).get("alpha", 2.0)),
-        ),
-        trials=int(run_doc.get("trials", 20)),
-        duration=float(run_doc.get("duration", 60.0)),
-        seed=seed,
-        snapshot_cadence=float(run_doc.get("snapshot_cadence", 5.0)),
-        estimate_cap=int(run_doc.get("estimate_cap", 2000)),
-        sweep_conditions=tuple(doc.get("sweep", {}).get("conditions", ())),
+    [top] = parse_section(doc, "experiment", _EXPERIMENT_KEYS, required=("scene",))
+
+    def section(name, *tables):
+        return parse_section(top.get(name, {}), name, *tables)
+
+    fields, error_model = section("sensor", _SENSOR_KEYS, _ERROR_MODEL_KEYS)
+    slam, window = section("slam", _SLAM_KEYS, _WINDOW_KEYS)
+    [odometry] = section("odometry", _ODOMETRY_KEYS)
+    [cluster] = section("cluster", _CLUSTER_KEYS)
+    [metric] = section("metric", _METRIC_KEYS)
+    [run] = section("run", _RUN_KEYS)
+    [sweep] = section("sweep", _SWEEP_KEYS)
+    if "waveform" in top:
+        fields["waveform"] = WaveformConfig.from_mapping(top["waveform"])
+    cfg = ExperimentConfig(
+        scene=_resolve_scene(top["scene"], base_dir),
+        error_model=ErrorModel(**error_model),
+        slam=SlamConfig(window=SearchWindow(**window), **slam),
+        odometry=OdometryModel(**odometry),
+        cluster=ClusterParams(**cluster),
+        metric=MetricParams(**metric),
+        **fields, **run, **sweep,
     )
+    for condition in cfg.sweep_conditions:
+        apply_condition(cfg, condition)
+    return cfg
 
 
 def apply_condition(cfg: ExperimentConfig, condition: dict) -> ExperimentConfig:
-    """Override the sensor backend / noise magnitudes for one sweep condition."""
-    updates: dict = {}
-    if "backend" in condition:
-        updates["backend"] = condition["backend"]
-    if "delta_r_m" in condition or "delta_theta_deg" in condition:
-        updates["error_model"] = ErrorModel.from_mapping(
-            {
-                "delta_r_m": condition.get("delta_r_m", cfg.error_model.delta_r),
-                "delta_theta_deg": condition.get(
-                    "delta_theta_deg", math.degrees(cfg.error_model.delta_theta)
-                ),
-            }
-        )
-    if "snr_db" in condition and cfg.waveform is not None:
-        updates["waveform"] = dataclasses.replace(cfg.waveform, snr_db=condition["snr_db"])
+    """Override the sensor settings and the waveform SNR for one sweep condition."""
+    updates, error_model, extra = parse_section(
+        condition, "sweep condition", _SENSOR_KEYS, _ERROR_MODEL_KEYS, _CONDITION_KEYS)
+    if error_model:
+        updates["error_model"] = dataclasses.replace(cfg.error_model, **error_model)
+    if "snr_db" in extra:
+        if cfg.waveform is None:
+            raise ValueError("sweep condition: key 'snr_db' needs a waveform section")
+        updates["waveform"] = dataclasses.replace(cfg.waveform, snr_db=extra["snr_db"])
     return dataclasses.replace(cfg, **updates)
 
 

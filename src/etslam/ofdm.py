@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from etslam.scans import Scan
-from etslam.scene import Pose, Scene, ground_truth_scan
+from etslam.scene import Pose, Scene, convert, ground_truth_scan, parse_section
 
 C0 = 3.0e8
 
@@ -99,28 +99,29 @@ class WaveformConfig:
     @classmethod
     def from_mapping(cls, doc: dict) -> "WaveformConfig":
         """Build from config-file keys (fc, delta_f, M, N, Tp, Tc, T, B, Nt, Nr, ...)."""
-        cfg = cls(
-            fc=float(doc["fc"]),
-            delta_f=float(doc["delta_f"]),
-            n_symbols=int(doc["M"]),
-            n_subcarriers=int(doc["N"]),
-            tp=float(doc["Tp"]),
-            tc=float(doc["Tc"]),
-            t_sym=float(doc["T"]),
-            n_tx=int(doc.get("Nt", 32)),
-            n_rx=int(doc.get("Nr", 32)),
-            snr_db=None if doc.get("snr_db") is None else float(doc["snr_db"]),
-            d=None,
-        )
-        if "d_over_lambda" in doc:
-            cfg = replace(cfg, d=float(doc["d_over_lambda"]) * cfg.wavelength)
-        if "B" in doc:
-            b = float(doc["B"])
-            if abs(b - cfg.bandwidth) > 0.01 * cfg.bandwidth:
-                raise ValueError(
-                    f"configured bandwidth B={b:g} inconsistent with N*delta_f={cfg.bandwidth:g}"
-                )
+        kw, derived = parse_section(doc, "waveform", WAVEFORM_KEYS, _DERIVED_KEYS,
+                                    required=("fc", "delta_f", "M", "N", "Tp", "Tc", "T"))
+        cfg = cls(**kw)
+        if "d_over_lambda" in derived:
+            cfg = replace(cfg, d=derived["d_over_lambda"] * cfg.wavelength)
+        b = derived.get("bandwidth")
+        if b is not None and abs(b - cfg.bandwidth) > 0.01 * cfg.bandwidth:
+            raise ValueError(
+                f"configured bandwidth B={b:g} inconsistent with N*delta_f={cfg.bandwidth:g}"
+            )
         return cfg
+
+
+# config key -> (WaveformConfig field, kind); the paper's symbols as keys
+WAVEFORM_KEYS = {
+    "fc": ("fc", float), "delta_f": ("delta_f", float),
+    "M": ("n_symbols", int), "N": ("n_subcarriers", int),
+    "Tp": ("tp", float), "Tc": ("tc", float), "T": ("t_sym", float),
+    "Nt": ("n_tx", int), "Nr": ("n_rx", int),
+    "snr_db": ("snr_db", lambda v: None if v is None else convert(v, float)),
+}
+# keys that are checked against or converted with the other fields
+_DERIVED_KEYS = {"d_over_lambda": ("d_over_lambda", float), "B": ("bandwidth", float)}
 
 
 @dataclass(frozen=True)
@@ -158,9 +159,29 @@ def _check_windows(cfg: WaveformConfig, r: np.ndarray, v: np.ndarray):
         raise ValueError("path velocity outside unambiguous window")
 
 
-def _noise(rng: np.random.Generator, shape, sigma2: float) -> np.ndarray:
-    return math.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def _path_phases(cfg: WaveformConfig, ranges: np.ndarray, bearings: np.ndarray,
+                 amps: np.ndarray):
+    """Per-path steering across rx elements, scaled by the amplitude, shape (L, n_rx),
+    and delay phase across subcarriers, shape (L, N)."""
+    omega = (2.0 * np.pi * cfg.d / cfg.wavelength) * np.cos(bearings)
+    steer = np.exp(1j * np.outer(omega, np.arange(cfg.n_rx))) * amps[:, None]
+    delay = np.exp(-2j * np.pi * np.outer(2.0 * ranges / C0 * cfg.delta_f,
+                                          np.arange(cfg.n_subcarriers)))
+    return steer, delay
+
+
+def _add_noise(cfg: WaveformConfig, y: np.ndarray, has_paths: bool,
+               rng: Optional[np.random.Generator]) -> np.ndarray:
+    """``y`` plus complex Gaussian noise: mean echo power / noise power equals
+    the configured linear SNR (reference power 1 when there are no paths)."""
+    if cfg.snr_db is None:
+        return y
+    if rng is None:
+        raise ValueError("rng required when noise is enabled")
+    ref = float(np.mean(np.abs(y) ** 2)) if has_paths else 1.0
+    sigma2 = ref / cfg.snr_linear
+    return y + math.sqrt(sigma2 / 2.0) * (
+        rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
     )
 
 
@@ -174,29 +195,15 @@ def synthesize_echo(
 
     Each path multiplies the frame by a delay phase across subcarriers, a
     Doppler phase across symbols, and a steering phase across rx elements.
-    Noise variance is calibrated so total echo power / noise power equals
-    the configured linear SNR (reference power 1 when there are no paths).
+    Noise is added as in ``_add_noise``.
     """
-    m_idx = np.arange(cfg.n_symbols)
-    n_idx = np.arange(cfg.n_subcarriers)
-    k_idx = np.arange(cfg.n_rx)
-    y = np.zeros((cfg.n_rx, cfg.n_symbols, cfg.n_subcarriers), dtype=complex)
-    if paths:
-        r, v, a, th = _path_arrays(paths)
-        _check_windows(cfg, r, v)
-        omega = (2.0 * np.pi * cfg.d / cfg.wavelength) * np.cos(th)
-        delay = np.exp(-2j * np.pi * np.outer(2.0 * r / C0 * cfg.delta_f, n_idx))  # (L, N)
-        doppler = np.exp(2j * np.pi * np.outer(2.0 * v * cfg.fc / C0 * cfg.t_sym, m_idx))  # (L, M)
-        steer = np.exp(1j * np.outer(omega, k_idx))  # (L, n_rx)
-        y = np.einsum("lk,lm,ln->kmn", steer * a[:, None], doppler, delay)
-        y *= frame[None, :, :]
-    if cfg.snr_db is not None:
-        ref = float(np.mean(np.abs(y) ** 2)) if paths else 1.0
-        sigma2 = ref / cfg.snr_linear
-        if rng is None:
-            raise ValueError("rng required when noise is enabled")
-        y = y + _noise(rng, y.shape, sigma2)
-    return y
+    r, v, a, th = _path_arrays(paths)
+    _check_windows(cfg, r, v)
+    steer, delay = _path_phases(cfg, r, th, a)
+    doppler = np.exp(2j * np.pi * np.outer(2.0 * v * cfg.fc / C0 * cfg.t_sym,
+                                           np.arange(cfg.n_symbols)))  # (L, M)
+    y = np.einsum("lk,lm,ln->kmn", steer, doppler, delay) * frame
+    return _add_noise(cfg, y, len(paths) > 0, rng)
 
 
 def equalize(y: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -318,7 +325,7 @@ class OfdmSensor:
 def _equalized_column(
     cfg: WaveformConfig,
     ranges: np.ndarray,
-    omegas: np.ndarray,
+    bearings: np.ndarray,
     amps: np.ndarray,
     rng: Optional[np.random.Generator],
 ) -> np.ndarray:
@@ -326,19 +333,10 @@ def _equalized_column(
 
     Identical in distribution to equalize(synthesize_echo(...))[..., 0, :]
     for zero-Doppler paths: equalization of unit-modulus QPSK leaves the
-    noise statistics unchanged.
+    noise statistics unchanged.  One matmul instead of the full synthesis.
     """
-    n_idx = np.arange(cfg.n_subcarriers)
-    k_idx = np.arange(cfg.n_rx)
-    delay = np.exp(-2j * np.pi * np.outer(2.0 * ranges / C0 * cfg.delta_f, n_idx))
-    steer = np.exp(1j * np.outer(omegas, k_idx))
-    col = (steer * amps[:, None]).T @ delay  # (n_rx, N)
-    if cfg.snr_db is not None:
-        ref = float(np.mean(np.abs(col) ** 2)) if len(ranges) else 1.0
-        if rng is None:
-            raise ValueError("rng required when noise is enabled")
-        col = col + _noise(rng, col.shape, ref / cfg.snr_linear)
-    return col
+    steer, delay = _path_phases(cfg, ranges, bearings, amps)
+    return _add_noise(cfg, steer.T @ delay, len(ranges) > 0, rng)
 
 
 def sense(
@@ -356,8 +354,7 @@ def sense(
     if len(gt) == 0 and cfg.snr_db is None:
         return Scan.empty()
     _check_windows(cfg, gt.ranges, np.zeros(len(gt)))
-    omegas = (2.0 * np.pi * cfg.d / cfg.wavelength) * np.cos(gt.bearings)
-    col = _equalized_column(cfg, gt.ranges, omegas, np.ones(len(gt), dtype=complex), rng)
+    col = _equalized_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex), rng)
     profiles = np.fft.ifft(col, axis=1)  # (n_rx, N)
     mean_mag = np.mean(np.abs(profiles), axis=0)
     range_peaks = detect_peaks(mean_mag, sensor.range_policy)

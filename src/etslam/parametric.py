@@ -7,7 +7,6 @@ in degrees in config files and stored in radians here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,13 +23,6 @@ class ErrorModel:
     def __post_init__(self):
         if self.delta_r < 0 or self.delta_theta < 0:
             raise ValueError("error magnitudes must be >= 0")
-
-    @classmethod
-    def from_mapping(cls, doc: dict) -> "ErrorModel":
-        return cls(
-            delta_r=float(doc.get("delta_r_m", 0.0)),
-            delta_theta=math.radians(float(doc.get("delta_theta_deg", 0.0))),
-        )
 
 
 def sense_parametric(

@@ -9,6 +9,7 @@ single Scene can be shared across parallel Monte Carlo trials.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -373,7 +374,7 @@ def ground_truth_scan(
 
 
 # ---------------------------------------------------------------------------
-# scene document parsing
+# config document parsing: scene, experiment and waveform documents alike
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -382,29 +383,97 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+_NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
+def convert(value, kind):
+    """``value`` as ``kind``, a type or a conversion function.
+
+    Types match exactly, except that a float takes any number (PyYAML reads
+    exponent literals such as ``28.0e9`` as strings) and an int an integral
+    float; a bool field takes only true or false.
+    """
+    if not isinstance(kind, type):
+        return kind(value)
+    if kind is float and (type(value) is int or type(value) is str and _NUMBER.fullmatch(value)):
+        return float(value)
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def as_radians(value) -> float:
+    """An angle given in degrees, stored in radians."""
+    return math.radians(convert(value, float))
+
+
+def as_points(value) -> np.ndarray:
+    pts = np.asarray(value, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"expected a list of [x, y] points, got {value!r}")
+    return pts
+
+
+def as_pair(value) -> tuple:
+    return tuple(as_points([value])[0].tolist())
+
+
+def parse_section(doc, section: str, *tables: dict, required=()) -> list[dict]:
+    """Keyword arguments for one dataclass per table, from the keys present in ``doc``.
+
+    Each table maps a document key to ``(field, kind)`` for ``convert``.
+    Only present keys are passed on, so defaults live on the dataclasses
+    alone.  An unknown key, a value that does not convert and a missing
+    ``required`` key raise ValueError naming ``section`` and the key.
+    """
+    if type(doc) is not dict:
+        raise ValueError(f"{section}: expected a mapping, got {doc!r}")
+    for key in required:
+        _require(doc, key, section)
+    out: list[dict] = [{} for _ in tables]
+    for key, value in doc.items():
+        i = next((i for i, table in enumerate(tables) if key in table), None)
+        if i is None:
+            raise ValueError(f"{section}: unknown key '{key}'")
+        name, kind = tables[i][key]
+        try:
+            out[i][name] = convert(value, kind)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{section}: key '{key}': {exc}") from None
+    return out
+
+
+_SCENE_KEYS = {"bounds": ("bounds", dict), "targets": ("targets", list),
+               "trajectory": ("trajectory", dict)}
+_BOUNDS_KEYS = {"min": ("bounds_min", as_pair), "max": ("bounds_max", as_pair)}
+_TRAJECTORY_KEYS = {"waypoints": ("waypoints", as_points), "speed": ("speed", float),
+                    "step_interval": ("step_interval", float)}
+_TARGET_KEYS = {"id": ("id", int), "kind": ("kind", str),
+                "ref_points": ("reference_points", as_points), "ref_count": ("ref_count", int)}
+# kind -> (shape class, its keys, the keys it requires)
+_SHAPES = {
+    "rect": (Rectangle, {"center": ("center", as_pair), "width": ("width", float),
+                         "height": ("height", float), "rotation": ("rotation", float)},
+             ("center", "width", "height")),
+    "circle": (Circle, {"center": ("center", as_pair), "radius": ("radius", float)},
+               ("center", "radius")),
+}
+
+
 def _parse_target(doc: dict, default_ref_count: int) -> ExtendedTarget:
-    tid = int(_require(doc, "id", "target"))
-    where = f"target {tid}"
+    where = f"target {_require(doc, 'id', 'target')}"
     kind = _require(doc, "kind", where)
-    if kind == "rect":
-        shape: Shape = Rectangle(
-            center=tuple(_require(doc, "center", where)),
-            width=float(_require(doc, "width", where)),
-            height=float(_require(doc, "height", where)),
-            rotation=float(doc.get("rotation", 0.0)),
-        )
-    elif kind == "circle":
-        shape = Circle(
-            center=tuple(_require(doc, "center", where)),
-            radius=float(_require(doc, "radius", where)),
-        )
-    else:
+    if kind not in _SHAPES:
         raise SceneValidationError(f"{where}: unknown kind '{kind}' (expected rect|circle)")
-    if "ref_points" in doc:
-        refs = np.asarray(doc["ref_points"], dtype=float)
-    else:
-        refs = reference_points(shape, int(doc.get("ref_count", default_ref_count)))
-    return ExtendedTarget(id=tid, shape=shape, reference_points=refs)
+    shape_cls, shape_keys, required = _SHAPES[kind]
+    target, shape_kw = parse_section(doc, where, _TARGET_KEYS, shape_keys, required=required)
+    shape = shape_cls(**shape_kw)
+    refs = target.get("reference_points")
+    if refs is None:
+        refs = reference_points(shape, target.get("ref_count", default_ref_count))
+    return ExtendedTarget(id=target["id"], shape=shape, reference_points=refs)
 
 
 def load_scene(source: Union[str, Path, dict], default_ref_count: int = 4) -> Scene:
@@ -417,20 +486,12 @@ def load_scene(source: Union[str, Path, dict], default_ref_count: int = 4) -> Sc
         doc = yaml.safe_load(text)
     if not isinstance(doc, dict):
         raise SceneValidationError("scene document must be a mapping")
-    bounds = _require(doc, "bounds", "scene")
-    tr = _require(doc, "trajectory", "scene")
-    targets = [_parse_target(t, default_ref_count) for t in _require(doc, "targets", "scene")]
+    [sections] = parse_section(doc, "scene", _SCENE_KEYS, required=_SCENE_KEYS)
+    targets = [_parse_target(t, default_ref_count) for t in sections["targets"]]
     ids = [t.id for t in targets]
     if len(set(ids)) != len(ids):
         raise SceneValidationError("duplicate target ids")
-    trajectory = Trajectory(
-        waypoints=np.asarray(_require(tr, "waypoints", "trajectory"), dtype=float),
-        speed=float(_require(tr, "speed", "trajectory")),
-        step_interval=float(_require(tr, "step_interval", "trajectory")),
-    )
-    return Scene(
-        bounds_min=np.asarray(_require(bounds, "min", "bounds"), dtype=float),
-        bounds_max=np.asarray(_require(bounds, "max", "bounds"), dtype=float),
-        targets=targets,
-        trajectory=trajectory,
-    )
+    [trajectory] = parse_section(sections["trajectory"], "trajectory", _TRAJECTORY_KEYS,
+                                 required=_TRAJECTORY_KEYS)
+    [bounds] = parse_section(sections["bounds"], "bounds", _BOUNDS_KEYS, required=_BOUNDS_KEYS)
+    return Scene(targets=targets, trajectory=Trajectory(**trajectory), **bounds)

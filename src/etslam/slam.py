@@ -28,7 +28,6 @@ class OccupancyGrid:
     log_odds: np.ndarray        # (nx, ny)
     l_occ: float = 0.85
     l_free: float = 0.4
-    clip_outside: bool = True   # False => grow the grid to cover new points
 
     def __post_init__(self):
         if not self.resolution > 0:
@@ -56,17 +55,6 @@ class OccupancyGrid:
 
     def occupied_count(self) -> int:
         return int(np.count_nonzero(self.log_odds > 0.0))
-
-    def _expand_to(self, cells: np.ndarray):
-        nx, ny = self.shape
-        lo = np.minimum(cells.min(axis=0), 0)
-        hi = np.maximum(cells.max(axis=0) + 1, [nx, ny])
-        if np.all(lo == 0) and np.all(hi == [nx, ny]):
-            return
-        new = np.zeros((hi[0] - lo[0], hi[1] - lo[1]))
-        new[-lo[0]:-lo[0] + nx, -lo[1]:-lo[1] + ny] = self.log_odds
-        self.log_odds = new
-        self.origin = self.origin + lo * self.resolution
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -159,9 +147,6 @@ def update_grid(grid: OccupancyGrid, pose: Pose, scan: Scan) -> OccupancyGrid:
     ends = scan_to_points(scan, pose)
     start = pose.position
     end_cells = grid.cell_of(ends)
-    if not grid.clip_outside:
-        grid._expand_to(np.vstack([end_cells, grid.cell_of(start[None, :])]))
-        end_cells = grid.cell_of(ends)
     dists = np.linalg.norm(ends - start, axis=1)
     step = grid.resolution * 0.5
     counts = np.maximum(1, np.ceil(dists / step).astype(int))
@@ -216,12 +201,10 @@ class OdometryModel:
 @dataclass(frozen=True)
 class SlamConfig:
     resolution: float = 0.1
-    grid_margin: float = 2.0
     window: SearchWindow = SearchWindow()
     l_occ: float = 0.85
     l_free: float = 0.4
     matching_enabled: bool = True
-    clip_outside: bool = True
 
 
 @dataclass
@@ -237,8 +220,7 @@ class SlamState:
     def initial(cls, scene: Scene, cfg: SlamConfig) -> "SlamState":
         start = trajectory_pose(scene.trajectory, 0.0)
         grid = OccupancyGrid.for_scene(
-            scene, resolution=cfg.resolution, margin=cfg.grid_margin,
-            l_occ=cfg.l_occ, l_free=cfg.l_free, clip_outside=cfg.clip_outside,
+            scene, resolution=cfg.resolution, l_occ=cfg.l_occ, l_free=cfg.l_free
         )
         return cls(pose_truth=start, pose_estimate=start, grid=grid)
 

@@ -10,7 +10,7 @@ from etslam.cli import _read_csv, main
 DEFAULT_SCENE = str(resources.files("etslam") / "configs" / "default_scene.yaml")
 
 
-def _write_tiny_config(tmp_path):
+def _write_tiny_config(tmp_path, seed=3):
     doc = {
         "scene": {
             "bounds": {"min": [-20.0, -20.0], "max": [20.0, 20.0]},
@@ -23,11 +23,11 @@ def _write_tiny_config(tmp_path):
         },
         "sensor": {"backend": "parametric", "delta_r_m": 0.05,
                    "delta_theta_deg": 1.0, "bearing_step_deg": 5.0},
-        "run": {"trials": 2, "duration": 2.0, "seed": 3,
+        "run": {"trials": 2, "duration": 2.0, "seed": seed,
                 "snapshot_cadence": 1.0, "estimate_cap": 50},
         "sweep": {"conditions": [{"name": "clean", "delta_r_m": 0.0}]},
     }
-    path = tmp_path / "tiny.yaml"
+    path = tmp_path / f"tiny_{seed}.yaml"
     path.write_text(yaml.safe_dump(doc))
     return path
 
@@ -112,6 +112,24 @@ def test_simulate_trial_override(tmp_path):
                  "--trials", "1"]) == 0
     assert not (out / "map_points_1.csv").exists()
     assert (out / "map_points_0.csv").exists()
+
+
+def test_simulate_seed_override(tmp_path):
+    """--seed replaces the configured seed: seed 3 overridden to 5 runs like a seed-5 config."""
+    runs = {
+        "configured": (_write_tiny_config(tmp_path, seed=5), []),
+        "overridden": (_write_tiny_config(tmp_path, seed=3), ["--seed", "5"]),
+        "base": (_write_tiny_config(tmp_path, seed=3), []),
+    }
+    for name, (cfg, flags) in runs.items():
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / name)] + flags) == 0
+    files = sorted(p.name for p in (tmp_path / "base").iterdir())
+
+    def read(name):
+        return [(tmp_path / name / f).read_bytes() for f in files]
+
+    assert read("overridden") == read("configured")
+    assert read("overridden") != read("base")
 
 
 def test_sweep_writes_condition_dirs(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """DBSCAN clustering tests, including an exhaustive O(n^2) reference."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from etslam.clustering import (
     recovered_target_count,
 )
 from etslam.scene import load_scene
+
+DEFAULT_SCENE = str(resources.files("etslam") / "configs" / "default_scene.yaml")
 
 
 def reference_dbscan(points: np.ndarray, params: ClusterParams) -> np.ndarray:
@@ -279,3 +283,52 @@ def test_recovered_target_count_distance_gate():
     cents = np.array([[0.0, 4.0]])  # 3 m from the circle boundary
     assert recovered_target_count(cents, targets, max_distance=1.0) == 0
     assert recovered_target_count(cents, targets, max_distance=3.5) == 1
+
+
+def reference_recovered_target_count(centroids, targets, max_distance=1.0):
+    """The former centroids x targets loop; a later target must be strictly nearer to win."""
+    claimed = set()
+    for c in np.atleast_2d(centroids):
+        best_id, best_d = None, np.inf
+        for tgt in targets:
+            d = abs(float(tgt.shape.signed_distance(c[None, :])[0]))
+            if d < best_d:
+                best_id, best_d = tgt.id, d
+        if best_id is not None and best_d <= max_distance:
+            claimed.add(best_id)
+    return len(claimed)
+
+
+def test_recovered_target_count_edge_cases():
+    targets = _targets()
+    # (4, 0) is exactly 3 m from the circle (id 1) and from the rect's left face (id 2);
+    # (0, 1) sits on the circle, so a count of 1 means the tie went to the first target
+    tie = np.array([[4.0, 0.0], [0.0, 1.0]])
+    beyond = np.array([[0.0, 2.5]])  # exactly 1.5 m from the circle
+    cases = [
+        (np.zeros((0, 2)), targets, 1.0, 0),
+        (tie, [], 1.0, 0),
+        (tie, targets, 3.0, 1),
+        (tie, targets[::-1], 3.0, 2),
+        (beyond, targets, 1.5, 1),
+        (beyond, targets, np.nextafter(1.5, 0.0), 0),
+    ]
+    for cents, tgts, max_distance, want in cases:
+        assert recovered_target_count(cents, tgts, max_distance) == want
+        assert reference_recovered_target_count(cents, tgts, max_distance) == want
+
+
+def test_recovered_target_count_matches_reference():
+    targets = load_scene(DEFAULT_SCENE).targets
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(0, 15))
+        cents = rng.uniform(0.0, 30.0, size=(n, 2))
+        # about half of the centroids near a boundary point
+        near = rng.random(n) < 0.5
+        refs = np.vstack([t.reference_points for t in targets])
+        cents[near] = refs[rng.integers(0, len(refs), size=near.sum())] + rng.normal(
+            0.0, 0.7, size=(near.sum(), 2))
+        max_distance = float(rng.uniform(0.1, 3.0))
+        assert recovered_target_count(cents, targets, max_distance) == \
+            reference_recovered_target_count(cents, targets, max_distance)

@@ -1,13 +1,15 @@
 """Monte Carlo harness tests: config loading, trials, sweeps, CSV output."""
 
+import copy
 import math
+import re
 
 import numpy as np
 import pytest
 
+from etslam.clustering import ClusterParams
 from etslam.harness import (
     CSV_HEADER_COMMENT,
-    SEED_ENV_VAR,
     ExperimentConfig,
     Report,
     TrialRecord,
@@ -19,6 +21,11 @@ from etslam.harness import (
     run_trial,
     sweep_conditions,
 )
+from etslam.metrics import MetricParams
+from etslam.ofdm import WaveformConfig
+from etslam.parametric import ErrorModel
+from etslam.scene import Circle, Rectangle
+from etslam.slam import OdometryModel, SearchWindow, SlamConfig
 
 SCENE_DOC = {
     "bounds": {"min": [-20.0, -20.0], "max": [20.0, 20.0]},
@@ -79,13 +86,6 @@ def test_missing_config_raises():
         load_experiment("no_such_config.yaml")
 
 
-def test_seed_env_override(monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "999")
-    assert load_experiment(tiny_doc()).seed == 999
-    monkeypatch.delenv(SEED_ENV_VAR)
-    assert load_experiment(tiny_doc()).seed == 11
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         load_experiment(tiny_doc(trials=0))
@@ -95,6 +95,156 @@ def test_config_validation():
     doc["sensor"]["backend"] = "ofdm"  # no waveform section
     with pytest.raises(ValueError):
         load_experiment(doc)
+
+
+WAVEFORM_DOC = {"fc": 28.0e9, "delta_f": 1.2e6, "M": 4, "N": 64, "Tp": 1.0 / 1.2e6,
+                "Tc": 2.08e-7, "T": 1.0 / 1.2e6 + 2.08e-7}
+
+
+def full_doc():
+    """tiny_doc with every section present, so each one can take a bad key."""
+    doc = copy.deepcopy(tiny_doc())
+    doc.update(waveform=dict(WAVEFORM_DOC), slam={}, cluster={}, metric={})
+    return doc
+
+
+def _section(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+@pytest.mark.parametrize("path, section", [
+    ((), "experiment"),
+    (("sensor",), "sensor"),
+    (("waveform",), "waveform"),
+    (("slam",), "slam"),
+    (("odometry",), "odometry"),
+    (("cluster",), "cluster"),
+    (("metric",), "metric"),
+    (("run",), "run"),
+    (("sweep",), "sweep"),
+    (("sweep", "conditions", 1), "sweep condition"),
+    (("scene",), "scene"),
+    (("scene", "bounds"), "bounds"),
+    (("scene", "targets", 0), "target 1"),
+    (("scene", "trajectory"), "trajectory"),
+])
+def test_unknown_key_names_section_and_key(path, section):
+    doc = full_doc()
+    _section(doc, path)["delta_thetaa"] = 1.0
+    with pytest.raises(ValueError, match=f"^{re.escape(section)}: unknown key 'delta_thetaa'$"):
+        load_experiment(doc)
+
+
+@pytest.mark.parametrize("path, key, value, section", [
+    (("run",), "trials", 2.5, "run"),
+    (("run",), "trials", True, "run"),
+    (("run",), "seed", "7", "run"),
+    (("slam",), "matching_enabled", "no", "slam"),
+    (("slam",), "matching_enabled", 1, "slam"),
+    (("sensor",), "backend", 3, "sensor"),
+    (("sensor",), "delta_r_m", "abc", "sensor"),
+    (("cluster",), "eps", [0.5], "cluster"),
+    (("metric",), "c", None, "metric"),
+    (("waveform",), "M", 4.5, "waveform"),
+    (("sweep", "conditions", 0), "snr_db", "high", "sweep condition"),
+    (("scene", "targets", 0), "width", True, "target 1"),
+    (("scene", "trajectory"), "waypoints", [0.0, 1.0], "trajectory"),
+    (("scene", "bounds"), "min", [0.0, 0.0, 0.0], "bounds"),
+])
+def test_mistyped_value_names_section_and_key(path, key, value, section):
+    doc = full_doc()
+    _section(doc, path)[key] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(section)}: key '{key}': "):
+        load_experiment(doc)
+
+
+def test_integral_float_accepted_for_int_field():
+    assert load_experiment(tiny_doc(trials=3.0)).trials == 3
+
+
+def test_condition_snr_without_waveform_rejected():
+    doc = tiny_doc()
+    doc["sweep"]["conditions"].append({"name": "ofdm", "snr_db": 10.0})
+    with pytest.raises(ValueError, match="sweep condition: key 'snr_db' needs a waveform"):
+        load_experiment(doc)
+    cfg = load_experiment(full_doc())
+    assert apply_condition(cfg, {"snr_db": 3.0}).waveform.snr_db == 3.0
+    assert apply_condition(cfg, {"snr_db": None}).waveform.snr_db is None
+
+
+def test_config_defaults_come_from_dataclasses():
+    """A document with only a scene resolves to the dataclass defaults."""
+    cfg = load_experiment({"scene": "default_scene.yaml"})
+    assert cfg == ExperimentConfig(scene=cfg.scene)
+
+
+_CI_WAVEFORM = WaveformConfig(
+    fc=28.0e9, delta_f=1.2e6, n_symbols=64, n_subcarriers=1024,
+    tp=8.333333333333333e-07, tc=2.08e-07, t_sym=1.0413333333333333e-06,
+    n_tx=32, n_rx=32, d=0.005357142857142857, snr_db=10.0)
+_FULL_WAVEFORM = WaveformConfig(
+    fc=28.0e9, delta_f=1.2e5, n_symbols=256, n_subcarriers=10240,
+    tp=8.333333333333334e-06, tc=2.08e-06, t_sym=1.0413333333333334e-05,
+    n_tx=32, n_rx=32, d=0.005357142857142857, snr_db=10.0)
+_SLAM = SlamConfig(resolution=0.1, window=SearchWindow(
+    dxy_max=0.3, dxy_step=0.1, dtheta_max=0.017453292519943295,
+    dtheta_step=0.008726646259971648), l_occ=0.85, l_free=0.4, matching_enabled=True)
+_ODOMETRY = OdometryModel(translation_noise_std=0.02, rotation_noise_std=0.0017453292519943296)
+_DTH1, _DTH5 = 0.017453292519943295, 0.08726646259971647
+# every resolved field of the packaged experiments, and each sweep condition's
+# (backend, error model, waveform) after apply_condition
+PINNED = {
+    "ci.yaml": (
+        dict(backend="parametric", error_model=ErrorModel(0.0, _DTH1), bearing_step_deg=2.0,
+             angle_peak_threshold_db=5.9, angle_max_peaks=4, waveform=_CI_WAVEFORM,
+             slam=_SLAM, odometry=_ODOMETRY, cluster=ClusterParams(eps=0.5, min_pts=3),
+             metric=MetricParams(c=5.0, p=1.0, alpha=2.0), trials=20, duration=60.0,
+             seed=20260826, snapshot_cadence=5.0, estimate_cap=100),
+        {"dr0.0_dth1": ("parametric", ErrorModel(0.0, _DTH1), _CI_WAVEFORM),
+         "dr0.1_dth1": ("parametric", ErrorModel(0.1, _DTH1), _CI_WAVEFORM),
+         "dr0.1_dth5": ("parametric", ErrorModel(0.1, _DTH5), _CI_WAVEFORM),
+         "ofdm_snr10": ("ofdm", ErrorModel(0.0, _DTH1), _CI_WAVEFORM)},
+    ),
+    "full_scale.yaml": (
+        dict(backend="ofdm", error_model=ErrorModel(), bearing_step_deg=2.0,
+             angle_peak_threshold_db=6.0, angle_max_peaks=4, waveform=_FULL_WAVEFORM,
+             slam=_SLAM, odometry=_ODOMETRY, cluster=ClusterParams(eps=0.5, min_pts=3),
+             metric=MetricParams(c=10.0, p=1.0, alpha=2.0), trials=500, duration=80.0,
+             seed=20260826, snapshot_cadence=5.0, estimate_cap=100),
+        {"dr0.1_dth1": ("parametric", ErrorModel(0.1, _DTH1), _FULL_WAVEFORM),
+         "dr0.1_dth5": ("parametric", ErrorModel(0.1, _DTH5), _FULL_WAVEFORM),
+         "ofdm_snr10": ("ofdm", ErrorModel(), _FULL_WAVEFORM)},
+    ),
+}
+DEFAULT_SCENE_SHAPES = [
+    Rectangle((9.0, 8.0), 3.0, 2.0, 0.0), Rectangle((21.0, 8.0), 2.0, 3.0, 0.0),
+    Rectangle((15.0, 15.0), 4.0, 2.0, 0.3), Rectangle((11.0, 22.0), 2.0, 2.0, 0.0),
+    Rectangle((17.0, 22.0), 3.0, 2.0, 0.785398), Rectangle((8.0, 12.0), 2.0, 3.0, 0.0),
+    Rectangle((22.0, 18.0), 2.0, 3.0, 0.0), Rectangle((15.0, 8.0), 3.0, 2.0, 0.0),
+    Circle((8.0, 17.0), 1.2), Circle((22.0, 13.0), 1.5),
+]
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_packaged_config_values_pinned(name):
+    fields, conditions = PINNED[name]
+    cfg = load_experiment(name)
+    for field_name, want in fields.items():
+        assert getattr(cfg, field_name) == want, field_name
+    assert [c["name"] for c in cfg.sweep_conditions] == list(conditions)
+    for cond in cfg.sweep_conditions:
+        resolved = apply_condition(cfg, cond)
+        assert (resolved.backend, resolved.error_model, resolved.waveform) == conditions[cond["name"]]
+    scene = cfg.scene
+    assert scene.bounds_min.tolist() == [0.0, 0.0] and scene.bounds_max.tolist() == [30.0, 30.0]
+    assert [t.id for t in scene.targets] == list(range(1, 11))
+    assert [t.shape for t in scene.targets] == DEFAULT_SCENE_SHAPES
+    assert all(len(t.reference_points) == 4 for t in scene.targets)
+    assert scene.trajectory.waypoints.tolist() == [
+        [5.0, 5.0], [25.0, 5.0], [25.0, 25.0], [5.0, 25.0], [5.0, 5.0]]
+    assert (scene.trajectory.speed, scene.trajectory.step_interval) == (1.3333333333333333, 0.5)
 
 
 def test_apply_condition():

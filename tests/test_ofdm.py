@@ -143,8 +143,8 @@ def test_equalized_column_matches_synthesis_noiseless():
              EchoPath(range_m=42.0, amplitude=-0.5 + 0.2j, bearing=2.3)]
     ranges = np.array([p.range_m for p in paths])
     amps = np.array([p.amplitude for p in paths])
-    omegas = (2.0 * np.pi * cfg.d / cfg.wavelength) * np.cos([p.bearing for p in paths])
-    col = _equalized_column(cfg, ranges, omegas, amps, None)
+    bearings = np.array([p.bearing for p in paths])
+    col = _equalized_column(cfg, ranges, bearings, amps, None)
     want = equalize(synthesize_echo(cfg, frame, paths), frame)[:, 0, :]
     assert col.shape == want.shape == (cfg.n_rx, cfg.n_subcarriers)
     np.testing.assert_allclose(col, want, rtol=1e-9, atol=0.0)

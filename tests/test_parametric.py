@@ -5,21 +5,25 @@ import math
 import numpy as np
 import pytest
 
+from etslam.harness import load_experiment
 from etslam.parametric import ErrorModel, ParametricSensor, sense_parametric
 from etslam.scene import Pose, ground_truth_scan, load_scene
 
 
+SCENE_DOC = {
+    "bounds": {"min": [-20.0, -20.0], "max": [20.0, 20.0]},
+    "targets": [
+        {"id": 1, "kind": "rect", "center": [10.0, 0.0],
+         "width": 2.0, "height": 2.0},
+        {"id": 2, "kind": "circle", "center": [0.0, 10.0], "radius": 1.0},
+    ],
+    "trajectory": {"waypoints": [[0.0, 0.0], [1.0, 0.0]],
+                   "speed": 1.0, "step_interval": 0.5},
+}
+
+
 def _scene():
-    return load_scene({
-        "bounds": {"min": [-20.0, -20.0], "max": [20.0, 20.0]},
-        "targets": [
-            {"id": 1, "kind": "rect", "center": [10.0, 0.0],
-             "width": 2.0, "height": 2.0},
-            {"id": 2, "kind": "circle", "center": [0.0, 10.0], "radius": 1.0},
-        ],
-        "trajectory": {"waypoints": [[0.0, 0.0], [1.0, 0.0]],
-                       "speed": 1.0, "step_interval": 0.5},
-    })
+    return load_scene(SCENE_DOC)
 
 
 BEARINGS = np.radians(np.arange(0.0, 360.0, 2.0))
@@ -27,10 +31,12 @@ POSE = Pose(0.0, 0.0, 0.0)
 
 
 def test_error_model_from_mapping():
-    model = ErrorModel.from_mapping({"delta_r_m": 0.1, "delta_theta_deg": 5.0})
+    """The sensor section's noise keys build the ErrorModel; absent keys keep its defaults."""
+    sensor = {"delta_r_m": 0.1, "delta_theta_deg": 5.0}
+    model = load_experiment({"scene": SCENE_DOC, "sensor": sensor}).error_model
     assert model.delta_r == 0.1
     assert model.delta_theta == pytest.approx(math.radians(5.0))
-    assert ErrorModel.from_mapping({}) == ErrorModel()
+    assert load_experiment({"scene": SCENE_DOC}).error_model == ErrorModel()
 
 
 def test_negative_magnitudes_rejected():

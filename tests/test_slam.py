@@ -135,16 +135,6 @@ def test_update_empty_scan_noop():
     assert grid.occupied_count() == 0
 
 
-def test_grid_expansion_when_unclipped():
-    grid = OccupancyGrid(origin=np.zeros(2), resolution=0.5,
-                         log_odds=np.zeros((4, 4)), clip_outside=False)
-    update_grid(grid, Pose(1.0, 1.0, 0.0),
-                Scan.from_polar(np.array([4.0]), np.array([0.0])))
-    assert grid.shape[0] > 4
-    end = tuple(grid.cell_of(np.array([[5.0, 1.0]]))[0])
-    assert grid.log_odds[end] > 0
-
-
 def _update_grid_reference(grid, pose, scan):
     """update_grid with the former 2-D ``np.unique(axis=0)`` (ray, cx, cy) dedupe."""
     if len(scan) == 0:
