@@ -107,13 +107,15 @@ _METRIC_KEYS = {key: (key, float) for key in ("c", "p", "alpha")}
 _RUN_KEYS = {"trials": ("trials", int), "duration": ("duration", float), "seed": ("seed", int),
              "snapshot_cadence": ("snapshot_cadence", float), "estimate_cap": ("estimate_cap", int)}
 _SWEEP_KEYS = {"conditions": ("sweep_conditions", lambda v: tuple(convert(v, list)))}
-# a sweep condition takes the sensor keys plus these
+# a sweep condition takes these, the backend and the error-model keys
 _CONDITION_KEYS = {"name": ("name", str), "snr_db": WAVEFORM_KEYS["snr_db"]}
 _EXPERIMENT_KEYS = {
     key: (key, dict)
     for key in ("sensor", "waveform", "slam", "odometry", "cluster", "metric", "run", "sweep")
 }
-_EXPERIMENT_KEYS["scene"] = ("scene", lambda ref: ref)  # a filename, a path or a mapping
+# a filename, a path or a mapping
+_EXPERIMENT_KEYS["scene"] = ("scene", lambda ref: ref if isinstance(ref, (dict, Path))
+                             else convert(ref, str))
 
 
 def load_experiment(source: Union[str, Path, dict]) -> ExperimentConfig:
@@ -159,9 +161,9 @@ def load_experiment(source: Union[str, Path, dict]) -> ExperimentConfig:
 
 
 def apply_condition(cfg: ExperimentConfig, condition: dict) -> ExperimentConfig:
-    """Override the sensor settings and the waveform SNR for one sweep condition."""
-    updates, error_model, extra = parse_section(
-        condition, "sweep condition", _SENSOR_KEYS, _ERROR_MODEL_KEYS, _CONDITION_KEYS)
+    """Override the backend, the noise magnitudes and the waveform SNR for one sweep condition."""
+    updates, error_model, extra = parse_section(condition, "sweep condition", {
+        "backend": _SENSOR_KEYS["backend"]}, _ERROR_MODEL_KEYS, _CONDITION_KEYS)
     if error_model:
         updates["error_model"] = dataclasses.replace(cfg.error_model, **error_model)
     if "snr_db" in extra:

@@ -463,6 +463,8 @@ _SHAPES = {
 
 
 def _parse_target(doc: dict, default_ref_count: int) -> ExtendedTarget:
+    if type(doc) is not dict:
+        raise SceneValidationError(f"scene: key 'targets': expected a mapping, got {doc!r}")
     where = f"target {_require(doc, 'id', 'target')}"
     kind = _require(doc, "kind", where)
     if kind not in _SHAPES:

@@ -152,11 +152,26 @@ def test_unknown_key_names_section_and_key(path, section):
     (("scene", "targets", 0), "width", True, "target 1"),
     (("scene", "trajectory"), "waypoints", [0.0, 1.0], "trajectory"),
     (("scene", "bounds"), "min", [0.0, 0.0, 0.0], "bounds"),
+    ((), "scene", 5, "experiment"),
+    ((), "scene", None, "experiment"),
+    (("scene",), "targets", [None], "scene"),
+    (("scene",), "targets", [3], "scene"),
 ])
 def test_mistyped_value_names_section_and_key(path, key, value, section):
     doc = full_doc()
     _section(doc, path)[key] = value
     with pytest.raises(ValueError, match=f"^{re.escape(section)}: key '{key}': "):
+        load_experiment(doc)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("bearing_step_deg", 1.0), ("angle_peak_threshold_db", 3.0), ("angle_max_peaks", 2),
+])
+def test_condition_rejects_other_sensor_keys(key, value):
+    """A condition sets only the backend, the noise magnitudes and the SNR."""
+    doc = full_doc()
+    doc["sweep"]["conditions"][0][key] = value
+    with pytest.raises(ValueError, match=f"^sweep condition: unknown key '{key}'$"):
         load_experiment(doc)
 
 
