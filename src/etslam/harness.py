@@ -157,6 +157,7 @@ def load_experiment(source: Union[str, Path, dict]) -> ExperimentConfig:
     )
     for condition in cfg.sweep_conditions:
         apply_condition(cfg, condition)
+    _condition_names(cfg.sweep_conditions)
     return cfg
 
 
@@ -284,6 +285,15 @@ def run_monte_carlo(cfg: ExperimentConfig, parallel: int = 1) -> Report:
     )
 
 
+def _condition_names(conditions) -> list[str]:
+    """Each sweep condition's output name, its ``name`` or ``condition_<k>``; a repeat raises."""
+    names = [str(cond.get("name", f"condition_{k}")) for k, cond in enumerate(conditions)]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ValueError(f"sweep condition: duplicate name '{name}'")
+    return names
+
+
 def sweep_conditions(
     cfg: ExperimentConfig, conditions=None, parallel: int = 1
 ) -> list[tuple[str, Report]]:
@@ -291,15 +301,8 @@ def sweep_conditions(
     conditions = list(conditions if conditions is not None else cfg.sweep_conditions)
     if not conditions:
         raise ValueError("at least one sweep condition required")
-    out = []
-    for k, cond in enumerate(conditions):
-        name = str(cond.get("name", f"condition_{k}"))
-        out.append((name, run_monte_carlo(apply_condition(cfg, cond), parallel=parallel)))
-    return out
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.9g}"
+    return [(name, run_monte_carlo(apply_condition(cfg, cond), parallel=parallel))
+            for name, cond in zip(_condition_names(conditions), conditions)]
 
 
 def emit_csv(report: Report, destination: Union[str, Path]) -> list[Path]:
@@ -308,24 +311,16 @@ def emit_csv(report: Report, destination: Union[str, Path]) -> list[Path]:
     dest.mkdir(parents=True, exist_ok=True)
     written = []
 
-    def write(name: str, header: str, rows) -> Path:
+    def write(name: str, header: str, columns, fmt: Union[str, list] = "%.9g") -> None:
         path = dest / name
-        lines = [CSV_HEADER_COMMENT, header]
-        lines.extend(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-                     for row in rows)
-        path.write_text("\n".join(lines) + "\n")
+        np.savetxt(path, np.column_stack(columns), fmt=fmt, delimiter=",",
+                   header=f"{CSV_HEADER_COMMENT}\n{header}", comments="")
         written.append(path)
-        return path
 
-    write("metric_curve.csv", "t,et_gospa_mean",
-          [(float(t), float(v)) for t, v in zip(report.times, report.et_gospa_mean)])
-    write("agv_mse.csv", "t,mse_mean",
-          [(float(t), float(v)) for t, v in zip(report.times, report.mse_mean)])
+    write("metric_curve.csv", "t,et_gospa_mean", (report.times, report.et_gospa_mean))
+    write("agv_mse.csv", "t,mse_mean", (report.times, report.mse_mean))
     for rec in report.trials:
-        write(f"map_points_{rec.trial_index}.csv", "t,x,y",
-              [(float(t), float(p[0]), float(p[1]))
-               for t, p in zip(rec.map_times, rec.map_points)])
+        write(f"map_points_{rec.trial_index}.csv", "t,x,y", (rec.map_times, rec.map_points))
         write(f"clusters_{rec.trial_index}.csv", "x,y,label",
-              [(float(p[0]), float(p[1]), int(l))
-               for p, l in zip(rec.map_points, rec.cluster_labels)])
+              (rec.map_points, rec.cluster_labels), ["%.9g", "%.9g", "%d"])
     return written

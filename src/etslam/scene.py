@@ -479,13 +479,11 @@ def _parse_target(doc: dict, default_ref_count: int) -> ExtendedTarget:
 
 
 def load_scene(source: Union[str, Path, dict], default_ref_count: int = 4) -> Scene:
-    """Parse and validate a scene document (YAML path, YAML text, or mapping)."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        p = Path(source)
-        text = p.read_text() if p.exists() else str(source)
-        doc = yaml.safe_load(text)
+    """Parse and validate a scene document: a mapping, or the path of a YAML file.
+
+    A path that names no file raises ``FileNotFoundError``.
+    """
+    doc = source if isinstance(source, dict) else yaml.safe_load(Path(source).read_text())
     if not isinstance(doc, dict):
         raise SceneValidationError("scene document must be a mapping")
     [sections] = parse_section(doc, "scene", _SCENE_KEYS, required=_SCENE_KEYS)

@@ -2,13 +2,15 @@
 
 Localization uses correlative scan matching over a discrete (dx, dy, dtheta)
 window around the dead-reckoned prior; the map is a clamped log-odds grid
-plus the accumulated world-frame point cloud.
+plus the accumulated world-frame point cloud.  ``OccupancyGrid.index_of`` is
+the one point-to-cell rule: the matcher reads log-odds and the inverse
+sensor model writes them through it, and both ignore points outside the grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,9 +51,16 @@ class OccupancyGrid:
     def cell_of(self, points: np.ndarray) -> np.ndarray:
         return np.floor((np.atleast_2d(points) - self.origin) / self.resolution).astype(int)
 
-    def in_bounds(self, cells: np.ndarray) -> np.ndarray:
+    def index_of(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row-major ``log_odds`` index of each point's cell and whether it is in the grid.
+
+        Out-of-grid points get index 0; callers mask them with the second array.
+        """
+        cells = self.cell_of(points)
+        cx, cy = cells[..., 0], cells[..., 1]
         nx, ny = self.shape
-        return (cells[:, 0] >= 0) & (cells[:, 0] < nx) & (cells[:, 1] >= 0) & (cells[:, 1] < ny)
+        ok = (cx >= 0) & (cx < nx) & (cy >= 0) & (cy < ny)
+        return np.where(ok, cx * ny + cy, 0), ok
 
     def occupied_count(self) -> int:
         return int(np.count_nonzero(self.log_odds > 0.0))
@@ -106,20 +115,13 @@ def match_scan(
         return MatchResult(prior, 0.0, False)
     dxy, dth = window.offsets()
     pts = scan.points
-    nx, ny = grid.shape
     flat = grid.log_odds.ravel()
     n_xy = len(dxy)
     scores = np.empty((len(dth), n_xy, n_xy))
     shifts = np.stack(np.meshgrid(dxy, dxy, indexing="ij"), axis=-1).reshape(-1, 2)
     for a, dt in enumerate(dth):
         world = pts @ rotation(prior.heading + dt).T + prior.position  # (P, 2)
-        cand = world[None, :, :] + shifts[:, None, :]                  # (K, P, 2)
-        cells = np.floor((cand - grid.origin) / grid.resolution).astype(int)
-        ok = (
-            (cells[..., 0] >= 0) & (cells[..., 0] < nx)
-            & (cells[..., 1] >= 0) & (cells[..., 1] < ny)
-        )
-        lin = np.where(ok, cells[..., 0] * ny + cells[..., 1], 0)
+        lin, ok = grid.index_of(world[None, :, :] + shifts[:, None, :])  # (K, P)
         vals = np.where(ok, flat[lin], 0.0)
         scores[a] = vals.sum(axis=1).reshape(n_xy, n_xy)
     # candidate preference order: magnitude, then (dx, dy, dtheta)
@@ -146,7 +148,8 @@ def update_grid(grid: OccupancyGrid, pose: Pose, scan: Scan) -> OccupancyGrid:
         return grid
     ends = scan_to_points(scan, pose)
     start = pose.position
-    end_cells = grid.cell_of(ends)
+    end_idx, end_ok = grid.index_of(ends)
+    end_idx = end_idx[end_ok]
     dists = np.linalg.norm(ends - start, axis=1)
     step = grid.resolution * 0.5
     counts = np.maximum(1, np.ceil(dists / step).astype(int))
@@ -154,36 +157,20 @@ def update_grid(grid: OccupancyGrid, pose: Pose, scan: Scan) -> OccupancyGrid:
     # sample j of a ray with k samples sits at fraction j / k along it
     first = np.repeat(np.cumsum(counts) - counts, counts)  # flat index of each ray's sample 0
     fracs = (np.arange(len(ray_idx)) - first) / counts[ray_idx]
-    samples = start + fracs[:, None] * (ends[ray_idx] - start)
-    cells = grid.cell_of(samples)
+    idx, ok = grid.index_of(start + fracs[:, None] * (ends[ray_idx] - start))
+    flat = grid.log_odds.reshape(-1)
     # drop samples landing in any endpoint cell of this scan: grazing rays
     # must not erode cells another ray just observed as occupied
-    _, ny_key = grid.shape
-    end_key = end_cells[:, 0] * (ny_key + 1) + end_cells[:, 1]
-    keep = ~np.isin(cells[:, 0] * (ny_key + 1) + cells[:, 1], end_key, kind="sort")
-    cells, ray_idx = cells[keep], ray_idx[keep]
-    # dedupe (ray, cell) so each ray decrements a crossed cell once; the
-    # offset 1-D key sorts like the (ray, cx, cy) rows, out-of-grid cells too
-    if len(cells):
-        lo = cells.min(axis=0)
-        span_x, span_y = cells.max(axis=0) - lo + 1
-        key = np.sort((ray_idx * span_x + cells[:, 0] - lo[0]) * span_y + cells[:, 1] - lo[1])
-        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-        free_cells = np.stack([key // span_y % span_x + lo[0], key % span_y + lo[1]], axis=1)
-    else:
-        free_cells = cells
-    nx, ny = grid.shape
-    for cell_arr, delta in ((free_cells, -grid.l_free), (end_cells, grid.l_occ)):
-        ok = (
-            (cell_arr[:, 0] >= 0) & (cell_arr[:, 0] < nx)
-            & (cell_arr[:, 1] >= 0) & (cell_arr[:, 1] < ny)
-        )
-        lin = cell_arr[ok, 0] * ny + cell_arr[ok, 1]
-        if delta < 0:
-            # hit protection: grazing traversal samples quantize into wall
-            # cells; never erode a cell already observed as occupied
-            lin = lin[grid.log_odds.reshape(-1)[lin] <= 0.0]
-        np.add.at(grid.log_odds.reshape(-1), lin, delta)
+    is_end = np.zeros(flat.size, dtype=bool)
+    is_end[end_idx] = True
+    keep = ok & ~is_end[idx]
+    # dedupe (ray, cell) so each ray decrements a crossed cell once
+    key = np.sort(ray_idx[keep] * flat.size + idx[keep])
+    free_idx = key[np.diff(key, prepend=-1) != 0] % flat.size
+    # hit protection: grazing traversal samples quantize into wall cells;
+    # never erode a cell already observed as occupied
+    np.add.at(flat, free_idx[flat[free_idx] <= 0.0], -grid.l_free)
+    np.add.at(flat, end_idx, grid.l_occ)
     np.clip(grid.log_odds, -LOG_ODDS_CLAMP, LOG_ODDS_CLAMP, out=grid.log_odds)
     return grid
 
@@ -207,75 +194,6 @@ class SlamConfig:
     matching_enabled: bool = True
 
 
-@dataclass
-class SlamState:
-    pose_truth: Pose
-    pose_estimate: Pose
-    grid: OccupancyGrid
-    map_points: list[np.ndarray] = field(default_factory=list)
-    map_times: list[float] = field(default_factory=list)
-    time: float = 0.0
-
-    @classmethod
-    def initial(cls, scene: Scene, cfg: SlamConfig) -> "SlamState":
-        start = trajectory_pose(scene.trajectory, 0.0)
-        grid = OccupancyGrid.for_scene(
-            scene, resolution=cfg.resolution, l_occ=cfg.l_occ, l_free=cfg.l_free
-        )
-        return cls(pose_truth=start, pose_estimate=start, grid=grid)
-
-    def map_array(self) -> np.ndarray:
-        if not self.map_points:
-            return np.zeros((0, 2))
-        return np.vstack(self.map_points)
-
-    def map_size(self) -> int:
-        return sum(len(p) for p in self.map_points)
-
-
-def slam_step(
-    state: SlamState,
-    scene: Scene,
-    sensor: SensorFn,
-    odometry: OdometryModel,
-    rng: np.random.Generator,
-    cfg: SlamConfig = SlamConfig(),
-) -> SlamState:
-    """Advance one trajectory step: dead-reckon, sense, match, map. Mutates state."""
-    dt = scene.trajectory.step_interval
-    new_time = state.time + dt
-    new_truth = trajectory_pose(scene.trajectory, new_time)
-
-    # relative motion in the previous truth frame, replayed on the estimate
-    delta_local = rotation(-state.pose_truth.heading) @ (
-        new_truth.position - state.pose_truth.position
-    )
-    dheading = wrap_angle(new_truth.heading - state.pose_truth.heading)
-    noise_t = odometry.translation_noise_std * rng.standard_normal(2)
-    noise_r = odometry.rotation_noise_std * float(rng.standard_normal())
-    est_pos = state.pose_estimate.position + rotation(state.pose_estimate.heading) @ (
-        delta_local + noise_t
-    )
-    estimate = Pose(float(est_pos[0]), float(est_pos[1]),
-                    state.pose_estimate.heading + dheading + noise_r)
-
-    scan = sensor(scene, new_truth, rng)
-    if cfg.matching_enabled:
-        result = match_scan(scan, state.grid, estimate, cfg.window)
-        estimate = result.pose
-
-    pts = scan_to_points(scan, estimate)
-    if len(pts):
-        state.map_points.append(pts)
-        state.map_times.extend([new_time] * len(pts))
-    update_grid(state.grid, estimate, scan)
-
-    state.pose_truth = new_truth
-    state.pose_estimate = estimate
-    state.time = new_time
-    return state
-
-
 @dataclass(frozen=True)
 class Snapshot:
     t: float
@@ -289,7 +207,6 @@ class SlamRun:
     snapshots: list[Snapshot]
     map_points: np.ndarray   # (n, 2) world frame, chronological
     map_times: np.ndarray    # (n,)
-    final_state: SlamState
 
     def map_at(self, snapshot: Snapshot) -> np.ndarray:
         return self.map_points[: snapshot.map_size]
@@ -304,7 +221,12 @@ def run_slam(
     cfg: SlamConfig = SlamConfig(),
     snapshot_cadence: Optional[float] = None,
 ) -> SlamRun:
-    """Run the SLAM loop for ``duration`` seconds at the trajectory step interval."""
+    """Run the SLAM loop for ``duration`` seconds at the trajectory step interval.
+
+    Each step dead-reckons the estimate from the true motion plus odometry
+    noise, senses from the true pose, corrects the estimate by scan matching
+    and adds the scan to the grid and the map at the estimate.
+    """
     if not duration > 0:
         raise ValueError("duration must be > 0")
     dt = scene.trajectory.step_interval
@@ -312,17 +234,33 @@ def run_slam(
     every = 1
     if snapshot_cadence is not None:
         every = max(1, int(round(snapshot_cadence / dt)))
-    state = SlamState.initial(scene, cfg)
-    snapshots = []
-    for k in range(1, n_steps + 1):
-        slam_step(state, scene, sensor, odometry, rng, cfg)
-        if k % every == 0 or k == n_steps:
-            snapshots.append(
-                Snapshot(state.time, state.pose_truth, state.pose_estimate, state.map_size())
-            )
-    return SlamRun(
-        snapshots=snapshots,
-        map_points=state.map_array(),
-        map_times=np.array(state.map_times),
-        final_state=state,
+    grid = OccupancyGrid.for_scene(
+        scene, resolution=cfg.resolution, l_occ=cfg.l_occ, l_free=cfg.l_free
     )
+    truth = estimate = trajectory_pose(scene.trajectory, 0.0)
+    t = 0.0
+    map_points, map_times, snapshots = [], [], []
+    for k in range(1, n_steps + 1):
+        t += dt
+        new_truth = trajectory_pose(scene.trajectory, t)
+        # dead reckoning: relative motion in the previous truth frame,
+        # replayed on the estimate
+        delta_local = rotation(-truth.heading) @ (new_truth.position - truth.position)
+        dheading = wrap_angle(new_truth.heading - truth.heading)
+        noise_t = odometry.translation_noise_std * rng.standard_normal(2)
+        noise_r = odometry.rotation_noise_std * float(rng.standard_normal())
+        est_pos = estimate.position + rotation(estimate.heading) @ (delta_local + noise_t)
+        estimate = Pose(float(est_pos[0]), float(est_pos[1]),
+                        estimate.heading + dheading + noise_r)
+        truth = new_truth
+
+        scan = sensor(scene, truth, rng)
+        if cfg.matching_enabled:
+            estimate = match_scan(scan, grid, estimate, cfg.window).pose
+        pts = scan_to_points(scan, estimate)
+        map_points.append(pts)
+        map_times.extend([t] * len(pts))
+        update_grid(grid, estimate, scan)
+        if k % every == 0 or k == n_steps:
+            snapshots.append(Snapshot(t, truth, estimate, len(map_times)))
+    return SlamRun(snapshots, np.vstack(map_points), np.array(map_times))

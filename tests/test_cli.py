@@ -45,6 +45,13 @@ def test_scene_validate_bad_file(tmp_path, capsys):
     assert "etslam: error:" in capsys.readouterr().err
 
 
+def test_scene_validate_missing_path_named(tmp_path, capsys):
+    missing = tmp_path / "typo.yaml"
+    assert main(["scene", "validate", "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert "No such file or directory" in err and str(missing) in err
+
+
 def test_metric_et_gospa_worked_example(tmp_path, capsys):
     truth = tmp_path / "truth.csv"
     truth.write_text("target_id,x,y\n1,0,0\n2,10,0\n")

@@ -189,6 +189,18 @@ def test_condition_snr_without_waveform_rejected():
     assert apply_condition(cfg, {"snr_db": None}).waveform.snr_db is None
 
 
+@pytest.mark.parametrize("conditions, name", [
+    ([{"name": "a"}, {"name": "b"}, {"name": "a", "delta_r_m": 0.1}], "a"),
+    ([{"name": "condition_2"}, {"name": "b"}, {"delta_r_m": 0.1}], "condition_2"),
+])
+def test_duplicate_condition_name_rejected(conditions, name):
+    """Two conditions with one name would write the same output directory."""
+    doc = tiny_doc()
+    doc["sweep"]["conditions"] = conditions
+    with pytest.raises(ValueError, match=f"^sweep condition: duplicate name '{name}'$"):
+        load_experiment(doc)
+
+
 def test_config_defaults_come_from_dataclasses():
     """A document with only a scene resolves to the dataclass defaults."""
     cfg = load_experiment({"scene": "default_scene.yaml"})
@@ -405,6 +417,25 @@ def test_emit_csv_contents(tmp_path):
     assert pts == [CSV_HEADER_COMMENT, "t,x,y", "1,1.5,-2"]
     clusters = (tmp_path / "clusters_0.csv").read_text().splitlines()
     assert clusters == [CSV_HEADER_COMMENT, "x,y,label", "1.5,-2,0"]
+
+
+def test_emit_csv_empty_map(tmp_path):
+    """A trial with no map points writes header-only map and cluster files."""
+    report = Report(times=np.array([1.0]), et_gospa_mean=np.array([2.5]),
+                    mse_mean=np.array([0.0]), per_trial_et=np.array([[2.5]]),
+                    per_trial_sq_error=np.array([[0.0]]), cluster_counts=np.array([0]),
+                    recovered_targets=np.array([0]),
+                    trials=[TrialRecord(trial_index=0, times=np.array([1.0]),
+                                        et_gospa=np.array([2.5]), sq_error=np.array([0.0]),
+                                        cluster_count=0, recovered_targets=0,
+                                        map_points=np.zeros((0, 2)), map_times=np.zeros(0),
+                                        cluster_labels=np.zeros(0, dtype=int),
+                                        cap_applied=False)])
+    emit_csv(report, tmp_path)
+    assert (tmp_path / "map_points_0.csv").read_text() == f"{CSV_HEADER_COMMENT}\nt,x,y\n"
+    assert (tmp_path / "clusters_0.csv").read_text() == f"{CSV_HEADER_COMMENT}\nx,y,label\n"
+    assert (tmp_path / "metric_curve.csv").read_text() == (
+        f"{CSV_HEADER_COMMENT}\nt,et_gospa_mean\n1,2.5\n")
 
 
 def test_emit_csv_reemission_identical(tmp_path):

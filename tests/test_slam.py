@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etslam.parametric import ErrorModel, ParametricSensor
 from etslam.scans import Scan
@@ -136,7 +138,10 @@ def test_update_empty_scan_noop():
 
 
 def _update_grid_reference(grid, pose, scan):
-    """update_grid with the former 2-D ``np.unique(axis=0)`` (ray, cx, cy) dedupe."""
+    """update_grid with the former 2-D ``np.unique(axis=0)`` (ray, cx, cy) dedupe.
+
+    The endpoint filter compares exact (cx, cy) cells, out-of-grid ones too.
+    """
     if len(scan) == 0:
         return grid
     ends = scan_to_points(scan, pose)
@@ -147,9 +152,8 @@ def _update_grid_reference(grid, pose, scan):
     ray_idx = np.repeat(np.arange(len(scan)), counts)
     fracs = np.concatenate([np.arange(k) / k for k in counts])
     cells = grid.cell_of(start + fracs[:, None] * (ends[ray_idx] - start))
-    _, ny_key = grid.shape
-    end_lin = np.unique(end_cells[:, 0] * (ny_key + 1) + end_cells[:, 1])
-    keep = ~np.isin(cells[:, 0] * (ny_key + 1) + cells[:, 1], end_lin)
+    end_set = set(map(tuple, end_cells.tolist()))
+    keep = np.array([cell not in end_set for cell in map(tuple, cells.tolist())], dtype=bool)
     cells, ray_idx = cells[keep], ray_idx[keep]
     key = np.unique(np.stack([ray_idx, cells[:, 0], cells[:, 1]], axis=1), axis=0)
     free_cells = key[:, 1:]
@@ -198,6 +202,22 @@ def test_update_grid_matches_2d_unique_reference():
         _update_grid_reference(ref, pose, scan)
         assert fast.log_odds.tobytes() == ref.log_odds.tobytes()
     assert fast.occupied_count() > 0 and np.any(fast.log_odds < 0)
+
+
+def test_out_of_grid_endpoint_does_not_shield_in_grid_cell():
+    """An endpoint in cell (50, -2) must not stop a ray from clearing cell (49, 79).
+
+    On this 100 x 80 grid the former ``cx * (ny + 1) + cy`` endpoint key gave
+    both cells the key 4048.
+    """
+    grid = OccupancyGrid(origin=np.array([-5.0, -5.0]), resolution=0.1,
+                         log_odds=np.zeros((100, 80)))
+    pose = Pose(-0.05, 0.0, 0.0)
+    ends = np.array([[0.05, -5.15], [-0.05, 4.0]]) - pose.position
+    scan = Scan.from_polar(np.hypot(ends[:, 0], ends[:, 1]), np.arctan2(ends[:, 1], ends[:, 0]))
+    assert grid.cell_of(scan_to_points(scan, pose)).tolist() == [[50, -2], [49, 90]]
+    update_grid(grid, pose, scan)
+    assert grid.log_odds[49, 79] == -grid.l_free
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +269,43 @@ def test_match_recovers_translation_offset():
     assert abs(result.pose.y - pose.y) <= 0.05
 
 
+_WINDOW = SearchWindow()
+_N_XY = len(_WINDOW.offsets()[0])
+_N_TH = len(_WINDOW.offsets()[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0),
+       heading=st.floats(-math.pi, math.pi), i=st.integers(0, _N_XY - 1),
+       j=st.integers(0, _N_XY - 1), a=st.integers(0, _N_TH - 1))
+def test_match_recovers_injected_lattice_offset(seed, x, y, heading, i, j, a):
+    """A prior off the true pose by one in-window (dx, dy, dtheta) lattice
+    offset is corrected back to the pose the grid was built at."""
+    rng = np.random.default_rng(seed)
+    scan = Scan.from_polar(rng.uniform(0.5, 6.0, 40), rng.uniform(-math.pi, math.pi, 40))
+    truth = Pose(x, y, heading)
+    grid = OccupancyGrid(origin=np.array([-10.0, -10.0]), resolution=0.1,
+                         log_odds=np.zeros((200, 200)))
+    update_grid(grid, truth, scan)
+    dxy, dth = _WINDOW.offsets()
+    prior = Pose(x + dxy[i], y + dxy[j], heading + dth[a])
+    result = match_scan(scan, grid, prior, _WINDOW)
+    assert result.matched
+    assert result.pose.x == pytest.approx(x, abs=1e-9)
+    assert result.pose.y == pytest.approx(y, abs=1e-9)
+    assert result.pose.heading == pytest.approx(heading, abs=1e-9)
+
+
+def test_match_scores_out_of_grid_points_zero():
+    """Points off the grid add nothing, whatever cell (0, 0) holds."""
+    log_odds = np.zeros((10, 10))
+    log_odds[0, 0] = 5.0
+    grid = OccupancyGrid(origin=np.zeros(2), resolution=0.1, log_odds=log_odds)
+    scan = Scan.from_polar(np.array([10.0]), np.array([0.0]))
+    result = match_scan(scan, grid, Pose(0.5, 0.5, 0.0))
+    assert result == MatchResult(Pose(0.5, 0.5, 0.0), 0.0, True)
+
+
 def test_match_tie_break_prefers_zero_correction():
     grid = OccupancyGrid(origin=np.array([-5.0, -5.0]), resolution=0.1,
                          log_odds=np.full((100, 100), 1.0))
@@ -286,6 +343,38 @@ def test_noiseless_chain_exact_without_matching():
             snap.pose_truth.position, abs=1e-9)
         assert snap.pose_estimate.heading == pytest.approx(
             snap.pose_truth.heading, abs=1e-9)
+
+
+class _EveryOtherStepEmpty:
+    """Wraps a sensor: steps 1, 3, 5, ... return an empty scan; records scan sizes."""
+
+    def __init__(self, sensor):
+        self.sensor, self.sizes = sensor, []
+
+    def __call__(self, scene, pose, rng):
+        scan = self.sensor(scene, pose, rng) if len(self.sizes) % 2 else Scan.empty()
+        self.sizes.append(len(scan))
+        return scan
+
+
+def test_run_slam_all_scans_empty():
+    scene = _scene()
+    run = run_slam(scene, lambda *_: Scan.empty(), OdometryModel(), np.random.default_rng(0),
+                   duration=3.0)
+    assert run.map_points.shape == (0, 2)
+    assert run.map_times.shape == (0,)
+    assert [s.map_size for s in run.snapshots] == [0] * 6
+
+
+def test_run_slam_some_scans_empty():
+    scene = _scene()
+    sensor = _EveryOtherStepEmpty(_sensor())
+    run = run_slam(scene, sensor, OdometryModel(), np.random.default_rng(0), duration=3.0)
+    assert sensor.sizes[0] == 0 and min(sensor.sizes[1::2]) > 0
+    assert [s.map_size for s in run.snapshots] == np.cumsum(sensor.sizes).tolist()
+    assert run.map_points.shape == (sum(sensor.sizes), 2)
+    steps = np.repeat([s.t for s in run.snapshots], sensor.sizes)
+    assert np.array_equal(run.map_times, steps)
 
 
 TIGHT = SearchWindow(dxy_max=0.3, dxy_step=0.1,
