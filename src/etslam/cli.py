@@ -94,22 +94,18 @@ def cmd_metric(args) -> int:
     print(f"extra_count {result.extra_count}")
     print(f"clamped {str(result.clamped).lower()}")
     if args.csv:
-        Path(args.csv).write_text(
-            harness.CSV_HEADER_COMMENT
-            + "\nvalue,sum_pair_costs,cardinality_term,missed_count,extra_count,clamped\n"
-            + f"{result.value:.9g},{result.sum_pair_costs:.9g},"
-            + f"{result.cardinality_term:.9g},{result.missed_count},"
-            + f"{result.extra_count},{int(result.clamped)}\n"
-        )
+        harness.write_csv(
+            args.csv, "value,sum_pair_costs,cardinality_term,missed_count,extra_count,clamped",
+            [[result.value], [result.sum_pair_costs], [result.cardinality_term],
+             [result.missed_count], [result.extra_count], [int(result.clamped)]],
+            ["%.9g"] * 3 + ["%d"] * 3)
     return 0
 
 
 def cmd_cluster(args) -> int:
     points = _read_csv(args.input, 2)
     labels = dbscan(points, ClusterParams(eps=args.eps, min_pts=args.min_pts))
-    lines = [harness.CSV_HEADER_COMMENT, "x,y,label"]
-    lines += [f"{p[0]:.9g},{p[1]:.9g},{l}" for p, l in zip(points, labels)]
-    Path(args.output).write_text("\n".join(lines) + "\n")
+    harness.write_csv(args.output, "x,y,label", (points, labels), ["%.9g", "%.9g", "%d"])
     n_clusters = int(labels.max() + 1) if len(labels) else 0
     print(f"{n_clusters} clusters, {int(np.sum(labels < 0))} noise points")
     return 0

@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from etslam.clustering import ClusterParams, cluster_centroids, dbscan, recovered_target_count
-from etslam.metrics import MetricParams, et_gospa
+from etslam.metrics import MetricParams, et_gospa, location_mse
 from etslam.ofdm import WAVEFORM_KEYS, OfdmSensor, PeakPolicy, WaveformConfig
 from etslam.parametric import ErrorModel, ParametricSensor
 from etslam.scene import Scene, as_radians, convert, load_scene, parse_section
@@ -51,8 +51,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not self.duration > 0:
-            raise ValueError("duration must be > 0")
+        for name in ("duration", "snapshot_cadence", "bearing_step_deg"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.estimate_cap < 0:
+            raise ValueError("estimate_cap must be >= 0 (0 means no cap)")
         if self.backend not in ("parametric", "ofdm"):
             raise ValueError(f"unknown sensor backend '{self.backend}'")
         if self.backend == "ofdm" and self.waveform is None:
@@ -77,17 +82,13 @@ class ExperimentConfig:
         return [t.reference_points for t in self.scene.targets]
 
 
-def _packaged_config(name: str) -> Path:
-    return Path(resources.files("etslam") / "configs" / name)
-
-
-def _resolve_scene(ref, base_dir: Optional[Path]) -> Scene:
-    if isinstance(ref, dict):
-        return load_scene(ref)
-    for candidate in ([base_dir / ref] if base_dir else []) + [Path(ref), _packaged_config(str(ref))]:
-        if Path(candidate).exists():
-            return load_scene(candidate)
-    raise FileNotFoundError(f"scene document '{ref}' not found")
+def _find_config(ref, what: str, base_dir: Optional[Path] = None) -> Path:
+    """The file ``ref`` names: beside ``base_dir``, then as given, then packaged."""
+    packaged = Path(resources.files("etslam") / "configs" / str(ref))
+    for candidate in ([base_dir / ref] if base_dir else []) + [Path(ref), packaged]:
+        if candidate.exists():
+            return candidate
+    raise FileNotFoundError(f"{what} '{ref}' not found")
 
 
 # config key -> (dataclass field, kind), one table per dataclass
@@ -123,13 +124,7 @@ def load_experiment(source: Union[str, Path, dict]) -> ExperimentConfig:
     if isinstance(source, dict):
         doc, base_dir = source, None
     else:
-        path = Path(source)
-        if not path.exists():
-            packaged = _packaged_config(str(source))
-            if packaged.exists():
-                path = packaged
-            else:
-                raise FileNotFoundError(f"config '{source}' not found")
+        path = _find_config(source, "config")
         doc = yaml.safe_load(path.read_text())
         base_dir = path.parent
     [top] = parse_section(doc, "experiment", _EXPERIMENT_KEYS, required=("scene",))
@@ -146,8 +141,10 @@ def load_experiment(source: Union[str, Path, dict]) -> ExperimentConfig:
     [sweep] = section("sweep", _SWEEP_KEYS)
     if "waveform" in top:
         fields["waveform"] = WaveformConfig.from_mapping(top["waveform"])
+    scene = top["scene"]
     cfg = ExperimentConfig(
-        scene=_resolve_scene(top["scene"], base_dir),
+        scene=load_scene(scene if isinstance(scene, dict)
+                         else _find_config(scene, "scene document", base_dir)),
         error_model=ErrorModel(**error_model),
         slam=SlamConfig(window=SearchWindow(**window), **slam),
         odometry=OdometryModel(**odometry),
@@ -200,7 +197,6 @@ class TrialRecord:
     map_points: np.ndarray
     map_times: np.ndarray
     cluster_labels: np.ndarray
-    cap_applied: bool
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
@@ -217,31 +213,21 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
         snapshot_cadence=cfg.snapshot_cadence,
     )
     truth = cfg.truth_sets()
-    times, values, sq_err = [], [], []
-    cap_applied = False
-    for snap in run.snapshots:
-        est = downsample(run.map_at(snap), cfg.estimate_cap)
-        cap_applied = cap_applied or len(est) < snap.map_size
-        result = et_gospa(truth, est, cfg.metric)
-        times.append(snap.t)
-        values.append(result.value)
-        sq_err.append(
-            (snap.pose_truth.x - snap.pose_estimate.x) ** 2
-            + (snap.pose_truth.y - snap.pose_estimate.y) ** 2
-        )
+    snaps = run.snapshots
+    values = [et_gospa(truth, downsample(run.map_at(s), cfg.estimate_cap), cfg.metric).value
+              for s in snaps]
     labels = dbscan(run.map_points, cfg.cluster)
     centroids = cluster_centroids(run.map_points, labels)
     return TrialRecord(
         trial_index=trial_index,
-        times=np.array(times),
+        times=np.array([s.t for s in snaps]),
         et_gospa=np.array(values),
-        sq_error=np.array(sq_err),
+        sq_error=location_mse([s.pose_truth for s in snaps], [s.pose_estimate for s in snaps]),
         cluster_count=int(labels.max() + 1) if len(labels) else 0,
         recovered_targets=recovered_target_count(centroids, cfg.scene.targets),
         map_points=run.map_points,
         map_times=run.map_times,
         cluster_labels=labels,
-        cap_applied=cap_applied,
     )
 
 
@@ -255,7 +241,6 @@ class Report:
     cluster_counts: np.ndarray
     recovered_targets: np.ndarray
     trials: list[TrialRecord] = field(repr=False, default_factory=list)
-    cap_applied: bool = False
 
 
 def _run_trial_args(args) -> TrialRecord:
@@ -281,7 +266,6 @@ def run_monte_carlo(cfg: ExperimentConfig, parallel: int = 1) -> Report:
         cluster_counts=np.array([r.cluster_count for r in records]),
         recovered_targets=np.array([r.recovered_targets for r in records]),
         trials=records,
-        cap_applied=any(r.cap_applied for r in records),
     )
 
 
@@ -305,22 +289,26 @@ def sweep_conditions(
             for name, cond in zip(_condition_names(conditions), conditions)]
 
 
+def write_csv(path: Union[str, Path], header: str, columns, fmt="%.9g") -> Path:
+    """One v1 CSV file: the version comment, ``header``, then a row per entry of ``columns``."""
+    np.savetxt(path, np.column_stack(columns), fmt=fmt, delimiter=",",
+               header=f"{CSV_HEADER_COMMENT}\n{header}", comments="")
+    return Path(path)
+
+
 def emit_csv(report: Report, destination: Union[str, Path]) -> list[Path]:
     """Write metric_curve.csv, agv_mse.csv, and per-trial map/cluster CSVs."""
     dest = Path(destination)
     dest.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def write(name: str, header: str, columns, fmt: Union[str, list] = "%.9g") -> None:
-        path = dest / name
-        np.savetxt(path, np.column_stack(columns), fmt=fmt, delimiter=",",
-                   header=f"{CSV_HEADER_COMMENT}\n{header}", comments="")
-        written.append(path)
-
-    write("metric_curve.csv", "t,et_gospa_mean", (report.times, report.et_gospa_mean))
-    write("agv_mse.csv", "t,mse_mean", (report.times, report.mse_mean))
+    written = [
+        write_csv(dest / "metric_curve.csv", "t,et_gospa_mean", (report.times, report.et_gospa_mean)),
+        write_csv(dest / "agv_mse.csv", "t,mse_mean", (report.times, report.mse_mean)),
+    ]
     for rec in report.trials:
-        write(f"map_points_{rec.trial_index}.csv", "t,x,y", (rec.map_times, rec.map_points))
-        write(f"clusters_{rec.trial_index}.csv", "x,y,label",
-              (rec.map_points, rec.cluster_labels), ["%.9g", "%.9g", "%d"])
+        written += [
+            write_csv(dest / f"map_points_{rec.trial_index}.csv", "t,x,y",
+                      (rec.map_times, rec.map_points)),
+            write_csv(dest / f"clusters_{rec.trial_index}.csv", "x,y,label",
+                      (rec.map_points, rec.cluster_labels), ["%.9g", "%.9g", "%d"]),
+        ]
     return written

@@ -61,14 +61,6 @@ def _as_target_sets(targets: Sequence[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def clamped_sqdist(x: np.ndarray, y: np.ndarray, c: float) -> float:
-    """min(c, squared Euclidean distance)."""
-    if not c > 0:
-        raise ValueError("c must be > 0")
-    d2 = float(np.sum((np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) ** 2))
-    return min(c, d2)
-
-
 def _min_costs(targets: list[np.ndarray], estimates: np.ndarray, params: MetricParams):
     """D[i, j] = min_k d_c(x_{i,k}, y_j)^p, shape (|X|, |Y|)."""
     rows = []
@@ -78,25 +70,10 @@ def _min_costs(targets: list[np.ndarray], estimates: np.ndarray, params: MetricP
     return np.stack(rows)
 
 
-def pair_cost(i: int, targets: Sequence[np.ndarray], y: np.ndarray, params: MetricParams) -> float:
-    """Matching cost E of estimate ``y`` against target ``i``."""
-    targets = _as_target_sets(targets)
-    if not 0 <= i < len(targets):
-        raise IndexError("target index out of range")
-    y = np.asarray(y, dtype=float).reshape(1, 2)
-    own = float(_min_costs([targets[i]], y, params)[0, 0])
-    others = [t for k, t in enumerate(targets) if k != i]
-    if others:
-        sub = float(np.min(_min_costs(others, y, params)))
-    else:
-        sub = params.c ** params.p
-    return params.c + own - sub
-
-
 def cost_matrix(
     targets: Sequence[np.ndarray], estimates: np.ndarray, params: MetricParams
 ) -> np.ndarray:
-    """Pairwise E matrix of shape (|X|, |Y|)."""
+    """Pair cost E of every target against every estimate, shape (|X|, |Y|)."""
     targets = _as_target_sets(targets)
     estimates = np.atleast_2d(np.asarray(estimates, dtype=float))
     if len(targets) == 0 or len(estimates) == 0:
@@ -117,11 +94,6 @@ def cost_matrix(
     return params.c + d - others_min
 
 
-def _missed_surcharge(params: MetricParams) -> float:
-    # supremum of E: own term clamped at c^p, subtrahend at its minimum 0
-    return params.c + params.c ** params.p
-
-
 def et_gospa(
     targets: Sequence[np.ndarray],
     estimates: np.ndarray,
@@ -137,20 +109,13 @@ def et_gospa(
 
     assignment: list[Optional[int]] = [None] * n_x
     sum_pairs = 0.0
+    if n_y:
+        rows, cols, sum_pairs = solve_assignment(cost_matrix(targets, estimates, params))
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            assignment[i] = j
     missed = max(0, n_x - n_y)
-    if n_y == 0:
-        sum_pairs = 0.0
-    elif n_y >= n_x:
-        costs = cost_matrix(targets, estimates, params)
-        col4row, sum_pairs = solve_assignment(costs)
-        assignment = [int(j) for j in col4row]
-    else:
-        # fewer estimates than targets: inject estimates into targets
-        costs = cost_matrix(targets, estimates, params)
-        row4col, sum_pairs = solve_assignment(costs.T)
-        for j, i in enumerate(row4col):
-            assignment[int(i)] = j
-    surcharge = missed * _missed_surcharge(params)
+    # each missed target pays the supremum of E: own term c^p, subtrahend 0
+    surcharge = missed * (params.c + params.c ** params.p)
     extra = max(0, n_y - n_truth_points)
     cardinality = (params.c ** params.p / params.alpha) * extra
     bracket = sum_pairs + surcharge + cardinality
@@ -183,10 +148,7 @@ def gospa_baseline(
         return float(((cp / params.alpha) * (len(x) + len(y))) ** (1.0 / params.p))
     d2 = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1)
     ground = np.minimum(d2, params.c) ** params.p
-    if len(x) <= len(y):
-        _, matched = solve_assignment(ground)
-    else:
-        _, matched = solve_assignment(ground.T)
+    *_, matched = solve_assignment(ground)
     unmatched = abs(len(x) - len(y))
     return float((matched + (cp / params.alpha) * unmatched) ** (1.0 / params.p))
 

@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 import yaml
@@ -162,6 +162,11 @@ class Trajectory:
         if not self.step_interval > 0:
             raise SceneValidationError("trajectory step_interval must be > 0")
         object.__setattr__(self, "waypoints", wp)
+        # a repeated waypoint gives a segment with no heading, and trajectory_pose
+        # divides by the length of the segment it ends on
+        zero = np.flatnonzero(self.segment_lengths == 0.0)
+        if zero.size:
+            raise SceneValidationError(f"trajectory segment {zero[0]} has zero length")
 
     @property
     def closed(self) -> bool:
@@ -202,15 +207,8 @@ def trajectory_pose(trajectory: Trajectory, t: float) -> Pose:
 
 
 @dataclass(frozen=True)
-class RayHit:
-    point: np.ndarray
-    range: float
-    target_id: int
-
-
-@dataclass(frozen=True)
 class GroundTruthScan:
-    """Vectorized raycast results; ``bearings`` are relative to the pose heading."""
+    """Ray-cast hits of one fan of bearings; ``bearings`` are relative to the pose heading."""
 
     bearings: np.ndarray    # (n,)
     ranges: np.ndarray      # (n,)
@@ -285,8 +283,6 @@ class Scene:
     def _segment_blocked(self, p0: np.ndarray, p1: np.ndarray) -> bool:
         d = p1 - p0
         length = float(np.linalg.norm(d))
-        if length == 0.0:
-            return False
         u = d / length
         t, _ = _cast_rays(self, p0, u[None, :])
         return bool(t[0] < length)
@@ -301,7 +297,8 @@ class Scene:
 def _cast_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, eps: float = 1e-9):
     """Distance to the nearest boundary per unit direction, inf when no hit.
 
-    Returns (ranges, target_ids); used by both raycast and validation.
+    Returns (ranges, target_ids); used by ``ground_truth_scan`` and by the
+    trajectory check in scene validation.
     """
     nb = dirs.shape[0]
     best_t = np.full(nb, np.inf)
@@ -339,18 +336,6 @@ def _cast_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, eps: float = 
         best_t[upd] = tmin[upd]
         best_tid[upd] = scene._circ_tid[idx[upd]]
     return best_t, best_tid
-
-
-def raycast(scene: Scene, origin: np.ndarray, bearing: float) -> Optional[RayHit]:
-    """Nearest first-reflection point of a single ray, or None."""
-    origin = np.asarray(origin, dtype=float)
-    if scene.contains_point_in_target(origin):
-        raise GeometryError("ray origin lies inside a target")
-    u = np.array([[math.cos(bearing), math.sin(bearing)]])
-    t, tid = _cast_rays(scene, origin, u)
-    if not np.isfinite(t[0]):
-        return None
-    return RayHit(point=origin + t[0] * u[0], range=float(t[0]), target_id=int(tid[0]))
 
 
 def ground_truth_scan(

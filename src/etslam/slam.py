@@ -85,6 +85,14 @@ class SearchWindow:
     dtheta_max: float = math.radians(2.0)
     dtheta_step: float = math.radians(0.5)
 
+    def __post_init__(self):
+        for name in ("dxy_max", "dtheta_max"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"search window {name} must be finite and >= 0")
+        for name in ("dxy_step", "dtheta_step"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"search window {name} must be finite and > 0")
+
     def offsets(self):
         n_xy = int(round(self.dxy_max / self.dxy_step))
         n_th = int(round(self.dtheta_max / self.dtheta_step))
@@ -192,6 +200,10 @@ class SlamConfig:
     l_occ: float = 0.85
     l_free: float = 0.4
     matching_enabled: bool = True
+
+    def __post_init__(self):
+        if not 0.0 < self.resolution < math.inf:
+            raise ValueError("slam resolution must be finite and > 0")
 
 
 @dataclass(frozen=True)

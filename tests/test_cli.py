@@ -67,6 +67,10 @@ def test_metric_et_gospa_worked_example(tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[1].startswith("value,")
     assert lines[2].split(",")[0] == "2.5"
+    assert out_csv.read_bytes() == (
+        b"# etslam csv v1\n"
+        b"value,sum_pair_costs,cardinality_term,missed_count,extra_count,clamped\n"
+        b"2.5,0,2.5,0,1,0\n")
 
 
 def test_cluster_command(tmp_path, capsys):
@@ -80,6 +84,8 @@ def test_cluster_command(tmp_path, capsys):
     rows = dst.read_text().splitlines()
     assert rows[1] == "x,y,label"
     assert [r.split(",")[2] for r in rows[2:]] == ["0", "0", "1", "1", "-1"]
+    assert dst.read_bytes() == (
+        b"# etslam csv v1\nx,y,label\n0,0,0\n0,0.1,0\n5,5,1\n5,5.1,1\n9,9,-1\n")
 
 
 def test_read_csv_rejects_later_non_numeric_row(tmp_path):

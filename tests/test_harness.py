@@ -1,11 +1,13 @@
 """Monte Carlo harness tests: config loading, trials, sweeps, CSV output."""
 
 import copy
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
+import yaml
 
 from etslam.clustering import ClusterParams
 from etslam.harness import (
@@ -21,7 +23,7 @@ from etslam.harness import (
     run_trial,
     sweep_conditions,
 )
-from etslam.metrics import MetricParams
+from etslam.metrics import MetricParams, et_gospa
 from etslam.ofdm import WaveformConfig
 from etslam.parametric import ErrorModel
 from etslam.scene import Circle, Rectangle
@@ -82,8 +84,18 @@ def test_load_packaged_config():
 
 
 def test_missing_config_raises():
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(FileNotFoundError, match="^config 'no_such_config.yaml' not found$"):
         load_experiment("no_such_config.yaml")
+    with pytest.raises(FileNotFoundError, match="^scene document 'no_such_scene.yaml' not found$"):
+        load_experiment({"scene": "no_such_scene.yaml"})
+
+
+def test_scene_file_resolves_next_to_experiment_first(tmp_path):
+    """A scene filename is looked up beside the experiment file before the packaged one."""
+    (tmp_path / "default_scene.yaml").write_text(yaml.safe_dump(SCENE_DOC))
+    (tmp_path / "exp.yaml").write_text(yaml.safe_dump({"scene": "default_scene.yaml"}))
+    assert len(load_experiment(tmp_path / "exp.yaml").scene.targets) == 2
+    assert len(load_experiment({"scene": "default_scene.yaml"}).scene.targets) == 10
 
 
 def test_config_validation():
@@ -173,6 +185,37 @@ def test_condition_rejects_other_sensor_keys(key, value):
     doc["sweep"]["conditions"][0][key] = value
     with pytest.raises(ValueError, match=f"^sweep condition: unknown key '{key}'$"):
         load_experiment(doc)
+
+
+@pytest.mark.parametrize("path, key, value, message", [
+    (("slam",), "search_dxy_step", 0.0, "search window dxy_step must be finite and > 0"),
+    (("slam",), "search_dtheta_step_deg", 0.0, "search window dtheta_step must be finite and > 0"),
+    (("slam",), "search_dxy_step", -0.1, "search window dxy_step must be finite and > 0"),
+    (("slam",), "search_dtheta_step_deg", -0.5, "search window dtheta_step must be finite and > 0"),
+    (("slam",), "search_dxy_max", -0.3, "search window dxy_max must be finite and >= 0"),
+    (("slam",), "search_dtheta_max_deg", -1.0, "search window dtheta_max must be finite and >= 0"),
+    (("slam",), "resolution", 0.0, "slam resolution must be finite and > 0"),
+    (("run",), "snapshot_cadence", -5.0, "snapshot_cadence must be finite and > 0"),
+    (("run",), "duration", float("inf"), "duration must be finite and > 0"),
+    (("sensor",), "bearing_step_deg", 0.0, "bearing_step_deg must be finite and > 0"),
+    (("run",), "estimate_cap", -3, "estimate_cap must be >= 0"),
+    (("run",), "seed", -1, "seed must be >= 0"),
+    (("scene", "trajectory"), "waypoints", [[0.0, 0.0], [4.0, 0.0], [4.0, 0.0]],
+     "trajectory segment 1 has zero length"),
+])
+def test_out_of_range_value_rejected_at_load(path, key, value, message):
+    """Each of these used to load, then crash mid-run or be read as another value."""
+    doc = full_doc()
+    _section(doc, path)[key] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        load_experiment(doc)
+
+
+def test_estimate_cap_zero_still_means_no_cap():
+    cfg = load_experiment(tiny_doc(estimate_cap=0))
+    rec = run_trial(cfg, 0)
+    assert rec.et_gospa[-1] == et_gospa(cfg.truth_sets(), rec.map_points, cfg.metric).value
+    assert run_trial(dataclasses.replace(cfg, estimate_cap=10), 0).et_gospa[-1] != rec.et_gospa[-1]
 
 
 def test_integral_float_accepted_for_int_field():
@@ -404,7 +447,6 @@ def test_emit_csv_contents(tmp_path):
             map_points=np.array([[1.5, -2.0]]),
             map_times=np.array([1.0]),
             cluster_labels=np.array([0]),
-            cap_applied=False,
         )],
     )
     written = emit_csv(report, tmp_path)
@@ -429,8 +471,7 @@ def test_emit_csv_empty_map(tmp_path):
                                         et_gospa=np.array([2.5]), sq_error=np.array([0.0]),
                                         cluster_count=0, recovered_targets=0,
                                         map_points=np.zeros((0, 2)), map_times=np.zeros(0),
-                                        cluster_labels=np.zeros(0, dtype=int),
-                                        cap_applied=False)])
+                                        cluster_labels=np.zeros(0, dtype=int))])
     emit_csv(report, tmp_path)
     assert (tmp_path / "map_points_0.csv").read_text() == f"{CSV_HEADER_COMMENT}\nt,x,y\n"
     assert (tmp_path / "clusters_0.csv").read_text() == f"{CSV_HEADER_COMMENT}\nx,y,label\n"

@@ -16,12 +16,10 @@ from hypothesis import strategies as st
 from etslam.metrics import (
     EtGospaResult,
     MetricParams,
-    clamped_sqdist,
     cost_matrix,
     et_gospa,
     gospa_baseline,
     location_mse,
-    pair_cost,
 )
 from etslam.scene import Pose
 
@@ -79,49 +77,58 @@ def _random_instance(rng):
     return targets, estimates, params
 
 
+P514 = MetricParams(c=5.0, p=1.0, alpha=2.0)
+
+
+def _pair_cost(i, targets, y, params):
+    """Entry (i, y) of cost_matrix, checked against the loop-based oracle."""
+    got = float(cost_matrix(targets, np.atleast_2d(y), params)[i, 0])
+    want = _ref_pair_cost(i, [list(map(tuple, t)) for t in targets], tuple(y), params)
+    assert got == pytest.approx(want, abs=1e-12)
+    return got
+
+
 # ---------------------------------------------------------------------------
-# clamped ground distance
+# clamped ground distance: with one target and p = 1, E = min(c, |x - y|^2)
 
 
 def test_clamped_sqdist_identity():
-    assert clamped_sqdist(np.array([1.0, 2.0]), np.array([1.0, 2.0]), 5.0) == 0.0
+    assert _pair_cost(0, [np.array([[1.0, 2.0]])], np.array([1.0, 2.0]), P514) == 0.0
 
 
 def test_clamped_sqdist_boundary():
     # squared distance exactly c
-    assert clamped_sqdist(np.array([0.0, 0.0]), np.array([1.0, 2.0]), 5.0) == 5.0
+    assert _pair_cost(0, [np.array([[0.0, 0.0]])], np.array([1.0, 2.0]), P514) == 5.0
 
 
 def test_clamped_sqdist_clamp():
-    assert clamped_sqdist(np.array([0.0, 0.0]), np.array([3.0, 4.0]), 5.0) == 5.0
+    assert _pair_cost(0, [np.array([[0.0, 0.0]])], np.array([3.0, 4.0]), P514) == 5.0
 
 
 def test_clamped_sqdist_requires_positive_c():
-    with pytest.raises(ValueError):
-        clamped_sqdist(np.zeros(2), np.ones(2), 0.0)
+    for c in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            MetricParams(c=c)
 
 
 # ---------------------------------------------------------------------------
 # pair cost and cost matrix
 
 
-P514 = MetricParams(c=5.0, p=1.0, alpha=2.0)
-
-
 def test_pair_cost_two_target_example():
     targets = [np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[10.0, 0.0]])]
-    assert pair_cost(0, targets, np.array([0.5, 0.0]), P514) == pytest.approx(0.25)
+    assert _pair_cost(0, targets, np.array([0.5, 0.0]), P514) == pytest.approx(0.25)
 
 
 def test_pair_cost_worst_case():
     targets = [np.array([[0.0, 0.0]]), np.array([[3.0, 0.0]])]
-    assert pair_cost(0, targets, np.array([3.0, 0.0]), P514) == pytest.approx(10.0)
+    assert _pair_cost(0, targets, np.array([3.0, 0.0]), P514) == pytest.approx(10.0)
 
 
 def test_pair_cost_single_target_convention():
     # with no other targets the subtrahend is c^p, so truth scores zero
     targets = [np.array([[0.0, 0.0]])]
-    assert pair_cost(0, targets, np.array([0.0, 0.0]), P514) == pytest.approx(0.0)
+    assert _pair_cost(0, targets, np.array([0.0, 0.0]), P514) == pytest.approx(0.0)
 
 
 def test_cost_matrix_single_perfect():
@@ -150,14 +157,18 @@ def test_cost_matrix_entries_bounded():
 
 
 def test_cost_matrix_agrees_with_pair_cost():
+    """Every entry equals the loop-based oracle's pair cost, on 50 random instances."""
     rng = np.random.default_rng(11)
-    targets, est, params = _random_instance(rng)
-    while len(est) == 0:
+    for _ in range(50):
         targets, est, params = _random_instance(rng)
-    m = cost_matrix(targets, est, params)
-    for i in range(len(targets)):
-        for j in range(len(est)):
-            assert m[i, j] == pytest.approx(pair_cost(i, targets, est[j], params), abs=1e-12)
+        if len(est) == 0:
+            continue
+        m = cost_matrix(targets, est, params)
+        ref_targets = [list(map(tuple, t)) for t in targets]
+        for i in range(len(targets)):
+            for j in range(len(est)):
+                want = _ref_pair_cost(i, ref_targets, tuple(est[j]), params)
+                assert m[i, j] == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +220,8 @@ def test_missed_target_surcharge():
     targets = [np.array([[0.0, 0.0]]), np.array([[50.0, 0.0]])]
     result = et_gospa(targets, np.array([[0.0, 0.0]]), P514)
     assert result.missed_count == 1
+    assert result.assignment == (0, None)
+    assert et_gospa(targets, np.array([[50.0, 0.0]]), P514).assignment == (None, 0)
     assert result.value == pytest.approx(0.0 + 10.0, abs=1e-12)
 
 
@@ -320,10 +333,10 @@ def test_moving_estimate_away_from_other_targets_does_not_increase():
     targets = [np.array([[0.0, 0.0]]), np.array([[2.0, 0.0]])]
     y_near = np.array([0.5, 0.0])   # close to the other target
     y_far = np.array([0.5, 1.5])    # same own-distance? no; compare pair costs directly
-    e_near = pair_cost(0, targets, y_near, P514)
+    e_near = _pair_cost(0, targets, y_near, P514)
     # same estimate, other target moved farther away (within clamp)
     targets_far = [np.array([[0.0, 0.0]]), np.array([[2.5, 0.0]])]
-    e_far = pair_cost(0, targets_far, y_near, P514)
+    e_far = _pair_cost(0, targets_far, y_near, P514)
     assert e_far <= e_near
 
 

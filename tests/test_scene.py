@@ -16,7 +16,6 @@ from etslam.scene import (
     Trajectory,
     ground_truth_scan,
     load_scene,
-    raycast,
     reference_points,
     trajectory_pose,
 )
@@ -142,36 +141,41 @@ def test_reference_points_rejects_k0():
 # ray casting
 
 
+def _one_ray(scene, origin, bearing):
+    """A one-bearing ground_truth_scan from ``origin`` facing along ``bearing``."""
+    return ground_truth_scan(scene, Pose(float(origin[0]), float(origin[1]), bearing), [0.0])
+
+
 def test_raycast_rectangle_face():
     scene = _simple_scene(targets=[
         {"id": 1, "kind": "rect", "center": [3.0, 0.0], "width": 2.0, "height": 2.0},
     ])
-    hit = raycast(scene, np.array([0.0, 0.0]), 0.0)
-    assert hit is not None
-    assert np.allclose(hit.point, [2.0, 0.0], atol=1e-9)
-    assert hit.range == pytest.approx(2.0, abs=1e-9)
-    assert hit.target_id == 1
+    hit = _one_ray(scene, np.array([0.0, 0.0]), 0.0)
+    assert len(hit) == 1
+    assert np.allclose(hit.points[0], [2.0, 0.0], atol=1e-9)
+    assert hit.ranges[0] == pytest.approx(2.0, abs=1e-9)
+    assert hit.target_ids[0] == 1
 
 
 def test_raycast_miss():
     scene = _simple_scene()
-    assert raycast(scene, np.array([0.0, 0.0]), math.pi) is None
+    assert len(_one_ray(scene, np.array([0.0, 0.0]), math.pi)) == 0
 
 
 def test_raycast_circle():
     scene = _simple_scene(targets=[
         {"id": 7, "kind": "circle", "center": [4.0, 0.0], "radius": 1.0},
     ])
-    hit = raycast(scene, np.array([0.0, 0.0]), 0.0)
-    assert np.allclose(hit.point, [3.0, 0.0], atol=1e-9)
-    assert hit.range == pytest.approx(3.0, abs=1e-9)
-    assert hit.target_id == 7
+    hit = _one_ray(scene, np.array([0.0, 0.0]), 0.0)
+    assert np.allclose(hit.points[0], [3.0, 0.0], atol=1e-9)
+    assert hit.ranges[0] == pytest.approx(3.0, abs=1e-9)
+    assert hit.target_ids[0] == 7
 
 
 def test_raycast_origin_inside_target_rejected():
     scene = _simple_scene()
     with pytest.raises(GeometryError):
-        raycast(scene, np.array([10.0, 0.0]), 0.0)
+        _one_ray(scene, np.array([10.0, 0.0]), 0.0)
 
 
 def test_raycast_range_and_boundary_invariants():
@@ -182,12 +186,12 @@ def test_raycast_range_and_boundary_invariants():
         t = float(rng.uniform(0, 60))
         pose = trajectory_pose(scene.trajectory, t)
         bearing = float(rng.uniform(-math.pi, math.pi))
-        hit = raycast(scene, pose.position, bearing)
-        if hit is None:
+        hit = _one_ray(scene, pose.position, bearing)
+        if len(hit) == 0:
             continue
-        assert hit.range == pytest.approx(
-            float(np.linalg.norm(hit.point - pose.position)), abs=1e-9)
-        sd = float(shapes[hit.target_id].signed_distance(hit.point[None, :])[0])
+        assert hit.ranges[0] == pytest.approx(
+            float(np.linalg.norm(hit.points[0] - pose.position)), abs=1e-9)
+        sd = float(shapes[hit.target_ids[0]].signed_distance(hit.points[:1])[0])
         assert abs(sd) < 1e-6
 
 
@@ -198,25 +202,30 @@ def test_raycast_nearest_hit_bruteforce():
     for _ in range(50):
         pose = trajectory_pose(scene.trajectory, float(rng.uniform(0, 60)))
         bearing = float(rng.uniform(-math.pi, math.pi))
-        hit = raycast(scene, pose.position, bearing)
-        if hit is None:
+        hit = _one_ray(scene, pose.position, bearing)
+        if len(hit) == 0:
             continue
         # march along the ray: no sample strictly before the hit lies inside
         u = np.array([math.cos(bearing), math.sin(bearing)])
-        ts = np.linspace(1e-3, hit.range - 1e-3, 200)
+        ts = np.linspace(1e-3, hit.ranges[0] - 1e-3, 200)
         samples = pose.position + ts[:, None] * u
         for tgt in scene.targets:
             assert np.all(tgt.shape.signed_distance(samples) > -1e-9)
 
 
 def test_ground_truth_scan_matches_single_raycast():
-    scene = _simple_scene()
-    pose = Pose(0.0, 0.0, 0.0)
-    scan = ground_truth_scan(scene, pose, [0.0])
-    hit = raycast(scene, pose.position, 0.0)
-    assert len(scan) == 1
-    assert np.allclose(scan.points[0], hit.point)
-    assert scan.ranges[0] == pytest.approx(hit.range)
+    """A fan of bearings equals one one-bearing scan per bearing, misses dropped."""
+    scene = load_scene(DEFAULT_SCENE)
+    pose = trajectory_pose(scene.trajectory, 7.0)
+    bearings = np.radians(np.arange(0.0, 360.0, 7.5))
+    scan = ground_truth_scan(scene, pose, bearings)
+    singles = [ground_truth_scan(scene, pose, [b]) for b in bearings]
+    hits = [s for s in singles if len(s)]
+    assert 0 < len(scan) == len(hits) < len(bearings)
+    assert np.allclose(scan.bearings, [s.bearings[0] for s in hits])
+    assert np.allclose(scan.points, [s.points[0] for s in hits])
+    assert np.allclose(scan.ranges, [s.ranges[0] for s in hits])
+    assert list(scan.target_ids) == [s.target_ids[0] for s in hits]
 
 
 def test_ground_truth_scan_default_scene_hits():
@@ -227,14 +236,17 @@ def test_ground_truth_scan_default_scene_hits():
 
 
 def test_ground_truth_scan_frame_consistency():
-    scene = _simple_scene()
-    origin = np.array([0.0, 0.0])
-    scan = ground_truth_scan(scene, Pose(0.0, 0.0, math.pi), [0.0])
-    hit = raycast(scene, origin, math.pi)
-    if hit is None:
-        assert len(scan) == 0
-    else:
-        assert np.allclose(scan.points[0], hit.point)
+    """Bearings are relative to the heading: heading + bearing is what counts."""
+    scene = load_scene(DEFAULT_SCENE)
+    origin = trajectory_pose(scene.trajectory, 3.0).position
+    # three rays that hit a target, the last one a miss
+    cases = ((3.0, -1.3), (0.5, 1.0), (-2.5, 3.0), (math.pi, 0.0))
+    for k, (heading, bearing) in enumerate(cases):
+        turned = ground_truth_scan(scene, Pose(*origin, heading), [bearing])
+        straight = ground_truth_scan(scene, Pose(*origin, 0.0), [heading + bearing])
+        assert len(turned) == len(straight) == (k < 3)
+        assert np.allclose(turned.points, straight.points)
+        assert np.array_equal(turned.target_ids, straight.target_ids)
 
 
 def test_ground_truth_scan_rejects_empty_bearings():
