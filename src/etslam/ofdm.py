@@ -30,6 +30,8 @@ from etslam.scans import Scan
 from etslam.scene import Pose, Scene, convert, ground_truth_scan, parse_section
 
 C0 = 3.0e8
+# subcarriers per block of the factored delay phase in _path_phases
+DELAY_BLOCK = 128
 
 
 class InvisibleRegionError(ValueError):
@@ -165,24 +167,32 @@ def _path_phases(cfg: WaveformConfig, ranges: np.ndarray, bearings: np.ndarray,
     and delay phase across subcarriers, shape (L, N)."""
     omega = (2.0 * np.pi * cfg.d / cfg.wavelength) * np.cos(bearings)
     steer = np.exp(1j * np.outer(omega, np.arange(cfg.n_rx))) * amps[:, None]
-    delay = np.exp(-2j * np.pi * np.outer(2.0 * ranges / C0 * cfg.delta_f,
-                                          np.arange(cfg.n_subcarriers)))
-    return steer, delay
+    # exp(-2 pi i f (B q + r)) = hi[q] * lo[r]: L*(N/B + B) exponentials, not L*N
+    f = 2.0 * ranges / C0 * cfg.delta_f
+    n_blocks = -(-cfg.n_subcarriers // DELAY_BLOCK)
+    hi = np.exp(-2j * np.pi * np.outer(f, DELAY_BLOCK * np.arange(n_blocks)))
+    lo = np.exp(-2j * np.pi * np.outer(f, np.arange(DELAY_BLOCK)))
+    delay = (hi[:, :, None] * lo[:, None, :]).reshape(len(f), n_blocks * DELAY_BLOCK)
+    return steer, delay[:, :cfg.n_subcarriers]
 
 
 def _add_noise(cfg: WaveformConfig, y: np.ndarray, has_paths: bool,
                rng: Optional[np.random.Generator]) -> np.ndarray:
-    """``y`` plus complex Gaussian noise: mean echo power / noise power equals
-    the configured linear SNR (reference power 1 when there are no paths)."""
+    """``y`` plus complex Gaussian noise, added to ``y`` in place and returned:
+    mean echo power / noise power equals the configured linear SNR (reference
+    power 1 when there are no paths).  The real parts are drawn first, then
+    the imaginary parts."""
     if cfg.snr_db is None:
         return y
     if rng is None:
         raise ValueError("rng required when noise is enabled")
     ref = float(np.mean(np.abs(y) ** 2)) if has_paths else 1.0
     sigma2 = ref / cfg.snr_linear
-    return y + math.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-    )
+    z = rng.standard_normal((2,) + y.shape)
+    z *= math.sqrt(sigma2 / 2.0)
+    y.real += z[0]
+    y.imag += z[1]
+    return y
 
 
 def synthesize_echo(
@@ -339,6 +349,17 @@ def _equalized_column(
     return _add_noise(cfg, steer.T @ delay, len(ranges) > 0, rng)
 
 
+def _angle_intervals(cfg: WaveformConfig) -> list[Optional[tuple[float, float]]]:
+    """``bin_to_angle`` of every angle bin; None for a bin in the invisible region."""
+    table: list[Optional[tuple[float, float]]] = []
+    for i in range(cfg.n_tx):
+        try:
+            table.append(bin_to_angle(i, cfg))
+        except InvisibleRegionError:
+            table.append(None)
+    return table
+
+
 def sense(
     scene: Scene,
     pose: Pose,
@@ -357,18 +378,16 @@ def sense(
     col = _equalized_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex), rng)
     profiles = np.fft.ifft(col, axis=1)  # (n_rx, N)
     mean_mag = np.mean(np.abs(profiles), axis=0)
-    range_peaks = detect_peaks(mean_mag, sensor.range_policy)
+    range_peaks = np.sort(detect_peaks(mean_mag, sensor.range_policy))
+    # angle spectrum of every range peak at once: DFT over the rx axis
+    specs = np.abs(np.fft.fft(profiles[:, range_peaks], axis=0))
+    angle_bins = _angle_intervals(cfg)
     r_ints, b_ints = [], []
-    for ri in sorted(range_peaks):
-        snapshot = profiles[:, ri]
-        spec = angle_spectrum(snapshot, cfg.n_tx)
+    for ri, spec in zip(range_peaks, specs.T):
         for ai in sorted(detect_peaks(spec, sensor.angle_policy)):
-            try:
-                b_lo, b_hi = bin_to_angle(int(ai), cfg)
-            except InvisibleRegionError:
-                continue
-            r_ints.append(bin_to_range(int(ri), cfg))
-            b_ints.append((b_lo, b_hi))
+            if angle_bins[ai] is not None:
+                r_ints.append(bin_to_range(int(ri), cfg))
+                b_ints.append(angle_bins[ai])
     if not r_ints:
         return Scan.empty()
     return Scan.from_intervals(np.array(r_ints), np.array(b_ints))

@@ -64,11 +64,6 @@ class Rectangle:
         if not self.height > 0:
             raise SceneValidationError("rectangle height must be > 0")
 
-    def _to_local(self, points: np.ndarray) -> np.ndarray:
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        rot = np.array([[c, s], [-s, c]])
-        return (np.atleast_2d(points) - np.asarray(self.center)) @ rot.T
-
     def corners(self) -> np.ndarray:
         hw, hh = self.width / 2.0, self.height / 2.0
         local = np.array([[hw, hh], [-hw, hh], [-hw, -hh], [hw, -hh]])
@@ -83,11 +78,24 @@ class Rectangle:
 
     def signed_distance(self, points: np.ndarray) -> np.ndarray:
         """Signed distance to the boundary; negative inside."""
-        local = self._to_local(points)
-        q = np.abs(local) - np.array([self.width / 2.0, self.height / 2.0])
-        outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
-        inside = np.minimum(np.max(q, axis=-1), 0.0)
-        return outside + inside
+        return _rect_signed_distance(
+            np.atleast_2d(points), np.asarray(self.center), math.cos(self.rotation),
+            math.sin(self.rotation), np.array([self.width / 2.0, self.height / 2.0]))
+
+
+def _rect_signed_distance(points, center, cos, sin, half) -> np.ndarray:
+    """Rectangle signed distance, broadcast over points and rectangles alike.
+
+    ``center`` and ``half`` (half width, half height) end in an xy axis; the
+    points are rotated into the rectangle frame elementwise, so one rectangle
+    gives the same bits alone as in a stack.
+    """
+    d = points - center
+    qx = np.abs(d[..., 0] * cos + d[..., 1] * sin) - half[..., 0]
+    qy = np.abs(d[..., 1] * cos - d[..., 0] * sin) - half[..., 1]
+    outside = np.hypot(np.maximum(qx, 0.0), np.maximum(qy, 0.0))
+    inside = np.minimum(np.maximum(qx, qy), 0.0)
+    return outside + inside
 
 
 @dataclass(frozen=True)
@@ -157,10 +165,11 @@ class Trajectory:
         wp = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
         if wp.shape[0] < 2:
             raise SceneValidationError("trajectory needs >= 2 waypoints")
-        if not self.speed > 0:
-            raise SceneValidationError("trajectory speed must be > 0")
-        if not self.step_interval > 0:
-            raise SceneValidationError("trajectory step_interval must be > 0")
+        for name in ("speed", "step_interval"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise SceneValidationError(f"trajectory {name} must be finite and > 0")
+        if not np.all(np.isfinite(wp)):
+            raise SceneValidationError("trajectory waypoints must be finite")
         object.__setattr__(self, "waypoints", wp)
         # a repeated waypoint gives a segment with no heading, and trajectory_pose
         # divides by the length of the segment it ends on
@@ -225,7 +234,11 @@ class Scene:
     bounds_max: np.ndarray
     targets: list[ExtendedTarget]
     trajectory: Trajectory
-    # flattened primitive caches for vectorized ray casting
+    # flattened primitive caches for vectorized ray casting and containment
+    _rect_c: np.ndarray = field(init=False, repr=False)
+    _rect_cos: np.ndarray = field(init=False, repr=False)
+    _rect_sin: np.ndarray = field(init=False, repr=False)
+    _rect_half: np.ndarray = field(init=False, repr=False)
     _seg_a: np.ndarray = field(init=False, repr=False)
     _seg_b: np.ndarray = field(init=False, repr=False)
     _seg_tid: np.ndarray = field(init=False, repr=False)
@@ -236,6 +249,11 @@ class Scene:
     def __post_init__(self):
         self.bounds_min = np.asarray(self.bounds_min, dtype=float)
         self.bounds_max = np.asarray(self.bounds_max, dtype=float)
+        rects = [t.shape for t in self.targets if isinstance(t.shape, Rectangle)]
+        self._rect_c = np.array([r.center for r in rects], dtype=float).reshape(-1, 2)
+        self._rect_cos = np.array([math.cos(r.rotation) for r in rects])
+        self._rect_sin = np.array([math.sin(r.rotation) for r in rects])
+        self._rect_half = np.array([[r.width / 2.0, r.height / 2.0] for r in rects]).reshape(-1, 2)
         seg_a, seg_b, seg_tid = [], [], []
         circ_c, circ_r, circ_tid = [], [], []
         for tgt in self.targets:
@@ -288,10 +306,12 @@ class Scene:
         return bool(t[0] < length)
 
     def contains_point_in_target(self, point: np.ndarray) -> bool:
-        for tgt in self.targets:
-            if float(tgt.shape.signed_distance(point)[0]) < 0.0:
-                return True
-        return False
+        """Whether ``point`` lies strictly inside a target (on a boundary is outside)."""
+        point = np.asarray(point, dtype=float)
+        rect_sd = _rect_signed_distance(point, self._rect_c, self._rect_cos, self._rect_sin,
+                                        self._rect_half)
+        circ_sd = np.linalg.norm(point - self._circ_c, axis=-1) - self._circ_r
+        return bool(np.any(rect_sd < 0.0) or np.any(circ_sd < 0.0))
 
 
 def _cast_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, eps: float = 1e-9):

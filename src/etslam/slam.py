@@ -202,8 +202,9 @@ class SlamConfig:
     matching_enabled: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.resolution < math.inf:
-            raise ValueError("slam resolution must be finite and > 0")
+        for name in ("resolution", "l_occ", "l_free"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"slam {name} must be finite and > 0")
 
 
 @dataclass(frozen=True)

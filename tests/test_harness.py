@@ -202,6 +202,15 @@ def test_condition_rejects_other_sensor_keys(key, value):
     (("run",), "seed", -1, "seed must be >= 0"),
     (("scene", "trajectory"), "waypoints", [[0.0, 0.0], [4.0, 0.0], [4.0, 0.0]],
      "trajectory segment 1 has zero length"),
+    (("slam",), "l_free", -1.0, "slam l_free must be finite and > 0"),
+    (("slam",), "l_free", float("inf"), "slam l_free must be finite and > 0"),
+    (("slam",), "l_occ", 0.0, "slam l_occ must be finite and > 0"),
+    (("slam",), "l_occ", float("nan"), "slam l_occ must be finite and > 0"),
+    (("scene", "trajectory"), "speed", float("inf"), "trajectory speed must be finite and > 0"),
+    (("scene", "trajectory"), "step_interval", float("nan"),
+     "trajectory step_interval must be finite and > 0"),
+    (("scene", "trajectory"), "waypoints", [[0.0, 0.0], [float("nan"), 0.0]],
+     "trajectory waypoints must be finite"),
 ])
 def test_out_of_range_value_rejected_at_load(path, key, value, message):
     """Each of these used to load, then crash mid-run or be read as another value."""

@@ -1,10 +1,12 @@
 """OFDM sensing chain tests: numerology, echo synthesis, DFT estimators."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from etslam.harness import load_experiment
 from etslam.ofdm import (
     C0,
     EchoPath,
@@ -12,7 +14,9 @@ from etslam.ofdm import (
     OfdmSensor,
     PeakPolicy,
     WaveformConfig,
+    _add_noise,
     _equalized_column,
+    _path_phases,
     angle_spectrum,
     bin_to_angle,
     bin_to_range,
@@ -24,7 +28,8 @@ from etslam.ofdm import (
     synthesize_echo,
     velocity_profile,
 )
-from etslam.scene import Pose, load_scene
+from etslam.scans import Scan
+from etslam.scene import Pose, ground_truth_scan, load_scene, trajectory_pose
 
 TABLE = dict(fc=28.0e9, delta_f=1.2e5, M=256, N=10240,
              Tp=1.0 / 1.2e5, Tc=2.08e-6, T=1.0 / 1.2e5 + 2.08e-6,
@@ -177,6 +182,45 @@ def test_snr_calibration():
         powers.append(np.mean(np.abs(equalize(y, frame)) ** 2))
     want = 1.0 / cfg.snr_linear  # reference power 1 when there are no paths
     assert np.mean(powers) == pytest.approx(want, rel=0.05)
+
+
+@pytest.mark.parametrize("n_paths", [0, 1, 71])
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 1024, 10240])
+def test_path_phases_delay_matches_direct_exp(n, n_paths):
+    """The blockwise-factored delay phase against one exponential per entry."""
+    cfg = table_cfg(N=n)
+    rng = np.random.default_rng(n + n_paths)
+    ranges = rng.uniform(0.0, cfg.unambiguous_range, n_paths)
+    bearings = rng.uniform(0.0, math.pi, n_paths)
+    _, delay = _path_phases(cfg, ranges, bearings, np.ones(n_paths, dtype=complex))
+    direct = np.exp(-2j * np.pi * np.outer(2.0 * ranges / C0 * cfg.delta_f, np.arange(n)))
+    assert delay.shape == (n_paths, n)
+    assert np.max(np.abs(delay - direct), initial=0.0) <= 1e-10
+
+
+def _add_noise_two_draws(cfg, y, has_paths, rng):
+    """Reference: real parts then imaginary parts in two draws, added out of place."""
+    ref = float(np.mean(np.abs(y) ** 2)) if has_paths else 1.0
+    sigma2 = ref / cfg.snr_linear
+    return y + math.sqrt(sigma2 / 2.0) * (
+        rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+    )
+
+
+@pytest.mark.parametrize("shape", [(8, 1024), (3, 4, 5)])
+@pytest.mark.parametrize("has_paths", [True, False])
+def test_add_noise_matches_two_draw_formula(shape, has_paths):
+    cfg = small_cfg(snr_db=7.0)
+    gen = np.random.default_rng(21)
+    y = gen.standard_normal(shape) + 1j * gen.standard_normal(shape) if has_paths \
+        else np.zeros(shape, dtype=complex)
+    want_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
+    want = _add_noise_two_draws(cfg, y.copy(), has_paths, want_rng)
+    y_in = y.copy()
+    got = _add_noise(cfg, y_in, has_paths, got_rng)
+    assert got is y_in  # noise is added in place
+    assert np.array_equal(got, want)
+    assert got_rng.random() == want_rng.random()  # same number of draws
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +459,9 @@ def test_sense_empty_scene():
     })
     scan = sense(scene, Pose(1.0, 1.0, 0.0), cfg, np.random.default_rng(0))
     assert len(scan) == 0
+    # noise alone gives no range peak, so the angle stage runs on none
+    noisy = sense(scene, Pose(1.0, 1.0, 0.0), small_cfg(snr_db=10.0), np.random.default_rng(0))
+    assert len(noisy) == 0
 
 
 def test_sense_single_target_interval_contains_truth():
@@ -451,3 +498,47 @@ def test_sense_requires_monostatic():
     scene = _one_circle_scene(9.5)
     with pytest.raises(ValueError):
         sense(scene, Pose(3.0, 3.0, 0.0), cfg, np.random.default_rng(0))
+
+
+def _sense_per_peak(scene, pose, cfg, rng, sensor):
+    """Reference for ``sense``: one angle DFT and one bin_to_angle call per range peak."""
+    gt = ground_truth_scan(scene, pose, sensor.bearings())
+    if len(gt) == 0 and cfg.snr_db is None:
+        return Scan.empty()
+    col = _equalized_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex), rng)
+    profiles = np.fft.ifft(col, axis=1)
+    range_peaks = detect_peaks(np.mean(np.abs(profiles), axis=0), sensor.range_policy)
+    r_ints, b_ints = [], []
+    for ri in sorted(range_peaks):
+        spec = angle_spectrum(profiles[:, ri], cfg.n_tx)
+        for ai in sorted(detect_peaks(spec, sensor.angle_policy)):
+            try:
+                b_ints.append(bin_to_angle(int(ai), cfg))
+            except InvisibleRegionError:
+                continue
+            r_ints.append(bin_to_range(int(ri), cfg))
+    if not r_ints:
+        return Scan.empty()
+    return Scan.from_intervals(np.array(r_ints), np.array(b_ints))
+
+
+@pytest.mark.parametrize("config", ["ci.yaml", "full_scale.yaml"])
+def test_sense_matches_per_peak_reference(config):
+    """The batched angle stage emits the reference's detections, byte for byte."""
+    exp = load_experiment(config)
+    traj = exp.scene.trajectory
+    poses = [trajectory_pose(traj, t) for t in (0.0, 7.5, 19.0, 33.0, 52.5)]
+    detections = 0
+    w = exp.waveform
+    # at d = 0.3 lambda the outer angle bins fall in the invisible region
+    for snr_db, d in ((w.snr_db, w.d), (None, w.d), (w.snr_db, 0.3 * w.wavelength)):
+        waveform = dataclasses.replace(w, snr_db=snr_db, d=d)
+        sensor = dataclasses.replace(exp, backend="ofdm", waveform=waveform).make_sensor()
+        for k, pose in enumerate(poses):
+            got = sense(exp.scene, pose, waveform, np.random.default_rng(k), sensor=sensor)
+            want = _sense_per_peak(exp.scene, pose, waveform, np.random.default_rng(k), sensor)
+            for field in ("ranges", "bearings", "range_intervals", "bearing_intervals",
+                          "points"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+            detections += len(got)
+    assert detections > 0

@@ -178,6 +178,45 @@ def test_raycast_origin_inside_target_rejected():
         _one_ray(scene, np.array([10.0, 0.0]), 0.0)
 
 
+def _contains_point_loop(scene, point):
+    """Reference for Scene.contains_point_in_target: one signed distance per target."""
+    return any(float(t.shape.signed_distance(point)[0]) < 0.0 for t in scene.targets)
+
+
+def test_contains_point_matches_per_target_loop():
+    rotated = _simple_scene(targets=[
+        {"id": 1, "kind": "rect", "center": [10.0, 0.0], "width": 3.0, "height": 1.0,
+         "rotation": 0.7},
+        {"id": 2, "kind": "rect", "center": [-8.0, 6.0], "width": 2.0, "height": 4.0,
+         "rotation": -1.1},
+        {"id": 3, "kind": "rect", "center": [12.0, 12.0], "width": 5.0, "height": 2.0,
+         "rotation": math.pi / 4},
+        {"id": 4, "kind": "circle", "center": [0.0, 10.0], "radius": 1.5},
+    ])
+    scenes = [load_scene(DEFAULT_SCENE), rotated, _simple_scene(targets=[])]
+    rng = np.random.default_rng(17)
+    for scene in scenes:
+        edges = [t.reference_points for t in scene.targets]
+        edges += [t.shape.corners() for t in scene.targets if isinstance(t.shape, Rectangle)]
+        edge = np.concatenate(edges) if edges else np.zeros((0, 2))
+        points = np.concatenate([
+            rng.uniform(scene.bounds_min, scene.bounds_max, (3000, 2)),
+            edge, edge + rng.normal(0.0, 1e-9, edge.shape),
+        ])
+        got = [scene.contains_point_in_target(p) for p in points]
+        assert got == [_contains_point_loop(scene, p) for p in points]
+        assert any(got) == bool(scene.targets)
+
+
+def test_contains_point_boundary_is_outside():
+    """sd = 0 exactly, on an axis-aligned rectangle and a circle, is not inside."""
+    scene = _simple_scene()  # rect centred (10, 0) of side 2; circle (0, 10) of radius 1
+    for p in ([11.0, 0.0], [10.0, -1.0], [9.0, 1.0], [0.0, 11.0], [1.0, 10.0]):
+        assert not scene.contains_point_in_target(np.array(p))
+    for p in ([10.999, 0.0], [0.0, 10.999]):
+        assert scene.contains_point_in_target(np.array(p))
+
+
 def test_raycast_range_and_boundary_invariants():
     scene = load_scene(DEFAULT_SCENE)
     rng = np.random.default_rng(6)
