@@ -112,9 +112,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_scene(args) -> int:
-    if args.action != "validate":
-        raise ValueError(f"unknown scene action '{args.action}'")
-    scene = load_scene(args.config)
+    scene = load_scene(harness._find_config(args.config, "scene document"))
     print(f"scene ok: {len(scene.targets)} targets, "
           f"trajectory length {scene.trajectory.total_length:.6g} m")
     return 0

@@ -8,6 +8,7 @@ sequential fold in trial-index order.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ import yaml
 
 from etslam.clustering import ClusterParams, cluster_centroids, dbscan, recovered_target_count
 from etslam.metrics import MetricParams, et_gospa, location_mse
-from etslam.ofdm import WAVEFORM_KEYS, OfdmSensor, PeakPolicy, WaveformConfig
+from etslam.ofdm import FOV, WAVEFORM_KEYS, OfdmSensor, PeakPolicy, WaveformConfig
 from etslam.parametric import ErrorModel, ParametricSensor
 from etslam.scene import Scene, as_radians, convert, load_scene, parse_section
 from etslam.slam import OdometryModel, SearchWindow, SlamConfig, run_slam
@@ -64,17 +65,13 @@ class ExperimentConfig:
             raise ValueError("ofdm backend requires a waveform section")
 
     def make_sensor(self):
+        """The backend's sensor, with its fan of ray bearings every ``bearing_step_deg``."""
         if self.backend == "ofdm":
             step = math.radians(self.bearing_step_deg)
-            fov = (math.radians(20.0), math.radians(160.0))
-            n_rays = int(round((fov[1] - fov[0]) / step)) + 1
-            policy = PeakPolicy(
-                threshold_db=self.angle_peak_threshold_db,
-                max_peaks=self.angle_max_peaks,
-            )
-            return OfdmSensor(
-                cfg=self.waveform, fov=fov, n_rays=n_rays, angle_policy=policy
-            )
+            fan = np.linspace(FOV[0], FOV[1], int(round((FOV[1] - FOV[0]) / step)) + 1)
+            policy = PeakPolicy(threshold_db=self.angle_peak_threshold_db,
+                                max_peaks=self.angle_max_peaks)
+            return OfdmSensor(self.waveform, fan, policy)
         bearings = np.radians(np.arange(0.0, 360.0, self.bearing_step_deg))
         return ParametricSensor(model=self.error_model, bearings=bearings)
 
@@ -243,16 +240,12 @@ class Report:
     trials: list[TrialRecord] = field(repr=False, default_factory=list)
 
 
-def _run_trial_args(args) -> TrialRecord:
-    return run_trial(*args)
-
-
 def run_monte_carlo(cfg: ExperimentConfig, parallel: int = 1) -> Report:
     """Independent trials aggregated by arithmetic mean per snapshot."""
     indices = list(range(cfg.trials))
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            records = list(pool.map(_run_trial_args, [(cfg, i) for i in indices]))
+            records = list(pool.map(run_trial, itertools.repeat(cfg), indices))
     else:
         records = [run_trial(cfg, i) for i in indices]
     per_et = np.stack([r.et_gospa for r in records])
@@ -278,11 +271,9 @@ def _condition_names(conditions) -> list[str]:
     return names
 
 
-def sweep_conditions(
-    cfg: ExperimentConfig, conditions=None, parallel: int = 1
-) -> list[tuple[str, Report]]:
+def sweep_conditions(cfg: ExperimentConfig, parallel: int = 1) -> list[tuple[str, Report]]:
     """One Report per condition under a shared seed for paired comparison."""
-    conditions = list(conditions if conditions is not None else cfg.sweep_conditions)
+    conditions = cfg.sweep_conditions
     if not conditions:
         raise ValueError("at least one sweep condition required")
     return [(name, run_monte_carlo(apply_condition(cfg, cond), parallel=parallel))

@@ -32,6 +32,8 @@ from etslam.scene import Pose, Scene, convert, ground_truth_scan, parse_section
 C0 = 3.0e8
 # subcarriers per block of the factored delay phase in _path_phases
 DELAY_BLOCK = 128
+# sensor-frame bearings (rad) the array resolves unambiguously, away from endfire
+FOV = (math.radians(20.0), math.radians(160.0))
 
 
 class InvisibleRegionError(ValueError):
@@ -61,14 +63,23 @@ class WaveformConfig:
     def __post_init__(self):
         if min(self.n_symbols, self.n_subcarriers, self.n_tx, self.n_rx) < 1:
             raise ValueError("N, M, N_t, N_r must all be >= 1")
-        if abs(self.t_sym - (self.tp + self.tc)) > 1e-9:
+        if self.n_tx != self.n_rx:
+            raise ValueError("waveform n_tx must equal n_rx (monostatic array)")
+        for name in ("fc", "delta_f"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"waveform {name} must be finite and > 0")
+        if not 0.0 <= self.tc < math.inf:
+            raise ValueError("waveform tc must be finite and >= 0")
+        if self.snr_db is not None and not math.isfinite(self.snr_db):
+            raise ValueError("waveform snr_db must be finite (or null for no noise)")
+        if not abs(self.t_sym - (self.tp + self.tc)) <= 1e-9:
             raise ValueError("t_sym must equal tp + tc (within 1e-9 s)")
-        if abs(self.tp * self.delta_f - 1.0) > 1e-6:
+        if not abs(self.tp * self.delta_f - 1.0) <= 1e-6:
             raise ValueError("tp * delta_f must equal 1 (within 1e-6)")
         if self.d is None:
             object.__setattr__(self, "d", self.wavelength / 2.0)
-        if not self.d > 0:
-            raise ValueError("antenna spacing d must be > 0")
+        if not 0.0 < self.d < math.inf:
+            raise ValueError("waveform d must be finite and > 0")
 
     @property
     def wavelength(self) -> float:
@@ -107,7 +118,7 @@ class WaveformConfig:
         if "d_over_lambda" in derived:
             cfg = replace(cfg, d=derived["d_over_lambda"] * cfg.wavelength)
         b = derived.get("bandwidth")
-        if b is not None and abs(b - cfg.bandwidth) > 0.01 * cfg.bandwidth:
+        if b is not None and not abs(b - cfg.bandwidth) <= 0.01 * cfg.bandwidth:
             raise ValueError(
                 f"configured bandwidth B={b:g} inconsistent with N*delta_f={cfg.bandwidth:g}"
             )
@@ -282,6 +293,10 @@ class PeakPolicy:
     max_peaks: Optional[int] = None
 
 
+# range-peak picking on the rx-averaged range profile
+RANGE_POLICY = PeakPolicy(threshold_db=12.0, max_peaks=64)
+
+
 def detect_peaks(magnitudes: np.ndarray, policy: PeakPolicy = PeakPolicy()) -> np.ndarray:
     """Local maxima above median * 10^(threshold_db/20), sorted by magnitude."""
     mag = np.asarray(magnitudes, dtype=float)
@@ -308,28 +323,23 @@ def detect_peaks(magnitudes: np.ndarray, policy: PeakPolicy = PeakPolicy()) -> n
 
 @dataclass(frozen=True)
 class OfdmSensor:
-    """5G-signal sensing backend.
+    """5G-signal sensing backend: a waveform, a fan of ray bearings, an angle-peak policy.
 
     The uniform linear array lies along the direction of travel, so the
     cone angle measured from the array axis coincides with the sensor-frame
-    bearing; the unambiguous band away from endfire restricts the field of
-    view to bearings in (20 deg, 160 deg).  Casts ground-truth rays across
-    that field of view, synthesizes the equalized response analytically
-    (one symbol column suffices for static paths), and emits one Detection
-    per (range peak, angle peak) pair.
+    bearing; the unambiguous band away from endfire restricts the fan to
+    ``FOV``.  ``ExperimentConfig.make_sensor`` builds the fan.  Calling the
+    sensor runs ``sense``: ground-truth rays along the fan, the equalized
+    response synthesized analytically (one symbol column suffices for static
+    paths), and one Detection per (range peak, angle peak) pair.
     """
 
     cfg: WaveformConfig
-    fov: tuple[float, float] = (math.radians(20.0), math.radians(160.0))
-    n_rays: int = 71
-    range_policy: PeakPolicy = PeakPolicy(threshold_db=12.0, max_peaks=64)
-    angle_policy: PeakPolicy = PeakPolicy(threshold_db=6.0, max_peaks=4)
-
-    def bearings(self) -> np.ndarray:
-        return np.linspace(self.fov[0], self.fov[1], self.n_rays)
+    bearings: np.ndarray
+    angle_policy: PeakPolicy
 
     def __call__(self, scene: Scene, pose: Pose, rng: np.random.Generator) -> Scan:
-        return sense(scene, pose, self.cfg, rng, sensor=self)
+        return sense(scene, pose, self, rng)
 
 
 def _equalized_column(
@@ -360,25 +370,15 @@ def _angle_intervals(cfg: WaveformConfig) -> list[Optional[tuple[float, float]]]
     return table
 
 
-def sense(
-    scene: Scene,
-    pose: Pose,
-    cfg: WaveformConfig,
-    rng: np.random.Generator,
-    sensor: Optional[OfdmSensor] = None,
-) -> Scan:
+def sense(scene: Scene, pose: Pose, sensor: OfdmSensor, rng: np.random.Generator) -> Scan:
     """Full OFDM sensing pipeline producing a sensor-frame Scan."""
-    sensor = sensor or OfdmSensor(cfg=cfg)
-    if cfg.n_tx != cfg.n_rx:
-        raise ValueError("monostatic processing assumes n_tx == n_rx")
-    gt = ground_truth_scan(scene, pose, sensor.bearings())
-    if len(gt) == 0 and cfg.snr_db is None:
-        return Scan.empty()
+    cfg = sensor.cfg
+    gt = ground_truth_scan(scene, pose, sensor.bearings)
     _check_windows(cfg, gt.ranges, np.zeros(len(gt)))
     col = _equalized_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex), rng)
     profiles = np.fft.ifft(col, axis=1)  # (n_rx, N)
     mean_mag = np.mean(np.abs(profiles), axis=0)
-    range_peaks = np.sort(detect_peaks(mean_mag, sensor.range_policy))
+    range_peaks = np.sort(detect_peaks(mean_mag, RANGE_POLICY))
     # angle spectrum of every range peak at once: DFT over the rx axis
     specs = np.abs(np.fft.fft(profiles[:, range_peaks], axis=0))
     angle_bins = _angle_intervals(cfg)
@@ -388,6 +388,4 @@ def sense(
             if angle_bins[ai] is not None:
                 r_ints.append(bin_to_range(int(ri), cfg))
                 b_ints.append(angle_bins[ai])
-    if not r_ints:
-        return Scan.empty()
     return Scan.from_intervals(np.array(r_ints), np.array(b_ints))

@@ -7,7 +7,7 @@ in degrees in config files and stored in radians here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,6 @@ def sense_parametric(
 ) -> Scan:
     """One noisy Detection per ground-truth hit; no misses, no clutter."""
     gt = ground_truth_scan(scene, pose, bearings)
-    if len(gt) == 0:
-        return Scan.empty()
     r = gt.ranges + model.delta_r * rng.standard_normal(len(gt))
     b = gt.bearings + model.delta_theta * rng.standard_normal(len(gt))
     return Scan.from_polar(np.maximum(r, 0.0), b)
@@ -46,9 +44,7 @@ class ParametricSensor:
     """Callable backend with a fixed bearing fan, matching the OFDM interface."""
 
     model: ErrorModel
-    bearings: np.ndarray = field(
-        default_factory=lambda: np.radians(np.arange(0.0, 360.0, 2.0))
-    )
+    bearings: np.ndarray
 
     def __call__(self, scene: Scene, pose: Pose, rng: np.random.Generator) -> Scan:
         return sense_parametric(scene, pose, self.bearings, self.model, rng)

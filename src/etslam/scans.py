@@ -21,15 +21,11 @@ class Scan:
     bearings: np.ndarray
     range_intervals: np.ndarray
     bearing_intervals: np.ndarray
-    points: np.ndarray = field(default=None)
+    points: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.points is None:
-            pts = np.stack(
-                [self.ranges * np.cos(self.bearings), self.ranges * np.sin(self.bearings)],
-                axis=-1,
-            ) if len(self.ranges) else np.zeros((0, 2))
-            object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", np.stack(
+            [self.ranges * np.cos(self.bearings), self.ranges * np.sin(self.bearings)], axis=-1))
 
     def __len__(self) -> int:
         return len(self.ranges)

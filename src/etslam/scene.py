@@ -33,6 +33,12 @@ def wrap_angle(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
+def rotation(theta: float) -> np.ndarray:
+    """The 2x2 matrix that rotates a column vector counterclockwise by ``theta``."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
 @dataclass(frozen=True)
 class Pose:
     """2D pose; heading is normalized to [-pi, pi) on construction."""
@@ -67,9 +73,7 @@ class Rectangle:
     def corners(self) -> np.ndarray:
         hw, hh = self.width / 2.0, self.height / 2.0
         local = np.array([[hw, hh], [-hw, hh], [-hw, -hh], [hw, -hh]])
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        rot = np.array([[c, -s], [s, c]])
-        return local @ rot.T + np.asarray(self.center)
+        return local @ rotation(self.rotation).T + np.asarray(self.center)
 
     def segments(self) -> np.ndarray:
         """Boundary as an array of shape (4, 2, 2): (segment, endpoint, xy)."""
@@ -132,9 +136,7 @@ def reference_points(shape: Shape, k: int) -> np.ndarray:
     hw, hh = shape.width / 2.0, shape.height / 2.0
     mids = np.array([[hw, 0.0], [-hw, 0.0], [0.0, hh], [0.0, -hh]])
     local = mids[np.arange(k) % 4]
-    c, s = math.cos(shape.rotation), math.sin(shape.rotation)
-    rot = np.array([[c, -s], [s, c]])
-    return local @ rot.T + np.asarray(shape.center)
+    return local @ rotation(shape.rotation).T + np.asarray(shape.center)
 
 
 @dataclass(frozen=True)
@@ -317,45 +319,35 @@ class Scene:
 def _cast_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, eps: float = 1e-9):
     """Distance to the nearest boundary per unit direction, inf when no hit.
 
-    Returns (ranges, target_ids); used by ``ground_truth_scan`` and by the
-    trajectory check in scene validation.
+    Returns (ranges, target_ids), target id -1 for a miss; used by
+    ``ground_truth_scan`` and by the trajectory check in scene validation.
+    One argmin over [miss, segments, circles] picks the hit, so on a tie
+    the first column wins: a segment over a circle.
     """
-    nb = dirs.shape[0]
-    best_t = np.full(nb, np.inf)
-    best_tid = np.full(nb, -1, dtype=int)
-    if len(scene._seg_a):
-        a, b = scene._seg_a, scene._seg_b
-        d = b - a
-        ao = a - origin  # (S, 2)
-        denom = dirs[:, 0:1] * d[None, :, 1] - dirs[:, 1:2] * d[None, :, 0]  # (B, S)
-        num_t = ao[:, 0] * d[:, 1] - ao[:, 1] * d[:, 0]  # (S,)
-        num_s = ao[None, :, 0] * dirs[:, 1:2] - ao[None, :, 1] * dirs[:, 0:1]  # (B, S)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = num_t[None, :] / denom
-            s = num_s / denom
-        valid = (np.abs(denom) > 1e-15) & (t > eps) & (s >= 0.0) & (s <= 1.0)
-        t = np.where(valid, t, np.inf)
-        idx = np.argmin(t, axis=1)
-        tmin = t[np.arange(nb), idx]
-        upd = tmin < best_t
-        best_t[upd] = tmin[upd]
-        best_tid[upd] = scene._seg_tid[idx[upd]]
-    if len(scene._circ_c):
-        oc = scene._circ_c - origin  # (C, 2)
-        proj = dirs @ oc.T  # (B, C)
-        d2 = np.sum(oc**2, axis=1)[None, :] - proj**2
-        disc = scene._circ_r[None, :] ** 2 - d2
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        t1 = proj - sq
-        t2 = proj + sq
-        t = np.where(t1 > eps, t1, np.where(t2 > eps, t2, np.inf))
-        t = np.where(disc >= 0.0, t, np.inf)
-        idx = np.argmin(t, axis=1)
-        tmin = t[np.arange(nb), idx]
-        upd = tmin < best_t
-        best_t[upd] = tmin[upd]
-        best_tid[upd] = scene._circ_tid[idx[upd]]
-    return best_t, best_tid
+    a, b = scene._seg_a, scene._seg_b
+    d = b - a
+    ao = a - origin  # (S, 2)
+    denom = dirs[:, 0:1] * d[None, :, 1] - dirs[:, 1:2] * d[None, :, 0]  # (B, S)
+    num_t = ao[:, 0] * d[:, 1] - ao[:, 1] * d[:, 0]  # (S,)
+    num_s = ao[None, :, 0] * dirs[:, 1:2] - ao[None, :, 1] * dirs[:, 0:1]  # (B, S)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = num_t[None, :] / denom
+        s = num_s / denom
+    valid = (np.abs(denom) > 1e-15) & (t > eps) & (s >= 0.0) & (s <= 1.0)
+    seg_t = np.where(valid, t, np.inf)
+    oc = scene._circ_c - origin  # (C, 2)
+    proj = dirs @ oc.T  # (B, C)
+    d2 = np.sum(oc**2, axis=1)[None, :] - proj**2
+    disc = scene._circ_r[None, :] ** 2 - d2
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    t1 = proj - sq
+    t2 = proj + sq
+    circ_t = np.where(t1 > eps, t1, np.where(t2 > eps, t2, np.inf))
+    circ_t = np.where(disc >= 0.0, circ_t, np.inf)
+    t = np.hstack([np.full((len(dirs), 1), np.inf), seg_t, circ_t])
+    tid = np.concatenate([[-1], scene._seg_tid, scene._circ_tid])
+    idx = np.argmin(t, axis=1)
+    return t[np.arange(len(dirs)), idx], tid[idx]
 
 
 def ground_truth_scan(

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from etslam.scans import Scan
-from etslam.scene import Pose, Scene, trajectory_pose, wrap_angle
+from etslam.scene import Pose, Scene, rotation, trajectory_pose, wrap_angle
 
 LOG_ODDS_CLAMP = 10.0
 
@@ -66,15 +66,8 @@ class OccupancyGrid:
         return int(np.count_nonzero(self.log_odds > 0.0))
 
 
-def rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def scan_to_points(scan: Scan, pose: Pose) -> np.ndarray:
     """Sensor-frame detection midpoints transformed to the world frame."""
-    if len(scan) == 0:
-        return np.zeros((0, 2))
     return scan.points @ rotation(pose.heading).T + pose.position
 
 

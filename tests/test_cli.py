@@ -49,7 +49,14 @@ def test_scene_validate_missing_path_named(tmp_path, capsys):
     missing = tmp_path / "typo.yaml"
     assert main(["scene", "validate", "--config", str(missing)]) == 2
     err = capsys.readouterr().err
-    assert "No such file or directory" in err and str(missing) in err
+    assert f"scene document '{missing}' not found" in err and str(missing) in err
+
+
+def test_scene_validate_packaged_name_from_any_directory(tmp_path, monkeypatch, capsys):
+    """A bare packaged filename resolves from a directory that lacks the file."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["scene", "validate", "--config", "default_scene.yaml"]) == 0
+    assert "scene ok: 10 targets" in capsys.readouterr().out
 
 
 def test_metric_et_gospa_worked_example(tmp_path, capsys):

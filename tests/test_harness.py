@@ -211,6 +211,16 @@ def test_condition_rejects_other_sensor_keys(key, value):
      "trajectory step_interval must be finite and > 0"),
     (("scene", "trajectory"), "waypoints", [[0.0, 0.0], [float("nan"), 0.0]],
      "trajectory waypoints must be finite"),
+    (("waveform",), "fc", 0.0, "waveform fc must be finite and > 0"),
+    (("waveform",), "fc", -28.0e9, "waveform fc must be finite and > 0"),
+    (("waveform",), "delta_f", float("nan"), "waveform delta_f must be finite and > 0"),
+    (("waveform",), "snr_db", float("nan"), "waveform snr_db must be finite"),
+    (("waveform",), "d_over_lambda", float("inf"), "waveform d must be finite and > 0"),
+    (("waveform",), "Tc", -2.08e-7, "waveform tc must be finite and >= 0"),
+    (("waveform",), "Nr", 16, "waveform n_tx must equal n_rx"),
+    (("waveform",), "T", float("nan"), "t_sym must equal tp + tc"),
+    (("waveform",), "B", float("nan"), "configured bandwidth B=nan inconsistent"),
+    (("sweep", "conditions", 0), "snr_db", float("nan"), "waveform snr_db must be finite"),
 ])
 def test_out_of_range_value_rejected_at_load(path, key, value, message):
     """Each of these used to load, then crash mid-run or be read as another value."""

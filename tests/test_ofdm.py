@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from etslam.harness import load_experiment
+from etslam import ofdm
+from etslam.harness import ExperimentConfig, load_experiment
 from etslam.ofdm import (
     C0,
+    FOV,
     EchoPath,
     InvisibleRegionError,
     OfdmSensor,
@@ -449,6 +451,11 @@ def _one_circle_scene(range_to_face: float):
     })
 
 
+def _sensor(scene, cfg):
+    """The default experiment's OFDM sensor on waveform ``cfg``."""
+    return ExperimentConfig(scene=scene, backend="ofdm", waveform=cfg).make_sensor()
+
+
 def test_sense_empty_scene():
     cfg = small_cfg()
     scene = load_scene({
@@ -457,10 +464,11 @@ def test_sense_empty_scene():
         "trajectory": {"waypoints": [[1.0, 1.0], [2.0, 1.0]],
                        "speed": 1.0, "step_interval": 0.5},
     })
-    scan = sense(scene, Pose(1.0, 1.0, 0.0), cfg, np.random.default_rng(0))
+    scan = sense(scene, Pose(1.0, 1.0, 0.0), _sensor(scene, cfg), np.random.default_rng(0))
     assert len(scan) == 0
     # noise alone gives no range peak, so the angle stage runs on none
-    noisy = sense(scene, Pose(1.0, 1.0, 0.0), small_cfg(snr_db=10.0), np.random.default_rng(0))
+    noisy = sense(scene, Pose(1.0, 1.0, 0.0), _sensor(scene, small_cfg(snr_db=10.0)),
+                  np.random.default_rng(0))
     assert len(noisy) == 0
 
 
@@ -468,7 +476,7 @@ def test_sense_single_target_interval_contains_truth():
     cfg = small_cfg(snr_db=30.0)
     r_true = 8.25 * cfg.range_bin_width  # lower half of bin 8, ~10.07 m
     scene = _one_circle_scene(r_true)
-    scan = sense(scene, Pose(3.0, 3.0, 0.0), cfg, np.random.default_rng(12))
+    scan = sense(scene, Pose(3.0, 3.0, 0.0), _sensor(scene, cfg), np.random.default_rng(12))
     assert len(scan) >= 1
     hits = [
         k for k in range(len(scan))
@@ -481,33 +489,43 @@ def test_sense_single_target_interval_contains_truth():
 def test_sense_deterministic():
     cfg = small_cfg(snr_db=10.0)
     scene = _one_circle_scene(9.5)
-    s1 = sense(scene, Pose(3.0, 3.0, 0.0), cfg, np.random.default_rng(7))
-    s2 = sense(scene, Pose(3.0, 3.0, 0.0), cfg, np.random.default_rng(7))
+    s1 = sense(scene, Pose(3.0, 3.0, 0.0), _sensor(scene, cfg), np.random.default_rng(7))
+    s2 = sense(scene, Pose(3.0, 3.0, 0.0), _sensor(scene, cfg), np.random.default_rng(7))
     assert np.array_equal(s1.points, s2.points)
 
 
 def test_sensor_fov_excludes_endfire():
-    sensor = OfdmSensor(cfg=small_cfg())
-    b = sensor.bearings()
+    sensor = _sensor(_one_circle_scene(9.5), small_cfg())
+    assert isinstance(sensor, OfdmSensor)
+    b = sensor.bearings
+    assert FOV == (math.radians(20.0), math.radians(160.0))
     assert b.min() >= math.radians(20.0) - 1e-9
     assert b.max() <= math.radians(160.0) + 1e-9
+    assert len(b) == 71
+    assert np.allclose(np.diff(b), math.radians(2.0))
+    assert b.tobytes() == np.linspace(math.radians(20.0), math.radians(160.0), 71).tobytes()
 
 
 def test_sense_requires_monostatic():
-    cfg = small_cfg(Nr=4)
-    scene = _one_circle_scene(9.5)
-    with pytest.raises(ValueError):
-        sense(scene, Pose(3.0, 3.0, 0.0), cfg, np.random.default_rng(0))
+    """A bistatic array is rejected when the waveform loads, before any sensing."""
+    with pytest.raises(ValueError, match="^waveform n_tx must equal n_rx"):
+        small_cfg(Nr=4)
+
+
+def test_negative_guard_interval_rejected_with_matching_symbol_time():
+    """Tc < 0 with T = Tp + Tc passes the symbol-time check, so it needs its own."""
+    with pytest.raises(ValueError, match="^waveform tc must be finite and >= 0"):
+        small_cfg(Tc=-1e-7, T=TABLE["Tp"] - 1e-7)
 
 
 def _sense_per_peak(scene, pose, cfg, rng, sensor):
     """Reference for ``sense``: one angle DFT and one bin_to_angle call per range peak."""
-    gt = ground_truth_scan(scene, pose, sensor.bearings())
+    gt = ground_truth_scan(scene, pose, sensor.bearings)
     if len(gt) == 0 and cfg.snr_db is None:
         return Scan.empty()
     col = _equalized_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex), rng)
     profiles = np.fft.ifft(col, axis=1)
-    range_peaks = detect_peaks(np.mean(np.abs(profiles), axis=0), sensor.range_policy)
+    range_peaks = detect_peaks(np.mean(np.abs(profiles), axis=0), ofdm.RANGE_POLICY)
     r_ints, b_ints = [], []
     for ri in sorted(range_peaks):
         spec = angle_spectrum(profiles[:, ri], cfg.n_tx)
@@ -535,7 +553,7 @@ def test_sense_matches_per_peak_reference(config):
         waveform = dataclasses.replace(w, snr_db=snr_db, d=d)
         sensor = dataclasses.replace(exp, backend="ofdm", waveform=waveform).make_sensor()
         for k, pose in enumerate(poses):
-            got = sense(exp.scene, pose, waveform, np.random.default_rng(k), sensor=sensor)
+            got = sense(exp.scene, pose, sensor, np.random.default_rng(k))
             want = _sense_per_peak(exp.scene, pose, waveform, np.random.default_rng(k), sensor)
             for field in ("ranges", "bearings", "range_intervals", "bearing_intervals",
                           "points"):

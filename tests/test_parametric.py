@@ -105,14 +105,21 @@ def test_empty_scene_empty_scan():
         "trajectory": {"waypoints": [[1.0, 1.0], [2.0, 1.0]],
                        "speed": 1.0, "step_interval": 0.5},
     })
-    scan = sense_parametric(scene, Pose(1.0, 1.0, 0.0), BEARINGS,
-                            ErrorModel(), np.random.default_rng(0))
-    assert len(scan) == 0
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    scan = sense_parametric(scene, Pose(1.0, 1.0, 0.0), BEARINGS, ErrorModel(), rng)
+    assert len(scan) == 0 and scan.points.shape == (0, 2)
+    # no hits, no draws: the next scan's noise does not depend on this one
+    assert rng.bit_generator.state == before
 
 
 def test_sensor_callable_default_fan():
-    sensor = ParametricSensor(model=ErrorModel())
-    assert len(sensor.bearings) == 180
+    sensor = ParametricSensor(model=ErrorModel(), bearings=BEARINGS)
+    # the default experiment's parametric fan: 180 bearings, 2 deg apart
+    fan = load_experiment({"scene": SCENE_DOC}).make_sensor()
+    assert isinstance(fan, ParametricSensor)
+    assert len(fan.bearings) == 180
+    assert fan.bearings.tobytes() == BEARINGS.tobytes()
     scan = sensor(_scene(), POSE, np.random.default_rng(0))
     gt = ground_truth_scan(_scene(), POSE, BEARINGS)
     assert len(scan) == len(gt)

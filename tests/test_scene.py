@@ -5,6 +5,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 
 from etslam.scene import (
     Circle,
@@ -14,6 +15,7 @@ from etslam.scene import (
     Scene,
     SceneValidationError,
     Trajectory,
+    _cast_rays,
     ground_truth_scan,
     load_scene,
     reference_points,
@@ -250,6 +252,89 @@ def test_raycast_nearest_hit_bruteforce():
         samples = pose.position + ts[:, None] * u
         for tgt in scene.targets:
             assert np.all(tgt.shape.signed_distance(samples) > -1e-9)
+
+
+def _cast_rays_two_blocks(scene, origin, dirs, eps=1e-9):
+    """Reference for ``_cast_rays``: nearest segment hit, then a strictly nearer circle hit."""
+    nb = dirs.shape[0]
+    best_t = np.full(nb, np.inf)
+    best_tid = np.full(nb, -1, dtype=int)
+    if len(scene._seg_a):
+        a, b = scene._seg_a, scene._seg_b
+        d = b - a
+        ao = a - origin
+        denom = dirs[:, 0:1] * d[None, :, 1] - dirs[:, 1:2] * d[None, :, 0]
+        num_t = ao[:, 0] * d[:, 1] - ao[:, 1] * d[:, 0]
+        num_s = ao[None, :, 0] * dirs[:, 1:2] - ao[None, :, 1] * dirs[:, 0:1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = num_t[None, :] / denom
+            s = num_s / denom
+        valid = (np.abs(denom) > 1e-15) & (t > eps) & (s >= 0.0) & (s <= 1.0)
+        t = np.where(valid, t, np.inf)
+        idx = np.argmin(t, axis=1)
+        tmin = t[np.arange(nb), idx]
+        upd = tmin < best_t
+        best_t[upd] = tmin[upd]
+        best_tid[upd] = scene._seg_tid[idx[upd]]
+    if len(scene._circ_c):
+        oc = scene._circ_c - origin
+        proj = dirs @ oc.T
+        d2 = np.sum(oc**2, axis=1)[None, :] - proj**2
+        disc = scene._circ_r[None, :] ** 2 - d2
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        t1 = proj - sq
+        t2 = proj + sq
+        t = np.where(t1 > eps, t1, np.where(t2 > eps, t2, np.inf))
+        t = np.where(disc >= 0.0, t, np.inf)
+        idx = np.argmin(t, axis=1)
+        tmin = t[np.arange(nb), idx]
+        upd = tmin < best_t
+        best_t[upd] = tmin[upd]
+        best_tid[upd] = scene._circ_tid[idx[upd]]
+    return best_t, best_tid
+
+
+def _default_scene_with(kinds):
+    """The default scene keeping only the targets of the given kinds."""
+    with open(DEFAULT_SCENE) as f:
+        doc = yaml.safe_load(f)
+    doc["targets"] = [t for t in doc["targets"] if t["kind"] in kinds]
+    return load_scene(doc)
+
+
+def test_cast_rays_matches_two_block_reference():
+    """One argmin over [miss, segments, circles] gives the two-block reduction's bytes."""
+    scenes = [_default_scene_with(kinds) for kinds in (("rect", "circle"), ("rect",),
+                                                       ("circle",), ())]
+    assert [len(s._seg_a) > 0 for s in scenes] == [True, True, False, False]
+    assert [len(s._circ_c) > 0 for s in scenes] == [True, False, True, False]
+    rng = np.random.default_rng(29)
+    for scene in scenes:
+        hits = 0
+        poses = [trajectory_pose(scene.trajectory, t).position for t in (0.0, 11.0, 37.5)]
+        origins = poses + list(rng.uniform(scene.bounds_min, scene.bounds_max, (40, 2)))
+        for origin in origins:
+            angles = np.concatenate([np.radians(np.arange(0.0, 360.0, 2.0)),
+                                     rng.uniform(-math.pi, math.pi, 100)])
+            dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+            t, tid = _cast_rays(scene, origin, dirs)
+            want_t, want_tid = _cast_rays_two_blocks(scene, origin, dirs)
+            assert t.tobytes() == want_t.tobytes()
+            assert tid.dtype == want_tid.dtype and tid.tobytes() == want_tid.tobytes()
+            hits += int(np.isfinite(t).sum())
+        assert (hits > 0) == bool(scene.targets)
+
+
+def test_cast_rays_tie_goes_to_rectangle():
+    """A ray meeting a rectangle edge and a circle at the same distance reports the rectangle."""
+    scene = _simple_scene(targets=[
+        {"id": 4, "kind": "circle", "center": [6.0, 0.0], "radius": 1.0},
+        {"id": 9, "kind": "rect", "center": [6.0, 0.0], "width": 2.0, "height": 2.0},
+    ], waypoints=[[0.0, -5.0], [0.0, 5.0]])
+    t, tid = _cast_rays(scene, np.array([0.0, 0.0]), np.array([[1.0, 0.0]]))
+    assert t[0] == 5.0 and tid[0] == 9
+    hit = _one_ray(scene, np.array([0.0, 0.0]), 0.0)
+    assert hit.ranges[0] == 5.0 and hit.target_ids[0] == 9
 
 
 def test_ground_truth_scan_matches_single_raycast():
