@@ -55,6 +55,10 @@ class ExperimentConfig:
         for name in ("duration", "snapshot_cadence", "bearing_step_deg"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
+        if not math.isfinite(self.angle_peak_threshold_db):
+            raise ValueError("angle_peak_threshold_db must be finite")
+        if self.angle_max_peaks < 1:
+            raise ValueError("angle_max_peaks must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.estimate_cap < 0:

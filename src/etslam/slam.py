@@ -2,13 +2,15 @@
 
 Localization uses correlative scan matching over a discrete (dx, dy, dtheta)
 window around the dead-reckoned prior; the map is a clamped log-odds grid
-plus the accumulated world-frame point cloud.  ``OccupancyGrid.index_of`` is
-the one point-to-cell rule: the matcher reads log-odds and the inverse
-sensor model writes them through it, and both ignore points outside the grid.
+plus the accumulated world-frame point cloud.  ``OccupancyGrid.index_of``
+(``cell_of``, then ``index_of_cells``) is the one point-to-cell rule: the
+matcher reads log-odds and the inverse sensor model writes them through it,
+and both ignore points outside the grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -57,7 +59,10 @@ class OccupancyGrid:
         Out-of-grid points get index 0; callers mask them with the second array.
         """
         cells = self.cell_of(points)
-        cx, cy = cells[..., 0], cells[..., 1]
+        return self.index_of_cells(cells[..., 0], cells[..., 1])
+
+    def index_of_cells(self, cx: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``index_of`` for cell coordinates; ``cx`` and ``cy`` broadcast together."""
         nx, ny = self.shape
         ok = (cx >= 0) & (cx < nx) & (cy >= 0) & (cy < ny)
         return np.where(ok, cx * ny + cy, 0), ok
@@ -94,6 +99,18 @@ class SearchWindow:
         return dxy, dth
 
 
+@functools.cache
+def _candidates(window: SearchWindow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets and (dtheta, dx, dy) candidate order: magnitude, then (dx, dy, dtheta)."""
+    dxy, dth = window.offsets()
+    th_g, dx_g, dy_g = np.meshgrid(dth, dxy, dxy, indexing="ij")
+    mag = dx_g**2 + dy_g**2 + th_g**2
+    order = np.lexsort((th_g.ravel(), dy_g.ravel(), dx_g.ravel(), mag.ravel()))
+    for arr in (dxy, dth, order):
+        arr.flags.writeable = False  # shared by every call with this window
+    return dxy, dth, order
+
+
 @dataclass(frozen=True)
 class MatchResult:
     pose: Pose
@@ -114,23 +131,15 @@ def match_scan(
     """
     if len(scan) == 0 or grid.occupied_count() == 0:
         return MatchResult(prior, 0.0, False)
-    dxy, dth = window.offsets()
-    pts = scan.points
-    flat = grid.log_odds.ravel()
-    n_xy = len(dxy)
-    scores = np.empty((len(dth), n_xy, n_xy))
-    shifts = np.stack(np.meshgrid(dxy, dxy, indexing="ij"), axis=-1).reshape(-1, 2)
-    for a, dt in enumerate(dth):
-        world = pts @ rotation(prior.heading + dt).T + prior.position  # (P, 2)
-        lin, ok = grid.index_of(world[None, :, :] + shifts[:, None, :])  # (K, P)
-        vals = np.where(ok, flat[lin], 0.0)
-        scores[a] = vals.sum(axis=1).reshape(n_xy, n_xy)
-    # candidate preference order: magnitude, then (dx, dy, dtheta)
-    th_g, dx_g, dy_g = np.meshgrid(dth, dxy, dxy, indexing="ij")
-    mag = dx_g**2 + dy_g**2 + th_g**2
-    flat_scores = scores.ravel()
-    order = np.lexsort((th_g.ravel(), dy_g.ravel(), dx_g.ravel(), mag.ravel()))
-    best = order[np.argmax(flat_scores[order])]
+    dxy, dth, order = _candidates(window)
+    world = np.stack([scan.points @ rotation(prior.heading + dt).T + prior.position
+                      for dt in dth])  # (A, P, 2)
+    # a shift (dx, dy) moves x cells by dx alone and y cells by dy alone, so
+    # one cell_of per shift value gives every candidate's cells: (A, n, P, 2)
+    cells = grid.cell_of(world[:, None] + dxy[None, :, None, None])
+    lin, ok = grid.index_of_cells(cells[:, :, None, :, 0], cells[:, None, :, :, 1])
+    scores = np.where(ok, grid.log_odds.ravel()[lin], 0.0).sum(axis=-1)  # (A, n, n)
+    best = order[np.argmax(scores.ravel()[order])]
     a, i, j = np.unravel_index(best, scores.shape)
     corrected = Pose(
         prior.x + dxy[i], prior.y + dxy[j], prior.heading + dth[a]
@@ -158,21 +167,25 @@ def update_grid(grid: OccupancyGrid, pose: Pose, scan: Scan) -> OccupancyGrid:
     # sample j of a ray with k samples sits at fraction j / k along it
     first = np.repeat(np.cumsum(counts) - counts, counts)  # flat index of each ray's sample 0
     fracs = (np.arange(len(ray_idx)) - first) / counts[ray_idx]
-    idx, ok = grid.index_of(start + fracs[:, None] * (ends[ray_idx] - start))
+    # samples as (2, N) coordinate rows, which keeps numpy's inner loops N long
+    idx, ok = grid.index_of((start[:, None] + fracs * np.take((ends - start).T, ray_idx, axis=1)).T)
     flat = grid.log_odds.reshape(-1)
     # drop samples landing in any endpoint cell of this scan: grazing rays
     # must not erode cells another ray just observed as occupied
     is_end = np.zeros(flat.size, dtype=bool)
     is_end[end_idx] = True
     keep = ok & ~is_end[idx]
-    # dedupe (ray, cell) so each ray decrements a crossed cell once
-    key = np.sort(ray_idx[keep] * flat.size + idx[keep])
-    free_idx = key[np.diff(key, prepend=-1) != 0] % flat.size
+    # each ray decrements a crossed cell once: a ray's samples are monotone in
+    # x and in y, so its samples in one cell are consecutive
+    ray_idx, idx = ray_idx[keep], idx[keep]
+    free_idx = idx[(np.diff(ray_idx, prepend=-1) != 0) | (np.diff(idx, prepend=-1) != 0)]
     # hit protection: grazing traversal samples quantize into wall cells;
     # never erode a cell already observed as occupied
     np.add.at(flat, free_idx[flat[free_idx] <= 0.0], -grid.l_free)
     np.add.at(flat, end_idx, grid.l_occ)
-    np.clip(grid.log_odds, -LOG_ODDS_CLAMP, LOG_ODDS_CLAMP, out=grid.log_odds)
+    # cells no update touched are already inside the clamp
+    touched = np.concatenate([free_idx, end_idx])
+    flat[touched] = np.clip(flat[touched], -LOG_ODDS_CLAMP, LOG_ODDS_CLAMP)
     return grid
 
 

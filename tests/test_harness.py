@@ -221,6 +221,9 @@ def test_condition_rejects_other_sensor_keys(key, value):
     (("waveform",), "T", float("nan"), "t_sym must equal tp + tc"),
     (("waveform",), "B", float("nan"), "configured bandwidth B=nan inconsistent"),
     (("sweep", "conditions", 0), "snr_db", float("nan"), "waveform snr_db must be finite"),
+    (("sensor",), "angle_peak_threshold_db", float("nan"), "angle_peak_threshold_db must be finite"),
+    (("sensor",), "angle_max_peaks", 0, "angle_max_peaks must be >= 1"),
+    (("sensor",), "angle_max_peaks", -3, "angle_max_peaks must be >= 1"),
 ])
 def test_out_of_range_value_rejected_at_load(path, key, value, message):
     """Each of these used to load, then crash mid-run or be read as another value."""

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from etslam.harness import load_experiment
 from etslam.parametric import ErrorModel, ParametricSensor
 from etslam.scans import Scan
-from etslam.scene import Pose, load_scene, trajectory_pose
+from etslam.scene import Pose, load_scene, rotation, trajectory_pose, wrap_angle
 from etslam.slam import (
     LOG_ODDS_CLAMP,
     MatchResult,
@@ -197,11 +198,43 @@ def test_update_grid_matches_2d_unique_reference():
     # one ray of 1200 samples, far past the grid, among 80 short ones
     ranges = np.concatenate([[60.0], rng.uniform(0.0, 0.4, 80)])
     scans.append((Pose(-2.0, 1.0, 0.2), Scan.from_polar(ranges, rng.uniform(-3.0, 3.0, 81))))
+    # rays that start off the grid, some crossing it, some never entering it
+    scans.append((Pose(-6.0, 1.0, 0.0), Scan.from_polar(rng.uniform(0.5, 12.0, 40),
+                                                        rng.uniform(-math.pi, math.pi, 40))))
+    # rays shorter than one step (0.05 m): one or two samples each
+    scans.append((Pose(0.31, -1.72, 0.4), Scan.from_polar(rng.uniform(0.0, 0.06, 30),
+                                                          rng.uniform(-math.pi, math.pi, 30))))
+    # grazing rays: along the cell edges y = 0.1 and x = 0.0, and a few milliradians off them
+    grazing = np.array([0.0, math.pi, 1e-3, -2e-3, math.pi - 3e-3, math.pi / 2, -math.pi / 2])
+    scans.append((Pose(0.05, 0.1, 0.0), Scan.from_polar(np.full(7, 3.7), grazing)))
+    scans.append((Pose(0.0, 0.05, 0.0), Scan.from_polar(np.full(3, 4.2),
+                                                        np.array([math.pi / 2, -math.pi / 2, 1.5707]))))
+    # a pose on a cell corner: samples start on a cell edge in x and in y
+    scans.append((Pose(0.2, -0.3, 0.0), Scan.from_polar(rng.uniform(0.0, 4.0, 50),
+                                                        rng.uniform(-math.pi, math.pi, 50))))
     for pose, scan in scans:
         update_grid(fast, pose, scan)
         _update_grid_reference(ref, pose, scan)
         assert fast.log_odds.tobytes() == ref.log_odds.tobytes()
     assert fast.occupied_count() > 0 and np.any(fast.log_odds < 0)
+
+
+_FINITE = st.floats(-50.0, 50.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.tuples(_FINITE, _FINITE), end=st.tuples(_FINITE, _FINITE),
+       k=st.integers(1, 2000), origin=st.tuples(_FINITE, _FINITE),
+       resolution=st.floats(0.01, 2.0))
+def test_ray_samples_in_one_cell_are_consecutive(start, end, k, origin, resolution):
+    """Sample j / k of a ray is monotone in x and in y, so once it leaves a cell it
+    never returns: update_grid's per-ray dedupe by run relies on this."""
+    grid = OccupancyGrid(origin=np.array(origin), resolution=resolution,
+                         log_odds=np.zeros((1, 1)))
+    start, end = np.array(start), np.array(end)
+    cells = grid.cell_of(start + (np.arange(k) / k)[:, None] * (end - start))
+    runs = 1 + np.count_nonzero(np.any(np.diff(cells, axis=0) != 0, axis=1))
+    assert runs == len(np.unique(cells, axis=0))
 
 
 def test_out_of_grid_endpoint_does_not_shield_in_grid_cell():
@@ -278,6 +311,7 @@ _N_TH = len(_WINDOW.offsets()[1])
 @given(seed=st.integers(0, 2**16), x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0),
        heading=st.floats(-math.pi, math.pi), i=st.integers(0, _N_XY - 1),
        j=st.integers(0, _N_XY - 1), a=st.integers(0, _N_TH - 1))
+@example(seed=0, x=0.0, y=0.0, heading=math.pi, i=0, j=0, a=0)
 def test_match_recovers_injected_lattice_offset(seed, x, y, heading, i, j, a):
     """A prior off the true pose by one in-window (dx, dy, dtheta) lattice
     offset is corrected back to the pose the grid was built at."""
@@ -293,7 +327,68 @@ def test_match_recovers_injected_lattice_offset(seed, x, y, heading, i, j, a):
     assert result.matched
     assert result.pose.x == pytest.approx(x, abs=1e-9)
     assert result.pose.y == pytest.approx(y, abs=1e-9)
-    assert result.pose.heading == pytest.approx(heading, abs=1e-9)
+    # Pose wraps heading pi to -pi
+    assert wrap_angle(result.pose.heading - truth.heading) == pytest.approx(0.0, abs=1e-9)
+
+
+def _match_scan_reference(scan, grid, prior, window):
+    """match_scan with one index_of per rotation over every (dx, dy) shift."""
+    if len(scan) == 0 or grid.occupied_count() == 0:
+        return MatchResult(prior, 0.0, False)
+    dxy, dth = window.offsets()
+    flat = grid.log_odds.ravel()
+    n_xy = len(dxy)
+    scores = np.empty((len(dth), n_xy, n_xy))
+    shifts = np.stack(np.meshgrid(dxy, dxy, indexing="ij"), axis=-1).reshape(-1, 2)
+    for a, dt in enumerate(dth):
+        world = scan.points @ rotation(prior.heading + dt).T + prior.position  # (P, 2)
+        lin, ok = grid.index_of(world[None, :, :] + shifts[:, None, :])  # (K, P)
+        scores[a] = np.where(ok, flat[lin], 0.0).sum(axis=1).reshape(n_xy, n_xy)
+    th_g, dx_g, dy_g = np.meshgrid(dth, dxy, dxy, indexing="ij")
+    mag = dx_g**2 + dy_g**2 + th_g**2
+    order = np.lexsort((th_g.ravel(), dy_g.ravel(), dx_g.ravel(), mag.ravel()))
+    best = order[np.argmax(scores.ravel()[order])]
+    a, i, j = np.unravel_index(best, scores.shape)
+    corrected = Pose(prior.x + dxy[i], prior.y + dxy[j], prior.heading + dth[a])
+    return MatchResult(corrected, float(scores[a, i, j]), True)
+
+
+def _result_bytes(result):
+    return np.array([result.pose.x, result.pose.y, result.pose.heading, result.score,
+                     result.matched]).tobytes()
+
+
+@pytest.mark.parametrize("window", [
+    load_experiment("ci.yaml").slam.window,
+    SearchWindow(),
+    SearchWindow(dxy_step=0.07),
+    SearchWindow(dxy_max=0.0),
+    SearchWindow(dtheta_max=0.0),
+], ids=["ci", "default", "dxy_step_0.07", "dxy_max_0", "dtheta_max_0"])
+def test_match_scan_matches_per_rotation_reference(window):
+    """One gather over every candidate gives the per-rotation loop's pose, score
+    and flag, byte for byte."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(12):
+        # a noisy random map; the 6 m scans from priors near the edge leave the grid
+        log_odds = np.round(rng.normal(0.0, 2.0, (60, 50)), 1)
+        grid = OccupancyGrid(origin=np.array([-3.0, -2.0]), resolution=0.1, log_odds=log_odds)
+        scan = Scan.from_polar(rng.uniform(0.1, 6.0, 70), rng.uniform(-math.pi, math.pi, 70))
+        prior = Pose(*rng.uniform([-3.0, -2.0, -math.pi], [3.0, 3.0, math.pi]))
+        cases.append((scan, grid, prior))
+    # tied scores: a checkerboard of equal values, and a constant grid
+    board = np.indices((60, 50)).sum(axis=0) % 2 * 1.5
+    for log_odds in (board, np.full((60, 50), 0.5)):
+        grid = OccupancyGrid(origin=np.array([-3.0, -2.0]), resolution=0.1, log_odds=log_odds)
+        cases.append((Scan.from_polar(rng.uniform(0.1, 2.0, 20), rng.uniform(-math.pi, math.pi, 20)),
+                      grid, Pose(0.05, 0.05, 0.0)))
+    # a scan wholly off the grid scores zero everywhere
+    cases.append((Scan.from_polar(np.array([40.0, 45.0]), np.array([0.0, 0.5])),
+                  cases[0][1], Pose(0.0, 0.0, 0.0)))
+    for scan, grid, prior in cases:
+        assert _result_bytes(match_scan(scan, grid, prior, window)) == \
+            _result_bytes(_match_scan_reference(scan, grid, prior, window))
 
 
 def test_match_scores_out_of_grid_points_zero():
