@@ -28,8 +28,8 @@ class ClusterParams:
     min_pts: int = 3
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be > 0")
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError("cluster eps must be finite and > 0")
         if self.min_pts < 1:
             raise ValueError("min_pts must be >= 1")
 

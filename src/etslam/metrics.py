@@ -31,8 +31,8 @@ class MetricParams:
     alpha: float = 2.0
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("c must be > 0")
+        if not 0.0 < self.c < np.inf:
+            raise ValueError("metric c must be finite and > 0")
         if not (1.0 <= self.p < np.inf):
             raise ValueError("p must satisfy 1 <= p < inf")
         if not (0.0 < self.alpha <= 2.0):

@@ -26,8 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from etslam.scans import Scan
-from etslam.scene import Pose, Scene, convert, ground_truth_scan, parse_section
+from etslam.scene import Pose, Scene, convert, ground_truth_scan, parse_section, polar_points
 
 C0 = 3.0e8
 # subcarriers per block of the factored delay phase in _path_phases
@@ -289,16 +288,16 @@ def bin_to_angle(i: int, cfg: WaveformConfig) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class PeakPolicy:
-    threshold_db: float = 12.0   # relative to the spectrum median
-    max_peaks: Optional[int] = None
+    threshold_db: float   # relative to the spectrum median
+    max_peaks: int
 
 
 # range-peak picking on the rx-averaged range profile
 RANGE_POLICY = PeakPolicy(threshold_db=12.0, max_peaks=64)
 
 
-def detect_peaks(magnitudes: np.ndarray, policy: PeakPolicy = PeakPolicy()) -> np.ndarray:
-    """Local maxima above median * 10^(threshold_db/20), sorted by magnitude."""
+def detect_peaks(magnitudes: np.ndarray, policy: PeakPolicy) -> np.ndarray:
+    """Up to ``max_peaks`` local maxima above median * 10^(threshold_db/20), by magnitude."""
     mag = np.asarray(magnitudes, dtype=float)
     if mag.size == 0:
         raise ValueError("empty spectrum")
@@ -316,7 +315,7 @@ def detect_peaks(magnitudes: np.ndarray, policy: PeakPolicy = PeakPolicy()) -> n
     for i in order:
         if all(abs(i - j) > 1 for j in kept):
             kept.append(int(i))
-        if policy.max_peaks is not None and len(kept) >= policy.max_peaks:
+        if len(kept) >= policy.max_peaks:
             break
     return np.array(kept, dtype=int)
 
@@ -331,14 +330,14 @@ class OfdmSensor:
     ``FOV``.  ``ExperimentConfig.make_sensor`` builds the fan.  Calling the
     sensor runs ``sense``: ground-truth rays along the fan, the equalized
     response synthesized analytically (one symbol column suffices for static
-    paths), and one Detection per (range peak, angle peak) pair.
+    paths), and one sensor-frame point per (range peak, angle peak) pair.
     """
 
     cfg: WaveformConfig
     bearings: np.ndarray
     angle_policy: PeakPolicy
 
-    def __call__(self, scene: Scene, pose: Pose, rng: np.random.Generator) -> Scan:
+    def __call__(self, scene: Scene, pose: Pose, rng: np.random.Generator) -> np.ndarray:
         return sense(scene, pose, self, rng)
 
 
@@ -370,8 +369,9 @@ def _angle_intervals(cfg: WaveformConfig) -> list[Optional[tuple[float, float]]]
     return table
 
 
-def sense(scene: Scene, pose: Pose, sensor: OfdmSensor, rng: np.random.Generator) -> Scan:
-    """Full OFDM sensing pipeline producing a sensor-frame Scan."""
+def sense(scene: Scene, pose: Pose, sensor: OfdmSensor, rng: np.random.Generator) -> np.ndarray:
+    """Full OFDM sensing pipeline: one sensor-frame point per detection, shape (n, 2),
+    at the midpoints of its ``bin_to_range`` and ``bin_to_angle`` intervals."""
     cfg = sensor.cfg
     gt = ground_truth_scan(scene, pose, sensor.bearings)
     _check_windows(cfg, gt.ranges, np.zeros(len(gt)))
@@ -388,4 +388,6 @@ def sense(scene: Scene, pose: Pose, sensor: OfdmSensor, rng: np.random.Generator
             if angle_bins[ai] is not None:
                 r_ints.append(bin_to_range(int(ri), cfg))
                 b_ints.append(angle_bins[ai])
-    return Scan.from_intervals(np.array(r_ints), np.array(b_ints))
+    mid_r = np.array(r_ints, dtype=float).reshape(-1, 2).mean(axis=1)
+    mid_b = np.array(b_ints, dtype=float).reshape(-1, 2).mean(axis=1)
+    return polar_points(mid_r, mid_b)

@@ -7,12 +7,12 @@ in degrees in config files and stored in radians here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from etslam.scans import Scan
-from etslam.scene import Pose, Scene, ground_truth_scan
+from etslam.scene import Pose, Scene, ground_truth_scan, polar_points
 
 
 @dataclass(frozen=True)
@@ -21,8 +21,9 @@ class ErrorModel:
     delta_theta: float = 0.0   # bearing error std [rad]
 
     def __post_init__(self):
-        if self.delta_r < 0 or self.delta_theta < 0:
-            raise ValueError("error magnitudes must be >= 0")
+        for name in ("delta_r", "delta_theta"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"error model {name} must be finite and >= 0")
 
 
 def sense_parametric(
@@ -31,12 +32,12 @@ def sense_parametric(
     bearings: np.ndarray,
     model: ErrorModel,
     rng: np.random.Generator,
-) -> Scan:
-    """One noisy Detection per ground-truth hit; no misses, no clutter."""
+) -> np.ndarray:
+    """Sensor-frame points, one noisy point per ground-truth hit; no misses, no clutter."""
     gt = ground_truth_scan(scene, pose, bearings)
     r = gt.ranges + model.delta_r * rng.standard_normal(len(gt))
     b = gt.bearings + model.delta_theta * rng.standard_normal(len(gt))
-    return Scan.from_polar(np.maximum(r, 0.0), b)
+    return polar_points(np.maximum(r, 0.0), b)
 
 
 @dataclass(frozen=True)
@@ -46,5 +47,5 @@ class ParametricSensor:
     model: ErrorModel
     bearings: np.ndarray
 
-    def __call__(self, scene: Scene, pose: Pose, rng: np.random.Generator) -> Scan:
+    def __call__(self, scene: Scene, pose: Pose, rng: np.random.Generator) -> np.ndarray:
         return sense_parametric(scene, pose, self.bearings, self.model, rng)

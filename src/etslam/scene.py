@@ -39,6 +39,11 @@ def rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def polar_points(ranges: np.ndarray, bearings: np.ndarray) -> np.ndarray:
+    """Polar (range, bearing) pairs as Cartesian points, shape (n, 2)."""
+    return np.stack([ranges * np.cos(bearings), ranges * np.sin(bearings)], axis=-1)
+
+
 @dataclass(frozen=True)
 class Pose:
     """2D pose; heading is normalized to [-pi, pi) on construction."""
@@ -130,9 +135,7 @@ def reference_points(shape: Shape, k: int) -> np.ndarray:
         raise ValueError("k must be >= 1")
     if isinstance(shape, Circle):
         ang = 2.0 * math.pi * np.arange(k) / k
-        return np.asarray(shape.center) + shape.radius * np.stack(
-            [np.cos(ang), np.sin(ang)], axis=-1
-        )
+        return np.asarray(shape.center) + polar_points(shape.radius, ang)
     hw, hh = shape.width / 2.0, shape.height / 2.0
     mids = np.array([[hw, 0.0], [-hw, 0.0], [0.0, hh], [0.0, -hh]])
     local = mids[np.arange(k) % 4]
@@ -361,7 +364,7 @@ def ground_truth_scan(
     if scene.contains_point_in_target(origin):
         raise GeometryError("scan origin lies inside a target")
     world = pose.heading + bearings
-    dirs = np.stack([np.cos(world), np.sin(world)], axis=-1)
+    dirs = polar_points(1.0, world)
     t, tid = _cast_rays(scene, origin, dirs)
     hit = np.isfinite(t)
     points = origin + t[hit, None] * dirs[hit]

@@ -17,12 +17,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from etslam.scans import Scan
 from etslam.scene import Pose, Scene, rotation, trajectory_pose, wrap_angle
 
 LOG_ODDS_CLAMP = 10.0
 
-SensorFn = Callable[[Scene, Pose, np.random.Generator], Scan]
+# a sensor returns its scan as sensor-frame points, shape (n, 2)
+SensorFn = Callable[[Scene, Pose, np.random.Generator], np.ndarray]
 
 
 @dataclass
@@ -71,9 +71,9 @@ class OccupancyGrid:
         return int(np.count_nonzero(self.log_odds > 0.0))
 
 
-def scan_to_points(scan: Scan, pose: Pose) -> np.ndarray:
-    """Sensor-frame detection midpoints transformed to the world frame."""
-    return scan.points @ rotation(pose.heading).T + pose.position
+def scan_to_points(scan: np.ndarray, pose: Pose) -> np.ndarray:
+    """Sensor-frame points, shape (n, 2), transformed to the world frame."""
+    return scan @ rotation(pose.heading).T + pose.position
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ class MatchResult:
 
 
 def match_scan(
-    scan: Scan,
+    scan: np.ndarray,
     grid: OccupancyGrid,
     prior: Pose,
     window: SearchWindow = SearchWindow(),
@@ -132,7 +132,7 @@ def match_scan(
     if len(scan) == 0 or grid.occupied_count() == 0:
         return MatchResult(prior, 0.0, False)
     dxy, dth, order = _candidates(window)
-    world = np.stack([scan.points @ rotation(prior.heading + dt).T + prior.position
+    world = np.stack([scan @ rotation(prior.heading + dt).T + prior.position
                       for dt in dth])  # (A, P, 2)
     # a shift (dx, dy) moves x cells by dx alone and y cells by dy alone, so
     # one cell_of per shift value gives every candidate's cells: (A, n, P, 2)
@@ -147,15 +147,13 @@ def match_scan(
     return MatchResult(corrected, float(scores[a, i, j]), True)
 
 
-def update_grid(grid: OccupancyGrid, pose: Pose, scan: Scan) -> OccupancyGrid:
+def update_grid(grid: OccupancyGrid, pose: Pose, scan: np.ndarray) -> OccupancyGrid:
     """Inverse sensor model: -l_free along each ray, +l_occ at the endpoint.
 
     Cells are deduplicated per ray so one observation contributes one
     increment; log-odds are clamped to +-LOG_ODDS_CLAMP.  Mutates and
     returns ``grid``.
     """
-    if len(scan) == 0:
-        return grid
     ends = scan_to_points(scan, pose)
     start = pose.position
     end_idx, end_ok = grid.index_of(ends)
@@ -195,8 +193,9 @@ class OdometryModel:
     rotation_noise_std: float = 0.0     # rad per step
 
     def __post_init__(self):
-        if self.translation_noise_std < 0 or self.rotation_noise_std < 0:
-            raise ValueError("odometry noise stds must be >= 0")
+        for name in ("translation_noise_std", "rotation_noise_std"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"odometry {name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

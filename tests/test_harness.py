@@ -26,7 +26,7 @@ from etslam.harness import (
 from etslam.metrics import MetricParams, et_gospa
 from etslam.ofdm import WaveformConfig
 from etslam.parametric import ErrorModel
-from etslam.scene import Circle, Rectangle
+from etslam.scene import Circle, Rectangle, load_scene, trajectory_pose
 from etslam.slam import OdometryModel, SearchWindow, SlamConfig
 
 SCENE_DOC = {
@@ -224,6 +224,17 @@ def test_condition_rejects_other_sensor_keys(key, value):
     (("sensor",), "angle_peak_threshold_db", float("nan"), "angle_peak_threshold_db must be finite"),
     (("sensor",), "angle_max_peaks", 0, "angle_max_peaks must be >= 1"),
     (("sensor",), "angle_max_peaks", -3, "angle_max_peaks must be >= 1"),
+    (("sensor",), "delta_r_m", float("nan"), "error model delta_r must be finite and >= 0"),
+    (("sensor",), "delta_theta_deg", float("inf"),
+     "error model delta_theta must be finite and >= 0"),
+    (("odometry",), "translation_noise_std", float("nan"),
+     "odometry translation_noise_std must be finite and >= 0"),
+    (("odometry",), "rotation_noise_std_deg", float("inf"),
+     "odometry rotation_noise_std must be finite and >= 0"),
+    (("metric",), "c", float("inf"), "metric c must be finite and > 0"),
+    (("cluster",), "eps", float("inf"), "cluster eps must be finite and > 0"),
+    (("sweep", "conditions", 0), "delta_r_m", float("nan"),
+     "error model delta_r must be finite and >= 0"),
 ])
 def test_out_of_range_value_rejected_at_load(path, key, value, message):
     """Each of these used to load, then crash mid-run or be read as another value."""
@@ -270,6 +281,19 @@ def test_config_defaults_come_from_dataclasses():
     """A document with only a scene resolves to the dataclass defaults."""
     cfg = load_experiment({"scene": "default_scene.yaml"})
     assert cfg == ExperimentConfig(scene=cfg.scene)
+
+
+@pytest.mark.parametrize("backend", ["parametric", "ofdm"])
+def test_sensor_returns_sensor_frame_points(backend):
+    """Either backend's scan is a float64 (n, 2) array, (0, 2) on an empty scene."""
+    cfg = dataclasses.replace(load_experiment("ci.yaml"), backend=backend)
+    empty = load_scene({**SCENE_DOC, "targets": []})
+    for scene, nonempty in ((cfg.scene, True), (empty, False)):
+        pose = trajectory_pose(scene.trajectory, 0.0)
+        scan = cfg.make_sensor()(scene, pose, np.random.default_rng(0))
+        assert type(scan) is np.ndarray and scan.dtype == np.float64
+        assert scan.ndim == 2 and scan.shape[1] == 2
+        assert (len(scan) > 0) == nonempty
 
 
 _CI_WAVEFORM = WaveformConfig(

@@ -30,8 +30,7 @@ from etslam.ofdm import (
     synthesize_echo,
     velocity_profile,
 )
-from etslam.scans import Scan
-from etslam.scene import Pose, ground_truth_scan, load_scene, trajectory_pose
+from etslam.scene import Pose, ground_truth_scan, load_scene, polar_points, trajectory_pose
 
 TABLE = dict(fc=28.0e9, delta_f=1.2e5, M=256, N=10240,
              Tp=1.0 / 1.2e5, Tc=2.08e-6, T=1.0 / 1.2e5 + 2.08e-6,
@@ -395,12 +394,12 @@ def test_bin_to_angle_roundtrip():
 
 
 def test_detect_peaks_empty_spectrum():
-    assert len(detect_peaks(np.zeros(64))) == 0
+    assert len(detect_peaks(np.zeros(64), PeakPolicy(threshold_db=12.0, max_peaks=64))) == 0
 
 
 def test_detect_peaks_rejects_empty_input():
     with pytest.raises(ValueError):
-        detect_peaks(np.zeros(0))
+        detect_peaks(np.zeros(0), PeakPolicy(threshold_db=12.0, max_peaks=1))
 
 
 def test_detect_peaks_single_tone():
@@ -408,7 +407,8 @@ def test_detect_peaks_single_tone():
     frame = generate_frame(cfg, np.random.default_rng(3))
     r = 40.0 * cfg.range_bin_width  # on-bin tone: the profile is a clean spike
     s_g = equalize(synthesize_echo(cfg, frame, [EchoPath(range_m=r)]), frame)
-    peaks = detect_peaks(range_profile(s_g[0], 0), PeakPolicy(threshold_db=12.0))
+    prof = range_profile(s_g[0], 0)
+    peaks = detect_peaks(prof, PeakPolicy(threshold_db=12.0, max_peaks=len(prof)))
     assert int(peaks[0]) == 40  # strongest peak; noiseless floor is numerical
     noisy = table_cfg(snr_db=20.0)
     rng = np.random.default_rng(9)
@@ -430,7 +430,7 @@ def test_detect_peaks_max_count_and_order():
 def test_detect_peaks_adjacent_suppressed():
     spec = np.full(64, 0.01)
     spec[10], spec[11] = 5.0, 5.0  # equal plateau: both local maxima
-    peaks = detect_peaks(spec, PeakPolicy(threshold_db=6.0))
+    peaks = detect_peaks(spec, PeakPolicy(threshold_db=6.0, max_peaks=len(spec)))
     assert list(peaks) == [10]  # second one is within one bin of the first
 
 
@@ -472,18 +472,35 @@ def test_sense_empty_scene():
     assert len(noisy) == 0
 
 
+def _bins_containing(cfg, r, b):
+    """Each (range interval, angle interval) pair of bins whose intervals contain (r, b)."""
+    pairs = []
+    for i in range(cfg.n_subcarriers):
+        r_int = bin_to_range(i, cfg)
+        if not r_int[0] <= r < r_int[1]:
+            continue
+        for a in range(cfg.n_tx):
+            try:
+                b_int = bin_to_angle(a, cfg)
+            except InvisibleRegionError:
+                continue
+            if b_int[0] <= b <= b_int[1]:
+                pairs.append((r_int, b_int))
+    return pairs
+
+
 def test_sense_single_target_interval_contains_truth():
     cfg = small_cfg(snr_db=30.0)
     r_true = 8.25 * cfg.range_bin_width  # lower half of bin 8, ~10.07 m
     scene = _one_circle_scene(r_true)
     scan = sense(scene, Pose(3.0, 3.0, 0.0), _sensor(scene, cfg), np.random.default_rng(12))
     assert len(scan) >= 1
-    hits = [
-        k for k in range(len(scan))
-        if scan.range_intervals[k, 0] <= r_true < scan.range_intervals[k, 1]
-        and scan.bearing_intervals[k, 0] <= math.pi / 2 <= scan.bearing_intervals[k, 1]
-    ]
-    assert hits, "no detection interval contains the true range and bearing"
+    rows = {row.tobytes() for row in scan}
+    midpoints = [polar_points(np.array([r_int]).mean(axis=1), np.array([b_int]).mean(axis=1))[0]
+                 for r_int, b_int in _bins_containing(cfg, r_true, math.pi / 2)]
+    assert midpoints
+    assert any(m.tobytes() in rows for m in midpoints), \
+        "no detection sits at the midpoints of the bins holding the true range and bearing"
 
 
 def test_sense_deterministic():
@@ -491,7 +508,7 @@ def test_sense_deterministic():
     scene = _one_circle_scene(9.5)
     s1 = sense(scene, Pose(3.0, 3.0, 0.0), _sensor(scene, cfg), np.random.default_rng(7))
     s2 = sense(scene, Pose(3.0, 3.0, 0.0), _sensor(scene, cfg), np.random.default_rng(7))
-    assert np.array_equal(s1.points, s2.points)
+    assert np.array_equal(s1, s2)
 
 
 def test_sensor_fov_excludes_endfire():
@@ -522,7 +539,7 @@ def _sense_per_peak(scene, pose, cfg, rng, sensor):
     """Reference for ``sense``: one angle DFT and one bin_to_angle call per range peak."""
     gt = ground_truth_scan(scene, pose, sensor.bearings)
     if len(gt) == 0 and cfg.snr_db is None:
-        return Scan.empty()
+        return np.zeros((0, 2))
     col = _equalized_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex), rng)
     profiles = np.fft.ifft(col, axis=1)
     range_peaks = detect_peaks(np.mean(np.abs(profiles), axis=0), ofdm.RANGE_POLICY)
@@ -536,8 +553,8 @@ def _sense_per_peak(scene, pose, cfg, rng, sensor):
                 continue
             r_ints.append(bin_to_range(int(ri), cfg))
     if not r_ints:
-        return Scan.empty()
-    return Scan.from_intervals(np.array(r_ints), np.array(b_ints))
+        return np.zeros((0, 2))
+    return polar_points(np.array(r_ints).mean(axis=1), np.array(b_ints).mean(axis=1))
 
 
 @pytest.mark.parametrize("config", ["ci.yaml", "full_scale.yaml"])
@@ -555,8 +572,7 @@ def test_sense_matches_per_peak_reference(config):
         for k, pose in enumerate(poses):
             got = sense(exp.scene, pose, sensor, np.random.default_rng(k))
             want = _sense_per_peak(exp.scene, pose, waveform, np.random.default_rng(k), sensor)
-            for field in ("ranges", "bearings", "range_intervals", "bearing_intervals",
-                          "points"):
-                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
             detections += len(got)
     assert detections > 0

@@ -7,7 +7,7 @@ import pytest
 
 from etslam.harness import load_experiment
 from etslam.parametric import ErrorModel, ParametricSensor, sense_parametric
-from etslam.scene import Pose, ground_truth_scan, load_scene
+from etslam.scene import Pose, ground_truth_scan, load_scene, polar_points, wrap_angle
 
 
 SCENE_DOC = {
@@ -52,9 +52,8 @@ def test_zero_noise_equals_ground_truth():
     scan = sense_parametric(scene, POSE, BEARINGS, ErrorModel(),
                             np.random.default_rng(0))
     assert len(scan) == len(gt) > 0
-    assert np.array_equal(scan.ranges, gt.ranges)
-    assert np.array_equal(scan.bearings, gt.bearings)
-    assert np.allclose(scan.points, gt.points)
+    assert scan.tobytes() == polar_points(gt.ranges, gt.bearings).tobytes()
+    assert np.allclose(scan, gt.points)
 
 
 def test_cardinality_matches_hit_count():
@@ -75,19 +74,23 @@ def test_noise_statistics():
     dr, db = [], []
     while len(dr) < 10_000:
         scan = sense_parametric(scene, POSE, BEARINGS, model, rng)
-        dr.extend(scan.ranges - gt.ranges)
-        db.extend(scan.bearings - gt.bearings)
+        dr.extend(np.hypot(scan[:, 0], scan[:, 1]) - gt.ranges)
+        db.extend(wrap_angle(np.arctan2(scan[:, 1], scan[:, 0]) - gt.bearings))
     assert np.std(dr) == pytest.approx(model.delta_r, rel=0.05)
     assert np.std(db) == pytest.approx(model.delta_theta, rel=0.05)
     assert np.mean(dr) == pytest.approx(0.0, abs=3 * model.delta_r / math.sqrt(len(dr)) + 1e-4)
 
 
 def test_ranges_clamped_nonnegative():
+    """With no bearing noise, a clamped range leaves each point on its ray's forward side."""
     scene = _scene()
+    gt = ground_truth_scan(scene, POSE, BEARINGS)
     model = ErrorModel(delta_r=50.0)  # absurd noise to force negative draws
     scan = sense_parametric(scene, POSE, BEARINGS, model,
                             np.random.default_rng(3))
-    assert np.all(scan.ranges >= 0.0)
+    along = np.sum(scan * polar_points(1.0, gt.bearings), axis=1)
+    assert len(scan) == len(gt) and np.all(along >= 0.0)
+    assert np.any(np.all(scan == 0.0, axis=1))  # a negative draw clamped to range 0
 
 
 def test_deterministic_under_seed():
@@ -95,7 +98,7 @@ def test_deterministic_under_seed():
     model = ErrorModel(delta_r=0.1, delta_theta=math.radians(5.0))
     s1 = sense_parametric(scene, POSE, BEARINGS, model, np.random.default_rng(7))
     s2 = sense_parametric(scene, POSE, BEARINGS, model, np.random.default_rng(7))
-    assert np.array_equal(s1.points, s2.points)
+    assert np.array_equal(s1, s2)
 
 
 def test_empty_scene_empty_scan():
@@ -108,7 +111,7 @@ def test_empty_scene_empty_scan():
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     scan = sense_parametric(scene, Pose(1.0, 1.0, 0.0), BEARINGS, ErrorModel(), rng)
-    assert len(scan) == 0 and scan.points.shape == (0, 2)
+    assert scan.shape == (0, 2)
     # no hits, no draws: the next scan's noise does not depend on this one
     assert rng.bit_generator.state == before
 

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from etslam.harness import load_experiment
 from etslam.parametric import ErrorModel, ParametricSensor
-from etslam.scans import Scan
-from etslam.scene import Pose, load_scene, rotation, trajectory_pose, wrap_angle
+from etslam.scene import Pose, load_scene, polar_points, rotation, trajectory_pose, wrap_angle
 from etslam.slam import (
     LOG_ODDS_CLAMP,
     MatchResult,
@@ -52,19 +51,19 @@ def _sensor(delta_r=0.0, delta_theta_deg=0.0):
 
 
 def test_scan_to_points_identity_pose():
-    scan = Scan.from_polar(np.array([2.0]), np.array([0.0]))
+    scan = polar_points(np.array([2.0]), np.array([0.0]))
     pts = scan_to_points(scan, Pose(0.0, 0.0, 0.0))
     assert np.allclose(pts, [[2.0, 0.0]])
 
 
 def test_scan_to_points_translated_rotated():
-    scan = Scan.from_polar(np.array([1.0]), np.array([math.pi / 2.0]))
+    scan = polar_points(np.array([1.0]), np.array([math.pi / 2.0]))
     pts = scan_to_points(scan, Pose(3.0, 4.0, math.pi / 2.0))
     assert np.allclose(pts, [[2.0, 4.0]], atol=1e-12)
 
 
 def test_scan_to_points_empty():
-    assert scan_to_points(Scan.empty(), Pose(1.0, 2.0, 0.3)).shape == (0, 2)
+    assert scan_to_points(np.zeros((0, 2)), Pose(1.0, 2.0, 0.3)).shape == (0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +91,7 @@ def test_grid_rejects_bad_resolution():
 def test_update_single_detection():
     grid = OccupancyGrid(origin=np.array([-5.0, -5.0]), resolution=0.1,
                          log_odds=np.zeros((100, 100)))
-    scan = Scan.from_polar(np.array([2.0]), np.array([0.0]))
+    scan = polar_points(np.array([2.0]), np.array([0.0]))
     update_grid(grid, Pose(0.0, 0.0, 0.0), scan)
     raised = np.argwhere(grid.log_odds > 0.0)
     assert len(raised) == 1
@@ -106,7 +105,7 @@ def test_update_single_detection():
 def test_update_clamps_log_odds():
     grid = OccupancyGrid(origin=np.array([-5.0, -5.0]), resolution=0.1,
                          log_odds=np.zeros((100, 100)))
-    scan = Scan.from_polar(np.array([2.0]), np.array([0.0]))
+    scan = polar_points(np.array([2.0]), np.array([0.0]))
     for _ in range(20):
         update_grid(grid, Pose(0.0, 0.0, 0.0), scan)
     end = tuple(grid.cell_of(np.array([[2.0, 0.0]]))[0])
@@ -122,20 +121,20 @@ def test_update_does_not_erode_occupied_cells():
     grid = OccupancyGrid(origin=np.array([-5.0, -5.0]), resolution=0.1,
                          log_odds=np.zeros((100, 100)))
     update_grid(grid, Pose(0.0, 0.0, 0.0),
-                Scan.from_polar(np.array([1.0]), np.array([0.0])))
+                polar_points(np.array([1.0]), np.array([0.0])))
     hit = tuple(grid.cell_of(np.array([[1.0, 0.0]]))[0])
     before = grid.log_odds[hit]
     assert before > 0
     update_grid(grid, Pose(0.0, 0.0, 0.0),
-                Scan.from_polar(np.array([3.0]), np.array([0.0])))
+                polar_points(np.array([3.0]), np.array([0.0])))
     assert grid.log_odds[hit] >= before
 
 
 def test_update_empty_scan_noop():
-    grid = OccupancyGrid(origin=np.zeros(2), resolution=0.1,
-                         log_odds=np.zeros((10, 10)))
-    update_grid(grid, Pose(0.5, 0.5, 0.0), Scan.empty())
-    assert grid.occupied_count() == 0
+    log_odds = np.random.default_rng(4).uniform(-LOG_ODDS_CLAMP, LOG_ODDS_CLAMP, (10, 10))
+    grid = OccupancyGrid(origin=np.zeros(2), resolution=0.1, log_odds=log_odds.copy())
+    assert update_grid(grid, Pose(0.5, 0.5, 0.0), np.zeros((0, 2))) is grid
+    assert grid.log_odds.tobytes() == log_odds.tobytes()
 
 
 def _update_grid_reference(grid, pose, scan):
@@ -183,35 +182,35 @@ def test_update_grid_matches_2d_unique_reference():
     fast, ref = fresh(), fresh()
     scans = [
         # ranges up to 9 m from poses near the edge: endpoints leave the grid
-        (Pose(x, y, h), Scan.from_polar(rng.uniform(0.05, 9.0, 60),
-                                        rng.uniform(-math.pi, math.pi, 60)))
+        (Pose(x, y, h), polar_points(rng.uniform(0.05, 9.0, 60),
+                                     rng.uniform(-math.pi, math.pi, 60)))
         for x, y, h in rng.uniform([-4.5, -4.5, -math.pi], [4.5, 2.5, math.pi], (6, 3))
     ]
     # every sample of these short rays lies in its own endpoint cell
     scans.insert(3, (Pose(0.55, 0.55, 0.0),
-                     Scan.from_polar(np.array([0.01, 0.02]), np.array([0.0, 1.0]))))
+                     polar_points(np.array([0.01, 0.02]), np.array([0.0, 1.0]))))
     scans.append((Pose(0.0, 0.0, 0.3), _sensor(0.05, 1.0)(_scene(), Pose(0.0, 0.0, 0.3),
                                                           np.random.default_rng(1))))
     # zero-length rays end at the pose: one sample each, in the endpoint cell
     scans.append((Pose(1.23, -0.47, 0.7),
-                  Scan.from_polar(np.array([0.0, 0.0, 0.35]), np.array([0.0, 2.0, -1.0]))))
+                  polar_points(np.array([0.0, 0.0, 0.35]), np.array([0.0, 2.0, -1.0]))))
     # one ray of 1200 samples, far past the grid, among 80 short ones
     ranges = np.concatenate([[60.0], rng.uniform(0.0, 0.4, 80)])
-    scans.append((Pose(-2.0, 1.0, 0.2), Scan.from_polar(ranges, rng.uniform(-3.0, 3.0, 81))))
+    scans.append((Pose(-2.0, 1.0, 0.2), polar_points(ranges, rng.uniform(-3.0, 3.0, 81))))
     # rays that start off the grid, some crossing it, some never entering it
-    scans.append((Pose(-6.0, 1.0, 0.0), Scan.from_polar(rng.uniform(0.5, 12.0, 40),
-                                                        rng.uniform(-math.pi, math.pi, 40))))
+    scans.append((Pose(-6.0, 1.0, 0.0), polar_points(rng.uniform(0.5, 12.0, 40),
+                                                     rng.uniform(-math.pi, math.pi, 40))))
     # rays shorter than one step (0.05 m): one or two samples each
-    scans.append((Pose(0.31, -1.72, 0.4), Scan.from_polar(rng.uniform(0.0, 0.06, 30),
-                                                          rng.uniform(-math.pi, math.pi, 30))))
+    scans.append((Pose(0.31, -1.72, 0.4), polar_points(rng.uniform(0.0, 0.06, 30),
+                                                       rng.uniform(-math.pi, math.pi, 30))))
     # grazing rays: along the cell edges y = 0.1 and x = 0.0, and a few milliradians off them
     grazing = np.array([0.0, math.pi, 1e-3, -2e-3, math.pi - 3e-3, math.pi / 2, -math.pi / 2])
-    scans.append((Pose(0.05, 0.1, 0.0), Scan.from_polar(np.full(7, 3.7), grazing)))
-    scans.append((Pose(0.0, 0.05, 0.0), Scan.from_polar(np.full(3, 4.2),
-                                                        np.array([math.pi / 2, -math.pi / 2, 1.5707]))))
+    scans.append((Pose(0.05, 0.1, 0.0), polar_points(np.full(7, 3.7), grazing)))
+    scans.append((Pose(0.0, 0.05, 0.0), polar_points(np.full(3, 4.2),
+                                                     np.array([math.pi / 2, -math.pi / 2, 1.5707]))))
     # a pose on a cell corner: samples start on a cell edge in x and in y
-    scans.append((Pose(0.2, -0.3, 0.0), Scan.from_polar(rng.uniform(0.0, 4.0, 50),
-                                                        rng.uniform(-math.pi, math.pi, 50))))
+    scans.append((Pose(0.2, -0.3, 0.0), polar_points(rng.uniform(0.0, 4.0, 50),
+                                                     rng.uniform(-math.pi, math.pi, 50))))
     for pose, scan in scans:
         update_grid(fast, pose, scan)
         _update_grid_reference(ref, pose, scan)
@@ -247,7 +246,7 @@ def test_out_of_grid_endpoint_does_not_shield_in_grid_cell():
                          log_odds=np.zeros((100, 80)))
     pose = Pose(-0.05, 0.0, 0.0)
     ends = np.array([[0.05, -5.15], [-0.05, 4.0]]) - pose.position
-    scan = Scan.from_polar(np.hypot(ends[:, 0], ends[:, 1]), np.arctan2(ends[:, 1], ends[:, 0]))
+    scan = polar_points(np.hypot(ends[:, 0], ends[:, 1]), np.arctan2(ends[:, 1], ends[:, 0]))
     assert grid.cell_of(scan_to_points(scan, pose)).tolist() == [[50, -2], [49, 90]]
     update_grid(grid, pose, scan)
     assert grid.log_odds[49, 79] == -grid.l_free
@@ -269,14 +268,14 @@ def test_match_empty_scan_returns_prior():
     grid = OccupancyGrid(origin=np.zeros(2), resolution=0.1,
                          log_odds=np.ones((10, 10)))
     prior = Pose(0.4, 0.4, 0.1)
-    result = match_scan(Scan.empty(), grid, prior)
+    result = match_scan(np.zeros((0, 2)), grid, prior)
     assert result == MatchResult(prior, 0.0, False)
 
 
 def test_match_empty_grid_returns_prior():
     grid = OccupancyGrid(origin=np.zeros(2), resolution=0.1,
                          log_odds=np.zeros((10, 10)))
-    scan = Scan.from_polar(np.array([1.0]), np.array([0.0]))
+    scan = polar_points(np.array([1.0]), np.array([0.0]))
     result = match_scan(scan, grid, Pose(0.5, 0.5, 0.0))
     assert not result.matched
 
@@ -316,7 +315,7 @@ def test_match_recovers_injected_lattice_offset(seed, x, y, heading, i, j, a):
     """A prior off the true pose by one in-window (dx, dy, dtheta) lattice
     offset is corrected back to the pose the grid was built at."""
     rng = np.random.default_rng(seed)
-    scan = Scan.from_polar(rng.uniform(0.5, 6.0, 40), rng.uniform(-math.pi, math.pi, 40))
+    scan = polar_points(rng.uniform(0.5, 6.0, 40), rng.uniform(-math.pi, math.pi, 40))
     truth = Pose(x, y, heading)
     grid = OccupancyGrid(origin=np.array([-10.0, -10.0]), resolution=0.1,
                          log_odds=np.zeros((200, 200)))
@@ -341,7 +340,7 @@ def _match_scan_reference(scan, grid, prior, window):
     scores = np.empty((len(dth), n_xy, n_xy))
     shifts = np.stack(np.meshgrid(dxy, dxy, indexing="ij"), axis=-1).reshape(-1, 2)
     for a, dt in enumerate(dth):
-        world = scan.points @ rotation(prior.heading + dt).T + prior.position  # (P, 2)
+        world = scan @ rotation(prior.heading + dt).T + prior.position  # (P, 2)
         lin, ok = grid.index_of(world[None, :, :] + shifts[:, None, :])  # (K, P)
         scores[a] = np.where(ok, flat[lin], 0.0).sum(axis=1).reshape(n_xy, n_xy)
     th_g, dx_g, dy_g = np.meshgrid(dth, dxy, dxy, indexing="ij")
@@ -374,17 +373,17 @@ def test_match_scan_matches_per_rotation_reference(window):
         # a noisy random map; the 6 m scans from priors near the edge leave the grid
         log_odds = np.round(rng.normal(0.0, 2.0, (60, 50)), 1)
         grid = OccupancyGrid(origin=np.array([-3.0, -2.0]), resolution=0.1, log_odds=log_odds)
-        scan = Scan.from_polar(rng.uniform(0.1, 6.0, 70), rng.uniform(-math.pi, math.pi, 70))
+        scan = polar_points(rng.uniform(0.1, 6.0, 70), rng.uniform(-math.pi, math.pi, 70))
         prior = Pose(*rng.uniform([-3.0, -2.0, -math.pi], [3.0, 3.0, math.pi]))
         cases.append((scan, grid, prior))
     # tied scores: a checkerboard of equal values, and a constant grid
     board = np.indices((60, 50)).sum(axis=0) % 2 * 1.5
     for log_odds in (board, np.full((60, 50), 0.5)):
         grid = OccupancyGrid(origin=np.array([-3.0, -2.0]), resolution=0.1, log_odds=log_odds)
-        cases.append((Scan.from_polar(rng.uniform(0.1, 2.0, 20), rng.uniform(-math.pi, math.pi, 20)),
+        cases.append((polar_points(rng.uniform(0.1, 2.0, 20), rng.uniform(-math.pi, math.pi, 20)),
                       grid, Pose(0.05, 0.05, 0.0)))
     # a scan wholly off the grid scores zero everywhere
-    cases.append((Scan.from_polar(np.array([40.0, 45.0]), np.array([0.0, 0.5])),
+    cases.append((polar_points(np.array([40.0, 45.0]), np.array([0.0, 0.5])),
                   cases[0][1], Pose(0.0, 0.0, 0.0)))
     for scan, grid, prior in cases:
         assert _result_bytes(match_scan(scan, grid, prior, window)) == \
@@ -396,7 +395,7 @@ def test_match_scores_out_of_grid_points_zero():
     log_odds = np.zeros((10, 10))
     log_odds[0, 0] = 5.0
     grid = OccupancyGrid(origin=np.zeros(2), resolution=0.1, log_odds=log_odds)
-    scan = Scan.from_polar(np.array([10.0]), np.array([0.0]))
+    scan = polar_points(np.array([10.0]), np.array([0.0]))
     result = match_scan(scan, grid, Pose(0.5, 0.5, 0.0))
     assert result == MatchResult(Pose(0.5, 0.5, 0.0), 0.0, True)
 
@@ -404,7 +403,7 @@ def test_match_scores_out_of_grid_points_zero():
 def test_match_tie_break_prefers_zero_correction():
     grid = OccupancyGrid(origin=np.array([-5.0, -5.0]), resolution=0.1,
                          log_odds=np.full((100, 100), 1.0))
-    scan = Scan.from_polar(np.array([1.0]), np.array([0.0]))
+    scan = polar_points(np.array([1.0]), np.array([0.0]))
     result = match_scan(scan, grid, Pose(0.0, 0.0, 0.0))
     assert result.pose == Pose(0.0, 0.0, 0.0)  # every offset scores the same
 
@@ -447,14 +446,14 @@ class _EveryOtherStepEmpty:
         self.sensor, self.sizes = sensor, []
 
     def __call__(self, scene, pose, rng):
-        scan = self.sensor(scene, pose, rng) if len(self.sizes) % 2 else Scan.empty()
+        scan = self.sensor(scene, pose, rng) if len(self.sizes) % 2 else np.zeros((0, 2))
         self.sizes.append(len(scan))
         return scan
 
 
 def test_run_slam_all_scans_empty():
     scene = _scene()
-    run = run_slam(scene, lambda *_: Scan.empty(), OdometryModel(), np.random.default_rng(0),
+    run = run_slam(scene, lambda *_: np.zeros((0, 2)), OdometryModel(), np.random.default_rng(0),
                    duration=3.0)
     assert run.map_points.shape == (0, 2)
     assert run.map_times.shape == (0,)
