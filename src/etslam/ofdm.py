@@ -14,8 +14,10 @@ Conventions
   even, only bearings in (0, pi) are observable without ambiguity; the
   pipeline restricts its field of view accordingly.
 * A single complex exponential peaks at the DFT bin nearest its fractional
-  frequency.  The range interval convention [I*w, (I+1)*w) is therefore
-  tight only for ranges in the lower half of a bin; see the README.
+  frequency, so each detection is placed at its bin centres: range bin I at
+  I*w, and angle bin I, unwrapped to a signed I', at cos(theta) =
+  I'*lambda/(d*N_t).  Angle bins with |cos| > 1 lie in the invisible region
+  and are dropped; see the README.
 """
 
 from __future__ import annotations
@@ -33,10 +35,6 @@ C0 = 3.0e8
 DELAY_BLOCK = 128
 # sensor-frame bearings (rad) the array resolves unambiguously, away from endfire
 FOV = (math.radians(20.0), math.radians(160.0))
-
-
-class InvisibleRegionError(ValueError):
-    """An angle bin maps outside the visible region of the array (|cos| > 1)."""
 
 
 @dataclass(frozen=True)
@@ -258,32 +256,28 @@ def angle_spectrum(snapshot: np.ndarray, n_elements: Optional[int] = None) -> np
     return np.abs(np.fft.fft(snapshot))
 
 
-def bin_to_range(i: int, cfg: WaveformConfig) -> tuple[float, float]:
-    """Half-open range interval [lo, hi) for peak bin ``i``."""
-    if not 0 <= i < cfg.n_subcarriers:
-        raise IndexError("range bin out of range")
-    w = cfg.range_bin_width
-    return (i * w, (i + 1) * w)
+def _check_bins(bins: np.ndarray, n: int, kind: str) -> np.ndarray:
+    bins = np.asarray(bins)
+    if np.any((bins < 0) | (bins >= n)):
+        raise IndexError(f"{kind} bin out of range")
+    return bins
 
 
-def bin_to_angle(i: int, cfg: WaveformConfig) -> tuple[float, float]:
-    """Bearing interval (radians, lo < hi) for angle-DFT peak bin ``i``.
+def bin_to_range(bins: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
+    """Range [m] at the centre of each range bin: bin i is i*w."""
+    return _check_bins(bins, cfg.n_subcarriers, "range") * cfg.range_bin_width
 
-    The bin index is unwrapped to a signed index i' in [-N_t/2, N_t/2);
-    the interval endpoints are arccos(lambda*i'/(d*N_t)) and
-    arccos(lambda*(i'+1)/(d*N_t)), reported in ascending order.
+
+def bin_to_cos(bins: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
+    """Signed cosine of the bearing at the centre of each angle bin.
+
+    Bin i is unwrapped to a signed index i' in [-N_t/2, N_t/2), which maps
+    to cos(theta) = lambda*i'/(d*N_t); a value with |cos| > 1 lies in the
+    invisible region and has no bearing.
     """
     nt = cfg.n_tx
-    if not 0 <= i < nt:
-        raise IndexError("angle bin out of range")
-    ip = i if i < nt / 2 else i - nt
-    scale = cfg.wavelength / (cfg.d * nt)
-    a0 = ip * scale
-    a1 = (ip + 1) * scale
-    if not (-1.0 <= a0 <= 1.0) or not (-1.0 <= a1 <= 1.0):
-        raise InvisibleRegionError(f"angle bin {i} maps outside the visible region")
-    lo, hi = sorted((math.acos(a0), math.acos(a1)))
-    return (lo, hi)
+    bins = _check_bins(bins, nt, "angle")
+    return np.where(bins < nt / 2, bins, bins - nt) * (cfg.wavelength / (cfg.d * nt))
 
 
 @dataclass(frozen=True)
@@ -292,32 +286,40 @@ class PeakPolicy:
     max_peaks: int
 
 
+# a kept peak and the two bins it suppresses
+_NEIGHBOURS = np.array([-1, 0, 1])
 # range-peak picking on the rx-averaged range profile
 RANGE_POLICY = PeakPolicy(threshold_db=12.0, max_peaks=64)
 
 
 def detect_peaks(magnitudes: np.ndarray, policy: PeakPolicy) -> np.ndarray:
-    """Up to ``max_peaks`` local maxima above median * 10^(threshold_db/20), by magnitude."""
+    """Boolean peak mask over the last axis of ``magnitudes``.
+
+    In each row, the local maxima above the row's median * 10^(threshold_db/20)
+    are candidates.  Each round keeps every row's strongest remaining
+    candidate (the lower bin on ties) and removes it and its two neighbours,
+    for at most ``max_peaks`` rounds.
+    """
     mag = np.asarray(magnitudes, dtype=float)
-    if mag.size == 0:
+    if mag.ndim == 0 or mag.shape[-1] == 0:
         raise ValueError("empty spectrum")
-    thr = float(np.median(mag)) * 10.0 ** (policy.threshold_db / 20.0)
-    left = np.empty_like(mag)
-    right = np.empty_like(mag)
-    left[0], left[1:] = -np.inf, mag[:-1]
-    right[-1], right[:-1] = -np.inf, mag[1:]
-    is_peak = (mag >= left) & (mag >= right) & (mag > thr) & (mag > 0.0)
-    idx = np.flatnonzero(is_peak)
-    if idx.size == 0:
-        return idx
-    order = idx[np.argsort(-mag[idx], kind="stable")]
-    kept: list[int] = []
-    for i in order:
-        if all(abs(i - j) > 1 for j in kept):
-            kept.append(int(i))
-        if len(kept) >= policy.max_peaks:
+    rows = mag.reshape(-1, mag.shape[-1])
+    thr = np.median(rows, axis=1, keepdims=True) * 10.0 ** (policy.threshold_db / 20.0)
+    # candidates padded with a -inf column on each side, so bin +-1 is always in bounds
+    cand = np.full((len(rows), rows.shape[1] + 2), -np.inf)
+    cand[:, 1:-1] = rows
+    is_peak = (rows >= cand[:, :-2]) & (rows >= cand[:, 2:]) & (rows > thr) & (rows > 0.0)
+    cand[:, 1:-1][~is_peak] = -np.inf
+    keep = np.zeros(cand.shape, dtype=bool)
+    r = np.arange(len(rows))
+    for _ in range(policy.max_peaks):
+        best = np.argmax(cand, axis=1)
+        live = cand[r, best] > -np.inf
+        if not live.any():
             break
-    return np.array(kept, dtype=int)
+        keep[r, best] |= live
+        cand[r[:, None], best[:, None] + _NEIGHBOURS] = -np.inf
+    return keep[:, 1:-1].reshape(mag.shape)
 
 
 @dataclass(frozen=True)
@@ -358,36 +360,17 @@ def _equalized_column(
     return _add_noise(cfg, steer.T @ delay, len(ranges) > 0, rng)
 
 
-def _angle_intervals(cfg: WaveformConfig) -> list[Optional[tuple[float, float]]]:
-    """``bin_to_angle`` of every angle bin; None for a bin in the invisible region."""
-    table: list[Optional[tuple[float, float]]] = []
-    for i in range(cfg.n_tx):
-        try:
-            table.append(bin_to_angle(i, cfg))
-        except InvisibleRegionError:
-            table.append(None)
-    return table
-
-
 def sense(scene: Scene, pose: Pose, sensor: OfdmSensor, rng: np.random.Generator) -> np.ndarray:
     """Full OFDM sensing pipeline: one sensor-frame point per detection, shape (n, 2),
-    at the midpoints of its ``bin_to_range`` and ``bin_to_angle`` intervals."""
+    at the centres of its range bin and angle bin, ordered by range bin, then angle bin."""
     cfg = sensor.cfg
     gt = ground_truth_scan(scene, pose, sensor.bearings)
     _check_windows(cfg, gt.ranges, np.zeros(len(gt)))
     col = _equalized_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex), rng)
     profiles = np.fft.ifft(col, axis=1)  # (n_rx, N)
-    mean_mag = np.mean(np.abs(profiles), axis=0)
-    range_peaks = np.sort(detect_peaks(mean_mag, RANGE_POLICY))
-    # angle spectrum of every range peak at once: DFT over the rx axis
-    specs = np.abs(np.fft.fft(profiles[:, range_peaks], axis=0))
-    angle_bins = _angle_intervals(cfg)
-    r_ints, b_ints = [], []
-    for ri, spec in zip(range_peaks, specs.T):
-        for ai in sorted(detect_peaks(spec, sensor.angle_policy)):
-            if angle_bins[ai] is not None:
-                r_ints.append(bin_to_range(int(ri), cfg))
-                b_ints.append(angle_bins[ai])
-    mid_r = np.array(r_ints, dtype=float).reshape(-1, 2).mean(axis=1)
-    mid_b = np.array(b_ints, dtype=float).reshape(-1, 2).mean(axis=1)
-    return polar_points(mid_r, mid_b)
+    range_peaks = np.flatnonzero(detect_peaks(np.mean(np.abs(profiles), axis=0), RANGE_POLICY))
+    # angle spectrum of every range peak at once: DFT over the rx axis, one row per peak
+    specs = np.abs(np.fft.fft(profiles[:, range_peaks], axis=0)).T
+    cos = bin_to_cos(np.arange(cfg.n_tx), cfg)
+    ri, ai = np.nonzero(detect_peaks(specs, sensor.angle_policy) & (np.abs(cos) <= 1.0))
+    return polar_points(bin_to_range(range_peaks[ri], cfg), np.arccos(cos[ai]))

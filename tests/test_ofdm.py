@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etslam import ofdm
 from etslam.harness import ExperimentConfig, load_experiment
@@ -12,7 +14,6 @@ from etslam.ofdm import (
     C0,
     FOV,
     EchoPath,
-    InvisibleRegionError,
     OfdmSensor,
     PeakPolicy,
     WaveformConfig,
@@ -20,7 +21,7 @@ from etslam.ofdm import (
     _equalized_column,
     _path_phases,
     angle_spectrum,
-    bin_to_angle,
+    bin_to_cos,
     bin_to_range,
     detect_peaks,
     equalize,
@@ -41,6 +42,12 @@ def table_cfg(**overrides):
     doc = dict(TABLE)
     doc.update(overrides)
     return WaveformConfig.from_mapping(doc)
+
+
+def one_row_cfg(**overrides):
+    """Full-scale numerology with one symbol and one antenna: row 0 of its frame
+    and its range profile are those of ``table_cfg()``, at 1/8192 of the cube size."""
+    return table_cfg(M=1, Nt=1, Nr=1, **overrides)
 
 
 def small_cfg(**overrides):
@@ -122,7 +129,7 @@ def test_identity_channel():
 
 
 def test_delay_phase_progression():
-    cfg = table_cfg()
+    cfg = one_row_cfg()
     frame = generate_frame(cfg, np.random.default_rng(3))
     y = synthesize_echo(cfg, frame, [EchoPath(range_m=10.0, bearing=math.pi / 2)])
     ratio = y[0, 0, :] / frame[0, :]
@@ -154,6 +161,23 @@ def test_equalized_column_matches_synthesis_noiseless():
     want = equalize(synthesize_echo(cfg, frame, paths), frame)[:, 0, :]
     assert col.shape == want.shape == (cfg.n_rx, cfg.n_subcarriers)
     np.testing.assert_allclose(col, want, rtol=1e-9, atol=0.0)
+
+
+def test_full_scale_cube_every_antenna_and_symbol():
+    """At full N and 32 rx (M = 4 keeps the cube at 21 MB), every antenna's and
+    symbol's range profile peaks at the path's nearest bin, the DFT across the
+    antennas at its bearing's bin, and symbol 0 is ``sense``'s analytic column."""
+    cfg = table_cfg(M=4)
+    frame = generate_frame(cfg, np.random.default_rng(3))
+    bearing = math.radians(60.0)
+    s_g = equalize(synthesize_echo(cfg, frame, [EchoPath(range_m=10.0, bearing=bearing)]), frame)
+    assert s_g.shape == (32, 4, 10240)
+    profiles = np.fft.ifft(s_g, axis=-1)
+    assert (np.argmax(np.abs(profiles), axis=-1) == 82).all()
+    assert (np.argmax(np.abs(np.fft.fft(profiles[..., 82], axis=0)), axis=0) == 8).all()
+    col = _equalized_column(cfg, np.array([10.0]), np.array([bearing]),
+                            np.ones(1, dtype=complex), None)
+    np.testing.assert_allclose(col, s_g[:, 0, :], rtol=1e-9, atol=0.0)
 
 
 def test_equalize_shape_mismatch():
@@ -239,35 +263,36 @@ def test_range_profile_nearest_bin():
     """The IDFT peak lands on the bin nearest 2rN*delta_f/c0.
 
     At r = 10 m under the full-scale numerology the fractional bin is 81.92,
-    so the peak is bin 82; the floor-of-fraction reading is tight only for
-    ranges in the lower half of a bin (see README).
+    so the peak is bin 82, whose centre is the placed range (see README).
     """
-    cfg = table_cfg()
+    cfg = one_row_cfg()
     frame = generate_frame(cfg, np.random.default_rng(3))
     s_g = equalize(synthesize_echo(cfg, frame, [EchoPath(range_m=10.0)]), frame)
     assert int(np.argmax(range_profile(s_g[0], 0))) == 82
 
 
-def test_range_profile_lower_half_bin_is_floor():
-    cfg = table_cfg()
+def test_range_profile_whole_bin_is_nearest_bin():
+    """A range anywhere in bin i's centred interval peaks at bin i, within w/2 of its centre."""
+    cfg = one_row_cfg()
     rng = np.random.default_rng(17)
     frame = generate_frame(cfg, rng)
     w = cfg.range_bin_width
     for _ in range(10):
         i = int(rng.integers(8, 800))
-        r = (i + float(rng.uniform(0.01, 0.49))) * w
+        r = (i + float(rng.uniform(-0.49, 0.49))) * w
         s_g = equalize(synthesize_echo(cfg, frame, [EchoPath(range_m=r)]), frame)
         peak = int(np.argmax(range_profile(s_g[0], 0)))
-        assert peak == i == math.floor(2.0 * r * cfg.n_subcarriers * cfg.delta_f / C0)
+        assert peak == i == round(2.0 * r * cfg.n_subcarriers * cfg.delta_f / C0)
+        assert abs(bin_to_range(peak, cfg) - r) < w / 2
 
 
 def test_range_profile_two_paths_resolved():
-    cfg = table_cfg()
+    cfg = one_row_cfg()
     frame = generate_frame(cfg, np.random.default_rng(3))
     paths = [EchoPath(range_m=20.0), EchoPath(range_m=25.0)]
     s_g = equalize(synthesize_echo(cfg, frame, paths), frame)
     prof = range_profile(s_g[0], 0)
-    peaks = sorted(detect_peaks(prof, PeakPolicy(threshold_db=12.0, max_peaks=2)))
+    peaks = np.flatnonzero(detect_peaks(prof, PeakPolicy(threshold_db=12.0, max_peaks=2)))
     assert len(peaks) == 2
     assert abs((peaks[1] - peaks[0]) - 5.0 / cfg.range_bin_width) <= 1.0
 
@@ -340,61 +365,95 @@ def test_angle_spectrum_length_check():
 
 def test_bin_to_range_examples():
     cfg = table_cfg()
-    lo, hi = bin_to_range(0, cfg)
-    assert (lo, hi) == (0.0, pytest.approx(0.1220703125))
-    lo, hi = bin_to_range(81, cfg)
-    assert lo == pytest.approx(9.8877, abs=5e-4)
-    assert hi == pytest.approx(10.0098, abs=5e-4)
+    assert bin_to_range(0, cfg) == 0.0
+    assert bin_to_range(81, cfg) == pytest.approx(9.8877, abs=5e-4)
+    np.testing.assert_array_equal(bin_to_range(np.array([0, 81]), cfg),
+                                  [0.0, 81 * cfg.range_bin_width])
     with pytest.raises(IndexError):
         bin_to_range(cfg.n_subcarriers, cfg)
 
 
 def test_bin_to_angle_examples():
     cfg = table_cfg()
-    lo, hi = bin_to_angle(0, cfg)
-    assert math.degrees(lo) == pytest.approx(86.4163, abs=1e-3)
-    assert math.degrees(hi) == pytest.approx(90.0, abs=1e-9)
-    lo, hi = bin_to_angle(8, cfg)
-    assert math.degrees(lo) == pytest.approx(55.7711, abs=1e-3)
-    assert math.degrees(hi) == pytest.approx(60.0, abs=1e-6)
+    theta = np.degrees(np.arccos(bin_to_cos(np.array([0, 8]), cfg)))
+    assert theta[0] == pytest.approx(90.0, abs=1e-9)
+    assert theta[1] == pytest.approx(60.0, abs=1e-6)
+    with pytest.raises(IndexError):
+        bin_to_cos(cfg.n_tx, cfg)
 
 
 def test_bin_to_angle_invisible_region():
     cfg = table_cfg(d_over_lambda=0.25)  # only |cos| <= 1 bins are visible
-    with pytest.raises(InvisibleRegionError):
-        bin_to_angle(8, cfg)
+    cos = bin_to_cos(np.arange(cfg.n_tx), cfg)
+    assert cos[8] == pytest.approx(1.0) and cos[24] == pytest.approx(-1.0)
+    assert np.flatnonzero(np.abs(cos) <= 1.0).tolist() == [*range(9), *range(24, 32)]
 
 
 def test_bin_to_angle_roundtrip():
-    """Lower-half-bin bearings peak at their own bin and sit in its interval.
-
-    A bearing with fractional angle-bin index i + 0.25 rounds to bin i, so
-    the half-open interval convention is tight there (upper-half fractions
-    round to the neighbouring bin; see README).
-    """
+    """A bearing anywhere in angle bin i's centred cos interval peaks at bin i,
+    within half a bin of its centre (see README)."""
     cfg = table_cfg()
     nt = cfg.n_tx
     scale = cfg.wavelength / (cfg.d * nt)
+    rng = np.random.default_rng(23)
+    checked = 0
     for i in range(nt):
         ip = i if i < nt / 2 else i - nt
-        a = (ip + 0.25) * scale
-        if not -1.0 <= a <= 1.0 or not -1.0 <= (ip + 1) * scale <= 1.0:
-            continue
-        theta = math.acos(a)
-        omega = (2.0 * math.pi * cfg.d / cfg.wavelength) * math.cos(theta)
-        snap = np.exp(1j * omega * np.arange(nt))
-        peak = int(np.argmax(angle_spectrum(snap, nt)))
-        assert peak == i
-        lo, hi = bin_to_angle(i, cfg)
-        assert lo - 1e-9 <= theta <= hi + 1e-9
+        for frac in rng.uniform(-0.49, 0.49, size=8):
+            a = (ip + frac) * scale
+            if not -1.0 <= a <= 1.0:
+                continue
+            omega = (2.0 * math.pi * cfg.d / cfg.wavelength) * a
+            snap = np.exp(1j * omega * np.arange(nt))
+            peak = int(np.argmax(angle_spectrum(snap, nt)))
+            assert peak == i
+            assert abs(bin_to_cos(peak, cfg) - a) < scale / 2
+            checked += 1
+    assert checked >= 8 * (nt - 1)
 
 
 # ---------------------------------------------------------------------------
 # peak detection
 
 
+def _reference_detect_peaks(magnitudes: np.ndarray, policy: PeakPolicy) -> np.ndarray:
+    """Greedy reference for one spectrum: candidates strongest first (stable), each
+    kept unless within one bin of a kept peak, until ``max_peaks`` are kept."""
+    mag = np.asarray(magnitudes, dtype=float)
+    thr = float(np.median(mag)) * 10.0 ** (policy.threshold_db / 20.0)
+    left = np.concatenate([[-np.inf], mag[:-1]])
+    right = np.concatenate([mag[1:], [-np.inf]])
+    idx = np.flatnonzero((mag >= left) & (mag >= right) & (mag > thr) & (mag > 0.0))
+    kept: list[int] = []
+    for i in idx[np.argsort(-mag[idx], kind="stable")]:
+        if all(abs(i - j) > 1 for j in kept):
+            kept.append(int(i))
+        if len(kept) >= policy.max_peaks:
+            break
+    return np.array(kept, dtype=int)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n_rows=st.integers(1, 5), n=st.integers(1, 40),
+       threshold_db=st.sampled_from([0.0, 3.0, 6.0, 12.0]),
+       values=st.sampled_from([st.floats(0.0, 100.0),
+                               st.integers(0, 3).map(float)]))  # ties and plateaus
+def test_detect_peaks_mask_matches_greedy_reference(data, n_rows, n, threshold_db, values):
+    """The batched peak mask keeps, in every row, exactly the greedy reference's peaks."""
+    spectra = np.array(data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                          min_size=n_rows, max_size=n_rows)))
+    policy = PeakPolicy(threshold_db=threshold_db, max_peaks=data.draw(st.integers(1, n)))
+    mask = detect_peaks(spectra, policy)
+    assert mask.shape == spectra.shape and mask.dtype == bool
+    for row, got in zip(spectra, mask):
+        want = np.sort(_reference_detect_peaks(row, policy))
+        assert np.flatnonzero(got).tolist() == want.tolist()
+        assert np.array_equal(detect_peaks(row, policy), got)  # 1-D call, same row
+
+
 def test_detect_peaks_empty_spectrum():
-    assert len(detect_peaks(np.zeros(64), PeakPolicy(threshold_db=12.0, max_peaks=64))) == 0
+    mask = detect_peaks(np.zeros(64), PeakPolicy(threshold_db=12.0, max_peaks=64))
+    assert mask.shape == (64,) and not mask.any()
 
 
 def test_detect_peaks_rejects_empty_input():
@@ -403,20 +462,20 @@ def test_detect_peaks_rejects_empty_input():
 
 
 def test_detect_peaks_single_tone():
-    cfg = table_cfg()
+    cfg = one_row_cfg()
     frame = generate_frame(cfg, np.random.default_rng(3))
     r = 40.0 * cfg.range_bin_width  # on-bin tone: the profile is a clean spike
     s_g = equalize(synthesize_echo(cfg, frame, [EchoPath(range_m=r)]), frame)
     prof = range_profile(s_g[0], 0)
-    peaks = detect_peaks(prof, PeakPolicy(threshold_db=12.0, max_peaks=len(prof)))
-    assert int(peaks[0]) == 40  # strongest peak; noiseless floor is numerical
-    noisy = table_cfg(snr_db=20.0)
+    peaks = detect_peaks(prof, PeakPolicy(threshold_db=12.0, max_peaks=1))
+    assert np.flatnonzero(peaks).tolist() == [40]  # strongest peak; noiseless floor is numerical
+    noisy = one_row_cfg(snr_db=20.0)
     rng = np.random.default_rng(9)
     s_g = equalize(
         synthesize_echo(noisy, frame, [EchoPath(range_m=r)], rng), frame)
     peaks = detect_peaks(
         range_profile(s_g[0], 0), PeakPolicy(threshold_db=12.0, max_peaks=1))
-    assert list(peaks) == [40]
+    assert np.flatnonzero(peaks).tolist() == [40]
 
 
 def test_detect_peaks_max_count_and_order():
@@ -424,14 +483,16 @@ def test_detect_peaks_max_count_and_order():
     spec[[10, 20, 30]] = [3.0, 5.0, 4.0]
     spec += 0.01
     peaks = detect_peaks(spec, PeakPolicy(threshold_db=6.0, max_peaks=2))
-    assert list(peaks) == [20, 30]  # descending magnitude, capped
+    assert np.flatnonzero(peaks).tolist() == [20, 30]  # the two strongest, capped
+    strongest = detect_peaks(spec, PeakPolicy(threshold_db=6.0, max_peaks=1))
+    assert np.flatnonzero(strongest).tolist() == [20]
 
 
 def test_detect_peaks_adjacent_suppressed():
     spec = np.full(64, 0.01)
     spec[10], spec[11] = 5.0, 5.0  # equal plateau: both local maxima
     peaks = detect_peaks(spec, PeakPolicy(threshold_db=6.0, max_peaks=len(spec)))
-    assert list(peaks) == [10]  # second one is within one bin of the first
+    assert np.flatnonzero(peaks).tolist() == [10]  # second one is within one bin of the first
 
 
 # ---------------------------------------------------------------------------
@@ -473,34 +534,57 @@ def test_sense_empty_scene():
 
 
 def _bins_containing(cfg, r, b):
-    """Each (range interval, angle interval) pair of bins whose intervals contain (r, b)."""
-    pairs = []
-    for i in range(cfg.n_subcarriers):
-        r_int = bin_to_range(i, cfg)
-        if not r_int[0] <= r < r_int[1]:
-            continue
-        for a in range(cfg.n_tx):
-            try:
-                b_int = bin_to_angle(a, cfg)
-            except InvisibleRegionError:
-                continue
-            if b_int[0] <= b <= b_int[1]:
-                pairs.append((r_int, b_int))
-    return pairs
+    """Each (range bin, angle bin) pair whose centred intervals contain (r, cos b)."""
+    scale = cfg.wavelength / (cfg.d * cfg.n_tx)
+    cos = bin_to_cos(np.arange(cfg.n_tx), cfg)
+    return [(i, a) for i in range(cfg.n_subcarriers)
+            if abs(bin_to_range(i, cfg) - r) <= cfg.range_bin_width / 2
+            for a in range(cfg.n_tx) if abs(cos[a] - math.cos(b)) <= scale / 2]
 
 
 def test_sense_single_target_interval_contains_truth():
     cfg = small_cfg(snr_db=30.0)
-    r_true = 8.25 * cfg.range_bin_width  # lower half of bin 8, ~10.07 m
+    r_true = 8.25 * cfg.range_bin_width  # bin 8's centred interval, ~10.07 m
     scene = _one_circle_scene(r_true)
     scan = sense(scene, Pose(3.0, 3.0, 0.0), _sensor(scene, cfg), np.random.default_rng(12))
     assert len(scan) >= 1
     rows = {row.tobytes() for row in scan}
-    midpoints = [polar_points(np.array([r_int]).mean(axis=1), np.array([b_int]).mean(axis=1))[0]
-                 for r_int, b_int in _bins_containing(cfg, r_true, math.pi / 2)]
-    assert midpoints
-    assert any(m.tobytes() in rows for m in midpoints), \
-        "no detection sits at the midpoints of the bins holding the true range and bearing"
+    pairs = _bins_containing(cfg, r_true, math.pi / 2)
+    centres = polar_points(bin_to_range(np.array([i for i, _ in pairs]), cfg),
+                           np.arccos(bin_to_cos(np.array([a for _, a in pairs]), cfg)))
+    assert len(centres)
+    assert any(c.tobytes() in rows for c in centres), \
+        "no detection sits at the centres of the bins holding the true range and bearing"
+
+
+@pytest.mark.parametrize("theta_deg", [25.0, 61.0, 90.0, 117.5, 155.0])
+def test_sense_places_detection_at_bin_centre(theta_deg):
+    """A noiseless one-ray sensor at a circle at range r and bearing theta has a
+    detection within w/2 of r and within half an angle bin of cos(theta)."""
+    exp = load_experiment("ci.yaml")
+    cfg = dataclasses.replace(exp.waveform, snr_db=None)
+    theta = math.radians(theta_deg)
+    fan = dataclasses.replace(exp, backend="ofdm", waveform=cfg).make_sensor()
+    sensor = dataclasses.replace(fan, bearings=np.array([theta]))
+    w = cfg.range_bin_width
+    scale = cfg.wavelength / (cfg.d * cfg.n_tx)
+    rng = np.random.default_rng(int(theta_deg * 10))
+    for _ in range(8):
+        r = (int(rng.integers(10, 200)) + float(rng.uniform(-0.49, 0.49))) * w
+        radius = 0.5
+        centre = (r + radius) * np.array([math.cos(theta), math.sin(theta)])
+        scene = load_scene({
+            "bounds": {"min": [-40.0, -40.0], "max": [40.0, 40.0]},
+            "targets": [{"id": 1, "kind": "circle", "center": centre.tolist(),
+                         "radius": radius}],
+            "trajectory": {"waypoints": [[0.0, 0.0], [1.0, 0.0]],
+                           "speed": 1.0, "step_interval": 0.5},
+        })
+        scan = sense(scene, Pose(0.0, 0.0, 0.0), sensor, rng)
+        ranges = np.hypot(scan[:, 0], scan[:, 1])
+        cosines = np.cos(np.arctan2(scan[:, 1], scan[:, 0]))
+        near = (np.abs(ranges - r) <= w / 2) & (np.abs(cosines - math.cos(theta)) <= scale / 2)
+        assert near.any(), f"no detection within half a bin of r={r:.4f} m, {theta_deg} deg"
 
 
 def test_sense_deterministic():
@@ -536,25 +620,22 @@ def test_negative_guard_interval_rejected_with_matching_symbol_time():
 
 
 def _sense_per_peak(scene, pose, cfg, rng, sensor):
-    """Reference for ``sense``: one angle DFT and one bin_to_angle call per range peak."""
+    """Reference for ``sense``: greedy peak picking and one angle DFT per range peak,
+    each visible detection placed at its bin centres."""
     gt = ground_truth_scan(scene, pose, sensor.bearings)
-    if len(gt) == 0 and cfg.snr_db is None:
-        return np.zeros((0, 2))
     col = _equalized_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex), rng)
     profiles = np.fft.ifft(col, axis=1)
-    range_peaks = detect_peaks(np.mean(np.abs(profiles), axis=0), ofdm.RANGE_POLICY)
-    r_ints, b_ints = [], []
+    range_peaks = _reference_detect_peaks(np.mean(np.abs(profiles), axis=0), ofdm.RANGE_POLICY)
+    r_bins, cosines = [], []
     for ri in sorted(range_peaks):
         spec = angle_spectrum(profiles[:, ri], cfg.n_tx)
-        for ai in sorted(detect_peaks(spec, sensor.angle_policy)):
-            try:
-                b_ints.append(bin_to_angle(int(ai), cfg))
-            except InvisibleRegionError:
-                continue
-            r_ints.append(bin_to_range(int(ri), cfg))
-    if not r_ints:
-        return np.zeros((0, 2))
-    return polar_points(np.array(r_ints).mean(axis=1), np.array(b_ints).mean(axis=1))
+        for ai in sorted(_reference_detect_peaks(spec, sensor.angle_policy)):
+            c = cfg.wavelength / (cfg.d * cfg.n_tx) * (ai if ai < cfg.n_tx / 2 else ai - cfg.n_tx)
+            if abs(c) <= 1.0:
+                r_bins.append(ri)
+                cosines.append(c)
+    return polar_points(np.array(r_bins, dtype=int) * cfg.range_bin_width,
+                        np.arccos(np.array(cosines, dtype=float)))
 
 
 @pytest.mark.parametrize("config", ["ci.yaml", "full_scale.yaml"])
