@@ -23,7 +23,8 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -185,18 +186,14 @@ def _path_phases(cfg: WaveformConfig, ranges: np.ndarray, bearings: np.ndarray,
 
 
 def _add_noise(cfg: WaveformConfig, y: np.ndarray, has_paths: bool,
-               rng: Optional[np.random.Generator]) -> np.ndarray:
+               z: np.ndarray) -> np.ndarray:
     """``y`` plus complex Gaussian noise, added to ``y`` in place and returned:
     mean echo power / noise power equals the configured linear SNR (reference
-    power 1 when there are no paths).  The real parts are drawn first, then
-    the imaginary parts."""
-    if cfg.snr_db is None:
-        return y
-    if rng is None:
-        raise ValueError("rng required when noise is enabled")
+    power 1 when there are no paths).  ``z`` is a unit normal draw of shape
+    ``(2,) + y.shape``, the real parts then the imaginary parts; it is scaled
+    in place."""
     ref = float(np.mean(np.abs(y) ** 2)) if has_paths else 1.0
     sigma2 = ref / cfg.snr_linear
-    z = rng.standard_normal((2,) + y.shape)
     z *= math.sqrt(sigma2 / 2.0)
     y.real += z[0]
     y.imag += z[1]
@@ -213,7 +210,7 @@ def synthesize_echo(
 
     Each path multiplies the frame by a delay phase across subcarriers, a
     Doppler phase across symbols, and a steering phase across rx elements.
-    Noise is added as in ``_add_noise``.
+    Noise is added as in ``_add_noise``, from one draw of ``rng``.
     """
     r, v, a, th = _path_arrays(paths)
     _check_windows(cfg, r, v)
@@ -221,7 +218,11 @@ def synthesize_echo(
     doppler = np.exp(2j * np.pi * np.outer(2.0 * v * cfg.fc / C0 * cfg.t_sym,
                                            np.arange(cfg.n_symbols)))  # (L, M)
     y = np.einsum("lk,lm,ln->kmn", steer, doppler, delay) * frame
-    return _add_noise(cfg, y, len(paths) > 0, rng)
+    if cfg.snr_db is None:
+        return y
+    if rng is None:
+        raise ValueError("rng required when noise is enabled")
+    return _add_noise(cfg, y, len(paths) > 0, rng.standard_normal((2,) + y.shape))
 
 
 def equalize(y: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -333,11 +334,20 @@ class OfdmSensor:
     sensor runs ``sense``: ground-truth rays along the fan, the equalized
     response synthesized analytically (one symbol column suffices for static
     paths), and one sensor-frame point per (range peak, angle peak) pair.
+
+    With noise enabled, the sensor owns the buffer its unit noise draw is
+    written to, shape (2, n_rx, N), so a sensor serves one call at a time.
+    ``dataclasses.replace`` builds a sensor with a buffer of its own.
     """
 
     cfg: WaveformConfig
     bearings: np.ndarray
     angle_policy: PeakPolicy
+    noise: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        shape = (2, self.cfg.n_rx, self.cfg.n_subcarriers)
+        object.__setattr__(self, "noise", None if self.cfg.snr_db is None else np.empty(shape))
 
     def __call__(self, scene: Scene, pose: Pose, rng: np.random.Generator) -> np.ndarray:
         return sense(scene, pose, self, rng)
@@ -349,15 +359,42 @@ def _equalized_column(
     bearings: np.ndarray,
     amps: np.ndarray,
     rng: Optional[np.random.Generator],
+    noise: Optional[np.ndarray],
 ) -> np.ndarray:
     """Equalized symbol-0 response per rx element, shape (n_rx, N).
 
     Identical in distribution to equalize(synthesize_echo(...))[..., 0, :]
     for zero-Doppler paths: equalization of unit-modulus QPSK leaves the
     noise statistics unchanged.  One matmul instead of the full synthesis.
+
+    With noise enabled, a worker thread draws the unit normals into
+    ``noise``, shape (2, n_rx, N), while this thread builds the clean column.
+    numpy releases the GIL while it fills the buffer and nothing else reads
+    ``rng`` meanwhile, so the draw, and ``rng``'s state after it, are those
+    of one serial ``rng.standard_normal((2, n_rx, N))``.
     """
-    steer, delay = _path_phases(cfg, ranges, bearings, amps)
-    return _add_noise(cfg, steer.T @ delay, len(ranges) > 0, rng)
+    if cfg.snr_db is None:
+        steer, delay = _path_phases(cfg, ranges, bearings, amps)
+        return steer.T @ delay
+    failure = []
+
+    def draw():
+        try:
+            rng.standard_normal(out=noise)
+        except BaseException as exc:  # raised again on the calling thread
+            failure.append(exc)
+
+    worker = threading.Thread(target=draw, name="ofdm-noise")
+    worker.start()
+    try:
+        steer, delay = _path_phases(cfg, ranges, bearings, amps)
+        y = steer.T @ delay
+        del delay
+    finally:
+        worker.join()
+    if failure:
+        raise failure[0]
+    return _add_noise(cfg, y, len(ranges) > 0, noise)
 
 
 def sense(scene: Scene, pose: Pose, sensor: OfdmSensor, rng: np.random.Generator) -> np.ndarray:
@@ -366,7 +403,8 @@ def sense(scene: Scene, pose: Pose, sensor: OfdmSensor, rng: np.random.Generator
     cfg = sensor.cfg
     gt = ground_truth_scan(scene, pose, sensor.bearings)
     _check_windows(cfg, gt.ranges, np.zeros(len(gt)))
-    col = _equalized_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex), rng)
+    col = _equalized_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex), rng,
+                            sensor.noise)
     profiles = np.fft.ifft(col, axis=1)  # (n_rx, N)
     range_peaks = np.flatnonzero(detect_peaks(np.mean(np.abs(profiles), axis=0), RANGE_POLICY))
     # angle spectrum of every range peak at once: DFT over the rx axis, one row per peak

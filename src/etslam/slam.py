@@ -67,8 +67,9 @@ class OccupancyGrid:
         ok = (cx >= 0) & (cx < nx) & (cy >= 0) & (cy < ny)
         return np.where(ok, cx * ny + cy, 0), ok
 
-    def occupied_count(self) -> int:
-        return int(np.count_nonzero(self.log_odds > 0.0))
+    def has_occupied(self) -> bool:
+        """Whether any cell's log-odds is above 0, read from ``log_odds`` itself."""
+        return bool(self.log_odds.max(initial=0.0) > 0.0)
 
 
 def scan_to_points(scan: np.ndarray, pose: Pose) -> np.ndarray:
@@ -129,7 +130,7 @@ def match_scan(
     Ties are broken by smallest correction magnitude, then lexicographically
     by (dx, dy, dtheta).  Empty scan or empty grid returns the prior flagged.
     """
-    if len(scan) == 0 or grid.occupied_count() == 0:
+    if len(scan) == 0 or not grid.has_occupied():
         return MatchResult(prior, 0.0, False)
     dxy, dth, order = _candidates(window)
     world = np.stack([scan @ rotation(prior.heading + dt).T + prior.position

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -157,7 +159,7 @@ def test_equalized_column_matches_synthesis_noiseless():
     ranges = np.array([p.range_m for p in paths])
     amps = np.array([p.amplitude for p in paths])
     bearings = np.array([p.bearing for p in paths])
-    col = _equalized_column(cfg, ranges, bearings, amps, None)
+    col = _equalized_column(cfg, ranges, bearings, amps, None, None)
     want = equalize(synthesize_echo(cfg, frame, paths), frame)[:, 0, :]
     assert col.shape == want.shape == (cfg.n_rx, cfg.n_subcarriers)
     np.testing.assert_allclose(col, want, rtol=1e-9, atol=0.0)
@@ -176,7 +178,7 @@ def test_full_scale_cube_every_antenna_and_symbol():
     assert (np.argmax(np.abs(profiles), axis=-1) == 82).all()
     assert (np.argmax(np.abs(np.fft.fft(profiles[..., 82], axis=0)), axis=0) == 8).all()
     col = _equalized_column(cfg, np.array([10.0]), np.array([bearing]),
-                            np.ones(1, dtype=complex), None)
+                            np.ones(1, dtype=complex), None, None)
     np.testing.assert_allclose(col, s_g[:, 0, :], rtol=1e-9, atol=0.0)
 
 
@@ -242,7 +244,7 @@ def test_add_noise_matches_two_draw_formula(shape, has_paths):
     want_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
     want = _add_noise_two_draws(cfg, y.copy(), has_paths, want_rng)
     y_in = y.copy()
-    got = _add_noise(cfg, y_in, has_paths, got_rng)
+    got = _add_noise(cfg, y_in, has_paths, got_rng.standard_normal((2,) + shape))
     assert got is y_in  # noise is added in place
     assert np.array_equal(got, want)
     assert got_rng.random() == want_rng.random()  # same number of draws
@@ -517,14 +519,18 @@ def _sensor(scene, cfg):
     return ExperimentConfig(scene=scene, backend="ofdm", waveform=cfg).make_sensor()
 
 
-def test_sense_empty_scene():
-    cfg = small_cfg()
-    scene = load_scene({
+def _empty_scene():
+    return load_scene({
         "bounds": {"min": [0.0, 0.0], "max": [10.0, 10.0]},
         "targets": [],
         "trajectory": {"waypoints": [[1.0, 1.0], [2.0, 1.0]],
                        "speed": 1.0, "step_interval": 0.5},
     })
+
+
+def test_sense_empty_scene():
+    cfg = small_cfg()
+    scene = _empty_scene()
     scan = sense(scene, Pose(1.0, 1.0, 0.0), _sensor(scene, cfg), np.random.default_rng(0))
     assert len(scan) == 0
     # noise alone gives no range peak, so the angle stage runs on none
@@ -619,11 +625,21 @@ def test_negative_guard_interval_rejected_with_matching_symbol_time():
         small_cfg(Tc=-1e-7, T=TABLE["Tp"] - 1e-7)
 
 
+def _serial_column(cfg, ranges, bearings, amps, rng):
+    """Reference for ``_equalized_column``: the clean column, then one unit draw of
+    shape (2, n_rx, N) on this thread, then noise scaled and added by ``_add_noise``."""
+    steer, delay = _path_phases(cfg, ranges, bearings, amps)
+    y = steer.T @ delay
+    if cfg.snr_db is None:
+        return y
+    return _add_noise(cfg, y, len(ranges) > 0, rng.standard_normal((2,) + y.shape))
+
+
 def _sense_per_peak(scene, pose, cfg, rng, sensor):
-    """Reference for ``sense``: greedy peak picking and one angle DFT per range peak,
-    each visible detection placed at its bin centres."""
+    """Reference for ``sense``: the serial column, greedy peak picking and one angle
+    DFT per range peak, each visible detection placed at its bin centres."""
     gt = ground_truth_scan(scene, pose, sensor.bearings)
-    col = _equalized_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex), rng)
+    col = _serial_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex), rng)
     profiles = np.fft.ifft(col, axis=1)
     range_peaks = _reference_detect_peaks(np.mean(np.abs(profiles), axis=0), ofdm.RANGE_POLICY)
     r_bins, cosines = [], []
@@ -657,3 +673,100 @@ def test_sense_matches_per_peak_reference(config):
             assert got.tobytes() == want.tobytes()
             detections += len(got)
     assert detections > 0
+
+
+# ---------------------------------------------------------------------------
+# the noise draw on a worker thread
+
+
+def _assert_column_matches_serial(sensor, scene, pose, got_rng, want_rng):
+    """``_equalized_column`` at one pose equals its serial reference byte for byte,
+    and leaves its rng in the reference's state; returns the column."""
+    gt = ground_truth_scan(scene, pose, sensor.bearings)
+    args = (sensor.cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex))
+    got = _equalized_column(*args, got_rng, sensor.noise)
+    want = _serial_column(*args, want_rng)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    return got
+
+
+@pytest.mark.parametrize("config", ["ci.yaml", "full_scale.yaml"])
+def test_threaded_noise_column_matches_serial_draw(config):
+    """The column built beside the worker's draw is the serial column, and the
+    rng ends where one serial draw leaves it."""
+    exp = load_experiment(config)
+    assert exp.waveform.snr_db is not None
+    sensor = dataclasses.replace(exp, backend="ofdm").make_sensor()
+    assert sensor.noise.shape == (2, exp.waveform.n_rx, exp.waveform.n_subcarriers)
+    pose = trajectory_pose(exp.scene.trajectory, 7.5)
+    _assert_column_matches_serial(sensor, exp.scene, pose,
+                                  np.random.default_rng(3), np.random.default_rng(3))
+
+
+def test_threaded_noise_column_empty_scene():
+    """No paths: pure noise at reference power 1, as the serial draw makes it."""
+    scene = _empty_scene()
+    sensor = _sensor(scene, small_cfg(snr_db=10.0))
+    got = _assert_column_matches_serial(sensor, scene, Pose(1.0, 1.0, 0.0),
+                                        np.random.default_rng(4), np.random.default_rng(4))
+    assert np.count_nonzero(got) == got.size
+
+
+def test_noiseless_sense_starts_no_thread_and_leaves_rng(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a noiseless call started a thread")
+
+    monkeypatch.setattr(ofdm.threading, "Thread", no_thread)
+    scene = _one_circle_scene(9.5)
+    sensor = _sensor(scene, small_cfg())
+    assert sensor.noise is None
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    scan = sense(scene, Pose(3.0, 3.0, 0.0), sensor, rng)
+    assert len(scan) >= 1
+    assert rng.bit_generator.state == before
+
+
+def test_threaded_noise_under_fast_thread_switching():
+    """With the interpreter switching threads every microsecond, every column of a
+    20-pose run, drawn from one rng, still equals the serial reference's."""
+    exp = load_experiment("ci.yaml")
+    sensor = dataclasses.replace(exp, backend="ofdm").make_sensor()
+    traj = exp.scene.trajectory
+    got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k in range(20):
+            _assert_column_matches_serial(sensor, exp.scene, trajectory_pose(traj, 2.5 * k),
+                                          got_rng, want_rng)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not [t for t in threading.enumerate() if t.name == "ofdm-noise"]
+
+
+class _FailingDraw:
+    def standard_normal(self, *args, **kwargs):
+        raise RuntimeError("draw failed")
+
+
+def test_noise_draw_failure_raises_from_sense():
+    """An exception in the worker's draw is raised by ``sense``, not lost with the thread."""
+    scene = _one_circle_scene(9.5)
+    sensor = _sensor(scene, small_cfg(snr_db=10.0))
+    with pytest.raises(RuntimeError, match="^draw failed$"):
+        sense(scene, Pose(3.0, 3.0, 0.0), sensor, _FailingDraw())
+    assert not [t for t in threading.enumerate() if t.name == "ofdm-noise"]
+
+
+def test_replaced_sensor_gets_its_own_noise_buffer():
+    scene = _one_circle_scene(9.5)
+    sensor = _sensor(scene, small_cfg(snr_db=10.0))
+    other = dataclasses.replace(sensor, bearings=sensor.bearings[:5])
+    assert other.noise.shape == sensor.noise.shape == (2, 8, 1024)
+    assert other.noise.dtype == np.float64
+    assert not np.shares_memory(other.noise, sensor.noise)
+    assert other == dataclasses.replace(other)  # the buffer takes no part in equality
+    assert "noise" not in repr(other)

@@ -74,7 +74,7 @@ def test_grid_for_scene_dimensions():
     grid = OccupancyGrid.for_scene(_scene(), resolution=0.1, margin=2.0)
     assert grid.shape == (440, 440)  # (40 + 2*2) m at 0.1 m cells
     assert np.allclose(grid.origin, [-22.0, -22.0])
-    assert grid.occupied_count() == 0
+    assert not grid.has_occupied()
 
 
 def test_grid_cell_of():
@@ -215,7 +215,7 @@ def test_update_grid_matches_2d_unique_reference():
         update_grid(fast, pose, scan)
         _update_grid_reference(ref, pose, scan)
         assert fast.log_odds.tobytes() == ref.log_odds.tobytes()
-    assert fast.occupied_count() > 0 and np.any(fast.log_odds < 0)
+    assert fast.has_occupied() and np.any(fast.log_odds < 0)
 
 
 _FINITE = st.floats(-50.0, 50.0)
@@ -280,6 +280,26 @@ def test_match_empty_grid_returns_prior():
     assert not result.matched
 
 
+def test_match_sees_cells_written_through_log_odds():
+    """The empty-grid check reads the log-odds themselves, so a cell written
+    directly, not by update_grid, makes the grid non-empty, and clearing it
+    makes it empty again."""
+    grid = OccupancyGrid(origin=np.zeros(2), resolution=0.1, log_odds=np.full((10, 10), -0.4))
+    scan = polar_points(np.array([0.3]), np.array([0.0]))
+    prior = Pose(0.25, 0.25, 0.0)
+    assert not grid.has_occupied()
+    assert not match_scan(scan, grid, prior).matched
+    grid.log_odds[5, 2] = 0.85
+    assert grid.has_occupied()
+    result = match_scan(scan, grid, prior)
+    assert result.matched and result.score > 0.0
+    grid.log_odds[5, 2] = 0.0
+    assert not grid.has_occupied()
+    assert not match_scan(scan, grid, prior).matched
+    assert not OccupancyGrid(origin=np.zeros(2), resolution=0.1,
+                             log_odds=np.zeros((0, 0))).has_occupied()
+
+
 def test_match_self_consistency():
     """Matching a scan against the map it just built keeps the true pose."""
     scene = _scene()
@@ -332,7 +352,7 @@ def test_match_recovers_injected_lattice_offset(seed, x, y, heading, i, j, a):
 
 def _match_scan_reference(scan, grid, prior, window):
     """match_scan with one index_of per rotation over every (dx, dy) shift."""
-    if len(scan) == 0 or grid.occupied_count() == 0:
+    if len(scan) == 0 or np.count_nonzero(grid.log_odds > 0.0) == 0:
         return MatchResult(prior, 0.0, False)
     dxy, dth = window.offsets()
     flat = grid.log_odds.ravel()
