@@ -3,7 +3,8 @@
 Classic DBSCAN semantics (Ester et al. 1996): a point is core iff it has
 >= min_pts neighbors within eps (closed ball, itself included).  Clusters are
 the connected components of the core points under the eps-neighbor relation,
-numbered in order of each cluster's first core point in the input.  A border
+found by hooking each component onto its lowest core index (Shiloach & Vishkin
+1982), and numbered in order of that first core point in the input.  A border
 point (not core, within eps of a core point) joins the lowest-id cluster
 among its core neighbors; every other point is noise.  Core/noise status and
 the partition of the core points do not depend on input order; cluster ids
@@ -15,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 NOISE = -1
@@ -30,13 +29,39 @@ class ClusterParams:
     def __post_init__(self):
         if not 0.0 < self.eps < np.inf:
             raise ValueError("cluster eps must be finite and > 0")
-        if self.min_pts < 1:
-            raise ValueError("min_pts must be >= 1")
+        min_pts = self.min_pts
+        if isinstance(min_pts, bool) or not isinstance(min_pts, (int, np.integer)) or min_pts < 1:
+            raise ValueError(f"min_pts must be an int >= 1, got {min_pts!r}")
+
+
+def _points_2d(points) -> np.ndarray:
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"points must have shape (n, 2), got {points.shape}")
+    return points
+
+
+def _lowest_index_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lowest node index in each node's component of the n-node graph with edges (a, b).
+
+    Each round hooks every edge's larger root onto its smaller end, jumps pointers
+    until each node points at its root and drops the edges left inside one tree.
+    Pointers only decrease, so no cycle forms and each root is its tree's lowest index.
+    """
+    root = np.arange(n)
+    while a.size:
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+        a, b = root[a], root[b]
+        cross = a != b
+        a, b = a[cross], b[cross]
+    return root
 
 
 def dbscan(points: np.ndarray, params: ClusterParams = ClusterParams()) -> np.ndarray:
-    """Cluster labels per point; noise is labeled NOISE (-1), ids contiguous from 0."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    """Cluster labels per row of (n, 2) points; noise is NOISE (-1), ids contiguous from 0."""
+    points = _points_2d(points)
     n = len(points)
     if n == 0:
         return np.zeros(0, dtype=int)
@@ -48,21 +73,20 @@ def dbscan(points: np.ndarray, params: ClusterParams = ClusterParams()) -> np.nd
     core_a, core_b = core[a], core[b]
     # clusters: components of the core-core edges, numbered by first core point
     both = core_a & core_b
-    graph = coo_matrix((np.ones(both.sum()), (a[both], b[both])), shape=(n, n))
-    _, comp = connected_components(graph, directed=False)
-    _, first, inverse = np.unique(comp[core], return_index=True, return_inverse=True)
+    root = _lowest_index_components(n, a[both], b[both])
+    firsts, ids = np.unique(root[core], return_inverse=True)
     labels = np.full(n, NOISE, dtype=int)
-    labels[core] = np.argsort(np.argsort(first))[inverse]
+    labels[core] = ids
     # border points: the smallest cluster id among their core neighbors
-    border = np.full(n, len(first))
+    border = np.full(n, len(firsts))
     for src, dst, reach in ((a, b, core_a & ~core_b), (b, a, core_b & ~core_a)):
         np.minimum.at(border, dst[reach], labels[src[reach]])
-    return np.where(border < len(first), border, labels)
+    return np.where(border < len(firsts), border, labels)
 
 
 def cluster_centroids(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Arithmetic mean per cluster id (noise excluded), ordered by id."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _points_2d(points)
     labels = np.asarray(labels)
     if len(labels) != len(points):
         raise ValueError("labels must align with points")

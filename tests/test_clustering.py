@@ -1,12 +1,16 @@
 """DBSCAN clustering tests, including an exhaustive O(n^2) reference."""
 
+import re
 from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
+from etslam import clustering, harness, scene
 from etslam.clustering import (
     NOISE,
     ClusterParams,
@@ -93,6 +97,7 @@ def test_border_point_attaches_to_first_core():
 
 def test_empty_input():
     assert dbscan(np.zeros((0, 2))).shape == (0,)
+    assert cluster_centroids(np.zeros((0, 2)), np.zeros(0, dtype=int)).shape == (0, 2)
 
 
 def test_nonfinite_rejected():
@@ -105,6 +110,19 @@ def test_param_validation():
         ClusterParams(eps=0.0)
     with pytest.raises(ValueError):
         ClusterParams(min_pts=0)
+    for min_pts in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="min_pts"):
+            ClusterParams(min_pts=min_pts)
+    assert ClusterParams(min_pts=np.int64(4)).min_pts == 4
+
+
+@pytest.mark.parametrize("shape", [(4,), (0,), (5, 3), (3, 1), (2, 2, 2)])
+def test_points_must_be_n_by_2(shape):
+    pts = np.arange(float(np.prod(shape))).reshape(shape)
+    with pytest.raises(ValueError, match=rf"\(n, 2\), got {re.escape(str(shape))}"):
+        dbscan(pts)
+    with pytest.raises(ValueError, match=rf"\(n, 2\), got {re.escape(str(shape))}"):
+        cluster_centroids(pts, np.zeros(len(pts), dtype=int))
 
 
 def test_centroid_label_alignment_checked():
@@ -246,6 +264,113 @@ def test_core_partition_and_noise_permutation_invariant(points, params, data):
     same_base = base[core][:, None] == base[core][None, :]
     same_shuffled = shuffled[core][:, None] == shuffled[core][None, :]
     assert np.array_equal(same_base, same_shuffled)
+
+
+# ---------------------------------------------------------------------------
+# lowest-index components against scipy's connected components
+
+
+def reference_component_minimum(n, a, b):
+    """Lowest node index in each node's component, by scipy's connected_components."""
+    graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    _, comp = connected_components(graph, directed=False)
+    _, first = np.unique(comp, return_index=True)  # comp ids are 0..k-1
+    return first[comp]
+
+
+class _CountedHooks:
+    """numpy as the clustering module sees it, counting the hook rounds (minimum.at calls).
+
+    Components of n nodes need at most about 2 log2(n) rounds: within two rounds
+    every tree that still has a cross edge merges with another.
+    """
+
+    def __init__(self, n):
+        self.rounds, self.limit = 0, 2 * max(n, 1).bit_length() + 2
+        self.minimum = lambda *args: np.minimum(*args)
+        self.minimum.at = self._hook
+
+    def _hook(self, *args):
+        self.rounds += 1
+        if self.rounds > self.limit:
+            raise AssertionError(f"more than {self.limit} hook rounds")
+        np.minimum.at(*args)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _check_components(monkeypatch, n, a, b):
+    """Assert the helper's roots against scipy's components; return its hook rounds."""
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+    want = reference_component_minimum(n, a, b)
+    hooks = _CountedHooks(n)
+    with monkeypatch.context() as m:
+        m.setattr(clustering, "np", hooks)
+        root = clustering._lowest_index_components(n, a, b)
+    assert np.array_equal(root, want)
+    return hooks.rounds
+
+
+def test_lowest_index_components_random_multigraphs(monkeypatch):
+    rng = np.random.default_rng(31)
+    for density in (0.1, 0.5, 1.0, 2.0, 8.0):
+        for _ in range(20):
+            n = int(rng.integers(1, 400))
+            a, b = rng.integers(0, n, size=(2, int(density * n)))
+            # repeat some edges, some of them reversed
+            k = rng.integers(0, len(a) + 1)
+            a, b = np.concatenate([a, a[:k], b[:k]]), np.concatenate([b, b[:k], a[:k]])
+            _check_components(monkeypatch, n, a, b)
+
+
+def test_lowest_index_components_long_paths_and_stars(monkeypatch):
+    n = 100_000
+    perm = np.random.default_rng(32).permutation(n)
+    # a path through the nodes in random order needs many rounds
+    assert _check_components(monkeypatch, n, perm[:-1], perm[1:]) > 5
+    zigzag = np.stack([np.arange(n // 2), n - 1 - np.arange(n // 2)], axis=1).ravel()
+    _check_components(monkeypatch, n, zigzag[:-1], zigzag[1:])
+    for centre in (0, n // 2, n - 1):
+        leaves = np.delete(np.arange(n), centre)
+        _check_components(monkeypatch, n, leaves, np.full(n - 1, centre))
+
+
+def test_lowest_index_components_without_edges(monkeypatch):
+    for n in (0, 1, 5):
+        assert _check_components(monkeypatch, n, [], []) == 0
+
+
+@pytest.fixture(scope="module")
+def surface_hits():
+    """Ray hits on the target surfaces from every third step of the ci.yaml trajectory."""
+    cfg = harness.load_experiment("ci.yaml")
+    traj = cfg.scene.trajectory
+    bearings = np.radians(np.arange(0.0, 360.0, 2.0))
+    n_steps = int(round(traj.total_length / traj.speed / traj.step_interval))
+    hits = np.vstack([
+        scene.ground_truth_scan(
+            cfg.scene, scene.trajectory_pose(traj, k * traj.step_interval), bearings
+        ).points
+        for k in range(3, n_steps + 1, 3)
+    ])
+    return cfg.scene, hits
+
+
+@pytest.mark.parametrize("noise_std, clutter", [(0.05, 0.02), (0.2, 0.10)])
+def test_surface_map_matches_reference(surface_hits, noise_std, clutter):
+    """About 2000 map points, where the components take several hook rounds."""
+    sc, hits = surface_hits
+    rng = np.random.default_rng(int(100 * noise_std))
+    pts = hits + noise_std * rng.standard_normal(hits.shape)
+    junk = rng.uniform(sc.bounds_min, sc.bounds_max, (int(round(clutter * len(hits))), 2))
+    pts = np.vstack([pts, junk])[rng.permutation(len(pts) + len(junk))]
+    assert 2000 <= len(pts) <= 2500
+    for eps, min_pts in ((0.5, 3), (0.25, 4), (1.0, 10)):
+        params = ClusterParams(eps=eps, min_pts=min_pts)
+        labels = dbscan(pts, params)
+        assert labels.max() >= 5
+        assert np.array_equal(labels, reference_dbscan(pts, params)), (eps, min_pts)
 
 
 # ---------------------------------------------------------------------------
