@@ -34,10 +34,10 @@ class ClusterParams:
             raise ValueError(f"min_pts must be an int >= 1, got {min_pts!r}")
 
 
-def _points_2d(points) -> np.ndarray:
+def _points_2d(points, what: str = "points") -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError(f"points must have shape (n, 2), got {points.shape}")
+        raise ValueError(f"{what} must have shape (n, 2), got {points.shape}")
     return points
 
 
@@ -104,8 +104,12 @@ def recovered_target_count(
     A centroid claims the target whose boundary is nearest (the first such
     target on a tie), provided that distance is at most ``max_distance``.
     """
-    centroids = np.atleast_2d(np.asarray(centroids, dtype=float))
-    if centroids.size == 0 or not targets:
+    centroids = _points_2d(centroids, "centroids")
+    if not np.all(np.isfinite(centroids)):
+        raise ValueError("centroids must be finite")
+    if not max_distance >= 0.0:
+        raise ValueError(f"max_distance must be >= 0, got {max_distance!r}")
+    if len(centroids) == 0 or not targets:
         return 0
     dist = np.abs(np.stack([tgt.shape.signed_distance(centroids) for tgt in targets]))
     nearest = np.argmin(dist, axis=0)

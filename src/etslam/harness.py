@@ -2,7 +2,8 @@
 
 Trials are independent units of work seeded from (seed, trial_index), so a
 run is bit-reproducible at any parallelism degree; aggregation is a
-sequential fold in trial-index order.
+sequential fold in trial-index order.  Within a trial a worker thread draws
+the trial's standard normals ahead of the SLAM loop (``ReadAheadNormals``).
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import threading
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
@@ -187,6 +190,115 @@ def downsample(points: np.ndarray, cap: int) -> np.ndarray:
     return points[::stride][:cap]
 
 
+# values per draw of the read-ahead worker: 512 KB, about a millisecond of drawing
+READ_AHEAD_PIECE = 1 << 16
+
+
+class ReadAheadNormals:
+    """``rng.standard_normal`` for one consumer thread, drawn ahead on a worker thread.
+
+    The worker draws ``rng``'s stream in order, ``READ_AHEAD_PIECE`` values at
+    a time, and keeps at least as many values queued as the largest request so far.
+    numpy's normal stream does not depend on how it is split into requests,
+    so each request returns the values, shape and type that
+    ``rng.standard_normal(size, out=out)`` would return at the same point;
+    nothing else may draw from ``rng`` meanwhile.  A request that the current
+    piece covers takes no lock.  An exception in the worker is raised by the
+    first request that needs the values it failed to draw.  ``close``, or
+    leaving the ``with`` block, stops and joins the worker.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng, self._piece = rng, READ_AHEAD_PIECE
+        self._cond = threading.Condition()
+        self._queue: deque = deque()  # drawn pieces, in stream order
+        self._queued = 0              # values in _queue
+        self._want = 1                # the largest request so far; 1 starts the worker at once
+        self._closed = False
+        self._failure: Optional[BaseException] = None
+        # the consumer's piece and its next value; only the consumer touches them
+        self._head, self._pos = np.empty(0), 0
+        self._worker = threading.Thread(target=self._draw_ahead, name="etslam-normals",
+                                        daemon=True)
+        self._worker.start()
+
+    def __enter__(self) -> "ReadAheadNormals":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        with self._cond:
+            self._closed = True
+            self._queue.clear()
+            self._cond.notify_all()
+        self._worker.join()
+
+    def _draw_ahead(self) -> None:
+        try:
+            while True:
+                with self._cond:
+                    while not self._closed and self._queued >= self._want:
+                        self._cond.wait()
+                    if self._closed:
+                        return
+                piece = self._rng.standard_normal(self._piece)
+                with self._cond:
+                    self._queue.append(piece)
+                    self._queued += len(piece)
+                    self._cond.notify_all()
+        except BaseException as exc:  # raised again by the consumer
+            with self._cond:
+                self._failure = exc
+                self._cond.notify_all()
+
+    def standard_normal(self, size=None, *, out: Optional[np.ndarray] = None):
+        scalar = size is None and out is None
+        if out is None:
+            out = np.empty(() if size is None else size)
+        elif out.dtype != np.float64:
+            raise TypeError(f"out must be a float64 array, got {out.dtype}")
+        elif not (out.flags.writeable and (out.flags.c_contiguous or out.flags.f_contiguous)):
+            raise ValueError("out must be a writable contiguous array")
+        elif size is not None and np.broadcast_to(0.0, size).shape != out.shape:
+            raise ValueError(f"size {size} must match out.shape {out.shape}")
+        flat = out.ravel(order="K")  # a view: the stream fills out in memory order
+        pos = self._pos
+        end = pos + len(flat)
+        if end <= len(self._head):
+            flat[...] = self._head[pos:end]
+            self._pos = end
+        else:
+            self._read_queued(flat)
+        return float(out) if scalar else out
+
+    def _read_queued(self, flat: np.ndarray) -> None:
+        """Fill ``flat`` with the rest of the current piece, then from the queue."""
+        n = len(flat)
+        done = len(self._head) - self._pos
+        flat[:done] = self._head[self._pos:]
+        with self._cond:
+            if n > self._want:
+                self._want = n
+                self._cond.notify_all()
+        while done < n:
+            with self._cond:
+                while not self._queue:
+                    if self._failure is not None:
+                        raise self._failure
+                    if self._closed:
+                        raise ValueError("read from closed ReadAheadNormals")
+                    self._cond.wait()
+                piece = self._queue.popleft()
+                self._queued -= len(piece)
+                self._cond.notify_all()
+            take = min(len(piece), n - done)
+            flat[done:done + take] = piece[:take]
+            done += take
+            self._head, self._pos = piece, take
+
+
 @dataclass
 class TrialRecord:
     trial_index: int
@@ -204,15 +316,17 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
     """One seeded SLAM run with per-snapshot metric evaluation."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, trial_index]))
     sensor = cfg.make_sensor()
-    run = run_slam(
-        cfg.scene,
-        sensor,
-        cfg.odometry,
-        rng,
-        duration=cfg.duration,
-        cfg=cfg.slam,
-        snapshot_cadence=cfg.snapshot_cadence,
-    )
+    # the trial reads its rng only here, and only standard normals
+    with ReadAheadNormals(rng) as normals:
+        run = run_slam(
+            cfg.scene,
+            sensor,
+            cfg.odometry,
+            normals,
+            duration=cfg.duration,
+            cfg=cfg.slam,
+            snapshot_cadence=cfg.snapshot_cadence,
+        )
     truth = cfg.truth_sets()
     snaps = run.snapshots
     values = [et_gospa(truth, downsample(run.map_at(s), cfg.estimate_cap), cfg.metric).value

@@ -23,8 +23,7 @@ Conventions
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -334,20 +333,11 @@ class OfdmSensor:
     sensor runs ``sense``: ground-truth rays along the fan, the equalized
     response synthesized analytically (one symbol column suffices for static
     paths), and one sensor-frame point per (range peak, angle peak) pair.
-
-    With noise enabled, the sensor owns the buffer its unit noise draw is
-    written to, shape (2, n_rx, N), so a sensor serves one call at a time.
-    ``dataclasses.replace`` builds a sensor with a buffer of its own.
     """
 
     cfg: WaveformConfig
     bearings: np.ndarray
     angle_policy: PeakPolicy
-    noise: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        shape = (2, self.cfg.n_rx, self.cfg.n_subcarriers)
-        object.__setattr__(self, "noise", None if self.cfg.snr_db is None else np.empty(shape))
 
     def __call__(self, scene: Scene, pose: Pose, rng: np.random.Generator) -> np.ndarray:
         return sense(scene, pose, self, rng)
@@ -359,42 +349,20 @@ def _equalized_column(
     bearings: np.ndarray,
     amps: np.ndarray,
     rng: Optional[np.random.Generator],
-    noise: Optional[np.ndarray],
 ) -> np.ndarray:
     """Equalized symbol-0 response per rx element, shape (n_rx, N).
 
     Identical in distribution to equalize(synthesize_echo(...))[..., 0, :]
     for zero-Doppler paths: equalization of unit-modulus QPSK leaves the
-    noise statistics unchanged.  One matmul instead of the full synthesis.
-
-    With noise enabled, a worker thread draws the unit normals into
-    ``noise``, shape (2, n_rx, N), while this thread builds the clean column.
-    numpy releases the GIL while it fills the buffer and nothing else reads
-    ``rng`` meanwhile, so the draw, and ``rng``'s state after it, are those
-    of one serial ``rng.standard_normal((2, n_rx, N))``.
+    noise statistics unchanged.  One matmul instead of the full synthesis,
+    then, with noise enabled, one unit draw of shape (2, n_rx, N).
     """
+    steer, delay = _path_phases(cfg, ranges, bearings, amps)
+    y = steer.T @ delay
+    del delay  # (L, N), freed before the draw below
     if cfg.snr_db is None:
-        steer, delay = _path_phases(cfg, ranges, bearings, amps)
-        return steer.T @ delay
-    failure = []
-
-    def draw():
-        try:
-            rng.standard_normal(out=noise)
-        except BaseException as exc:  # raised again on the calling thread
-            failure.append(exc)
-
-    worker = threading.Thread(target=draw, name="ofdm-noise")
-    worker.start()
-    try:
-        steer, delay = _path_phases(cfg, ranges, bearings, amps)
-        y = steer.T @ delay
-        del delay
-    finally:
-        worker.join()
-    if failure:
-        raise failure[0]
-    return _add_noise(cfg, y, len(ranges) > 0, noise)
+        return y
+    return _add_noise(cfg, y, len(ranges) > 0, rng.standard_normal((2,) + y.shape))
 
 
 def sense(scene: Scene, pose: Pose, sensor: OfdmSensor, rng: np.random.Generator) -> np.ndarray:
@@ -403,8 +371,7 @@ def sense(scene: Scene, pose: Pose, sensor: OfdmSensor, rng: np.random.Generator
     cfg = sensor.cfg
     gt = ground_truth_scan(scene, pose, sensor.bearings)
     _check_windows(cfg, gt.ranges, np.zeros(len(gt)))
-    col = _equalized_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex), rng,
-                            sensor.noise)
+    col = _equalized_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex), rng)
     profiles = np.fft.ifft(col, axis=1)  # (n_rx, N)
     range_peaks = np.flatnonzero(detect_peaks(np.mean(np.abs(profiles), axis=0), RANGE_POLICY))
     # angle spectrum of every range peak at once: DFT over the rx axis, one row per peak

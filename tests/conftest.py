@@ -1,7 +1,9 @@
-"""Session-wide guard: tier-1 must run in under 1 GB of resident memory."""
+"""Session-wide guards: tier-1 must run in under 1 GB of resident memory and
+leave no thread but the main thread alive."""
 
 import resource
 import sys
+import threading
 
 import pytest
 
@@ -15,9 +17,14 @@ def _peak_rss_bytes() -> int:
 
 
 def pytest_sessionfinish(session, exitstatus):
+    writer = session.config.get_terminal_writer()
     peak = _peak_rss_bytes()
     line = f"peak RSS of the pytest process: {peak / 2**20:.0f} MB"
     if peak > PEAK_RSS_LIMIT_BYTES:
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
         line += f", above the {PEAK_RSS_LIMIT_BYTES / 2**20:.0f} MB limit: FAIL"
-    session.config.get_terminal_writer().line(line)
+    writer.line(line)
+    stray = [t.name for t in threading.enumerate() if t is not threading.main_thread()]
+    if stray:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+        writer.line(f"threads still alive at the end of the session: {', '.join(stray)}: FAIL")

@@ -410,6 +410,30 @@ def test_recovered_target_count_distance_gate():
     assert recovered_target_count(cents, targets, max_distance=3.5) == 1
 
 
+@pytest.mark.parametrize("centroids, shape", [
+    ([1.0, 2.0, 3.0, 4.0], "(4,)"),
+    (np.zeros((3, 3)), "(3, 3)"),
+])
+def test_recovered_target_count_rejects_bad_shape(centroids, shape):
+    message = re.escape(f"centroids must have shape (n, 2), got {shape}")
+    with pytest.raises(ValueError, match=message):
+        recovered_target_count(centroids, _targets())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_recovered_target_count_rejects_non_finite_centroid(bad):
+    cents = np.array([[0.0, 1.0], [bad, 1.0]])
+    with pytest.raises(ValueError, match="centroids must be finite"):
+        recovered_target_count(cents, _targets())
+
+
+@pytest.mark.parametrize("max_distance", [-1.0, -1e-12, np.nan])
+def test_recovered_target_count_rejects_bad_max_distance(max_distance):
+    cents = np.array([[0.0, 1.0]])  # on the circle: a silent 0 would be wrong
+    with pytest.raises(ValueError, match="max_distance must be >= 0"):
+        recovered_target_count(cents, _targets(), max_distance)
+
+
 def reference_recovered_target_count(centroids, targets, max_distance=1.0):
     """The former centroids x targets loop; a later target must be strictly nearer to win."""
     claimed = set()

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etslam import ofdm
-from etslam.harness import ExperimentConfig, load_experiment
+from etslam.harness import ExperimentConfig, ReadAheadNormals, load_experiment
 from etslam.ofdm import (
     C0,
     FOV,
@@ -159,7 +159,7 @@ def test_equalized_column_matches_synthesis_noiseless():
     ranges = np.array([p.range_m for p in paths])
     amps = np.array([p.amplitude for p in paths])
     bearings = np.array([p.bearing for p in paths])
-    col = _equalized_column(cfg, ranges, bearings, amps, None, None)
+    col = _equalized_column(cfg, ranges, bearings, amps, None)
     want = equalize(synthesize_echo(cfg, frame, paths), frame)[:, 0, :]
     assert col.shape == want.shape == (cfg.n_rx, cfg.n_subcarriers)
     np.testing.assert_allclose(col, want, rtol=1e-9, atol=0.0)
@@ -178,7 +178,7 @@ def test_full_scale_cube_every_antenna_and_symbol():
     assert (np.argmax(np.abs(profiles), axis=-1) == 82).all()
     assert (np.argmax(np.abs(np.fft.fft(profiles[..., 82], axis=0)), axis=0) == 8).all()
     col = _equalized_column(cfg, np.array([10.0]), np.array([bearing]),
-                            np.ones(1, dtype=complex), None, None)
+                            np.ones(1, dtype=complex), None)
     np.testing.assert_allclose(col, s_g[:, 0, :], rtol=1e-9, atol=0.0)
 
 
@@ -676,52 +676,62 @@ def test_sense_matches_per_peak_reference(config):
 
 
 # ---------------------------------------------------------------------------
-# the noise draw on a worker thread
+# the noise drawn ahead on a worker thread (harness.ReadAheadNormals)
 
 
-def _assert_column_matches_serial(sensor, scene, pose, got_rng, want_rng):
-    """``_equalized_column`` at one pose equals its serial reference byte for byte,
-    and leaves its rng in the reference's state; returns the column."""
+def _assert_column_matches_serial(sensor, scene, pose, source, want_rng):
+    """``_equalized_column`` at one pose, its noise read from the read-ahead ``source``,
+    equals its serial reference on the bare generator byte for byte, and the source's
+    stream goes on where the serial draw leaves ``want_rng``; returns the column."""
     gt = ground_truth_scan(scene, pose, sensor.bearings)
     args = (sensor.cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex))
-    got = _equalized_column(*args, got_rng, sensor.noise)
+    got = _equalized_column(*args, source)
     want = _serial_column(*args, want_rng)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert source.standard_normal() == want_rng.standard_normal()
     return got
+
+
+def _noise_workers():
+    return [t for t in threading.enumerate() if t.name == "etslam-normals"]
 
 
 @pytest.mark.parametrize("config", ["ci.yaml", "full_scale.yaml"])
 def test_threaded_noise_column_matches_serial_draw(config):
-    """The column built beside the worker's draw is the serial column, and the
-    rng ends where one serial draw leaves it."""
+    """Two columns whose noise the worker drew ahead are the serial columns."""
     exp = load_experiment(config)
     assert exp.waveform.snr_db is not None
     sensor = dataclasses.replace(exp, backend="ofdm").make_sensor()
-    assert sensor.noise.shape == (2, exp.waveform.n_rx, exp.waveform.n_subcarriers)
-    pose = trajectory_pose(exp.scene.trajectory, 7.5)
-    _assert_column_matches_serial(sensor, exp.scene, pose,
-                                  np.random.default_rng(3), np.random.default_rng(3))
+    want_rng = np.random.default_rng(3)
+    with ReadAheadNormals(np.random.default_rng(3)) as source:
+        for t in (7.5, 8.0):
+            pose = trajectory_pose(exp.scene.trajectory, t)
+            _assert_column_matches_serial(sensor, exp.scene, pose, source, want_rng)
+    assert not _noise_workers()
 
 
 def test_threaded_noise_column_empty_scene():
     """No paths: pure noise at reference power 1, as the serial draw makes it."""
     scene = _empty_scene()
     sensor = _sensor(scene, small_cfg(snr_db=10.0))
-    got = _assert_column_matches_serial(sensor, scene, Pose(1.0, 1.0, 0.0),
-                                        np.random.default_rng(4), np.random.default_rng(4))
+    with ReadAheadNormals(np.random.default_rng(4)) as source:
+        got = _assert_column_matches_serial(sensor, scene, Pose(1.0, 1.0, 0.0), source,
+                                            np.random.default_rng(4))
     assert np.count_nonzero(got) == got.size
+    z = np.random.default_rng(4).standard_normal((2,) + got.shape)
+    scale = math.sqrt(1.0 / sensor.cfg.snr_linear / 2.0)
+    assert got.real.tobytes() == (scale * z[0]).tobytes()
+    assert got.imag.tobytes() == (scale * z[1]).tobytes()
 
 
 def test_noiseless_sense_starts_no_thread_and_leaves_rng(monkeypatch):
     def no_thread(*args, **kwargs):
         raise AssertionError("a noiseless call started a thread")
 
-    monkeypatch.setattr(ofdm.threading, "Thread", no_thread)
+    monkeypatch.setattr(threading, "Thread", no_thread)
     scene = _one_circle_scene(9.5)
     sensor = _sensor(scene, small_cfg())
-    assert sensor.noise is None
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
     scan = sense(scene, Pose(3.0, 3.0, 0.0), sensor, rng)
@@ -731,20 +741,23 @@ def test_noiseless_sense_starts_no_thread_and_leaves_rng(monkeypatch):
 
 def test_threaded_noise_under_fast_thread_switching():
     """With the interpreter switching threads every microsecond, every column of a
-    20-pose run, drawn from one rng, still equals the serial reference's."""
+    20-pose run, its noise drawn ahead from one rng, still equals the serial reference's."""
     exp = load_experiment("ci.yaml")
     sensor = dataclasses.replace(exp, backend="ofdm").make_sensor()
     traj = exp.scene.trajectory
-    got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+    want_rng = np.random.default_rng(9)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for k in range(20):
-            _assert_column_matches_serial(sensor, exp.scene, trajectory_pose(traj, 2.5 * k),
-                                          got_rng, want_rng)
+        with ReadAheadNormals(np.random.default_rng(9)) as source:
+            for k in range(20):
+                # the odometry draws of a SLAM step come between two columns
+                assert source.standard_normal(2).tobytes() == want_rng.standard_normal(2).tobytes()
+                _assert_column_matches_serial(sensor, exp.scene, trajectory_pose(traj, 2.5 * k),
+                                              source, want_rng)
     finally:
         sys.setswitchinterval(interval)
-    assert not [t for t in threading.enumerate() if t.name == "ofdm-noise"]
+    assert not _noise_workers()
 
 
 class _FailingDraw:
@@ -753,20 +766,13 @@ class _FailingDraw:
 
 
 def test_noise_draw_failure_raises_from_sense():
-    """An exception in the worker's draw is raised by ``sense``, not lost with the thread."""
+    """An exception in the read-ahead worker's draw is raised by ``sense``, not lost
+    with the thread, and so is one in a plain generator's draw."""
     scene = _one_circle_scene(9.5)
     sensor = _sensor(scene, small_cfg(snr_db=10.0))
+    with ReadAheadNormals(_FailingDraw()) as source:
+        with pytest.raises(RuntimeError, match="^draw failed$"):
+            sense(scene, Pose(3.0, 3.0, 0.0), sensor, source)
     with pytest.raises(RuntimeError, match="^draw failed$"):
         sense(scene, Pose(3.0, 3.0, 0.0), sensor, _FailingDraw())
-    assert not [t for t in threading.enumerate() if t.name == "ofdm-noise"]
-
-
-def test_replaced_sensor_gets_its_own_noise_buffer():
-    scene = _one_circle_scene(9.5)
-    sensor = _sensor(scene, small_cfg(snr_db=10.0))
-    other = dataclasses.replace(sensor, bearings=sensor.bearings[:5])
-    assert other.noise.shape == sensor.noise.shape == (2, 8, 1024)
-    assert other.noise.dtype == np.float64
-    assert not np.shares_memory(other.noise, sensor.noise)
-    assert other == dataclasses.replace(other)  # the buffer takes no part in equality
-    assert "noise" not in repr(other)
+    assert not _noise_workers()
