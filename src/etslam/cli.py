@@ -38,7 +38,8 @@ def _load_cfg(args) -> harness.ExperimentConfig:
 
 
 def _read_csv(path: str, n_cols: int) -> np.ndarray:
-    """Numeric rows of at least ``n_cols`` fields; only the first data line may be a header."""
+    """Finite numeric rows of at least ``n_cols`` fields; only the first data line may be
+    a header."""
     rows = []
     header_allowed = True
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -55,6 +56,8 @@ def _read_csv(path: str, n_cols: int) -> np.ndarray:
             raise ValueError(f"{path}:{lineno}: non-numeric row {line!r}") from None
         if len(values) < n_cols:
             raise ValueError(f"{path}:{lineno}: expected {n_cols} fields, got {len(values)}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{path}:{lineno}: non-finite value in row {line!r}")
         rows.append(values)
     return np.array(rows).reshape(-1, n_cols)
 
@@ -82,9 +85,11 @@ def cmd_sweep(args) -> int:
 def cmd_metric(args) -> int:
     truth_rows = _read_csv(args.truth, 3)  # target_id, x, y
     est = _read_csv(args.est, 2)
-    targets = []
-    for tid in sorted(set(truth_rows[:, 0].astype(int))):
-        targets.append(truth_rows[truth_rows[:, 0].astype(int) == tid, 1:3])
+    ids = truth_rows[:, 0]
+    fractional = ids[ids != np.round(ids)]
+    if len(fractional):
+        raise ValueError(f"{args.truth}: target id {float(fractional[0])!r} is not an integer")
+    targets = [truth_rows[ids == tid, 1:3] for tid in np.unique(ids)]
     params = MetricParams(c=args.c, p=args.p, alpha=args.alpha)
     result = et_gospa(targets, est, params)
     print(f"value {result.value:.9g}")
@@ -136,17 +141,16 @@ def build_parser() -> argparse.ArgumentParser:
     m = msub.add_parser("et-gospa")
     m.add_argument("--truth", required=True, help="CSV rows: target_id,x,y")
     m.add_argument("--est", required=True, help="CSV rows: x,y")
-    m.add_argument("--c", type=float, default=5.0)
-    m.add_argument("--p", type=float, default=1.0)
-    m.add_argument("--alpha", type=float, default=2.0)
+    for name in ("c", "p", "alpha"):
+        m.add_argument(f"--{name}", type=float, default=getattr(MetricParams, name))
     m.add_argument("--csv", default=None, help="also write the result as a CSV row")
     m.set_defaults(fn=cmd_metric)
 
     p = sub.add_parser("cluster", help="DBSCAN a CSV of points")
     p.add_argument("--input", required=True, help="CSV rows: x,y")
     p.add_argument("--output", required=True, help="CSV rows: x,y,label")
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--min-pts", type=int, default=3)
+    p.add_argument("--eps", type=float, default=ClusterParams.eps)
+    p.add_argument("--min-pts", type=int, default=ClusterParams.min_pts)
     p.set_defaults(fn=cmd_cluster)
 
     p = sub.add_parser("scene", help="scene utilities")

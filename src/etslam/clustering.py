@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from etslam.scene import as_points
+
 NOISE = -1
 
 
@@ -32,13 +34,6 @@ class ClusterParams:
         min_pts = self.min_pts
         if isinstance(min_pts, bool) or not isinstance(min_pts, (int, np.integer)) or min_pts < 1:
             raise ValueError(f"min_pts must be an int >= 1, got {min_pts!r}")
-
-
-def _points_2d(points, what: str = "points") -> np.ndarray:
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError(f"{what} must have shape (n, 2), got {points.shape}")
-    return points
 
 
 def _lowest_index_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -61,7 +56,7 @@ def _lowest_index_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray
 
 def dbscan(points: np.ndarray, params: ClusterParams = ClusterParams()) -> np.ndarray:
     """Cluster labels per row of (n, 2) points; noise is NOISE (-1), ids contiguous from 0."""
-    points = _points_2d(points)
+    points = as_points(points)
     n = len(points)
     if n == 0:
         return np.zeros(0, dtype=int)
@@ -86,7 +81,7 @@ def dbscan(points: np.ndarray, params: ClusterParams = ClusterParams()) -> np.nd
 
 def cluster_centroids(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Arithmetic mean per cluster id (noise excluded), ordered by id."""
-    points = _points_2d(points)
+    points = as_points(points)
     labels = np.asarray(labels)
     if len(labels) != len(points):
         raise ValueError("labels must align with points")
@@ -104,7 +99,7 @@ def recovered_target_count(
     A centroid claims the target whose boundary is nearest (the first such
     target on a tie), provided that distance is at most ``max_distance``.
     """
-    centroids = _points_2d(centroids, "centroids")
+    centroids = as_points(centroids, "centroids")
     if not np.all(np.isfinite(centroids)):
         raise ValueError("centroids must be finite")
     if not max_distance >= 0.0:

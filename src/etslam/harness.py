@@ -2,8 +2,9 @@
 
 Trials are independent units of work seeded from (seed, trial_index), so a
 run is bit-reproducible at any parallelism degree; aggregation is a
-sequential fold in trial-index order.  Within a trial a worker thread draws
-the trial's standard normals ahead of the SLAM loop (``ReadAheadNormals``).
+sequential fold in trial-index order.  Within a trial a one-thread executor
+draws the trial's standard normals ahead of the SLAM loop, in stream order
+(``ReadAheadNormals``).
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import threading
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -197,30 +197,25 @@ READ_AHEAD_PIECE = 1 << 16
 class ReadAheadNormals:
     """``rng.standard_normal`` for one consumer thread, drawn ahead on a worker thread.
 
-    The worker draws ``rng``'s stream in order, ``READ_AHEAD_PIECE`` values at
-    a time, and keeps at least as many values queued as the largest request so far.
-    numpy's normal stream does not depend on how it is split into requests,
-    so each request returns the values, shape and type that
-    ``rng.standard_normal(size, out=out)`` would return at the same point;
-    nothing else may draw from ``rng`` meanwhile.  A request that the current
-    piece covers takes no lock.  An exception in the worker is raised by the
-    first request that needs the values it failed to draw.  ``close``, or
-    leaving the ``with`` block, stops and joins the worker.
+    A one-thread executor draws ``rng``'s stream in order, ``READ_AHEAD_PIECE``
+    values per future, and the source keeps futures for at least as many values
+    as the largest request so far.  numpy's normal stream does not depend on
+    how it is split into requests, so each request returns the values, shape
+    and type that ``rng.standard_normal(size)`` would return at the same point;
+    nothing else may draw from ``rng`` meanwhile.  An exception in the worker is
+    raised by the first request that needs the piece it failed to draw.
+    ``close``, or leaving the ``with`` block, cancels the pending draws and
+    joins the worker.
     """
 
     def __init__(self, rng: np.random.Generator):
         self._rng, self._piece = rng, READ_AHEAD_PIECE
-        self._cond = threading.Condition()
-        self._queue: deque = deque()  # drawn pieces, in stream order
-        self._queued = 0              # values in _queue
-        self._want = 1                # the largest request so far; 1 starts the worker at once
-        self._closed = False
-        self._failure: Optional[BaseException] = None
-        # the consumer's piece and its next value; only the consumer touches them
+        self._pool = ThreadPoolExecutor(1, thread_name_prefix="etslam-normals")
+        self._queue: deque = deque()  # futures of the pieces after the current one
+        self._want = 1                # the largest request so far
+        # the consumer's piece and its next value
         self._head, self._pos = np.empty(0), 0
-        self._worker = threading.Thread(target=self._draw_ahead, name="etslam-normals",
-                                        daemon=True)
-        self._worker.start()
+        self._top_up()
 
     def __enter__(self) -> "ReadAheadNormals":
         return self
@@ -229,74 +224,32 @@ class ReadAheadNormals:
         self.close()
 
     def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._queue.clear()
-            self._cond.notify_all()
-        self._worker.join()
+        self._pool.shutdown(cancel_futures=True)
 
-    def _draw_ahead(self) -> None:
-        try:
-            while True:
-                with self._cond:
-                    while not self._closed and self._queued >= self._want:
-                        self._cond.wait()
-                    if self._closed:
-                        return
-                piece = self._rng.standard_normal(self._piece)
-                with self._cond:
-                    self._queue.append(piece)
-                    self._queued += len(piece)
-                    self._cond.notify_all()
-        except BaseException as exc:  # raised again by the consumer
-            with self._cond:
-                self._failure = exc
-                self._cond.notify_all()
+    def _top_up(self) -> None:
+        while len(self._queue) * self._piece < self._want:
+            self._queue.append(self._pool.submit(self._rng.standard_normal, self._piece))
 
-    def standard_normal(self, size=None, *, out: Optional[np.ndarray] = None):
-        scalar = size is None and out is None
-        if out is None:
-            out = np.empty(() if size is None else size)
-        elif out.dtype != np.float64:
-            raise TypeError(f"out must be a float64 array, got {out.dtype}")
-        elif not (out.flags.writeable and (out.flags.c_contiguous or out.flags.f_contiguous)):
-            raise ValueError("out must be a writable contiguous array")
-        elif size is not None and np.broadcast_to(0.0, size).shape != out.shape:
-            raise ValueError(f"size {size} must match out.shape {out.shape}")
-        flat = out.ravel(order="K")  # a view: the stream fills out in memory order
-        pos = self._pos
-        end = pos + len(flat)
-        if end <= len(self._head):
-            flat[...] = self._head[pos:end]
-            self._pos = end
+    def standard_normal(self, size=None):
+        out = np.empty(() if size is None else size)
+        flat = out.ravel()  # a view of the fresh C-order array
+        n, pos = len(flat), self._pos
+        if pos + n <= len(self._head):
+            flat[...] = self._head[pos:pos + n]
+            self._pos = pos + n
         else:
-            self._read_queued(flat)
-        return float(out) if scalar else out
-
-    def _read_queued(self, flat: np.ndarray) -> None:
-        """Fill ``flat`` with the rest of the current piece, then from the queue."""
-        n = len(flat)
-        done = len(self._head) - self._pos
-        flat[:done] = self._head[self._pos:]
-        with self._cond:
-            if n > self._want:
-                self._want = n
-                self._cond.notify_all()
-        while done < n:
-            with self._cond:
-                while not self._queue:
-                    if self._failure is not None:
-                        raise self._failure
-                    if self._closed:
-                        raise ValueError("read from closed ReadAheadNormals")
-                    self._cond.wait()
-                piece = self._queue.popleft()
-                self._queued -= len(piece)
-                self._cond.notify_all()
-            take = min(len(piece), n - done)
-            flat[done:done + take] = piece[:take]
-            done += take
-            self._head, self._pos = piece, take
+            done = len(self._head) - pos
+            flat[:done] = self._head[pos:]
+            self._want = max(self._want, n)
+            while done < n:
+                future = self._queue.popleft()
+                self._top_up()
+                piece = future.result()
+                take = min(len(piece), n - done)
+                flat[done:done + take] = piece[:take]
+                done += take
+                self._head, self._pos = piece, take
+        return float(out) if size is None else out
 
 
 @dataclass

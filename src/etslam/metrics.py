@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from etslam.assignment import solve_assignment
+from etslam.scene import as_points
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,8 @@ class EtGospaResult:
 def _as_target_sets(targets: Sequence[np.ndarray]) -> list[np.ndarray]:
     out = []
     for i, pts in enumerate(targets):
-        arr = np.atleast_2d(np.asarray(pts, dtype=float))
-        if arr.size == 0:
+        arr = as_points(pts, f"target {i}")
+        if len(arr) == 0:
             raise ValueError(f"target {i} has no points")
         out.append(arr)
     return out
@@ -75,7 +76,7 @@ def cost_matrix(
 ) -> np.ndarray:
     """Pair cost E of every target against every estimate, shape (|X|, |Y|)."""
     targets = _as_target_sets(targets)
-    estimates = np.atleast_2d(np.asarray(estimates, dtype=float))
+    estimates = as_points(estimates, "estimates")
     if len(targets) == 0 or len(estimates) == 0:
         raise ValueError("targets and estimates must be non-empty")
     d = _min_costs(targets, estimates, params)
@@ -103,7 +104,7 @@ def et_gospa(
     targets = _as_target_sets(targets)
     if len(targets) == 0:
         raise ValueError("at least one target required")
-    estimates = np.asarray(estimates, dtype=float).reshape(-1, 2)
+    estimates = as_points(estimates, "estimates")
     n_x, n_y = len(targets), len(estimates)
     n_truth_points = sum(len(t) for t in targets)
 
@@ -139,8 +140,8 @@ def gospa_baseline(
     params: MetricParams = MetricParams(),
 ) -> float:
     """Point-target GOSPA with the clamped squared ground cost."""
-    x = np.asarray(truth_points, dtype=float).reshape(-1, 2)
-    y = np.asarray(estimates, dtype=float).reshape(-1, 2)
+    x = as_points(truth_points, "truth points")
+    y = as_points(estimates, "estimates")
     cp = params.c ** params.p
     if len(x) == 0 and len(y) == 0:
         return 0.0

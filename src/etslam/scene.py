@@ -409,10 +409,11 @@ def as_radians(value) -> float:
     return math.radians(convert(value, float))
 
 
-def as_points(value) -> np.ndarray:
+def as_points(value, what: str = "points") -> np.ndarray:
+    """``value`` as a float array of shape (n, 2); any other shape raises, naming it."""
     pts = np.asarray(value, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"expected a list of [x, y] points, got {value!r}")
+        raise ValueError(f"{what} must have shape (n, 2), got {pts.shape}")
     return pts
 
 

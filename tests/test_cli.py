@@ -5,7 +5,9 @@ from importlib import resources
 import pytest
 import yaml
 
-from etslam.cli import _read_csv, main
+from etslam.cli import _read_csv, build_parser, main
+from etslam.clustering import ClusterParams
+from etslam.metrics import MetricParams
 
 DEFAULT_SCENE = str(resources.files("etslam") / "configs" / "default_scene.yaml")
 
@@ -111,6 +113,47 @@ def test_read_csv_rejects_short_row(tmp_path, capsys):
         _read_csv(str(truth), 3)
     assert main(["metric", "et-gospa", "--truth", str(truth), "--est", str(est)]) == 2
     assert "truth.csv:3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["2,nan,0", "2,inf,0", "2,10,-inf", "nan,10,0"])
+def test_read_csv_rejects_non_finite_field(tmp_path, capsys, row):
+    """A non-finite coordinate failed later, unlocated, in the cost matrix; a NaN id
+    was cast to an int and ran to exit 0 with a RuntimeWarning."""
+    truth = tmp_path / "truth.csv"
+    truth.write_text(f"target_id,x,y\n1,0,0\n{row}\n")
+    est = tmp_path / "est.csv"
+    est.write_text("0,0\n")
+    with pytest.raises(ValueError, match=r"truth\.csv:3: non-finite value"):
+        _read_csv(str(truth), 3)
+    assert main(["metric", "et-gospa", "--truth", str(truth), "--est", str(est)]) == 2
+    assert "truth.csv:3: non-finite value" in capsys.readouterr().err
+
+
+def test_metric_rejects_fractional_target_id(tmp_path, capsys):
+    """Ids 1.2 and 1.7 were truncated into one target 1."""
+    truth = tmp_path / "truth.csv"
+    truth.write_text("target_id,x,y\n1.2,0,0\n1.7,10,0\n")
+    est = tmp_path / "est.csv"
+    est.write_text("0,0\n")
+    assert main(["metric", "et-gospa", "--truth", str(truth), "--est", str(est)]) == 2
+    err = capsys.readouterr().err
+    assert f"{truth}: target id 1.2 is not an integer" in err
+
+
+def test_metric_integral_float_ids_group_as_integers(tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("target_id,x,y\n2.0,10,0\n1,0,0\n")
+    est = tmp_path / "est.csv"
+    est.write_text("x,y\n0,0\n10,0\n5,5\n")
+    assert main(["metric", "et-gospa", "--truth", str(truth), "--est", str(est)]) == 0
+    assert "value 2.5\n" in capsys.readouterr().out
+
+
+def test_parser_defaults_are_the_dataclass_defaults():
+    args = build_parser().parse_args(["metric", "et-gospa", "--truth", "t", "--est", "e"])
+    assert MetricParams(c=args.c, p=args.p, alpha=args.alpha) == MetricParams()
+    args = build_parser().parse_args(["cluster", "--input", "i", "--output", "o"])
+    assert ClusterParams(eps=args.eps, min_pts=args.min_pts) == ClusterParams()
 
 
 def test_simulate_writes_outputs(tmp_path, capsys):

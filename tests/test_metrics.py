@@ -7,6 +7,7 @@ with the package implementation and gates it on random instances.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -204,6 +205,25 @@ def test_perfect_estimation_zero_multipoint():
 def test_empty_targets_rejected():
     with pytest.raises(ValueError):
         et_gospa([], np.zeros((1, 2)), P514)
+
+
+_POINT = np.array([[0.0, 0.0]])
+
+
+@pytest.mark.parametrize("call, what, shape", [
+    (lambda bad: et_gospa([_POINT], bad, P514), "estimates", (2, 3)),
+    (lambda bad: et_gospa([_POINT, bad], _POINT, P514), "target 1", (2, 3)),
+    (lambda bad: cost_matrix([_POINT], bad, P514), "estimates", (2, 3)),
+    (lambda bad: gospa_baseline(bad, _POINT, P514), "truth points", (2, 3)),
+    (lambda bad: gospa_baseline(_POINT, bad, P514), "estimates", (2, 3)),
+    (lambda bad: et_gospa([_POINT], bad, P514), "estimates", (4,)),
+], ids=["et_gospa-estimates", "et_gospa-target", "cost_matrix-estimates",
+        "gospa_baseline-truth", "gospa_baseline-estimates", "et_gospa-flat-estimates"])
+def test_point_sets_must_be_n_by_2(call, what, shape):
+    """A (2, 3) estimate array was scored as three points, and a flat one as pairs."""
+    bad = np.arange(float(np.prod(shape))).reshape(shape)
+    with pytest.raises(ValueError, match=re.escape(f"{what} must have shape (n, 2), got {shape}")):
+        call(bad)
 
 
 def test_invalid_params_rejected():

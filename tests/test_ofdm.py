@@ -694,7 +694,7 @@ def _assert_column_matches_serial(sensor, scene, pose, source, want_rng):
 
 
 def _noise_workers():
-    return [t for t in threading.enumerate() if t.name == "etslam-normals"]
+    return [t for t in threading.enumerate() if t.name.startswith("etslam-normals")]
 
 
 @pytest.mark.parametrize("config", ["ci.yaml", "full_scale.yaml"])
@@ -709,6 +709,31 @@ def test_threaded_noise_column_matches_serial_draw(config):
             pose = trajectory_pose(exp.scene.trajectory, t)
             _assert_column_matches_serial(sensor, exp.scene, pose, source, want_rng)
     assert not _noise_workers()
+
+
+@pytest.mark.parametrize("config", ["ci.yaml", "full_scale.yaml"])
+def test_noisy_column_matches_one_symbol_synthesis(config):
+    """The noisy column against the full synthesis, not against ``_serial_column``'s
+    copy of it: at M = 1, ``synthesize_echo`` on a unit frame draws (2, n_rx, 1, N)
+    normals, the same stream as the column's (2, n_rx, N), so its one symbol row is
+    the column up to rounding, and both leave the generator in the same state."""
+    exp = load_experiment(config)
+    assert exp.waveform.snr_db is not None
+    cfg = dataclasses.replace(exp.waveform, n_symbols=1)
+    sensor = dataclasses.replace(exp, backend="ofdm").make_sensor()
+    for seed, t in enumerate((7.5, 19.0, 33.0)):
+        pose = trajectory_pose(exp.scene.trajectory, t)
+        gt = ground_truth_scan(exp.scene, pose, sensor.bearings)
+        assert len(gt) > 0
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _equalized_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex),
+                                got_rng)
+        paths = [EchoPath(r, bearing=b) for r, b in zip(gt.ranges, gt.bearings)]
+        want = synthesize_echo(cfg, np.ones((1, cfg.n_subcarriers)), paths, want_rng)[:, 0, :]
+        assert got.shape == want.shape
+        # einsum and matmul sum the paths in different orders: 3.4e-16 to 4.4e-16 here
+        assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_threaded_noise_column_empty_scene():
