@@ -38,7 +38,7 @@ def _load_cfg(args) -> harness.ExperimentConfig:
 
 
 def _read_csv(path: str, n_cols: int) -> np.ndarray:
-    """Finite numeric rows of at least ``n_cols`` fields; only the first data line may be
+    """Finite numeric rows of exactly ``n_cols`` fields; only the first data line may be
     a header."""
     rows = []
     header_allowed = True
@@ -54,8 +54,8 @@ def _read_csv(path: str, n_cols: int) -> np.ndarray:
             if first:
                 continue  # header line
             raise ValueError(f"{path}:{lineno}: non-numeric row {line!r}") from None
-        if len(values) < n_cols:
-            raise ValueError(f"{path}:{lineno}: expected {n_cols} fields, got {len(values)}")
+        if len(parts) != n_cols:
+            raise ValueError(f"{path}:{lineno}: expected {n_cols} fields, got {len(parts)}")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{path}:{lineno}: non-finite value in row {line!r}")
         rows.append(values)

@@ -313,6 +313,8 @@ class Report:
 
 def run_monte_carlo(cfg: ExperimentConfig, parallel: int = 1) -> Report:
     """Independent trials aggregated by arithmetic mean per snapshot."""
+    if parallel < 1:
+        raise ValueError("parallel must be >= 1")
     indices = list(range(cfg.trials))
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:

@@ -1,8 +1,11 @@
-"""OFDM sensing chain: frame generation, echo synthesis, DFT estimation.
+"""OFDM sensing chain: the equalized echo column and its DFT estimation.
 
-The processing path is: QPSK frame -> delay/Doppler/steering channel ->
-element-wise equalization -> IDFT range profile per receive antenna ->
-DFT angle spectrum per detected range bin -> bin-to-physical conversion.
+The processing path is: ground-truth rays -> per-path delay and steering
+phases -> equalized symbol-0 column per receive antenna (static paths, so
+the QPSK frame divides out and one symbol suffices) -> IDFT range profile
+per antenna -> peaks of the rx-averaged profile -> DFT angle spectrum per
+range peak -> bin-centre placement.  The full (n_rx, M, N) frame model is
+the tests' reference (``tests/test_ofdm.py``).
 
 Conventions
 -----------
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -95,14 +98,6 @@ class WaveformConfig:
         return C0 / (2.0 * self.delta_f)
 
     @property
-    def velocity_bin_width(self) -> float:
-        return C0 / (2.0 * self.fc * self.n_symbols * self.t_sym)
-
-    @property
-    def unambiguous_velocity(self) -> float:
-        return C0 / (2.0 * self.fc * self.t_sym)
-
-    @property
     def snr_linear(self) -> Optional[float]:
         return None if self.snr_db is None else 10.0 ** (self.snr_db / 10.0)
 
@@ -134,41 +129,6 @@ WAVEFORM_KEYS = {
 _DERIVED_KEYS = {"d_over_lambda": ("d_over_lambda", float), "B": ("bandwidth", float)}
 
 
-@dataclass(frozen=True)
-class EchoPath:
-    range_m: float
-    velocity: float = 0.0
-    amplitude: complex = 1.0 + 0.0j
-    bearing: float = math.pi / 2.0  # broadside by default
-
-    def __post_init__(self):
-        if self.range_m < 0:
-            raise ValueError("path range must be >= 0")
-        if abs(self.amplitude) <= 0:
-            raise ValueError("path amplitude must be nonzero")
-
-
-def generate_frame(cfg: WaveformConfig, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random QPSK payload, shape (M, N); all entries unit magnitude."""
-    sym = rng.integers(0, 4, size=(cfg.n_symbols, cfg.n_subcarriers))
-    return np.exp(1j * (np.pi / 4.0 + sym * np.pi / 2.0))
-
-
-def _path_arrays(paths: Sequence[EchoPath]):
-    r = np.array([p.range_m for p in paths], dtype=float)
-    v = np.array([p.velocity for p in paths], dtype=float)
-    a = np.array([p.amplitude for p in paths], dtype=complex)
-    th = np.array([p.bearing for p in paths], dtype=float)
-    return r, v, a, th
-
-
-def _check_windows(cfg: WaveformConfig, r: np.ndarray, v: np.ndarray):
-    if np.any(r >= cfg.unambiguous_range):
-        raise ValueError("path range outside unambiguous window c0/(2*delta_f)")
-    if np.any(np.abs(v) >= cfg.unambiguous_velocity / 2.0):
-        raise ValueError("path velocity outside unambiguous window")
-
-
 def _path_phases(cfg: WaveformConfig, ranges: np.ndarray, bearings: np.ndarray,
                  amps: np.ndarray):
     """Per-path steering across rx elements, scaled by the amplitude, shape (L, n_rx),
@@ -197,63 +157,6 @@ def _add_noise(cfg: WaveformConfig, y: np.ndarray, has_paths: bool,
     y.real += z[0]
     y.imag += z[1]
     return y
-
-
-def synthesize_echo(
-    cfg: WaveformConfig,
-    frame: np.ndarray,
-    paths: Sequence[EchoPath],
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Received matrix Y, shape (n_rx, M, N).
-
-    Each path multiplies the frame by a delay phase across subcarriers, a
-    Doppler phase across symbols, and a steering phase across rx elements.
-    Noise is added as in ``_add_noise``, from one draw of ``rng``.
-    """
-    r, v, a, th = _path_arrays(paths)
-    _check_windows(cfg, r, v)
-    steer, delay = _path_phases(cfg, r, th, a)
-    doppler = np.exp(2j * np.pi * np.outer(2.0 * v * cfg.fc / C0 * cfg.t_sym,
-                                           np.arange(cfg.n_symbols)))  # (L, M)
-    y = np.einsum("lk,lm,ln->kmn", steer, doppler, delay) * frame
-    if cfg.snr_db is None:
-        return y
-    if rng is None:
-        raise ValueError("rng required when noise is enabled")
-    return _add_noise(cfg, y, len(paths) > 0, rng.standard_normal((2,) + y.shape))
-
-
-def equalize(y: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Element-wise division Y / X; broadcasts over a leading antenna axis."""
-    y = np.asarray(y)
-    if y.shape[-2:] != frame.shape:
-        raise ValueError(f"shape mismatch: Y {y.shape} vs X {frame.shape}")
-    return y / frame
-
-
-def range_profile(s_g: np.ndarray, m: int) -> np.ndarray:
-    """Magnitude of the length-N inverse DFT of symbol row ``m``."""
-    s_g = np.atleast_2d(s_g)
-    if not 0 <= m < s_g.shape[0]:
-        raise IndexError(f"symbol index {m} out of range")
-    return np.abs(np.fft.ifft(s_g[m, :]))
-
-
-def velocity_profile(s_g: np.ndarray, n: int) -> np.ndarray:
-    """Magnitude of the length-M forward DFT of subcarrier column ``n``."""
-    s_g = np.atleast_2d(s_g)
-    if not 0 <= n < s_g.shape[1]:
-        raise IndexError(f"subcarrier index {n} out of range")
-    return np.abs(np.fft.fft(s_g[:, n]))
-
-
-def angle_spectrum(snapshot: np.ndarray, n_elements: Optional[int] = None) -> np.ndarray:
-    """Magnitude of the forward DFT of a per-element snapshot."""
-    snapshot = np.asarray(snapshot)
-    if n_elements is not None and len(snapshot) != n_elements:
-        raise ValueError(f"snapshot length {len(snapshot)} != array size {n_elements}")
-    return np.abs(np.fft.fft(snapshot))
 
 
 def _check_bins(bins: np.ndarray, n: int, kind: str) -> np.ndarray:
@@ -352,10 +255,10 @@ def _equalized_column(
 ) -> np.ndarray:
     """Equalized symbol-0 response per rx element, shape (n_rx, N).
 
-    Identical in distribution to equalize(synthesize_echo(...))[..., 0, :]
-    for zero-Doppler paths: equalization of unit-modulus QPSK leaves the
-    noise statistics unchanged.  One matmul instead of the full synthesis,
-    then, with noise enabled, one unit draw of shape (2, n_rx, N).
+    For zero-Doppler paths this is symbol 0 of the full-frame echo divided
+    by the frame: equalization of unit-modulus QPSK leaves the noise
+    statistics unchanged.  One matmul, then, with noise enabled, one unit
+    draw of shape (2, n_rx, N).
     """
     steer, delay = _path_phases(cfg, ranges, bearings, amps)
     y = steer.T @ delay
@@ -370,7 +273,8 @@ def sense(scene: Scene, pose: Pose, sensor: OfdmSensor, rng: np.random.Generator
     at the centres of its range bin and angle bin, ordered by range bin, then angle bin."""
     cfg = sensor.cfg
     gt = ground_truth_scan(scene, pose, sensor.bearings)
-    _check_windows(cfg, gt.ranges, np.zeros(len(gt)))
+    if np.any(gt.ranges >= cfg.unambiguous_range):
+        raise ValueError("path range outside unambiguous window c0/(2*delta_f)")
     col = _equalized_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex), rng)
     profiles = np.fft.ifft(col, axis=1)  # (n_rx, N)
     range_peaks = np.flatnonzero(detect_peaks(np.mean(np.abs(profiles), axis=0), RANGE_POLICY))

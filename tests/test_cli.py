@@ -1,10 +1,12 @@
 """CLI tests driven through cli.main(argv)."""
 
+import re
 from importlib import resources
 
 import pytest
 import yaml
 
+from etslam import harness
 from etslam.cli import _read_csv, build_parser, main
 from etslam.clustering import ClusterParams
 from etslam.metrics import MetricParams
@@ -115,6 +117,23 @@ def test_read_csv_rejects_short_row(tmp_path, capsys):
     assert "truth.csv:3:" in capsys.readouterr().err
 
 
+def test_read_csv_rejects_long_row(tmp_path, capsys):
+    """A row with a field past the file's columns was cut to them and scored
+    (``value 0.25`` for both files below); now each file is refused at its row."""
+    truth, est = tmp_path / "truth.csv", tmp_path / "est.csv"
+    cases = [
+        ("target_id,x,y\n1,0,0\n", "x,y,z\n0.5,0,99\n", r"est\.csv:2: expected 2 fields, got 3"),
+        ("target_id,x,y\n1,0,0,7\n", "x,y\n0.5,0\n", r"truth\.csv:2: expected 3 fields, got 4"),
+    ]
+    for truth_text, est_text, message in cases:
+        truth.write_text(truth_text)
+        est.write_text(est_text)
+        assert main(["metric", "et-gospa", "--truth", str(truth), "--est", str(est)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"etslam: error: .*{message}\n", captured.err)
+
+
 @pytest.mark.parametrize("row", ["2,nan,0", "2,inf,0", "2,10,-inf", "nan,10,0"])
 def test_read_csv_rejects_non_finite_field(tmp_path, capsys, row):
     """A non-finite coordinate failed later, unlocated, in the cost matrix; a NaN id
@@ -206,3 +225,19 @@ def test_sweep_writes_condition_dirs(tmp_path, capsys):
 def test_missing_config_is_error(capsys):
     assert main(["simulate", "--config", "nope.yaml"]) == 2
     assert "etslam: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parallel", [0, -4])
+def test_parallel_below_one_is_error(tmp_path, capsys, parallel):
+    """``--parallel 0`` or below ran serially and exited 0; the library refuses it too."""
+    cfg_path = _write_tiny_config(tmp_path)
+    for command in ("simulate", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_path), "--out", str(out), "--trials", "1",
+                     "--parallel", str(parallel)]) == 2
+        assert capsys.readouterr().err == "etslam: error: parallel must be >= 1\n"
+        assert not out.exists()
+    cfg = harness.load_experiment(str(cfg_path))
+    for run in (harness.run_monte_carlo, harness.sweep_conditions):
+        with pytest.raises(ValueError, match="^parallel must be >= 1$"):
+            run(cfg, parallel=parallel)

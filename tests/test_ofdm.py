@@ -1,4 +1,4 @@
-"""OFDM sensing chain tests: numerology, echo synthesis, DFT estimators."""
+"""OFDM sensing chain tests: numerology, the full-frame echo reference, DFT estimators."""
 
 import dataclasses
 import math
@@ -15,23 +15,16 @@ from etslam.harness import ExperimentConfig, ReadAheadNormals, load_experiment
 from etslam.ofdm import (
     C0,
     FOV,
-    EchoPath,
     OfdmSensor,
     PeakPolicy,
     WaveformConfig,
     _add_noise,
     _equalized_column,
     _path_phases,
-    angle_spectrum,
     bin_to_cos,
     bin_to_range,
     detect_peaks,
-    equalize,
-    generate_frame,
-    range_profile,
     sense,
-    synthesize_echo,
-    velocity_profile,
 )
 from etslam.scene import Pose, ground_truth_scan, load_scene, polar_points, trajectory_pose
 
@@ -56,6 +49,51 @@ def small_cfg(**overrides):
     doc = dict(TABLE, N=1024, M=16, Nt=8, Nr=8)
     doc.update(overrides)
     return WaveformConfig.from_mapping(doc)
+
+
+# ---------------------------------------------------------------------------
+# the full-frame model: the reference for sense's column
+
+
+def qpsk_frame(cfg, rng):
+    """Uniform random QPSK payload, shape (M, N); all entries unit magnitude."""
+    sym = rng.integers(0, 4, size=(cfg.n_symbols, cfg.n_subcarriers))
+    return np.exp(1j * (np.pi / 4.0 + sym * np.pi / 2.0))
+
+
+def reference_echo(cfg, frame, ranges, bearings, amps, velocities, rng=None):
+    """Received frame Y, shape (n_rx, M, N), from path arrays; no input checks.
+
+    Each path multiplies the frame by its delay phase across subcarriers, its
+    Doppler phase across symbols and its steering phase, times its amplitude,
+    across rx elements.  With noise enabled, ``_add_noise`` adds one unit draw
+    of ``rng``.  At M = 1 on a unit frame, symbol 0 is ``_equalized_column``
+    byte for byte: the Doppler phase is exactly 1, so the matmul is the same.
+    """
+    steer, delay = _path_phases(cfg, ranges, bearings, amps)
+    doppler = np.exp(2j * np.pi * np.outer(2.0 * velocities * cfg.fc / C0 * cfg.t_sym,
+                                           np.arange(cfg.n_symbols)))
+    # one (n_rx * M, L) @ (L, N) matmul; explicit sizes, so no paths reshape too
+    steer_doppler = steer[:, :, None] * doppler[:, None, :]
+    y = steer_doppler.reshape(len(ranges), cfg.n_rx * cfg.n_symbols).T @ delay
+    y = y.reshape(cfg.n_rx, cfg.n_symbols, cfg.n_subcarriers) * frame
+    if cfg.snr_db is None:
+        return y
+    return _add_noise(cfg, y, len(ranges) > 0, rng.standard_normal((2,) + y.shape))
+
+
+def one_path_echo(cfg, frame, r, velocity=0.0, amp=1.0, bearing=math.pi / 2, rng=None):
+    """``reference_echo`` of one path, broadside and static by default."""
+    return reference_echo(cfg, frame, np.array([r]), np.array([bearing]),
+                          np.array([amp], dtype=complex), np.array([velocity]), rng)
+
+
+def reference_column(cfg, ranges, bearings, amps, rng):
+    """``sense``'s column from the full-frame model: symbol 0 of a one-symbol unit
+    frame, whose (2, n_rx, 1, N) noise draw is the column's (2, n_rx, N) stream."""
+    one = dataclasses.replace(cfg, n_symbols=1)
+    return reference_echo(one, np.ones((1, cfg.n_subcarriers)), ranges, bearings, amps,
+                          np.zeros(len(ranges)), rng)[:, 0, :]
 
 
 # ---------------------------------------------------------------------------
@@ -95,18 +133,18 @@ def test_bandwidth_within_tolerance_accepted():
 
 def test_frame_deterministic():
     cfg = small_cfg()
-    f1 = generate_frame(cfg, np.random.default_rng(5))
-    f2 = generate_frame(cfg, np.random.default_rng(5))
+    f1 = qpsk_frame(cfg, np.random.default_rng(5))
+    f2 = qpsk_frame(cfg, np.random.default_rng(5))
     assert np.array_equal(f1, f2)
 
 
 def test_frame_unit_magnitude():
-    frame = generate_frame(small_cfg(), np.random.default_rng(1))
+    frame = qpsk_frame(small_cfg(), np.random.default_rng(1))
     assert np.allclose(np.abs(frame), 1.0, atol=1e-12)
 
 
 def test_frame_shape():
-    frame = generate_frame(small_cfg(M=1, N=4), np.random.default_rng(1))
+    frame = qpsk_frame(small_cfg(M=1, N=4), np.random.default_rng(1))
     assert frame.shape == (1, 4)
 
 
@@ -116,24 +154,25 @@ def test_frame_shape():
 
 def test_zero_paths_noiseless():
     cfg = small_cfg()
-    frame = generate_frame(cfg, np.random.default_rng(2))
-    y = synthesize_echo(cfg, frame, [])
+    frame = qpsk_frame(cfg, np.random.default_rng(2))
+    none = np.zeros(0)
+    y = reference_echo(cfg, frame, none, none, none.astype(complex), none)
+    assert y.shape == (cfg.n_rx, cfg.n_symbols, cfg.n_subcarriers)
     assert np.all(y == 0)
 
 
 def test_identity_channel():
     cfg = small_cfg()
-    frame = generate_frame(cfg, np.random.default_rng(2))
-    y = synthesize_echo(cfg, frame, [EchoPath(range_m=0.0, bearing=math.pi / 2)])
+    frame = qpsk_frame(cfg, np.random.default_rng(2))
+    y = one_path_echo(cfg, frame, 0.0)
     assert np.allclose(y[0], frame, atol=1e-12)
-    s_g = equalize(y, frame)
-    assert np.allclose(s_g[0], 1.0, atol=1e-12)
+    assert np.allclose(y[0] / frame, 1.0, atol=1e-12)
 
 
 def test_delay_phase_progression():
     cfg = one_row_cfg()
-    frame = generate_frame(cfg, np.random.default_rng(3))
-    y = synthesize_echo(cfg, frame, [EchoPath(range_m=10.0, bearing=math.pi / 2)])
+    frame = qpsk_frame(cfg, np.random.default_rng(3))
+    y = one_path_echo(cfg, frame, 10.0)
     ratio = y[0, 0, :] / frame[0, :]
     inc = np.angle(ratio[1:] / ratio[:-1])
     want = -2.0 * math.pi * cfg.delta_f * 2.0 * 10.0 / C0
@@ -142,25 +181,21 @@ def test_delay_phase_progression():
 
 def test_single_path_constant_modulus():
     cfg = small_cfg()
-    frame = generate_frame(cfg, np.random.default_rng(4))
-    y = synthesize_echo(cfg, frame, [EchoPath(range_m=7.0, amplitude=0.5j)])
-    s_g = equalize(y, frame)
+    frame = qpsk_frame(cfg, np.random.default_rng(4))
+    s_g = one_path_echo(cfg, frame, 7.0, amp=0.5j) / frame
     assert np.allclose(np.abs(s_g), 0.5, atol=1e-12)
 
 
 def test_equalized_column_matches_synthesis_noiseless():
-    """sense's analytic symbol-0 column equals equalized full synthesis without noise."""
+    """sense's analytic symbol-0 column equals the equalized full frame without noise."""
     cfg = small_cfg()
     assert cfg.snr_db is None
-    frame = generate_frame(cfg, np.random.default_rng(6))
-    paths = [EchoPath(range_m=3.1, amplitude=1.0, bearing=0.6),
-             EchoPath(range_m=17.45, amplitude=0.3 - 0.8j, bearing=math.pi / 2),
-             EchoPath(range_m=42.0, amplitude=-0.5 + 0.2j, bearing=2.3)]
-    ranges = np.array([p.range_m for p in paths])
-    amps = np.array([p.amplitude for p in paths])
-    bearings = np.array([p.bearing for p in paths])
+    frame = qpsk_frame(cfg, np.random.default_rng(6))
+    ranges = np.array([3.1, 17.45, 42.0])
+    amps = np.array([1.0, 0.3 - 0.8j, -0.5 + 0.2j])
+    bearings = np.array([0.6, math.pi / 2, 2.3])
     col = _equalized_column(cfg, ranges, bearings, amps, None)
-    want = equalize(synthesize_echo(cfg, frame, paths), frame)[:, 0, :]
+    want = (reference_echo(cfg, frame, ranges, bearings, amps, np.zeros(3)) / frame)[:, 0, :]
     assert col.shape == want.shape == (cfg.n_rx, cfg.n_subcarriers)
     np.testing.assert_allclose(col, want, rtol=1e-9, atol=0.0)
 
@@ -170,9 +205,9 @@ def test_full_scale_cube_every_antenna_and_symbol():
     symbol's range profile peaks at the path's nearest bin, the DFT across the
     antennas at its bearing's bin, and symbol 0 is ``sense``'s analytic column."""
     cfg = table_cfg(M=4)
-    frame = generate_frame(cfg, np.random.default_rng(3))
+    frame = qpsk_frame(cfg, np.random.default_rng(3))
     bearing = math.radians(60.0)
-    s_g = equalize(synthesize_echo(cfg, frame, [EchoPath(range_m=10.0, bearing=bearing)]), frame)
+    s_g = one_path_echo(cfg, frame, 10.0, bearing=bearing) / frame
     assert s_g.shape == (32, 4, 10240)
     profiles = np.fft.ifft(s_g, axis=-1)
     assert (np.argmax(np.abs(profiles), axis=-1) == 82).all()
@@ -182,31 +217,24 @@ def test_full_scale_cube_every_antenna_and_symbol():
     np.testing.assert_allclose(col, s_g[:, 0, :], rtol=1e-9, atol=0.0)
 
 
-def test_equalize_shape_mismatch():
-    cfg = small_cfg()
-    frame = generate_frame(cfg, np.random.default_rng(4))
-    with pytest.raises(ValueError):
-        equalize(np.zeros((2, 3)), frame)
-
-
 def test_out_of_window_paths_rejected():
+    """``sense`` refuses a ray whose range wraps past the unambiguous window."""
     cfg = small_cfg()
-    frame = generate_frame(cfg, np.random.default_rng(4))
-    with pytest.raises(ValueError):
-        synthesize_echo(cfg, frame, [EchoPath(range_m=cfg.unambiguous_range + 1.0)])
-    with pytest.raises(ValueError):
-        synthesize_echo(cfg, frame, [EchoPath(range_m=5.0, velocity=1e6)])
+    scene = _one_circle_scene(cfg.unambiguous_range + 10.0)
+    with pytest.raises(ValueError, match="^path range outside unambiguous window c0/"):
+        sense(scene, Pose(3.0, 3.0, 0.0), _sensor(scene, cfg), np.random.default_rng(0))
 
 
 def test_snr_calibration():
     """Equalized pure noise has power equal to the configured noise power."""
     cfg = small_cfg(snr_db=10.0)
     rng = np.random.default_rng(8)
-    frame = generate_frame(cfg, rng)
+    frame = qpsk_frame(cfg, rng)
+    none = np.zeros(0)
     powers = []
     for _ in range(20):
-        y = synthesize_echo(cfg, frame, [], rng)
-        powers.append(np.mean(np.abs(equalize(y, frame)) ** 2))
+        y = reference_echo(cfg, frame, none, none, none.astype(complex), none, rng)
+        powers.append(np.mean(np.abs(y / frame) ** 2))
     want = 1.0 / cfg.snr_linear  # reference power 1 when there are no paths
     assert np.mean(powers) == pytest.approx(want, rel=0.05)
 
@@ -256,9 +284,9 @@ def test_add_noise_matches_two_draw_formula(shape, has_paths):
 
 def test_range_profile_zero_delay():
     cfg = small_cfg()
-    frame = generate_frame(cfg, np.random.default_rng(2))
-    s_g = equalize(synthesize_echo(cfg, frame, [EchoPath(range_m=0.0)]), frame)
-    assert int(np.argmax(range_profile(s_g[0], 0))) == 0
+    frame = qpsk_frame(cfg, np.random.default_rng(2))
+    s_g = one_path_echo(cfg, frame, 0.0) / frame
+    assert int(np.argmax(np.abs(np.fft.ifft(s_g[0, 0])))) == 0
 
 
 def test_range_profile_nearest_bin():
@@ -268,40 +296,35 @@ def test_range_profile_nearest_bin():
     so the peak is bin 82, whose centre is the placed range (see README).
     """
     cfg = one_row_cfg()
-    frame = generate_frame(cfg, np.random.default_rng(3))
-    s_g = equalize(synthesize_echo(cfg, frame, [EchoPath(range_m=10.0)]), frame)
-    assert int(np.argmax(range_profile(s_g[0], 0))) == 82
+    frame = qpsk_frame(cfg, np.random.default_rng(3))
+    s_g = one_path_echo(cfg, frame, 10.0) / frame
+    assert int(np.argmax(np.abs(np.fft.ifft(s_g[0, 0])))) == 82
 
 
 def test_range_profile_whole_bin_is_nearest_bin():
     """A range anywhere in bin i's centred interval peaks at bin i, within w/2 of its centre."""
     cfg = one_row_cfg()
     rng = np.random.default_rng(17)
-    frame = generate_frame(cfg, rng)
+    frame = qpsk_frame(cfg, rng)
     w = cfg.range_bin_width
     for _ in range(10):
         i = int(rng.integers(8, 800))
         r = (i + float(rng.uniform(-0.49, 0.49))) * w
-        s_g = equalize(synthesize_echo(cfg, frame, [EchoPath(range_m=r)]), frame)
-        peak = int(np.argmax(range_profile(s_g[0], 0)))
+        s_g = one_path_echo(cfg, frame, r) / frame
+        peak = int(np.argmax(np.abs(np.fft.ifft(s_g[0, 0]))))
         assert peak == i == round(2.0 * r * cfg.n_subcarriers * cfg.delta_f / C0)
         assert abs(bin_to_range(peak, cfg) - r) < w / 2
 
 
 def test_range_profile_two_paths_resolved():
     cfg = one_row_cfg()
-    frame = generate_frame(cfg, np.random.default_rng(3))
-    paths = [EchoPath(range_m=20.0), EchoPath(range_m=25.0)]
-    s_g = equalize(synthesize_echo(cfg, frame, paths), frame)
-    prof = range_profile(s_g[0], 0)
+    frame = qpsk_frame(cfg, np.random.default_rng(3))
+    y = reference_echo(cfg, frame, np.array([20.0, 25.0]), np.full(2, math.pi / 2),
+                       np.ones(2, dtype=complex), np.zeros(2))
+    prof = np.abs(np.fft.ifft(y[0, 0] / frame[0]))
     peaks = np.flatnonzero(detect_peaks(prof, PeakPolicy(threshold_db=12.0, max_peaks=2)))
     assert len(peaks) == 2
     assert abs((peaks[1] - peaks[0]) - 5.0 / cfg.range_bin_width) <= 1.0
-
-
-def test_range_profile_index_validation():
-    with pytest.raises(IndexError):
-        range_profile(np.ones((2, 8), dtype=complex), 2)
 
 
 def test_idft_dft_roundtrip():
@@ -313,52 +336,45 @@ def test_idft_dft_roundtrip():
 
 def test_velocity_profile_zero_doppler():
     cfg = small_cfg()
-    frame = generate_frame(cfg, np.random.default_rng(2))
-    s_g = equalize(synthesize_echo(cfg, frame, [EchoPath(range_m=5.0)]), frame)
-    assert int(np.argmax(velocity_profile(s_g[0], 0))) == 0
+    frame = qpsk_frame(cfg, np.random.default_rng(2))
+    s_g = one_path_echo(cfg, frame, 5.0) / frame
+    assert int(np.argmax(np.abs(np.fft.fft(s_g[0, :, 0])))) == 0
 
 
 def test_velocity_profile_one_bin():
     cfg = small_cfg()
-    frame = generate_frame(cfg, np.random.default_rng(2))
-    v = cfg.velocity_bin_width
-    s_g = equalize(
-        synthesize_echo(cfg, frame, [EchoPath(range_m=5.0, velocity=v)]), frame)
-    assert int(np.argmax(velocity_profile(s_g[0], 0))) == 1
+    frame = qpsk_frame(cfg, np.random.default_rng(2))
+    v = C0 / (2.0 * cfg.fc * cfg.n_symbols * cfg.t_sym)  # one Doppler bin
+    s_g = one_path_echo(cfg, frame, 5.0, velocity=v) / frame
+    assert int(np.argmax(np.abs(np.fft.fft(s_g[0, :, 0])))) == 1
 
 
 def test_velocity_profile_negative_wraps():
     cfg = small_cfg()
-    frame = generate_frame(cfg, np.random.default_rng(2))
-    v = -cfg.velocity_bin_width
-    s_g = equalize(
-        synthesize_echo(cfg, frame, [EchoPath(range_m=5.0, velocity=v)]), frame)
-    assert int(np.argmax(velocity_profile(s_g[0], 0))) == cfg.n_symbols - 1
+    frame = qpsk_frame(cfg, np.random.default_rng(2))
+    v = C0 / (2.0 * cfg.fc * cfg.n_symbols * cfg.t_sym)
+    s_g = one_path_echo(cfg, frame, 5.0, velocity=-v) / frame
+    assert int(np.argmax(np.abs(np.fft.fft(s_g[0, :, 0])))) == cfg.n_symbols - 1
 
 
 def test_angle_spectrum_broadside():
     cfg = table_cfg()
     omega = (2.0 * math.pi * cfg.d / cfg.wavelength) * math.cos(math.pi / 2.0)
     snap = np.exp(1j * omega * np.arange(cfg.n_tx))
-    assert int(np.argmax(angle_spectrum(snap, cfg.n_tx))) == 0
+    assert int(np.argmax(np.abs(np.fft.fft(snap)))) == 0
 
 
 def test_angle_spectrum_single_bin():
     nt = 32
     snap = np.exp(1j * (2.0 * math.pi / nt) * np.arange(nt))
-    assert int(np.argmax(angle_spectrum(snap, nt))) == 1
+    assert int(np.argmax(np.abs(np.fft.fft(snap)))) == 1
 
 
 def test_angle_spectrum_60_degrees():
     cfg = table_cfg()
     omega = (2.0 * math.pi * cfg.d / cfg.wavelength) * math.cos(math.radians(60.0))
     snap = np.exp(1j * omega * np.arange(cfg.n_tx))
-    assert int(np.argmax(angle_spectrum(snap, cfg.n_tx))) == 8
-
-
-def test_angle_spectrum_length_check():
-    with pytest.raises(ValueError):
-        angle_spectrum(np.ones(8, dtype=complex), 32)
+    assert int(np.argmax(np.abs(np.fft.fft(snap)))) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +423,7 @@ def test_bin_to_angle_roundtrip():
                 continue
             omega = (2.0 * math.pi * cfg.d / cfg.wavelength) * a
             snap = np.exp(1j * omega * np.arange(nt))
-            peak = int(np.argmax(angle_spectrum(snap, nt)))
+            peak = int(np.argmax(np.abs(np.fft.fft(snap))))
             assert peak == i
             assert abs(bin_to_cos(peak, cfg) - a) < scale / 2
             checked += 1
@@ -465,18 +481,14 @@ def test_detect_peaks_rejects_empty_input():
 
 def test_detect_peaks_single_tone():
     cfg = one_row_cfg()
-    frame = generate_frame(cfg, np.random.default_rng(3))
+    frame = qpsk_frame(cfg, np.random.default_rng(3))
     r = 40.0 * cfg.range_bin_width  # on-bin tone: the profile is a clean spike
-    s_g = equalize(synthesize_echo(cfg, frame, [EchoPath(range_m=r)]), frame)
-    prof = range_profile(s_g[0], 0)
+    prof = np.abs(np.fft.ifft(one_path_echo(cfg, frame, r)[0, 0] / frame[0]))
     peaks = detect_peaks(prof, PeakPolicy(threshold_db=12.0, max_peaks=1))
     assert np.flatnonzero(peaks).tolist() == [40]  # strongest peak; noiseless floor is numerical
     noisy = one_row_cfg(snr_db=20.0)
-    rng = np.random.default_rng(9)
-    s_g = equalize(
-        synthesize_echo(noisy, frame, [EchoPath(range_m=r)], rng), frame)
-    peaks = detect_peaks(
-        range_profile(s_g[0], 0), PeakPolicy(threshold_db=12.0, max_peaks=1))
+    s_g = one_path_echo(noisy, frame, r, rng=np.random.default_rng(9)) / frame
+    peaks = detect_peaks(np.abs(np.fft.ifft(s_g[0, 0])), PeakPolicy(threshold_db=12.0, max_peaks=1))
     assert np.flatnonzero(peaks).tolist() == [40]
 
 
@@ -504,8 +516,9 @@ def test_detect_peaks_adjacent_suppressed():
 def _one_circle_scene(range_to_face: float):
     """Circle broadside (bearing 90 deg) of a pose at (3, 3) heading 0."""
     radius = 1.0
+    top = max(30.0, 3.0 + range_to_face + 3.0 * radius)
     return load_scene({
-        "bounds": {"min": [0.0, 0.0], "max": [30.0, 30.0]},
+        "bounds": {"min": [0.0, 0.0], "max": [30.0, top]},
         "targets": [{"id": 1, "kind": "circle",
                      "center": [3.0, 3.0 + range_to_face + radius],
                      "radius": radius}],
@@ -625,26 +638,16 @@ def test_negative_guard_interval_rejected_with_matching_symbol_time():
         small_cfg(Tc=-1e-7, T=TABLE["Tp"] - 1e-7)
 
 
-def _serial_column(cfg, ranges, bearings, amps, rng):
-    """Reference for ``_equalized_column``: the clean column, then one unit draw of
-    shape (2, n_rx, N) on this thread, then noise scaled and added by ``_add_noise``."""
-    steer, delay = _path_phases(cfg, ranges, bearings, amps)
-    y = steer.T @ delay
-    if cfg.snr_db is None:
-        return y
-    return _add_noise(cfg, y, len(ranges) > 0, rng.standard_normal((2,) + y.shape))
-
-
 def _sense_per_peak(scene, pose, cfg, rng, sensor):
-    """Reference for ``sense``: the serial column, greedy peak picking and one angle
-    DFT per range peak, each visible detection placed at its bin centres."""
+    """Reference for ``sense``: the full-frame model's column, greedy peak picking and
+    one angle DFT per range peak, each visible detection placed at its bin centres."""
     gt = ground_truth_scan(scene, pose, sensor.bearings)
-    col = _serial_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex), rng)
+    col = reference_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex), rng)
     profiles = np.fft.ifft(col, axis=1)
     range_peaks = _reference_detect_peaks(np.mean(np.abs(profiles), axis=0), ofdm.RANGE_POLICY)
     r_bins, cosines = [], []
     for ri in sorted(range_peaks):
-        spec = angle_spectrum(profiles[:, ri], cfg.n_tx)
+        spec = np.abs(np.fft.fft(profiles[:, ri]))
         for ai in sorted(_reference_detect_peaks(spec, sensor.angle_policy)):
             c = cfg.wavelength / (cfg.d * cfg.n_tx) * (ai if ai < cfg.n_tx / 2 else ai - cfg.n_tx)
             if abs(c) <= 1.0:
@@ -679,14 +682,15 @@ def test_sense_matches_per_peak_reference(config):
 # the noise drawn ahead on a worker thread (harness.ReadAheadNormals)
 
 
-def _assert_column_matches_serial(sensor, scene, pose, source, want_rng):
+def _assert_column_matches_reference(sensor, scene, pose, source, want_rng):
     """``_equalized_column`` at one pose, its noise read from the read-ahead ``source``,
-    equals its serial reference on the bare generator byte for byte, and the source's
-    stream goes on where the serial draw leaves ``want_rng``; returns the column."""
+    equals the full-frame model's column on the bare generator byte for byte, and the
+    source's stream goes on where the reference's draw leaves ``want_rng``; returns the
+    column."""
     gt = ground_truth_scan(scene, pose, sensor.bearings)
     args = (sensor.cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex))
     got = _equalized_column(*args, source)
-    want = _serial_column(*args, want_rng)
+    want = reference_column(*args, want_rng)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert source.standard_normal() == want_rng.standard_normal()
@@ -699,7 +703,8 @@ def _noise_workers():
 
 @pytest.mark.parametrize("config", ["ci.yaml", "full_scale.yaml"])
 def test_threaded_noise_column_matches_serial_draw(config):
-    """Two columns whose noise the worker drew ahead are the serial columns."""
+    """Two columns whose noise the worker drew ahead are the reference's columns, drawn
+    serially from the bare generator."""
     exp = load_experiment(config)
     assert exp.waveform.snr_db is not None
     sensor = dataclasses.replace(exp, backend="ofdm").make_sensor()
@@ -707,41 +712,40 @@ def test_threaded_noise_column_matches_serial_draw(config):
     with ReadAheadNormals(np.random.default_rng(3)) as source:
         for t in (7.5, 8.0):
             pose = trajectory_pose(exp.scene.trajectory, t)
-            _assert_column_matches_serial(sensor, exp.scene, pose, source, want_rng)
+            _assert_column_matches_reference(sensor, exp.scene, pose, source, want_rng)
     assert not _noise_workers()
 
 
 @pytest.mark.parametrize("config", ["ci.yaml", "full_scale.yaml"])
 def test_noisy_column_matches_one_symbol_synthesis(config):
-    """The noisy column against the full synthesis, not against ``_serial_column``'s
-    copy of it: at M = 1, ``synthesize_echo`` on a unit frame draws (2, n_rx, 1, N)
+    """The column, noisy and noiseless, against the full-frame model: at M = 1 on a
+    unit frame (``reference_column``), ``reference_echo`` draws (2, n_rx, 1, N)
     normals, the same stream as the column's (2, n_rx, N), so its one symbol row is
-    the column up to rounding, and both leave the generator in the same state."""
+    the column byte for byte, and both leave the generator in the same state."""
     exp = load_experiment(config)
     assert exp.waveform.snr_db is not None
-    cfg = dataclasses.replace(exp.waveform, n_symbols=1)
     sensor = dataclasses.replace(exp, backend="ofdm").make_sensor()
-    for seed, t in enumerate((7.5, 19.0, 33.0)):
-        pose = trajectory_pose(exp.scene.trajectory, t)
-        gt = ground_truth_scan(exp.scene, pose, sensor.bearings)
-        assert len(gt) > 0
-        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _equalized_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex),
-                                got_rng)
-        paths = [EchoPath(r, bearing=b) for r, b in zip(gt.ranges, gt.bearings)]
-        want = synthesize_echo(cfg, np.ones((1, cfg.n_subcarriers)), paths, want_rng)[:, 0, :]
-        assert got.shape == want.shape
-        # einsum and matmul sum the paths in different orders: 3.4e-16 to 4.4e-16 here
-        assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for snr_db in (exp.waveform.snr_db, None):
+        cfg = dataclasses.replace(exp.waveform, snr_db=snr_db)
+        for seed, t in enumerate((0.0, 7.5, 19.0, 33.0, 52.5)):
+            pose = trajectory_pose(exp.scene.trajectory, t)
+            gt = ground_truth_scan(exp.scene, pose, sensor.bearings)
+            assert len(gt) > 0
+            args = (cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _equalized_column(*args, got_rng)
+            want = reference_column(*args, want_rng)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_threaded_noise_column_empty_scene():
-    """No paths: pure noise at reference power 1, as the serial draw makes it."""
+    """No paths: pure noise at reference power 1, as the reference's draw makes it."""
     scene = _empty_scene()
     sensor = _sensor(scene, small_cfg(snr_db=10.0))
     with ReadAheadNormals(np.random.default_rng(4)) as source:
-        got = _assert_column_matches_serial(sensor, scene, Pose(1.0, 1.0, 0.0), source,
+        got = _assert_column_matches_reference(sensor, scene, Pose(1.0, 1.0, 0.0), source,
                                             np.random.default_rng(4))
     assert np.count_nonzero(got) == got.size
     z = np.random.default_rng(4).standard_normal((2,) + got.shape)
@@ -766,7 +770,7 @@ def test_noiseless_sense_starts_no_thread_and_leaves_rng(monkeypatch):
 
 def test_threaded_noise_under_fast_thread_switching():
     """With the interpreter switching threads every microsecond, every column of a
-    20-pose run, its noise drawn ahead from one rng, still equals the serial reference's."""
+    20-pose run, its noise drawn ahead from one rng, still equals the reference's column."""
     exp = load_experiment("ci.yaml")
     sensor = dataclasses.replace(exp, backend="ofdm").make_sensor()
     traj = exp.scene.trajectory
@@ -778,7 +782,7 @@ def test_threaded_noise_under_fast_thread_switching():
             for k in range(20):
                 # the odometry draws of a SLAM step come between two columns
                 assert source.standard_normal(2).tobytes() == want_rng.standard_normal(2).tobytes()
-                _assert_column_matches_serial(sensor, exp.scene, trajectory_pose(traj, 2.5 * k),
+                _assert_column_matches_reference(sensor, exp.scene, trajectory_pose(traj, 2.5 * k),
                                               source, want_rng)
     finally:
         sys.setswitchinterval(interval)
