@@ -1,10 +1,10 @@
 """OFDM sensing chain: the equalized echo column and its DFT estimation.
 
-The processing path is: ground-truth rays -> per-path delay and steering
-phases -> equalized symbol-0 column per receive antenna (static paths, so
-the QPSK frame divides out and one symbol suffices) -> IDFT range profile
-per antenna -> peaks of the rx-averaged profile -> DFT angle spectrum per
-range peak -> bin-centre placement.  The full (n_rx, M, N) frame model is
+The processing path is: ground-truth rays (cast by the caller) -> per-path
+delay and steering phases -> equalized symbol-0 column per receive antenna
+(static paths, so the QPSK frame divides out and one symbol suffices) ->
+IDFT range profile per antenna -> peaks of the rx-averaged profile -> DFT
+angle spectrum per range peak -> bin-centre placement.  The full (n_rx, M, N) frame model is
 the tests' reference (``tests/test_ofdm.py``).
 
 Conventions
@@ -31,7 +31,10 @@ from typing import Optional
 
 import numpy as np
 
-from etslam.scene import Pose, Scene, convert, ground_truth_scan, parse_section, polar_points
+# ground_truth_scan stays importable here: bench/spans.py wraps the ray-casting
+# layer at this name
+from etslam.scene import (GroundTruthScan, convert, ground_truth_scan,
+                          parse_section, polar_points)
 
 C0 = 3.0e8
 # subcarriers per block of the factored delay phase in _path_phases
@@ -233,7 +236,7 @@ class OfdmSensor:
     cone angle measured from the array axis coincides with the sensor-frame
     bearing; the unambiguous band away from endfire restricts the fan to
     ``FOV``.  ``ExperimentConfig.make_sensor`` builds the fan.  Calling the
-    sensor runs ``sense``: ground-truth rays along the fan, the equalized
+    sensor with the ground-truth scan of the fan runs ``sense``: the equalized
     response synthesized analytically (one symbol column suffices for static
     paths), and one sensor-frame point per (range peak, angle peak) pair.
     """
@@ -242,8 +245,8 @@ class OfdmSensor:
     bearings: np.ndarray
     angle_policy: PeakPolicy
 
-    def __call__(self, scene: Scene, pose: Pose, rng: np.random.Generator) -> np.ndarray:
-        return sense(scene, pose, self, rng)
+    def __call__(self, gt: GroundTruthScan, rng: np.random.Generator) -> np.ndarray:
+        return sense(gt, self, rng)
 
 
 def _equalized_column(
@@ -268,11 +271,11 @@ def _equalized_column(
     return _add_noise(cfg, y, len(ranges) > 0, rng.standard_normal((2,) + y.shape))
 
 
-def sense(scene: Scene, pose: Pose, sensor: OfdmSensor, rng: np.random.Generator) -> np.ndarray:
-    """Full OFDM sensing pipeline: one sensor-frame point per detection, shape (n, 2),
-    at the centres of its range bin and angle bin, ordered by range bin, then angle bin."""
+def sense(gt: GroundTruthScan, sensor: OfdmSensor, rng: np.random.Generator) -> np.ndarray:
+    """Full OFDM sensing pipeline on the ground-truth scan of ``sensor.bearings``: one
+    sensor-frame point per detection, shape (n, 2), at the centres of its range bin and
+    angle bin, ordered by range bin, then angle bin."""
     cfg = sensor.cfg
-    gt = ground_truth_scan(scene, pose, sensor.bearings)
     if np.any(gt.ranges >= cfg.unambiguous_range):
         raise ValueError("path range outside unambiguous window c0/(2*delta_f)")
     col = _equalized_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex), rng)

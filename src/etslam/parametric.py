@@ -2,7 +2,8 @@
 
 Realizes the sweep conditions (delta_R, delta_theta) without running the
 OFDM chain.  Both magnitudes are standard deviations; delta_theta is given
-in degrees in config files and stored in radians here.
+in degrees in config files and stored in radians here.  The sensor starts
+from a ground-truth scan of its fan and casts no rays itself.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from etslam.scene import Pose, Scene, ground_truth_scan, polar_points
+# ground_truth_scan stays importable here: bench/spans.py wraps the ray-casting
+# layer at this name
+from etslam.scene import GroundTruthScan, ground_truth_scan, polar_points
 
 
 @dataclass(frozen=True)
@@ -27,14 +30,9 @@ class ErrorModel:
 
 
 def sense_parametric(
-    scene: Scene,
-    pose: Pose,
-    bearings: np.ndarray,
-    model: ErrorModel,
-    rng: np.random.Generator,
+    gt: GroundTruthScan, model: ErrorModel, rng: np.random.Generator
 ) -> np.ndarray:
     """Sensor-frame points, one noisy point per ground-truth hit; no misses, no clutter."""
-    gt = ground_truth_scan(scene, pose, bearings)
     r = gt.ranges + model.delta_r * rng.standard_normal(len(gt))
     b = gt.bearings + model.delta_theta * rng.standard_normal(len(gt))
     return polar_points(np.maximum(r, 0.0), b)
@@ -42,10 +40,13 @@ def sense_parametric(
 
 @dataclass(frozen=True)
 class ParametricSensor:
-    """Callable backend with a fixed bearing fan, matching the OFDM interface."""
+    """Callable backend with a fixed bearing fan, matching the OFDM interface.
+
+    Call it with the ground-truth scan of ``bearings`` from the sensing pose.
+    """
 
     model: ErrorModel
     bearings: np.ndarray
 
-    def __call__(self, scene: Scene, pose: Pose, rng: np.random.Generator) -> np.ndarray:
-        return sense_parametric(scene, pose, self.bearings, self.model, rng)
+    def __call__(self, gt: GroundTruthScan, rng: np.random.Generator) -> np.ndarray:
+        return sense_parametric(gt, self.model, rng)

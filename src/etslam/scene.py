@@ -53,7 +53,7 @@ class Pose:
     heading: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y) and np.isfinite(self.heading)):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.heading)):
             raise SceneValidationError("pose components must be finite")
         object.__setattr__(self, "heading", wrap_angle(self.heading))
 
@@ -165,6 +165,10 @@ class Trajectory:
     waypoints: np.ndarray  # (n, 2)
     speed: float
     step_interval: float
+    # derived from the waypoints once, for trajectory_pose
+    segment_lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    cumulative_lengths: np.ndarray = field(init=False, repr=False, compare=False)  # (n,), from 0
+    closed: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         wp = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
@@ -175,20 +179,16 @@ class Trajectory:
                 raise SceneValidationError(f"trajectory {name} must be finite and > 0")
         if not np.all(np.isfinite(wp)):
             raise SceneValidationError("trajectory waypoints must be finite")
-        object.__setattr__(self, "waypoints", wp)
+        lengths = np.linalg.norm(np.diff(wp, axis=0), axis=1)
         # a repeated waypoint gives a segment with no heading, and trajectory_pose
         # divides by the length of the segment it ends on
-        zero = np.flatnonzero(self.segment_lengths == 0.0)
+        zero = np.flatnonzero(lengths == 0.0)
         if zero.size:
             raise SceneValidationError(f"trajectory segment {zero[0]} has zero length")
-
-    @property
-    def closed(self) -> bool:
-        return bool(np.allclose(self.waypoints[0], self.waypoints[-1]))
-
-    @property
-    def segment_lengths(self) -> np.ndarray:
-        return np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1)
+        for name, value in (("waypoints", wp), ("segment_lengths", lengths),
+                            ("cumulative_lengths", np.concatenate([[0.0], np.cumsum(lengths)])),
+                            ("closed", bool(np.allclose(wp[0], wp[-1])))):
+            object.__setattr__(self, name, value)
 
     @property
     def total_length(self) -> float:
@@ -203,8 +203,7 @@ def trajectory_pose(trajectory: Trajectory, t: float) -> Pose:
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    lengths = trajectory.segment_lengths
-    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    lengths, cum = trajectory.segment_lengths, trajectory.cumulative_lengths
     total = cum[-1]
     s = trajectory.speed * t
     if trajectory.closed:
@@ -307,70 +306,94 @@ class Scene:
         d = p1 - p0
         length = float(np.linalg.norm(d))
         u = d / length
-        t, _ = _cast_rays(self, p0, u[None, :])
-        return bool(t[0] < length)
+        t, _ = _cast_rays(self, p0[None], u[None, None])
+        return bool(t[0, 0] < length)
 
     def contains_point_in_target(self, point: np.ndarray) -> bool:
         """Whether ``point`` lies strictly inside a target (on a boundary is outside)."""
-        point = np.asarray(point, dtype=float)
-        rect_sd = _rect_signed_distance(point, self._rect_c, self._rect_cos, self._rect_sin,
+        return bool(self._inside_target(point))
+
+    def _inside_target(self, points: np.ndarray) -> np.ndarray:
+        """``contains_point_in_target`` of each point of ``points``, shape (..., 2)."""
+        points = np.asarray(points, dtype=float)[..., None, :]
+        rect_sd = _rect_signed_distance(points, self._rect_c, self._rect_cos, self._rect_sin,
                                         self._rect_half)
-        circ_sd = np.linalg.norm(point - self._circ_c, axis=-1) - self._circ_r
-        return bool(np.any(rect_sd < 0.0) or np.any(circ_sd < 0.0))
+        circ_sd = np.linalg.norm(points - self._circ_c, axis=-1) - self._circ_r
+        return np.any(rect_sd < 0.0, axis=-1) | np.any(circ_sd < 0.0, axis=-1)
 
 
-def _cast_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray, eps: float = 1e-9):
+def _cast_rays(scene: Scene, origins: np.ndarray, dirs: np.ndarray, eps: float = 1e-9):
     """Distance to the nearest boundary per unit direction, inf when no hit.
 
-    Returns (ranges, target_ids), target id -1 for a miss; used by
-    ``ground_truth_scan`` and by the trajectory check in scene validation.
-    One argmin over [miss, segments, circles] picks the hit, so on a tie
-    the first column wins: a segment over a circle.
+    ``origins`` has shape (P, 2) and ``dirs`` (P, B, 2), a fan of B directions
+    per origin.  Returns (ranges, target_ids), each (P, B), target id -1 for a
+    miss; used by ``ground_truth_scans`` and by the trajectory check in scene
+    validation.  One argmin over [miss, segments, circles] picks the hit, so
+    on a tie the first column wins: a segment over a circle.  Every ray gets
+    the bits it gets in a block of one origin.
     """
     a, b = scene._seg_a, scene._seg_b
     d = b - a
-    ao = a - origin  # (S, 2)
-    denom = dirs[:, 0:1] * d[None, :, 1] - dirs[:, 1:2] * d[None, :, 0]  # (B, S)
-    num_t = ao[:, 0] * d[:, 1] - ao[:, 1] * d[:, 0]  # (S,)
-    num_s = ao[None, :, 0] * dirs[:, 1:2] - ao[None, :, 1] * dirs[:, 0:1]  # (B, S)
+    ao = a - origins[:, None]  # (P, S, 2)
+    dx, dy = dirs[..., 0:1], dirs[..., 1:2]  # (P, B, 1)
+    denom = dx * d[:, 1] - dy * d[:, 0]  # (P, B, S)
+    num_t = ao[..., 0] * d[:, 1] - ao[..., 1] * d[:, 0]  # (P, S)
+    num_s = ao[:, None, :, 0] * dy - ao[:, None, :, 1] * dx  # (P, B, S)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = num_t[None, :] / denom
+        t = num_t[:, None] / denom
         s = num_s / denom
     valid = (np.abs(denom) > 1e-15) & (t > eps) & (s >= 0.0) & (s <= 1.0)
     seg_t = np.where(valid, t, np.inf)
-    oc = scene._circ_c - origin  # (C, 2)
-    proj = dirs @ oc.T  # (B, C)
-    d2 = np.sum(oc**2, axis=1)[None, :] - proj**2
-    disc = scene._circ_r[None, :] ** 2 - d2
+    oc = scene._circ_c - origins[:, None]  # (P, C, 2)
+    # one matmul per origin, as in a block of one: BLAS may fuse the products
+    proj = dirs @ oc.swapaxes(1, 2)  # (P, B, C)
+    d2 = np.sum(oc**2, axis=-1)[:, None] - proj**2
+    disc = scene._circ_r ** 2 - d2
     sq = np.sqrt(np.maximum(disc, 0.0))
     t1 = proj - sq
     t2 = proj + sq
     circ_t = np.where(t1 > eps, t1, np.where(t2 > eps, t2, np.inf))
     circ_t = np.where(disc >= 0.0, circ_t, np.inf)
-    t = np.hstack([np.full((len(dirs), 1), np.inf), seg_t, circ_t])
+    t = np.concatenate([np.full(dirs.shape[:2] + (1,), np.inf), seg_t, circ_t], axis=-1)
     tid = np.concatenate([[-1], scene._seg_tid, scene._circ_tid])
-    idx = np.argmin(t, axis=1)
-    return t[np.arange(len(dirs)), idx], tid[idx]
+    idx = np.argmin(t, axis=-1)
+    return np.take_along_axis(t, idx[..., None], axis=-1)[..., 0], tid[idx]
+
+
+# poses per ray-cast block: bounds the (poses, bearings, primitives) temporaries
+RAY_BLOCK = 16
+
+
+def ground_truth_scans(
+    scene: Scene, poses: Sequence[Pose], bearings: Sequence[float]
+) -> list[GroundTruthScan]:
+    """``ground_truth_scan`` of each pose, cast ``RAY_BLOCK`` poses at a time.
+
+    Each scan has the bytes that the pose's own ``ground_truth_scan`` gives.
+    """
+    bearings = np.asarray(bearings, dtype=float)
+    if bearings.size == 0:
+        raise ValueError("bearings must be non-empty")
+    scans = []
+    for start in range(0, len(poses), RAY_BLOCK):
+        block = poses[start:start + RAY_BLOCK]
+        origins = np.array([[p.x, p.y] for p in block])
+        if scene._inside_target(origins).any():
+            raise GeometryError("scan origin lies inside a target")
+        world = np.array([p.heading for p in block])[:, None] + bearings
+        dirs = polar_points(1.0, world)  # (P, B, 2)
+        t, tid = _cast_rays(scene, origins, dirs)
+        scans += [GroundTruthScan(bearings=bearings[h], ranges=tp[h],
+                                  points=o + tp[h, None] * dp[h], target_ids=ip[h])
+                  for o, dp, tp, ip, h in zip(origins, dirs, t, tid, np.isfinite(t))]
+    return scans
 
 
 def ground_truth_scan(
     scene: Scene, pose: Pose, bearings: Sequence[float]
 ) -> GroundTruthScan:
     """Raycast a fan of bearings (relative to the pose heading); misses dropped."""
-    bearings = np.asarray(bearings, dtype=float)
-    if bearings.size == 0:
-        raise ValueError("bearings must be non-empty")
-    origin = pose.position
-    if scene.contains_point_in_target(origin):
-        raise GeometryError("scan origin lies inside a target")
-    world = pose.heading + bearings
-    dirs = polar_points(1.0, world)
-    t, tid = _cast_rays(scene, origin, dirs)
-    hit = np.isfinite(t)
-    points = origin + t[hit, None] * dirs[hit]
-    return GroundTruthScan(
-        bearings=bearings[hit], ranges=t[hit], points=points, target_ids=tid[hit]
-    )
+    return ground_truth_scans(scene, [pose], bearings)[0]
 
 
 # ---------------------------------------------------------------------------

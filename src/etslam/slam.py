@@ -11,18 +11,26 @@ and both ignore points outside the grid.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional, Protocol
 
 import numpy as np
 
-from etslam.scene import Pose, Scene, rotation, trajectory_pose, wrap_angle
+from etslam.scene import (RAY_BLOCK, GroundTruthScan, Pose, Scene, ground_truth_scans,
+                          rotation, trajectory_pose, wrap_angle)
 
 LOG_ODDS_CLAMP = 10.0
 
-# a sensor returns its scan as sensor-frame points, shape (n, 2)
-SensorFn = Callable[[Scene, Pose, np.random.Generator], np.ndarray]
+
+class Sensor(Protocol):
+    """A sensor turns the ground-truth scan of its fan ``bearings`` (relative
+    to the pose heading) into a noisy scan of sensor-frame points, shape (n, 2)."""
+
+    bearings: np.ndarray
+
+    def __call__(self, gt: GroundTruthScan, rng: np.random.Generator) -> np.ndarray: ...
 
 
 @dataclass
@@ -177,7 +185,9 @@ def update_grid(grid: OccupancyGrid, pose: Pose, scan: np.ndarray) -> OccupancyG
     # each ray decrements a crossed cell once: a ray's samples are monotone in
     # x and in y, so its samples in one cell are consecutive
     ray_idx, idx = ray_idx[keep], idx[keep]
-    free_idx = idx[(np.diff(ray_idx, prepend=-1) != 0) | (np.diff(idx, prepend=-1) != 0)]
+    run_start = np.ones(len(idx), dtype=bool)
+    run_start[1:] = (ray_idx[1:] != ray_idx[:-1]) | (idx[1:] != idx[:-1])
+    free_idx = idx[run_start]
     # hit protection: grazing traversal samples quantize into wall cells;
     # never erode a cell already observed as occupied
     np.add.at(flat, free_idx[flat[free_idx] <= 0.0], -grid.l_free)
@@ -233,7 +243,7 @@ class SlamRun:
 
 def run_slam(
     scene: Scene,
-    sensor: SensorFn,
+    sensor: Sensor,
     odometry: OdometryModel,
     rng: np.random.Generator,
     duration: float,
@@ -243,8 +253,12 @@ def run_slam(
     """Run the SLAM loop for ``duration`` seconds at the trajectory step interval.
 
     Each step dead-reckons the estimate from the true motion plus odometry
-    noise, senses from the true pose, corrects the estimate by scan matching
-    and adds the scan to the grid and the map at the estimate.
+    noise, senses the ground-truth scan of the sensor's fan from the true
+    pose, corrects the estimate by scan matching and adds the scan to the
+    grid and the map at the estimate.  The truth draws nothing from the rng:
+    the poses are computed up front, and the scans are cast one block of
+    ``RAY_BLOCK`` poses at a time as the loop reaches it, so at most one
+    block of scans is held.
     """
     if not duration > 0:
         raise ValueError("duration must be > 0")
@@ -256,12 +270,15 @@ def run_slam(
     grid = OccupancyGrid.for_scene(
         scene, resolution=cfg.resolution, l_occ=cfg.l_occ, l_free=cfg.l_free
     )
-    truth = estimate = trajectory_pose(scene.trajectory, 0.0)
-    t = 0.0
+    # t += dt, step after step
+    times = list(itertools.accumulate([dt] * n_steps))
+    poses = [trajectory_pose(scene.trajectory, t) for t in [0.0] + times]
+    scans = itertools.chain.from_iterable(
+        ground_truth_scans(scene, poses[i:i + RAY_BLOCK], sensor.bearings)
+        for i in range(1, n_steps + 1, RAY_BLOCK))
+    truth = estimate = poses[0]
     map_points, map_times, snapshots = [], [], []
-    for k in range(1, n_steps + 1):
-        t += dt
-        new_truth = trajectory_pose(scene.trajectory, t)
+    for k, (t, new_truth, gt) in enumerate(zip(times, poses[1:], scans), start=1):
         # dead reckoning: relative motion in the previous truth frame,
         # replayed on the estimate
         delta_local = rotation(-truth.heading) @ (new_truth.position - truth.position)
@@ -273,7 +290,7 @@ def run_slam(
                         estimate.heading + dheading + noise_r)
         truth = new_truth
 
-        scan = sensor(scene, truth, rng)
+        scan = sensor(gt, rng)
         if cfg.matching_enabled:
             estimate = match_scan(scan, grid, estimate, cfg.window).pose
         pts = scan_to_points(scan, estimate)

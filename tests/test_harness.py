@@ -22,11 +22,12 @@ from etslam.harness import (
     run_monte_carlo,
     run_trial,
     sweep_conditions,
+    write_csv,
 )
 from etslam.metrics import MetricParams, et_gospa
 from etslam.ofdm import WaveformConfig
 from etslam.parametric import ErrorModel
-from etslam.scene import Circle, Rectangle, load_scene, trajectory_pose
+from etslam.scene import Circle, Rectangle, ground_truth_scan, load_scene, trajectory_pose
 from etslam.slam import OdometryModel, SearchWindow, SlamConfig
 
 SCENE_DOC = {
@@ -289,8 +290,9 @@ def test_sensor_returns_sensor_frame_points(backend):
     cfg = dataclasses.replace(load_experiment("ci.yaml"), backend=backend)
     empty = load_scene({**SCENE_DOC, "targets": []})
     for scene, nonempty in ((cfg.scene, True), (empty, False)):
-        pose = trajectory_pose(scene.trajectory, 0.0)
-        scan = cfg.make_sensor()(scene, pose, np.random.default_rng(0))
+        sensor = cfg.make_sensor()
+        gt = ground_truth_scan(scene, trajectory_pose(scene.trajectory, 0.0), sensor.bearings)
+        scan = sensor(gt, np.random.default_rng(0))
         assert type(scan) is np.ndarray and scan.dtype == np.float64
         assert scan.ndim == 2 and scan.shape[1] == 2
         assert (len(scan) > 0) == nonempty
@@ -445,14 +447,20 @@ def test_single_trial_report_equals_record():
     assert np.array_equal(report.mse_mean, rec.sq_error)
 
 
+_RECORD_ARRAYS = ("times", "et_gospa", "sq_error", "map_points", "map_times", "cluster_labels")
+
+
 def test_parallel_equals_serial():
+    """Trials run in worker processes give the serial bytes."""
     cfg = load_experiment(tiny_doc(trials=3))
     serial = run_monte_carlo(cfg, parallel=1)
     para = run_monte_carlo(cfg, parallel=2)
-    assert np.array_equal(serial.per_trial_et, para.per_trial_et)
-    assert np.array_equal(serial.per_trial_sq_error, para.per_trial_sq_error)
+    assert serial.per_trial_et.tobytes() == para.per_trial_et.tobytes()
+    assert serial.per_trial_sq_error.tobytes() == para.per_trial_sq_error.tobytes()
+    assert len(serial.trials) == len(para.trials) == 3
     for a, b in zip(serial.trials, para.trials):
-        assert np.array_equal(a.map_points, b.map_points)
+        for name in _RECORD_ARRAYS:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def test_sweep_named_reports():
@@ -523,6 +531,33 @@ def test_emit_csv_empty_map(tmp_path):
     assert (tmp_path / "clusters_0.csv").read_text() == f"{CSV_HEADER_COMMENT}\nx,y,label\n"
     assert (tmp_path / "metric_curve.csv").read_text() == (
         f"{CSV_HEADER_COMMENT}\nt,et_gospa_mean\n1,2.5\n")
+
+
+def _savetxt_csv(path, header, columns, fmt="%.9g"):
+    """Reference for ``write_csv``: ``np.savetxt`` under the v1 header."""
+    np.savetxt(path, np.column_stack(columns), fmt=fmt, delimiter=",",
+               header=f"{CSV_HEADER_COMMENT}\n{header}", comments="")
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 9, 500])
+def test_write_csv_matches_savetxt(tmp_path, n_rows):
+    """``write_csv`` writes ``np.savetxt``'s bytes: %.9g columns and a %d label column."""
+    rng = np.random.default_rng(n_rows)
+    special = [-0.0, 1e-300, 1e300, -1e300, 0.1, 1.0 / 3.0, 123456789.5, -2.5e-7, 7.0]
+    t = np.sort(rng.uniform(0.0, 60.0, n_rows))
+    xy = rng.standard_normal((n_rows, 2)) * 10.0 ** rng.integers(-12, 12, (n_rows, 2))
+    xy[:, 0][:len(special)] = special[:n_rows]
+    xy[:, 1][:len(special)] = special[::-1][:n_rows]
+    labels = rng.integers(-1, 40, n_rows)
+    labels[:1] = -1
+    cases = [("t,x,y", (t, xy), "%.9g"),
+             ("x,y,label", (xy, labels), ["%.9g", "%.9g", "%d"])]
+    for header, columns, fmt in cases:
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        assert write_csv(got, header, columns, fmt) == got
+        _savetxt_csv(want, header, columns, fmt)
+        assert got.read_bytes() == want.read_bytes()
+        assert len(got.read_text().splitlines()) == n_rows + 2
 
 
 def test_emit_csv_reemission_identical(tmp_path):

@@ -222,7 +222,7 @@ def test_out_of_window_paths_rejected():
     cfg = small_cfg()
     scene = _one_circle_scene(cfg.unambiguous_range + 10.0)
     with pytest.raises(ValueError, match="^path range outside unambiguous window c0/"):
-        sense(scene, Pose(3.0, 3.0, 0.0), _sensor(scene, cfg), np.random.default_rng(0))
+        _sense_at(scene, Pose(3.0, 3.0, 0.0), _sensor(scene, cfg), np.random.default_rng(0))
 
 
 def test_snr_calibration():
@@ -532,6 +532,11 @@ def _sensor(scene, cfg):
     return ExperimentConfig(scene=scene, backend="ofdm", waveform=cfg).make_sensor()
 
 
+def _sense_at(scene, pose, sensor, rng):
+    """``sense`` on the ground-truth scan of the sensor's fan from ``pose``."""
+    return sense(ground_truth_scan(scene, pose, sensor.bearings), sensor, rng)
+
+
 def _empty_scene():
     return load_scene({
         "bounds": {"min": [0.0, 0.0], "max": [10.0, 10.0]},
@@ -544,10 +549,10 @@ def _empty_scene():
 def test_sense_empty_scene():
     cfg = small_cfg()
     scene = _empty_scene()
-    scan = sense(scene, Pose(1.0, 1.0, 0.0), _sensor(scene, cfg), np.random.default_rng(0))
+    scan = _sense_at(scene, Pose(1.0, 1.0, 0.0), _sensor(scene, cfg), np.random.default_rng(0))
     assert len(scan) == 0
     # noise alone gives no range peak, so the angle stage runs on none
-    noisy = sense(scene, Pose(1.0, 1.0, 0.0), _sensor(scene, small_cfg(snr_db=10.0)),
+    noisy = _sense_at(scene, Pose(1.0, 1.0, 0.0), _sensor(scene, small_cfg(snr_db=10.0)),
                   np.random.default_rng(0))
     assert len(noisy) == 0
 
@@ -565,7 +570,7 @@ def test_sense_single_target_interval_contains_truth():
     cfg = small_cfg(snr_db=30.0)
     r_true = 8.25 * cfg.range_bin_width  # bin 8's centred interval, ~10.07 m
     scene = _one_circle_scene(r_true)
-    scan = sense(scene, Pose(3.0, 3.0, 0.0), _sensor(scene, cfg), np.random.default_rng(12))
+    scan = _sense_at(scene, Pose(3.0, 3.0, 0.0), _sensor(scene, cfg), np.random.default_rng(12))
     assert len(scan) >= 1
     rows = {row.tobytes() for row in scan}
     pairs = _bins_containing(cfg, r_true, math.pi / 2)
@@ -599,7 +604,7 @@ def test_sense_places_detection_at_bin_centre(theta_deg):
             "trajectory": {"waypoints": [[0.0, 0.0], [1.0, 0.0]],
                            "speed": 1.0, "step_interval": 0.5},
         })
-        scan = sense(scene, Pose(0.0, 0.0, 0.0), sensor, rng)
+        scan = _sense_at(scene, Pose(0.0, 0.0, 0.0), sensor, rng)
         ranges = np.hypot(scan[:, 0], scan[:, 1])
         cosines = np.cos(np.arctan2(scan[:, 1], scan[:, 0]))
         near = (np.abs(ranges - r) <= w / 2) & (np.abs(cosines - math.cos(theta)) <= scale / 2)
@@ -609,8 +614,8 @@ def test_sense_places_detection_at_bin_centre(theta_deg):
 def test_sense_deterministic():
     cfg = small_cfg(snr_db=10.0)
     scene = _one_circle_scene(9.5)
-    s1 = sense(scene, Pose(3.0, 3.0, 0.0), _sensor(scene, cfg), np.random.default_rng(7))
-    s2 = sense(scene, Pose(3.0, 3.0, 0.0), _sensor(scene, cfg), np.random.default_rng(7))
+    s1 = _sense_at(scene, Pose(3.0, 3.0, 0.0), _sensor(scene, cfg), np.random.default_rng(7))
+    s2 = _sense_at(scene, Pose(3.0, 3.0, 0.0), _sensor(scene, cfg), np.random.default_rng(7))
     assert np.array_equal(s1, s2)
 
 
@@ -670,7 +675,7 @@ def test_sense_matches_per_peak_reference(config):
         waveform = dataclasses.replace(w, snr_db=snr_db, d=d)
         sensor = dataclasses.replace(exp, backend="ofdm", waveform=waveform).make_sensor()
         for k, pose in enumerate(poses):
-            got = sense(exp.scene, pose, sensor, np.random.default_rng(k))
+            got = _sense_at(exp.scene, pose, sensor, np.random.default_rng(k))
             want = _sense_per_peak(exp.scene, pose, waveform, np.random.default_rng(k), sensor)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -763,7 +768,7 @@ def test_noiseless_sense_starts_no_thread_and_leaves_rng(monkeypatch):
     sensor = _sensor(scene, small_cfg())
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
-    scan = sense(scene, Pose(3.0, 3.0, 0.0), sensor, rng)
+    scan = _sense_at(scene, Pose(3.0, 3.0, 0.0), sensor, rng)
     assert len(scan) >= 1
     assert rng.bit_generator.state == before
 
@@ -801,7 +806,7 @@ def test_noise_draw_failure_raises_from_sense():
     sensor = _sensor(scene, small_cfg(snr_db=10.0))
     with ReadAheadNormals(_FailingDraw()) as source:
         with pytest.raises(RuntimeError, match="^draw failed$"):
-            sense(scene, Pose(3.0, 3.0, 0.0), sensor, source)
+            _sense_at(scene, Pose(3.0, 3.0, 0.0), sensor, source)
     with pytest.raises(RuntimeError, match="^draw failed$"):
-        sense(scene, Pose(3.0, 3.0, 0.0), sensor, _FailingDraw())
+        _sense_at(scene, Pose(3.0, 3.0, 0.0), sensor, _FailingDraw())
     assert not _noise_workers()

@@ -30,6 +30,11 @@ BEARINGS = np.radians(np.arange(0.0, 360.0, 2.0))
 POSE = Pose(0.0, 0.0, 0.0)
 
 
+def _sense(scene, pose, model, rng):
+    """``sense_parametric`` on the ground-truth scan of ``BEARINGS`` from ``pose``."""
+    return sense_parametric(ground_truth_scan(scene, pose, BEARINGS), model, rng)
+
+
 def test_error_model_from_mapping():
     """The sensor section's noise keys build the ErrorModel; absent keys keep its defaults."""
     sensor = {"delta_r_m": 0.1, "delta_theta_deg": 5.0}
@@ -49,8 +54,7 @@ def test_negative_magnitudes_rejected():
 def test_zero_noise_equals_ground_truth():
     scene = _scene()
     gt = ground_truth_scan(scene, POSE, BEARINGS)
-    scan = sense_parametric(scene, POSE, BEARINGS, ErrorModel(),
-                            np.random.default_rng(0))
+    scan = _sense(scene, POSE, ErrorModel(), np.random.default_rng(0))
     assert len(scan) == len(gt) > 0
     assert scan.tobytes() == polar_points(gt.ranges, gt.bearings).tobytes()
     assert np.allclose(scan, gt.points)
@@ -60,8 +64,7 @@ def test_cardinality_matches_hit_count():
     scene = _scene()
     gt = ground_truth_scan(scene, POSE, BEARINGS)
     model = ErrorModel(delta_r=0.1, delta_theta=math.radians(5.0))
-    scan = sense_parametric(scene, POSE, BEARINGS, model,
-                            np.random.default_rng(1))
+    scan = _sense(scene, POSE, model, np.random.default_rng(1))
     assert len(scan) == len(gt)
 
 
@@ -73,7 +76,7 @@ def test_noise_statistics():
     rng = np.random.default_rng(2)
     dr, db = [], []
     while len(dr) < 10_000:
-        scan = sense_parametric(scene, POSE, BEARINGS, model, rng)
+        scan = _sense(scene, POSE, model, rng)
         dr.extend(np.hypot(scan[:, 0], scan[:, 1]) - gt.ranges)
         db.extend(wrap_angle(np.arctan2(scan[:, 1], scan[:, 0]) - gt.bearings))
     assert np.std(dr) == pytest.approx(model.delta_r, rel=0.05)
@@ -86,8 +89,7 @@ def test_ranges_clamped_nonnegative():
     scene = _scene()
     gt = ground_truth_scan(scene, POSE, BEARINGS)
     model = ErrorModel(delta_r=50.0)  # absurd noise to force negative draws
-    scan = sense_parametric(scene, POSE, BEARINGS, model,
-                            np.random.default_rng(3))
+    scan = _sense(scene, POSE, model, np.random.default_rng(3))
     along = np.sum(scan * polar_points(1.0, gt.bearings), axis=1)
     assert len(scan) == len(gt) and np.all(along >= 0.0)
     assert np.any(np.all(scan == 0.0, axis=1))  # a negative draw clamped to range 0
@@ -96,8 +98,8 @@ def test_ranges_clamped_nonnegative():
 def test_deterministic_under_seed():
     scene = _scene()
     model = ErrorModel(delta_r=0.1, delta_theta=math.radians(5.0))
-    s1 = sense_parametric(scene, POSE, BEARINGS, model, np.random.default_rng(7))
-    s2 = sense_parametric(scene, POSE, BEARINGS, model, np.random.default_rng(7))
+    s1 = _sense(scene, POSE, model, np.random.default_rng(7))
+    s2 = _sense(scene, POSE, model, np.random.default_rng(7))
     assert np.array_equal(s1, s2)
 
 
@@ -110,7 +112,7 @@ def test_empty_scene_empty_scan():
     })
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    scan = sense_parametric(scene, Pose(1.0, 1.0, 0.0), BEARINGS, ErrorModel(), rng)
+    scan = _sense(scene, Pose(1.0, 1.0, 0.0), ErrorModel(), rng)
     assert scan.shape == (0, 2)
     # no hits, no draws: the next scan's noise does not depend on this one
     assert rng.bit_generator.state == before
@@ -123,6 +125,6 @@ def test_sensor_callable_default_fan():
     assert isinstance(fan, ParametricSensor)
     assert len(fan.bearings) == 180
     assert fan.bearings.tobytes() == BEARINGS.tobytes()
-    scan = sensor(_scene(), POSE, np.random.default_rng(0))
     gt = ground_truth_scan(_scene(), POSE, BEARINGS)
+    scan = sensor(gt, np.random.default_rng(0))
     assert len(scan) == len(gt)

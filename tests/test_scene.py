@@ -14,9 +14,11 @@ from etslam.scene import (
     Rectangle,
     Scene,
     SceneValidationError,
+    RAY_BLOCK,
     Trajectory,
     _cast_rays,
     ground_truth_scan,
+    ground_truth_scans,
     load_scene,
     reference_points,
     trajectory_pose,
@@ -317,7 +319,7 @@ def test_cast_rays_matches_two_block_reference():
             angles = np.concatenate([np.radians(np.arange(0.0, 360.0, 2.0)),
                                      rng.uniform(-math.pi, math.pi, 100)])
             dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-            t, tid = _cast_rays(scene, origin, dirs)
+            t, tid = (a[0] for a in _cast_rays(scene, origin[None], dirs[None]))
             want_t, want_tid = _cast_rays_two_blocks(scene, origin, dirs)
             assert t.tobytes() == want_t.tobytes()
             assert tid.dtype == want_tid.dtype and tid.tobytes() == want_tid.tobytes()
@@ -331,10 +333,43 @@ def test_cast_rays_tie_goes_to_rectangle():
         {"id": 4, "kind": "circle", "center": [6.0, 0.0], "radius": 1.0},
         {"id": 9, "kind": "rect", "center": [6.0, 0.0], "width": 2.0, "height": 2.0},
     ], waypoints=[[0.0, -5.0], [0.0, 5.0]])
-    t, tid = _cast_rays(scene, np.array([0.0, 0.0]), np.array([[1.0, 0.0]]))
-    assert t[0] == 5.0 and tid[0] == 9
+    t, tid = _cast_rays(scene, np.array([[0.0, 0.0]]), np.array([[[1.0, 0.0]]]))
+    assert t[0, 0] == 5.0 and tid[0, 0] == 9
     hit = _one_ray(scene, np.array([0.0, 0.0]), 0.0)
     assert hit.ranges[0] == 5.0 and hit.target_ids[0] == 9
+
+
+@pytest.mark.parametrize("kinds", [("rect", "circle"), ("rect",), ("circle",), ()],
+                         ids=["default", "rects", "circles", "empty"])
+@pytest.mark.parametrize("n_poses", [1, RAY_BLOCK - 1, RAY_BLOCK, RAY_BLOCK + 1,
+                                     2 * RAY_BLOCK + 3])
+def test_ground_truth_scans_match_two_block_reference(kinds, n_poses):
+    """Each pose's scan in a blocked batch has the bytes of the two-block reference."""
+    scene = _default_scene_with(kinds)
+    traj = scene.trajectory
+    poses = [trajectory_pose(traj, 1.9 * k) for k in range(n_poses)]
+    bearings = np.radians(np.arange(0.0, 360.0, 2.0))
+    scans = ground_truth_scans(scene, poses, bearings)
+    assert len(scans) == n_poses
+    for pose, scan in zip(poses, scans):
+        dirs = np.stack([np.cos(pose.heading + bearings), np.sin(pose.heading + bearings)],
+                        axis=-1)
+        t, tid = _cast_rays_two_blocks(scene, pose.position, dirs)
+        hit = np.isfinite(t)
+        assert scan.ranges.tobytes() == t[hit].tobytes()
+        assert scan.bearings.tobytes() == bearings[hit].tobytes()
+        assert scan.points.tobytes() == (pose.position + t[hit, None] * dirs[hit]).tobytes()
+        assert scan.target_ids.dtype == tid.dtype
+        assert scan.target_ids.tobytes() == tid[hit].tobytes()
+        assert ground_truth_scan(scene, pose, bearings).points.tobytes() == scan.points.tobytes()
+
+
+def test_ground_truth_scans_reject_origin_inside_target_mid_block():
+    scene = _simple_scene()  # rect centred (10, 0) of side 2
+    poses = [Pose(0.0, float(-k), 0.0) for k in range(RAY_BLOCK + 3)]
+    poses[RAY_BLOCK + 1] = Pose(10.0, 0.0, 0.0)
+    with pytest.raises(GeometryError):
+        ground_truth_scans(scene, poses, [0.0])
 
 
 def test_ground_truth_scan_matches_single_raycast():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from etslam.harness import load_experiment
 from etslam.parametric import ErrorModel, ParametricSensor
-from etslam.scene import Pose, load_scene, polar_points, rotation, trajectory_pose, wrap_angle
+from etslam.scene import (RAY_BLOCK, Pose, ground_truth_scan, load_scene, polar_points,
+                          rotation, wrap_angle)
 from etslam.slam import (
     LOG_ODDS_CLAMP,
     MatchResult,
@@ -189,8 +190,9 @@ def test_update_grid_matches_2d_unique_reference():
     # every sample of these short rays lies in its own endpoint cell
     scans.insert(3, (Pose(0.55, 0.55, 0.0),
                      polar_points(np.array([0.01, 0.02]), np.array([0.0, 1.0]))))
-    scans.append((Pose(0.0, 0.0, 0.3), _sensor(0.05, 1.0)(_scene(), Pose(0.0, 0.0, 0.3),
-                                                          np.random.default_rng(1))))
+    sensor = _sensor(0.05, 1.0)
+    gt = ground_truth_scan(_scene(), Pose(0.0, 0.0, 0.3), sensor.bearings)
+    scans.append((Pose(0.0, 0.0, 0.3), sensor(gt, np.random.default_rng(1))))
     # zero-length rays end at the pose: one sample each, in the endpoint cell
     scans.append((Pose(1.23, -0.47, 0.7),
                   polar_points(np.array([0.0, 0.0, 0.35]), np.array([0.0, 2.0, -1.0]))))
@@ -259,7 +261,7 @@ def test_out_of_grid_endpoint_does_not_shield_in_grid_cell():
 def _populated_grid(scene, sensor):
     grid = OccupancyGrid.for_scene(scene, resolution=0.1)
     pose = Pose(0.0, 0.0, 0.0)
-    scan = sensor(scene, pose, np.random.default_rng(0))
+    scan = sensor(ground_truth_scan(scene, pose, sensor.bearings), np.random.default_rng(0))
     update_grid(grid, pose, scan)
     return grid, scan, pose
 
@@ -463,18 +465,52 @@ class _EveryOtherStepEmpty:
     """Wraps a sensor: steps 1, 3, 5, ... return an empty scan; records scan sizes."""
 
     def __init__(self, sensor):
-        self.sensor, self.sizes = sensor, []
+        self.sensor, self.bearings, self.sizes = sensor, sensor.bearings, []
 
-    def __call__(self, scene, pose, rng):
-        scan = self.sensor(scene, pose, rng) if len(self.sizes) % 2 else np.zeros((0, 2))
+    def __call__(self, gt, rng):
+        scan = self.sensor(gt, rng) if len(self.sizes) % 2 else np.zeros((0, 2))
         self.sizes.append(len(scan))
         return scan
 
 
+class _Blind:
+    """A one-bearing sensor that never returns a point."""
+
+    bearings = np.zeros(1)
+
+    def __call__(self, gt, rng):
+        return np.zeros((0, 2))
+
+
+class _Recording:
+    """Wraps a sensor and keeps the ground-truth scans it is handed."""
+
+    def __init__(self, sensor):
+        self.sensor, self.bearings, self.scans = sensor, sensor.bearings, []
+
+    def __call__(self, gt, rng):
+        self.scans.append(gt)
+        return self.sensor(gt, rng)
+
+
+def test_run_slam_senses_each_true_pose_own_cast():
+    """Across cast blocks, each step's ground-truth scan has the bytes of its true pose's own cast."""
+    scene = _scene()
+    sensor = _Recording(_sensor(0.05, 1.0))
+    n_steps = 2 * RAY_BLOCK + 3
+    odo = OdometryModel(translation_noise_std=0.02, rotation_noise_std=math.radians(0.5))
+    run = run_slam(scene, sensor, odo, np.random.default_rng(3),
+                   duration=n_steps * scene.trajectory.step_interval)
+    assert len(sensor.scans) == len(run.snapshots) == n_steps
+    for snap, gt in zip(run.snapshots, sensor.scans):
+        want = ground_truth_scan(scene, snap.pose_truth, sensor.bearings)
+        for name in ("bearings", "ranges", "points", "target_ids"):
+            assert getattr(gt, name).tobytes() == getattr(want, name).tobytes()
+
+
 def test_run_slam_all_scans_empty():
     scene = _scene()
-    run = run_slam(scene, lambda *_: np.zeros((0, 2)), OdometryModel(), np.random.default_rng(0),
-                   duration=3.0)
+    run = run_slam(scene, _Blind(), OdometryModel(), np.random.default_rng(0), duration=3.0)
     assert run.map_points.shape == (0, 2)
     assert run.map_times.shape == (0,)
     assert [s.map_size for s in run.snapshots] == [0] * 6
