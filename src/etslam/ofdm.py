@@ -37,8 +37,6 @@ from etslam.scene import (GroundTruthScan, convert, ground_truth_scan,
                           parse_section, polar_points)
 
 C0 = 3.0e8
-# subcarriers per block of the factored delay phase in _path_phases
-DELAY_BLOCK = 128
 # sensor-frame bearings (rad) the array resolves unambiguously, away from endfire
 FOV = (math.radians(20.0), math.radians(160.0))
 
@@ -132,19 +130,21 @@ WAVEFORM_KEYS = {
 _DERIVED_KEYS = {"d_over_lambda": ("d_over_lambda", float), "B": ("bandwidth", float)}
 
 
-def _path_phases(cfg: WaveformConfig, ranges: np.ndarray, bearings: np.ndarray,
-                 amps: np.ndarray):
-    """Per-path steering across rx elements, scaled by the amplitude, shape (L, n_rx),
-    and delay phase across subcarriers, shape (L, N)."""
+def _path_phases(cfg: WaveformConfig, ranges: np.ndarray, bearings: np.ndarray):
+    """Per-path steering across rx elements, shape (L, n_rx), and delay phase
+    across subcarriers, shape (L, N)."""
     omega = (2.0 * np.pi * cfg.d / cfg.wavelength) * np.cos(bearings)
-    steer = np.exp(1j * np.outer(omega, np.arange(cfg.n_rx))) * amps[:, None]
-    # exp(-2 pi i f (B q + r)) = hi[q] * lo[r]: L*(N/B + B) exponentials, not L*N
+    steer = np.exp(1j * np.outer(omega, np.arange(cfg.n_rx)))
+    # exp(-2 pi i f (B q + r)) = hi[q] * lo[r]: L*(N/B + B) exponentials, not L*N,
+    # with B the smallest power of two >= sqrt(N)
+    n = cfg.n_subcarriers
+    block = 1 << math.isqrt(n - 1).bit_length()
+    n_blocks = -(-n // block)
     f = 2.0 * ranges / C0 * cfg.delta_f
-    n_blocks = -(-cfg.n_subcarriers // DELAY_BLOCK)
-    hi = np.exp(-2j * np.pi * np.outer(f, DELAY_BLOCK * np.arange(n_blocks)))
-    lo = np.exp(-2j * np.pi * np.outer(f, np.arange(DELAY_BLOCK)))
-    delay = (hi[:, :, None] * lo[:, None, :]).reshape(len(f), n_blocks * DELAY_BLOCK)
-    return steer, delay[:, :cfg.n_subcarriers]
+    hi = np.exp(-2j * np.pi * np.outer(f, block * np.arange(n_blocks)))
+    lo = np.exp(-2j * np.pi * np.outer(f, np.arange(block)))
+    delay = (hi[:, :, None] * lo[:, None, :]).reshape(len(f), n_blocks * block)
+    return steer, delay[:, :n]
 
 
 def _add_noise(cfg: WaveformConfig, y: np.ndarray, has_paths: bool,
@@ -249,21 +249,16 @@ class OfdmSensor:
         return sense(gt, self, rng)
 
 
-def _equalized_column(
-    cfg: WaveformConfig,
-    ranges: np.ndarray,
-    bearings: np.ndarray,
-    amps: np.ndarray,
-    rng: Optional[np.random.Generator],
-) -> np.ndarray:
+def _equalized_column(cfg: WaveformConfig, ranges: np.ndarray, bearings: np.ndarray,
+                      rng: Optional[np.random.Generator]) -> np.ndarray:
     """Equalized symbol-0 response per rx element, shape (n_rx, N).
 
-    For zero-Doppler paths this is symbol 0 of the full-frame echo divided
-    by the frame: equalization of unit-modulus QPSK leaves the noise
-    statistics unchanged.  One matmul, then, with noise enabled, one unit
+    For unit-amplitude, zero-Doppler paths this is symbol 0 of the full-frame
+    echo divided by the frame: equalization of unit-modulus QPSK leaves the
+    noise statistics unchanged.  One matmul, then, with noise enabled, one unit
     draw of shape (2, n_rx, N).
     """
-    steer, delay = _path_phases(cfg, ranges, bearings, amps)
+    steer, delay = _path_phases(cfg, ranges, bearings)
     y = steer.T @ delay
     del delay  # (L, N), freed before the draw below
     if cfg.snr_db is None:
@@ -278,7 +273,7 @@ def sense(gt: GroundTruthScan, sensor: OfdmSensor, rng: np.random.Generator) -> 
     cfg = sensor.cfg
     if np.any(gt.ranges >= cfg.unambiguous_range):
         raise ValueError("path range outside unambiguous window c0/(2*delta_f)")
-    col = _equalized_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex), rng)
+    col = _equalized_column(cfg, gt.ranges, gt.bearings, rng)
     profiles = np.fft.ifft(col, axis=1)  # (n_rx, N)
     range_peaks = np.flatnonzero(detect_peaks(np.mean(np.abs(profiles), axis=0), RANGE_POLICY))
     # angle spectrum of every range peak at once: DFT over the rx axis, one row per peak

@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 import yaml
@@ -309,12 +309,9 @@ class Scene:
         t, _ = _cast_rays(self, p0[None], u[None, None])
         return bool(t[0, 0] < length)
 
-    def contains_point_in_target(self, point: np.ndarray) -> bool:
-        """Whether ``point`` lies strictly inside a target (on a boundary is outside)."""
-        return bool(self._inside_target(point))
-
-    def _inside_target(self, points: np.ndarray) -> np.ndarray:
-        """``contains_point_in_target`` of each point of ``points``, shape (..., 2)."""
+    def contains_point_in_target(self, points: np.ndarray) -> np.ndarray:
+        """Whether each point of ``points``, shape (..., 2), lies strictly inside a
+        target (on a boundary is outside); shape (...)."""
         points = np.asarray(points, dtype=float)[..., None, :]
         rect_sd = _rect_signed_distance(points, self._rect_c, self._rect_cos, self._rect_sin,
                                         self._rect_half)
@@ -322,7 +319,11 @@ class Scene:
         return np.any(rect_sd < 0.0, axis=-1) | np.any(circ_sd < 0.0, axis=-1)
 
 
-def _cast_rays(scene: Scene, origins: np.ndarray, dirs: np.ndarray, eps: float = 1e-9):
+# a hit nearer than this to the origin is the origin's own boundary, not a hit
+RAY_MIN_T = 1e-9
+
+
+def _cast_rays(scene: Scene, origins: np.ndarray, dirs: np.ndarray):
     """Distance to the nearest boundary per unit direction, inf when no hit.
 
     ``origins`` has shape (P, 2) and ``dirs`` (P, B, 2), a fan of B directions
@@ -342,7 +343,7 @@ def _cast_rays(scene: Scene, origins: np.ndarray, dirs: np.ndarray, eps: float =
     with np.errstate(divide="ignore", invalid="ignore"):
         t = num_t[:, None] / denom
         s = num_s / denom
-    valid = (np.abs(denom) > 1e-15) & (t > eps) & (s >= 0.0) & (s <= 1.0)
+    valid = (np.abs(denom) > 1e-15) & (t > RAY_MIN_T) & (s >= 0.0) & (s <= 1.0)
     seg_t = np.where(valid, t, np.inf)
     oc = scene._circ_c - origins[:, None]  # (P, C, 2)
     # one matmul per origin, as in a block of one: BLAS may fuse the products
@@ -352,7 +353,7 @@ def _cast_rays(scene: Scene, origins: np.ndarray, dirs: np.ndarray, eps: float =
     sq = np.sqrt(np.maximum(disc, 0.0))
     t1 = proj - sq
     t2 = proj + sq
-    circ_t = np.where(t1 > eps, t1, np.where(t2 > eps, t2, np.inf))
+    circ_t = np.where(t1 > RAY_MIN_T, t1, np.where(t2 > RAY_MIN_T, t2, np.inf))
     circ_t = np.where(disc >= 0.0, circ_t, np.inf)
     t = np.concatenate([np.full(dirs.shape[:2] + (1,), np.inf), seg_t, circ_t], axis=-1)
     tid = np.concatenate([[-1], scene._seg_tid, scene._circ_tid])
@@ -366,34 +367,34 @@ RAY_BLOCK = 16
 
 def ground_truth_scans(
     scene: Scene, poses: Sequence[Pose], bearings: Sequence[float]
-) -> list[GroundTruthScan]:
-    """``ground_truth_scan`` of each pose, cast ``RAY_BLOCK`` poses at a time.
+) -> Iterator[GroundTruthScan]:
+    """``ground_truth_scan`` of each pose, in order, cast ``RAY_BLOCK`` poses at a time.
 
-    Each scan has the bytes that the pose's own ``ground_truth_scan`` gives.
+    Lazy: a block is cast, and its origins checked, when iteration reaches
+    it, so at most one block of scans is held.  Each scan has the bytes that
+    the pose's own ``ground_truth_scan`` gives.
     """
     bearings = np.asarray(bearings, dtype=float)
     if bearings.size == 0:
         raise ValueError("bearings must be non-empty")
-    scans = []
     for start in range(0, len(poses), RAY_BLOCK):
         block = poses[start:start + RAY_BLOCK]
         origins = np.array([[p.x, p.y] for p in block])
-        if scene._inside_target(origins).any():
+        if scene.contains_point_in_target(origins).any():
             raise GeometryError("scan origin lies inside a target")
         world = np.array([p.heading for p in block])[:, None] + bearings
         dirs = polar_points(1.0, world)  # (P, B, 2)
         t, tid = _cast_rays(scene, origins, dirs)
-        scans += [GroundTruthScan(bearings=bearings[h], ranges=tp[h],
+        for o, dp, tp, ip, h in zip(origins, dirs, t, tid, np.isfinite(t)):
+            yield GroundTruthScan(bearings=bearings[h], ranges=tp[h],
                                   points=o + tp[h, None] * dp[h], target_ids=ip[h])
-                  for o, dp, tp, ip, h in zip(origins, dirs, t, tid, np.isfinite(t))]
-    return scans
 
 
 def ground_truth_scan(
     scene: Scene, pose: Pose, bearings: Sequence[float]
 ) -> GroundTruthScan:
     """Raycast a fan of bearings (relative to the pose heading); misses dropped."""
-    return ground_truth_scans(scene, [pose], bearings)[0]
+    return next(ground_truth_scans(scene, [pose], bearings))
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +475,8 @@ _SCENE_KEYS = {"bounds": ("bounds", dict), "targets": ("targets", list),
 _BOUNDS_KEYS = {"min": ("bounds_min", as_pair), "max": ("bounds_max", as_pair)}
 _TRAJECTORY_KEYS = {"waypoints": ("waypoints", as_points), "speed": ("speed", float),
                     "step_interval": ("step_interval", float)}
+# reference points of a target that gives neither ref_points nor ref_count
+DEFAULT_REF_COUNT = 4
 _TARGET_KEYS = {"id": ("id", int), "kind": ("kind", str),
                 "ref_points": ("reference_points", as_points), "ref_count": ("ref_count", int)}
 # kind -> (shape class, its keys, the keys it requires)
@@ -486,7 +489,7 @@ _SHAPES = {
 }
 
 
-def _parse_target(doc: dict, default_ref_count: int) -> ExtendedTarget:
+def _parse_target(doc: dict) -> ExtendedTarget:
     if type(doc) is not dict:
         raise SceneValidationError(f"scene: key 'targets': expected a mapping, got {doc!r}")
     where = f"target {_require(doc, 'id', 'target')}"
@@ -498,11 +501,11 @@ def _parse_target(doc: dict, default_ref_count: int) -> ExtendedTarget:
     shape = shape_cls(**shape_kw)
     refs = target.get("reference_points")
     if refs is None:
-        refs = reference_points(shape, target.get("ref_count", default_ref_count))
+        refs = reference_points(shape, target.get("ref_count", DEFAULT_REF_COUNT))
     return ExtendedTarget(id=target["id"], shape=shape, reference_points=refs)
 
 
-def load_scene(source: Union[str, Path, dict], default_ref_count: int = 4) -> Scene:
+def load_scene(source: Union[str, Path, dict]) -> Scene:
     """Parse and validate a scene document: a mapping, or the path of a YAML file.
 
     A path that names no file raises ``FileNotFoundError``.
@@ -511,7 +514,7 @@ def load_scene(source: Union[str, Path, dict], default_ref_count: int = 4) -> Sc
     if not isinstance(doc, dict):
         raise SceneValidationError("scene document must be a mapping")
     [sections] = parse_section(doc, "scene", _SCENE_KEYS, required=_SCENE_KEYS)
-    targets = [_parse_target(t, default_ref_count) for t in sections["targets"]]
+    targets = [_parse_target(t) for t in sections["targets"]]
     ids = [t.id for t in targets]
     if len(set(ids)) != len(ids):
         raise SceneValidationError("duplicate target ids")

@@ -18,10 +18,12 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from etslam.scene import (RAY_BLOCK, GroundTruthScan, Pose, Scene, ground_truth_scans,
-                          rotation, trajectory_pose, wrap_angle)
+from etslam.scene import (GroundTruthScan, Pose, Scene, ground_truth_scans, rotation,
+                          trajectory_pose, wrap_angle)
 
 LOG_ODDS_CLAMP = 10.0
+# grid border beyond the scene bounds on every side [m]
+GRID_MARGIN = 2.0
 
 
 class Sensor(Protocol):
@@ -38,8 +40,8 @@ class OccupancyGrid:
     origin: np.ndarray          # world position of cell (0, 0) corner
     resolution: float
     log_odds: np.ndarray        # (nx, ny)
-    l_occ: float = 0.85
-    l_free: float = 0.4
+    l_occ: float
+    l_free: float
 
     def __post_init__(self):
         if not self.resolution > 0:
@@ -47,12 +49,12 @@ class OccupancyGrid:
         self.origin = np.asarray(self.origin, dtype=float)
 
     @classmethod
-    def for_scene(cls, scene: Scene, resolution: float = 0.1, margin: float = 2.0, **kw):
-        origin = scene.bounds_min - margin
-        extent = scene.bounds_max + margin - origin
-        shape = np.ceil(extent / resolution).astype(int)
-        return cls(origin=origin, resolution=resolution,
-                   log_odds=np.zeros(tuple(shape)), **kw)
+    def for_scene(cls, scene: Scene, cfg: SlamConfig):
+        """An empty grid over the scene bounds plus ``GRID_MARGIN``, set up by ``cfg``."""
+        origin = scene.bounds_min - GRID_MARGIN
+        shape = np.ceil((scene.bounds_max + GRID_MARGIN - origin) / cfg.resolution).astype(int)
+        return cls(origin=origin, resolution=cfg.resolution, log_odds=np.zeros(tuple(shape)),
+                   l_occ=cfg.l_occ, l_free=cfg.l_free)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -256,9 +258,8 @@ def run_slam(
     noise, senses the ground-truth scan of the sensor's fan from the true
     pose, corrects the estimate by scan matching and adds the scan to the
     grid and the map at the estimate.  The truth draws nothing from the rng:
-    the poses are computed up front, and the scans are cast one block of
-    ``RAY_BLOCK`` poses at a time as the loop reaches it, so at most one
-    block of scans is held.
+    the poses are computed up front, and ``ground_truth_scans`` casts their
+    scans lazily, one block at a time as the loop reaches it.
     """
     if not duration > 0:
         raise ValueError("duration must be > 0")
@@ -267,15 +268,11 @@ def run_slam(
     every = 1
     if snapshot_cadence is not None:
         every = max(1, int(round(snapshot_cadence / dt)))
-    grid = OccupancyGrid.for_scene(
-        scene, resolution=cfg.resolution, l_occ=cfg.l_occ, l_free=cfg.l_free
-    )
+    grid = OccupancyGrid.for_scene(scene, cfg)
     # t += dt, step after step
     times = list(itertools.accumulate([dt] * n_steps))
     poses = [trajectory_pose(scene.trajectory, t) for t in [0.0] + times]
-    scans = itertools.chain.from_iterable(
-        ground_truth_scans(scene, poses[i:i + RAY_BLOCK], sensor.bearings)
-        for i in range(1, n_steps + 1, RAY_BLOCK))
+    scans = ground_truth_scans(scene, poses[1:], sensor.bearings)
     truth = estimate = poses[0]
     map_points, map_times, snapshots = [], [], []
     for k, (t, new_truth, gt) in enumerate(zip(times, poses[1:], scans), start=1):

@@ -67,10 +67,12 @@ def reference_echo(cfg, frame, ranges, bearings, amps, velocities, rng=None):
     Each path multiplies the frame by its delay phase across subcarriers, its
     Doppler phase across symbols and its steering phase, times its amplitude,
     across rx elements.  With noise enabled, ``_add_noise`` adds one unit draw
-    of ``rng``.  At M = 1 on a unit frame, symbol 0 is ``_equalized_column``
-    byte for byte: the Doppler phase is exactly 1, so the matmul is the same.
+    of ``rng``.  At M = 1 on a unit frame with unit amplitudes, symbol 0 is
+    ``_equalized_column`` byte for byte: the amplitude and the Doppler phase
+    are exactly 1, so the matmul is the same.
     """
-    steer, delay = _path_phases(cfg, ranges, bearings, amps)
+    steer, delay = _path_phases(cfg, ranges, bearings)
+    steer = steer * amps[:, None]
     doppler = np.exp(2j * np.pi * np.outer(2.0 * velocities * cfg.fc / C0 * cfg.t_sym,
                                            np.arange(cfg.n_symbols)))
     # one (n_rx * M, L) @ (L, N) matmul; explicit sizes, so no paths reshape too
@@ -88,12 +90,14 @@ def one_path_echo(cfg, frame, r, velocity=0.0, amp=1.0, bearing=math.pi / 2, rng
                           np.array([amp], dtype=complex), np.array([velocity]), rng)
 
 
-def reference_column(cfg, ranges, bearings, amps, rng):
+def reference_column(cfg, ranges, bearings, rng):
     """``sense``'s column from the full-frame model: symbol 0 of a one-symbol unit
-    frame, whose (2, n_rx, 1, N) noise draw is the column's (2, n_rx, N) stream."""
+    frame with unit amplitudes, whose (2, n_rx, 1, N) noise draw is the column's
+    (2, n_rx, N) stream."""
     one = dataclasses.replace(cfg, n_symbols=1)
-    return reference_echo(one, np.ones((1, cfg.n_subcarriers)), ranges, bearings, amps,
-                          np.zeros(len(ranges)), rng)[:, 0, :]
+    return reference_echo(one, np.ones((1, cfg.n_subcarriers)), ranges, bearings,
+                          np.ones(len(ranges), dtype=complex), np.zeros(len(ranges)),
+                          rng)[:, 0, :]
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +196,10 @@ def test_equalized_column_matches_synthesis_noiseless():
     assert cfg.snr_db is None
     frame = qpsk_frame(cfg, np.random.default_rng(6))
     ranges = np.array([3.1, 17.45, 42.0])
-    amps = np.array([1.0, 0.3 - 0.8j, -0.5 + 0.2j])
     bearings = np.array([0.6, math.pi / 2, 2.3])
-    col = _equalized_column(cfg, ranges, bearings, amps, None)
-    want = (reference_echo(cfg, frame, ranges, bearings, amps, np.zeros(3)) / frame)[:, 0, :]
+    col = _equalized_column(cfg, ranges, bearings, None)
+    want = (reference_echo(cfg, frame, ranges, bearings, np.ones(3, dtype=complex),
+                           np.zeros(3)) / frame)[:, 0, :]
     assert col.shape == want.shape == (cfg.n_rx, cfg.n_subcarriers)
     np.testing.assert_allclose(col, want, rtol=1e-9, atol=0.0)
 
@@ -212,8 +216,7 @@ def test_full_scale_cube_every_antenna_and_symbol():
     profiles = np.fft.ifft(s_g, axis=-1)
     assert (np.argmax(np.abs(profiles), axis=-1) == 82).all()
     assert (np.argmax(np.abs(np.fft.fft(profiles[..., 82], axis=0)), axis=0) == 8).all()
-    col = _equalized_column(cfg, np.array([10.0]), np.array([bearing]),
-                            np.ones(1, dtype=complex), None)
+    col = _equalized_column(cfg, np.array([10.0]), np.array([bearing]), None)
     np.testing.assert_allclose(col, s_g[:, 0, :], rtol=1e-9, atol=0.0)
 
 
@@ -240,14 +243,16 @@ def test_snr_calibration():
 
 
 @pytest.mark.parametrize("n_paths", [0, 1, 71])
-@pytest.mark.parametrize("n", [1, 127, 128, 129, 1024, 10240])
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 1000, 1024, 4096, 10240])
 def test_path_phases_delay_matches_direct_exp(n, n_paths):
-    """The blockwise-factored delay phase against one exponential per entry."""
+    """The blockwise-factored delay phase against one exponential per entry: the
+    block (the smallest power of two >= sqrt(N)) is 32 at N = 1000, which truncates
+    the last block, and 64 at N = 4096, an exact fit."""
     cfg = table_cfg(N=n)
     rng = np.random.default_rng(n + n_paths)
     ranges = rng.uniform(0.0, cfg.unambiguous_range, n_paths)
     bearings = rng.uniform(0.0, math.pi, n_paths)
-    _, delay = _path_phases(cfg, ranges, bearings, np.ones(n_paths, dtype=complex))
+    _, delay = _path_phases(cfg, ranges, bearings)
     direct = np.exp(-2j * np.pi * np.outer(2.0 * ranges / C0 * cfg.delta_f, np.arange(n)))
     assert delay.shape == (n_paths, n)
     assert np.max(np.abs(delay - direct), initial=0.0) <= 1e-10
@@ -647,7 +652,7 @@ def _sense_per_peak(scene, pose, cfg, rng, sensor):
     """Reference for ``sense``: the full-frame model's column, greedy peak picking and
     one angle DFT per range peak, each visible detection placed at its bin centres."""
     gt = ground_truth_scan(scene, pose, sensor.bearings)
-    col = reference_column(cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex), rng)
+    col = reference_column(cfg, gt.ranges, gt.bearings, rng)
     profiles = np.fft.ifft(col, axis=1)
     range_peaks = _reference_detect_peaks(np.mean(np.abs(profiles), axis=0), ofdm.RANGE_POLICY)
     r_bins, cosines = [], []
@@ -693,7 +698,7 @@ def _assert_column_matches_reference(sensor, scene, pose, source, want_rng):
     source's stream goes on where the reference's draw leaves ``want_rng``; returns the
     column."""
     gt = ground_truth_scan(scene, pose, sensor.bearings)
-    args = (sensor.cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex))
+    args = (sensor.cfg, gt.ranges, gt.bearings)
     got = _equalized_column(*args, source)
     want = reference_column(*args, want_rng)
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -736,7 +741,7 @@ def test_noisy_column_matches_one_symbol_synthesis(config):
             pose = trajectory_pose(exp.scene.trajectory, t)
             gt = ground_truth_scan(exp.scene, pose, sensor.bearings)
             assert len(gt) > 0
-            args = (cfg, gt.ranges, gt.bearings, np.ones(len(gt), dtype=complex))
+            args = (cfg, gt.ranges, gt.bearings)
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = _equalized_column(*args, got_rng)
             want = reference_column(*args, want_rng)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from etslam import scene as scene_module
 from etslam.scene import (
     Circle,
     GeometryError,
@@ -15,6 +16,7 @@ from etslam.scene import (
     Scene,
     SceneValidationError,
     RAY_BLOCK,
+    RAY_MIN_T,
     Trajectory,
     _cast_rays,
     ground_truth_scan,
@@ -207,9 +209,13 @@ def test_contains_point_matches_per_target_loop():
             rng.uniform(scene.bounds_min, scene.bounds_max, (3000, 2)),
             edge, edge + rng.normal(0.0, 1e-9, edge.shape),
         ])
-        got = [scene.contains_point_in_target(p) for p in points]
-        assert got == [_contains_point_loop(scene, p) for p in points]
-        assert any(got) == bool(scene.targets)
+        got = scene.contains_point_in_target(points)
+        assert got.shape == (len(points),)
+        assert got.tolist() == [_contains_point_loop(scene, p) for p in points]
+        assert got.any() == bool(scene.targets)
+        # (..., 2) points: the leading axes are kept
+        grid = scene.contains_point_in_target(points[:3000].reshape(30, 100, 2))
+        assert grid.shape == (30, 100) and grid.tobytes() == got[:3000].tobytes()
 
 
 def test_contains_point_boundary_is_outside():
@@ -256,7 +262,7 @@ def test_raycast_nearest_hit_bruteforce():
             assert np.all(tgt.shape.signed_distance(samples) > -1e-9)
 
 
-def _cast_rays_two_blocks(scene, origin, dirs, eps=1e-9):
+def _cast_rays_two_blocks(scene, origin, dirs):
     """Reference for ``_cast_rays``: nearest segment hit, then a strictly nearer circle hit."""
     nb = dirs.shape[0]
     best_t = np.full(nb, np.inf)
@@ -271,7 +277,7 @@ def _cast_rays_two_blocks(scene, origin, dirs, eps=1e-9):
         with np.errstate(divide="ignore", invalid="ignore"):
             t = num_t[None, :] / denom
             s = num_s / denom
-        valid = (np.abs(denom) > 1e-15) & (t > eps) & (s >= 0.0) & (s <= 1.0)
+        valid = (np.abs(denom) > 1e-15) & (t > RAY_MIN_T) & (s >= 0.0) & (s <= 1.0)
         t = np.where(valid, t, np.inf)
         idx = np.argmin(t, axis=1)
         tmin = t[np.arange(nb), idx]
@@ -286,7 +292,7 @@ def _cast_rays_two_blocks(scene, origin, dirs, eps=1e-9):
         sq = np.sqrt(np.maximum(disc, 0.0))
         t1 = proj - sq
         t2 = proj + sq
-        t = np.where(t1 > eps, t1, np.where(t2 > eps, t2, np.inf))
+        t = np.where(t1 > RAY_MIN_T, t1, np.where(t2 > RAY_MIN_T, t2, np.inf))
         t = np.where(disc >= 0.0, t, np.inf)
         idx = np.argmin(t, axis=1)
         tmin = t[np.arange(nb), idx]
@@ -349,7 +355,7 @@ def test_ground_truth_scans_match_two_block_reference(kinds, n_poses):
     traj = scene.trajectory
     poses = [trajectory_pose(traj, 1.9 * k) for k in range(n_poses)]
     bearings = np.radians(np.arange(0.0, 360.0, 2.0))
-    scans = ground_truth_scans(scene, poses, bearings)
+    scans = list(ground_truth_scans(scene, poses, bearings))
     assert len(scans) == n_poses
     for pose, scan in zip(poses, scans):
         dirs = np.stack([np.cos(pose.heading + bearings), np.sin(pose.heading + bearings)],
@@ -369,7 +375,37 @@ def test_ground_truth_scans_reject_origin_inside_target_mid_block():
     poses = [Pose(0.0, float(-k), 0.0) for k in range(RAY_BLOCK + 3)]
     poses[RAY_BLOCK + 1] = Pose(10.0, 0.0, 0.0)
     with pytest.raises(GeometryError):
-        ground_truth_scans(scene, poses, [0.0])
+        list(ground_truth_scans(scene, poses, [0.0]))
+
+
+def test_ground_truth_scans_cast_one_block_at_a_time(monkeypatch):
+    """Iteration casts a block only when it reaches it: the first scan of three
+    blocks casts one, and an origin inside a target in block 2 raises only there."""
+    scene = _simple_scene()  # rect centred (10, 0) of side 2
+    poses = [Pose(0.0, float(-k), 0.0) for k in range(2 * RAY_BLOCK + 3)]
+    cast = []
+
+    def counting(*args):
+        cast.append(len(args[1]))
+        return _cast_rays(*args)
+
+    monkeypatch.setattr(scene_module, "_cast_rays", counting)
+    scans = ground_truth_scans(scene, poses, [0.0, 1.0])
+    assert cast == []
+    next(scans)
+    assert cast == [RAY_BLOCK]
+    assert len(list(scans)) == 2 * RAY_BLOCK + 2
+    assert cast == [RAY_BLOCK, RAY_BLOCK, 3]
+
+    cast.clear()
+    poses[RAY_BLOCK + 1] = Pose(10.0, 0.0, 0.0)
+    scans = ground_truth_scans(scene, poses, [0.0])
+    for _ in range(RAY_BLOCK):
+        next(scans)
+    assert cast == [RAY_BLOCK]
+    with pytest.raises(GeometryError):
+        next(scans)
+    assert cast == [RAY_BLOCK]
 
 
 def test_ground_truth_scan_matches_single_raycast():

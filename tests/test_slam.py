@@ -40,6 +40,12 @@ def _scene():
     })
 
 
+def _grid(**kw):
+    """An ``OccupancyGrid`` with ``SlamConfig``'s update weights."""
+    cfg = SlamConfig()
+    return OccupancyGrid(l_occ=cfg.l_occ, l_free=cfg.l_free, **kw)
+
+
 def _sensor(delta_r=0.0, delta_theta_deg=0.0):
     return ParametricSensor(
         model=ErrorModel(delta_r=delta_r, delta_theta=math.radians(delta_theta_deg)),
@@ -72,26 +78,28 @@ def test_scan_to_points_empty():
 
 
 def test_grid_for_scene_dimensions():
-    grid = OccupancyGrid.for_scene(_scene(), resolution=0.1, margin=2.0)
-    assert grid.shape == (440, 440)  # (40 + 2*2) m at 0.1 m cells
+    cfg = SlamConfig(resolution=0.25, l_occ=0.7, l_free=0.3)
+    grid = OccupancyGrid.for_scene(_scene(), cfg)
+    assert grid.shape == (176, 176)  # (40 + 2*2) m at 0.25 m cells
     assert np.allclose(grid.origin, [-22.0, -22.0])
+    assert (grid.resolution, grid.l_occ, grid.l_free) == (0.25, 0.7, 0.3)
     assert not grid.has_occupied()
 
 
 def test_grid_cell_of():
-    grid = OccupancyGrid(origin=np.array([0.0, 0.0]), resolution=0.5,
-                         log_odds=np.zeros((10, 10)))
+    grid = _grid(origin=np.array([0.0, 0.0]), resolution=0.5,
+                 log_odds=np.zeros((10, 10)))
     assert list(grid.cell_of(np.array([[1.26, 0.74]]))[0]) == [2, 1]
 
 
 def test_grid_rejects_bad_resolution():
     with pytest.raises(ValueError):
-        OccupancyGrid(origin=np.zeros(2), resolution=0.0, log_odds=np.zeros((2, 2)))
+        _grid(origin=np.zeros(2), resolution=0.0, log_odds=np.zeros((2, 2)))
 
 
 def test_update_single_detection():
-    grid = OccupancyGrid(origin=np.array([-5.0, -5.0]), resolution=0.1,
-                         log_odds=np.zeros((100, 100)))
+    grid = _grid(origin=np.array([-5.0, -5.0]), resolution=0.1,
+                 log_odds=np.zeros((100, 100)))
     scan = polar_points(np.array([2.0]), np.array([0.0]))
     update_grid(grid, Pose(0.0, 0.0, 0.0), scan)
     raised = np.argwhere(grid.log_odds > 0.0)
@@ -104,8 +112,8 @@ def test_update_single_detection():
 
 
 def test_update_clamps_log_odds():
-    grid = OccupancyGrid(origin=np.array([-5.0, -5.0]), resolution=0.1,
-                         log_odds=np.zeros((100, 100)))
+    grid = _grid(origin=np.array([-5.0, -5.0]), resolution=0.1,
+                 log_odds=np.zeros((100, 100)))
     scan = polar_points(np.array([2.0]), np.array([0.0]))
     for _ in range(20):
         update_grid(grid, Pose(0.0, 0.0, 0.0), scan)
@@ -119,8 +127,8 @@ def test_update_clamps_log_odds():
 
 def test_update_does_not_erode_occupied_cells():
     """A ray grazing through a previously-hit cell must not decrement it."""
-    grid = OccupancyGrid(origin=np.array([-5.0, -5.0]), resolution=0.1,
-                         log_odds=np.zeros((100, 100)))
+    grid = _grid(origin=np.array([-5.0, -5.0]), resolution=0.1,
+                 log_odds=np.zeros((100, 100)))
     update_grid(grid, Pose(0.0, 0.0, 0.0),
                 polar_points(np.array([1.0]), np.array([0.0])))
     hit = tuple(grid.cell_of(np.array([[1.0, 0.0]]))[0])
@@ -133,7 +141,7 @@ def test_update_does_not_erode_occupied_cells():
 
 def test_update_empty_scan_noop():
     log_odds = np.random.default_rng(4).uniform(-LOG_ODDS_CLAMP, LOG_ODDS_CLAMP, (10, 10))
-    grid = OccupancyGrid(origin=np.zeros(2), resolution=0.1, log_odds=log_odds.copy())
+    grid = _grid(origin=np.zeros(2), resolution=0.1, log_odds=log_odds.copy())
     assert update_grid(grid, Pose(0.5, 0.5, 0.0), np.zeros((0, 2))) is grid
     assert grid.log_odds.tobytes() == log_odds.tobytes()
 
@@ -177,8 +185,8 @@ def test_update_grid_matches_2d_unique_reference():
     rng = np.random.default_rng(5)
 
     def fresh():
-        return OccupancyGrid(origin=np.array([-5.0, -5.0]), resolution=0.1,
-                             log_odds=np.zeros((100, 80)))
+        return _grid(origin=np.array([-5.0, -5.0]), resolution=0.1,
+                     log_odds=np.zeros((100, 80)))
 
     fast, ref = fresh(), fresh()
     scans = [
@@ -230,8 +238,8 @@ _FINITE = st.floats(-50.0, 50.0)
 def test_ray_samples_in_one_cell_are_consecutive(start, end, k, origin, resolution):
     """Sample j / k of a ray is monotone in x and in y, so once it leaves a cell it
     never returns: update_grid's per-ray dedupe by run relies on this."""
-    grid = OccupancyGrid(origin=np.array(origin), resolution=resolution,
-                         log_odds=np.zeros((1, 1)))
+    grid = _grid(origin=np.array(origin), resolution=resolution,
+                 log_odds=np.zeros((1, 1)))
     start, end = np.array(start), np.array(end)
     cells = grid.cell_of(start + (np.arange(k) / k)[:, None] * (end - start))
     runs = 1 + np.count_nonzero(np.any(np.diff(cells, axis=0) != 0, axis=1))
@@ -244,8 +252,8 @@ def test_out_of_grid_endpoint_does_not_shield_in_grid_cell():
     On this 100 x 80 grid the former ``cx * (ny + 1) + cy`` endpoint key gave
     both cells the key 4048.
     """
-    grid = OccupancyGrid(origin=np.array([-5.0, -5.0]), resolution=0.1,
-                         log_odds=np.zeros((100, 80)))
+    grid = _grid(origin=np.array([-5.0, -5.0]), resolution=0.1,
+                 log_odds=np.zeros((100, 80)))
     pose = Pose(-0.05, 0.0, 0.0)
     ends = np.array([[0.05, -5.15], [-0.05, 4.0]]) - pose.position
     scan = polar_points(np.hypot(ends[:, 0], ends[:, 1]), np.arctan2(ends[:, 1], ends[:, 0]))
@@ -259,7 +267,7 @@ def test_out_of_grid_endpoint_does_not_shield_in_grid_cell():
 
 
 def _populated_grid(scene, sensor):
-    grid = OccupancyGrid.for_scene(scene, resolution=0.1)
+    grid = OccupancyGrid.for_scene(scene, SlamConfig())
     pose = Pose(0.0, 0.0, 0.0)
     scan = sensor(ground_truth_scan(scene, pose, sensor.bearings), np.random.default_rng(0))
     update_grid(grid, pose, scan)
@@ -267,16 +275,16 @@ def _populated_grid(scene, sensor):
 
 
 def test_match_empty_scan_returns_prior():
-    grid = OccupancyGrid(origin=np.zeros(2), resolution=0.1,
-                         log_odds=np.ones((10, 10)))
+    grid = _grid(origin=np.zeros(2), resolution=0.1,
+                 log_odds=np.ones((10, 10)))
     prior = Pose(0.4, 0.4, 0.1)
     result = match_scan(np.zeros((0, 2)), grid, prior)
     assert result == MatchResult(prior, 0.0, False)
 
 
 def test_match_empty_grid_returns_prior():
-    grid = OccupancyGrid(origin=np.zeros(2), resolution=0.1,
-                         log_odds=np.zeros((10, 10)))
+    grid = _grid(origin=np.zeros(2), resolution=0.1,
+                 log_odds=np.zeros((10, 10)))
     scan = polar_points(np.array([1.0]), np.array([0.0]))
     result = match_scan(scan, grid, Pose(0.5, 0.5, 0.0))
     assert not result.matched
@@ -286,7 +294,7 @@ def test_match_sees_cells_written_through_log_odds():
     """The empty-grid check reads the log-odds themselves, so a cell written
     directly, not by update_grid, makes the grid non-empty, and clearing it
     makes it empty again."""
-    grid = OccupancyGrid(origin=np.zeros(2), resolution=0.1, log_odds=np.full((10, 10), -0.4))
+    grid = _grid(origin=np.zeros(2), resolution=0.1, log_odds=np.full((10, 10), -0.4))
     scan = polar_points(np.array([0.3]), np.array([0.0]))
     prior = Pose(0.25, 0.25, 0.0)
     assert not grid.has_occupied()
@@ -298,8 +306,8 @@ def test_match_sees_cells_written_through_log_odds():
     grid.log_odds[5, 2] = 0.0
     assert not grid.has_occupied()
     assert not match_scan(scan, grid, prior).matched
-    assert not OccupancyGrid(origin=np.zeros(2), resolution=0.1,
-                             log_odds=np.zeros((0, 0))).has_occupied()
+    assert not _grid(origin=np.zeros(2), resolution=0.1,
+                     log_odds=np.zeros((0, 0))).has_occupied()
 
 
 def test_match_self_consistency():
@@ -339,8 +347,8 @@ def test_match_recovers_injected_lattice_offset(seed, x, y, heading, i, j, a):
     rng = np.random.default_rng(seed)
     scan = polar_points(rng.uniform(0.5, 6.0, 40), rng.uniform(-math.pi, math.pi, 40))
     truth = Pose(x, y, heading)
-    grid = OccupancyGrid(origin=np.array([-10.0, -10.0]), resolution=0.1,
-                         log_odds=np.zeros((200, 200)))
+    grid = _grid(origin=np.array([-10.0, -10.0]), resolution=0.1,
+                 log_odds=np.zeros((200, 200)))
     update_grid(grid, truth, scan)
     dxy, dth = _WINDOW.offsets()
     prior = Pose(x + dxy[i], y + dxy[j], heading + dth[a])
@@ -394,14 +402,14 @@ def test_match_scan_matches_per_rotation_reference(window):
     for _ in range(12):
         # a noisy random map; the 6 m scans from priors near the edge leave the grid
         log_odds = np.round(rng.normal(0.0, 2.0, (60, 50)), 1)
-        grid = OccupancyGrid(origin=np.array([-3.0, -2.0]), resolution=0.1, log_odds=log_odds)
+        grid = _grid(origin=np.array([-3.0, -2.0]), resolution=0.1, log_odds=log_odds)
         scan = polar_points(rng.uniform(0.1, 6.0, 70), rng.uniform(-math.pi, math.pi, 70))
         prior = Pose(*rng.uniform([-3.0, -2.0, -math.pi], [3.0, 3.0, math.pi]))
         cases.append((scan, grid, prior))
     # tied scores: a checkerboard of equal values, and a constant grid
     board = np.indices((60, 50)).sum(axis=0) % 2 * 1.5
     for log_odds in (board, np.full((60, 50), 0.5)):
-        grid = OccupancyGrid(origin=np.array([-3.0, -2.0]), resolution=0.1, log_odds=log_odds)
+        grid = _grid(origin=np.array([-3.0, -2.0]), resolution=0.1, log_odds=log_odds)
         cases.append((polar_points(rng.uniform(0.1, 2.0, 20), rng.uniform(-math.pi, math.pi, 20)),
                       grid, Pose(0.05, 0.05, 0.0)))
     # a scan wholly off the grid scores zero everywhere
@@ -416,15 +424,15 @@ def test_match_scores_out_of_grid_points_zero():
     """Points off the grid add nothing, whatever cell (0, 0) holds."""
     log_odds = np.zeros((10, 10))
     log_odds[0, 0] = 5.0
-    grid = OccupancyGrid(origin=np.zeros(2), resolution=0.1, log_odds=log_odds)
+    grid = _grid(origin=np.zeros(2), resolution=0.1, log_odds=log_odds)
     scan = polar_points(np.array([10.0]), np.array([0.0]))
     result = match_scan(scan, grid, Pose(0.5, 0.5, 0.0))
     assert result == MatchResult(Pose(0.5, 0.5, 0.0), 0.0, True)
 
 
 def test_match_tie_break_prefers_zero_correction():
-    grid = OccupancyGrid(origin=np.array([-5.0, -5.0]), resolution=0.1,
-                         log_odds=np.full((100, 100), 1.0))
+    grid = _grid(origin=np.array([-5.0, -5.0]), resolution=0.1,
+                 log_odds=np.full((100, 100), 1.0))
     scan = polar_points(np.array([1.0]), np.array([0.0]))
     result = match_scan(scan, grid, Pose(0.0, 0.0, 0.0))
     assert result.pose == Pose(0.0, 0.0, 0.0)  # every offset scores the same
