@@ -27,7 +27,7 @@ from etslam.metrics import MetricParams, et_gospa, location_mse
 from etslam.ofdm import FOV, WAVEFORM_KEYS, OfdmSensor, PeakPolicy, WaveformConfig
 from etslam.parametric import ErrorModel, ParametricSensor
 from etslam.scene import Scene, as_radians, convert, load_scene, parse_section
-from etslam.slam import OdometryModel, SearchWindow, SlamConfig, run_slam
+from etslam.slam import OdometryModel, SearchWindow, SlamConfig, run_slam, run_steps
 
 CSV_HEADER_COMMENT = "# etslam csv v1"
 
@@ -58,6 +58,7 @@ class ExperimentConfig:
         for name in ("duration", "snapshot_cadence", "bearing_step_deg"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
+        run_steps(self.duration, self.snapshot_cadence, self.scene.trajectory.step_interval)
         if not math.isfinite(self.angle_peak_threshold_db):
             raise ValueError("angle_peak_threshold_db must be finite")
         if self.angle_max_peaks < 1:

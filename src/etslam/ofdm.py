@@ -192,8 +192,6 @@ class PeakPolicy:
     max_peaks: int
 
 
-# a kept peak and the two bins it suppresses
-_NEIGHBOURS = np.array([-1, 0, 1])
 # range-peak picking on the rx-averaged range profile
 RANGE_POLICY = PeakPolicy(threshold_db=12.0, max_peaks=64)
 
@@ -202,30 +200,37 @@ def detect_peaks(magnitudes: np.ndarray, policy: PeakPolicy) -> np.ndarray:
     """Boolean peak mask over the last axis of ``magnitudes``.
 
     In each row, the local maxima above the row's median * 10^(threshold_db/20)
-    are candidates.  Each round keeps every row's strongest remaining
-    candidate (the lower bin on ties) and removes it and its two neighbours,
-    for at most ``max_peaks`` rounds.
+    are candidates.  The mask is that of greedy picking: keep the strongest
+    remaining candidate (the lower bin on ties), drop its two neighbours, and
+    stop after ``max_peaks``.  Two adjacent candidates are both local maxima,
+    so they are equal: greedy keeps every other bin of each run of adjacent
+    candidates from the run's low end, and then the first ``max_peaks`` of a
+    row by value descending, bin ascending.  One pass finds both.
     """
     mag = np.asarray(magnitudes, dtype=float)
     if mag.ndim == 0 or mag.shape[-1] == 0:
         raise ValueError("empty spectrum")
-    rows = mag.reshape(-1, mag.shape[-1])
+    n = mag.shape[-1]
+    rows = mag.reshape(-1, n)
     thr = np.median(rows, axis=1, keepdims=True) * 10.0 ** (policy.threshold_db / 20.0)
-    # candidates padded with a -inf column on each side, so bin +-1 is always in bounds
-    cand = np.full((len(rows), rows.shape[1] + 2), -np.inf)
-    cand[:, 1:-1] = rows
-    is_peak = (rows >= cand[:, :-2]) & (rows >= cand[:, 2:]) & (rows > thr) & (rows > 0.0)
-    cand[:, 1:-1][~is_peak] = -np.inf
-    keep = np.zeros(cand.shape, dtype=bool)
-    r = np.arange(len(rows))
-    for _ in range(policy.max_peaks):
-        best = np.argmax(cand, axis=1)
-        live = cand[r, best] > -np.inf
-        if not live.any():
-            break
-        keep[r, best] |= live
-        cand[r[:, None], best[:, None] + _NEIGHBOURS] = -np.inf
-    return keep[:, 1:-1].reshape(mag.shape)
+    # padded with a -inf column on each side, so bin +-1 is always in bounds
+    padded = np.full((len(rows), n + 2), -np.inf)
+    padded[:, 1:-1] = rows
+    cand = np.flatnonzero((rows >= padded[:, :-2]) & (rows >= padded[:, 2:]) & (rows > thr)
+                          & (rows > 0.0))  # row-major flat bins
+    # a candidate's offset in its run of adjacent candidates; odd offsets fall
+    joined = np.zeros(cand.size, dtype=bool)
+    joined[1:] = (np.diff(cand) == 1) & (cand[1:] % n != 0)
+    pos = np.arange(cand.size)
+    kept = cand[(pos - np.maximum.accumulate(np.where(joined, 0, pos))) % 2 == 0]
+    # rank in its row by value descending; the stable sort keeps bins ascending on ties
+    row = kept // n
+    order = np.lexsort((-rows.ravel()[kept], row))
+    ranked = row[order]
+    rank = np.arange(kept.size) - ranked.searchsorted(ranked)
+    mask = np.zeros(rows.size, dtype=bool)
+    mask[kept[order[rank < policy.max_peaks]]] = True
+    return mask.reshape(mag.shape)
 
 
 @dataclass(frozen=True)

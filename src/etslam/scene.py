@@ -245,6 +245,9 @@ class Scene:
     _rect_half: np.ndarray = field(init=False, repr=False)
     _seg_a: np.ndarray = field(init=False, repr=False)
     _seg_b: np.ndarray = field(init=False, repr=False)
+    _seg_ends: np.ndarray = field(init=False, repr=False)  # (2S, 2): every a, then every b
+    _seg_d: np.ndarray = field(init=False, repr=False)     # b - a
+    _seg_d2: np.ndarray = field(init=False, repr=False)    # |b - a|^2
     _seg_tid: np.ndarray = field(init=False, repr=False)
     _circ_c: np.ndarray = field(init=False, repr=False)
     _circ_r: np.ndarray = field(init=False, repr=False)
@@ -272,6 +275,9 @@ class Scene:
                 circ_tid.append(tgt.id)
         self._seg_a = np.array(seg_a).reshape(-1, 2)
         self._seg_b = np.array(seg_b).reshape(-1, 2)
+        self._seg_ends = np.concatenate([self._seg_a, self._seg_b])
+        self._seg_d = self._seg_b - self._seg_a
+        self._seg_d2 = np.sum(self._seg_d**2, axis=1)
         self._seg_tid = np.array(seg_tid, dtype=int)
         self._circ_c = np.array(circ_c).reshape(-1, 2)
         self._circ_r = np.array(circ_r, dtype=float)
@@ -321,6 +327,89 @@ class Scene:
 
 # a hit nearer than this to the origin is the origin's own boundary, not a hit
 RAY_MIN_T = 1e-9
+# the broad phase pads an edge's arc by ARC_PAD * |d| / h rad, h the origin's
+# distance from the edge's line: of order 1e-9 rad unless the origin is near
+# that line, every ray when it is on it, and always well beyond what rounding
+# moves t and s by
+ARC_PAD = 1e-9
+# the half-width of an arc that takes every ray: past pi, so a ray may come
+# twice (a harmless duplicate) but never slips between the arc's ends
+_HALF_ALL = math.pi + 1e-6
+# each origin's sorted ray angles, shifted by -2pi, 0 and +2pi: an arc of
+# half-width up to _HALF_ALL about a centre in [-1.5pi, 1.5pi] is one run of them
+_COPIES = 2.0 * math.pi * np.array([[-1.0], [0.0], [1.0]])
+# origin p's copies sit at p * _ROW_SPAN, so one sorted search serves a block;
+# the shift rounds by ~1e-14 rad in a block of RAY_BLOCK origins, far inside ARC_PAD
+_ROW_SPAN = 6.0 * math.pi
+
+
+def _edge_candidates(scene: Scene, origins: np.ndarray, dirs: np.ndarray):
+    """The (ray, column, t) triples of the rays inside each edge's arc, flat.
+
+    For each (origin, edge), the rays whose angle lies in the padded arc the
+    edge subtends are found by one sorted search over the rays' angles; the
+    ray-edge test runs on those triples alone, by the expressions of the dense
+    cast, so each t has its bits.  A triple that fails the test gets t = inf
+    and the miss column.  Rays are numbered ``origin * B + ray``.
+    """
+    n_origins, n_rays = dirs.shape[:2]
+    d = scene._seg_d
+    n_seg = len(d)
+    rows = np.arange(n_origins)[:, None]
+    rel = scene._seg_ends - origins[:, None]  # (P, 2S, 2): every a, then every b
+    ang = np.arctan2(rel[..., 1], rel[..., 0])
+    ao = rel[:, :n_seg]
+    num_t = (ao[..., 0] * d[:, 1] - ao[..., 1] * d[:, 0]).ravel()  # (P S,)
+    # half of the short signed arc from a to b, and its centre
+    hw = 0.5 * ((ang[:, n_seg:] - ang[:, :n_seg] + math.pi) % (2.0 * math.pi) - math.pi)
+    base = _ROW_SPAN * rows
+    mid = ang[:, :n_seg] + hw + base
+    theta = np.arctan2(dirs[..., 1], dirs[..., 0])
+    ray_of = theta.argsort(axis=1, kind="stable") + n_rays * rows  # (P, B), by angle
+    table = ((theta.ravel()[ray_of] + base)[:, None] + _COPIES).ravel()  # (P * 3 * B,)
+    # a division by zero gives inf: the pad of an origin on the edge's line, or
+    # the t and s of a ray parallel to its edge, which the test drops
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # |num_t| = |d| h, so the pad is ARC_PAD |d|^2 / |num_t|
+        half = np.minimum(np.abs(hw) + ARC_PAD * scene._seg_d2 / np.abs(num_t).reshape(hw.shape),
+                          _HALF_ALL)
+        start, stop = table.searchsorted(mid[..., None] + half[..., None] * [-1.0, 1.0]
+                                         ).reshape(-1, 2).T
+        # one triple per (pair, table slot in the pair's run)
+        lens = stop - start
+        pair = np.arange(lens.size).repeat(lens)
+        slot = np.arange(pair.size) + (start + lens - lens.cumsum()).repeat(lens)
+        ray = ray_of.repeat(3, axis=0).ravel()[slot]
+        seg = pair % n_seg
+        dk = dirs.reshape(-1, 2).take(ray, axis=0)
+        dx, dy = dk[:, 0], dk[:, 1]
+        dd = d.take(seg, axis=0)
+        aok = ao.reshape(-1, 2).take(pair, axis=0)
+        denom = dx * dd[:, 1] - dy * dd[:, 0]
+        num_s = aok[:, 0] * dy - aok[:, 1] * dx
+        t = num_t[pair] / denom
+        s = num_s / denom
+    valid = (np.abs(denom) > 1e-15) & (t > RAY_MIN_T) & (s >= 0.0) & (s <= 1.0)
+    miss = n_seg + len(scene._circ_c)
+    return ray, np.where(valid, seg, miss), np.where(valid, t, np.inf)
+
+
+def _circle_candidates(scene: Scene, origins: np.ndarray, dirs: np.ndarray):
+    """``_edge_candidates`` for the circles, tested densely: a triple per (ray,
+    circle) pair whose line meets the circle."""
+    n_seg, n_circ = len(scene._seg_a), len(scene._circ_c)
+    oc = scene._circ_c - origins[:, None]  # (P, C, 2)
+    # one matmul per origin, as in a block of one: BLAS may fuse the products
+    proj = dirs @ oc.swapaxes(1, 2)  # (P, B, C)
+    disc = scene._circ_r ** 2 - ((oc**2).sum(axis=-1)[:, None] - proj**2)
+    near = np.flatnonzero(disc >= 0.0)
+    proj = proj.ravel()[near]
+    sq = np.sqrt(np.maximum(disc.ravel()[near], 0.0))
+    t1 = proj - sq
+    t2 = proj + sq
+    t = np.where(t1 > RAY_MIN_T, t1, np.where(t2 > RAY_MIN_T, t2, np.inf))
+    ray, circ = np.divmod(near, n_circ)
+    return ray, np.where(t < np.inf, n_seg + circ, n_seg + n_circ), t
 
 
 def _cast_rays(scene: Scene, origins: np.ndarray, dirs: np.ndarray):
@@ -329,36 +418,22 @@ def _cast_rays(scene: Scene, origins: np.ndarray, dirs: np.ndarray):
     ``origins`` has shape (P, 2) and ``dirs`` (P, B, 2), a fan of B directions
     per origin.  Returns (ranges, target_ids), each (P, B), target id -1 for a
     miss; used by ``ground_truth_scans`` and by the trajectory check in scene
-    validation.  One argmin over [miss, segments, circles] picks the hit, so
-    on a tie the first column wins: a segment over a circle.  Every ray gets
-    the bits it gets in a block of one origin.
+    validation.  A ray's hit is the first minimum over the columns [edges,
+    circles, miss], so on a tie the lower column wins: a segment over a
+    circle.  Edges go through the angular broad phase (``_edge_candidates``),
+    circles are tested densely; every ray gets the bits it gets in a block of
+    one origin, and those of a dense test of every (ray, primitive) pair.
     """
-    a, b = scene._seg_a, scene._seg_b
-    d = b - a
-    ao = a - origins[:, None]  # (P, S, 2)
-    dx, dy = dirs[..., 0:1], dirs[..., 1:2]  # (P, B, 1)
-    denom = dx * d[:, 1] - dy * d[:, 0]  # (P, B, S)
-    num_t = ao[..., 0] * d[:, 1] - ao[..., 1] * d[:, 0]  # (P, S)
-    num_s = ao[:, None, :, 0] * dy - ao[:, None, :, 1] * dx  # (P, B, S)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = num_t[:, None] / denom
-        s = num_s / denom
-    valid = (np.abs(denom) > 1e-15) & (t > RAY_MIN_T) & (s >= 0.0) & (s <= 1.0)
-    seg_t = np.where(valid, t, np.inf)
-    oc = scene._circ_c - origins[:, None]  # (P, C, 2)
-    # one matmul per origin, as in a block of one: BLAS may fuse the products
-    proj = dirs @ oc.swapaxes(1, 2)  # (P, B, C)
-    d2 = np.sum(oc**2, axis=-1)[:, None] - proj**2
-    disc = scene._circ_r ** 2 - d2
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    t1 = proj - sq
-    t2 = proj + sq
-    circ_t = np.where(t1 > RAY_MIN_T, t1, np.where(t2 > RAY_MIN_T, t2, np.inf))
-    circ_t = np.where(disc >= 0.0, circ_t, np.inf)
-    t = np.concatenate([np.full(dirs.shape[:2] + (1,), np.inf), seg_t, circ_t], axis=-1)
-    tid = np.concatenate([[-1], scene._seg_tid, scene._circ_tid])
-    idx = np.argmin(t, axis=-1)
-    return np.take_along_axis(t, idx[..., None], axis=-1)[..., 0], tid[idx]
+    n_origins, n_rays = dirs.shape[:2]
+    ray, col, t = (np.concatenate(parts) for parts in zip(
+        _edge_candidates(scene, origins, dirs), _circle_candidates(scene, origins, dirs)))
+    best = np.full(n_origins * n_rays, np.inf)
+    np.minimum.at(best, ray, t)
+    won = t == best[ray]
+    tids = np.concatenate([scene._seg_tid, scene._circ_tid, [-1]])
+    first = np.full(best.shape, len(tids) - 1)
+    np.minimum.at(first, ray[won], col[won])
+    return best.reshape(n_origins, n_rays), tids[first].reshape(n_origins, n_rays)
 
 
 # poses per ray-cast block: bounds the (poses, bearings, primitives) temporaries

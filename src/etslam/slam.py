@@ -24,6 +24,34 @@ from etslam.scene import (GroundTruthScan, Pose, Scene, ground_truth_scans, rota
 LOG_ODDS_CLAMP = 10.0
 # grid border beyond the scene bounds on every side [m]
 GRID_MARGIN = 2.0
+# a value counts as a whole number of steps when the quotient is this close to
+# one, relative: 0.3 / 0.1 is 2.9999999999999996
+WHOLE_TOL = 1e-9
+
+
+def whole_steps(value: float, step: float, what: str, per: str) -> int:
+    """``value / step`` as an int; ValueError naming ``what`` when the quotient is
+    not a whole number to within ``WHOLE_TOL``, rather than rounding it."""
+    q = value / step
+    n = round(q) if math.isfinite(q) else None
+    if n is None or not abs(q - n) <= WHOLE_TOL * abs(q):
+        raise ValueError(f"{what} must be a whole number of {per} ({step:g}), got {value:g}")
+    return n
+
+
+def run_steps(duration: float, snapshot_cadence: Optional[float],
+              step_interval: float) -> tuple[int, int]:
+    """Trajectory steps in a run of ``duration`` s and between snapshots (every
+    step when ``snapshot_cadence`` is None); each must be whole and > 0."""
+    if not duration > 0:
+        raise ValueError("duration must be > 0")
+    if snapshot_cadence is not None and not snapshot_cadence > 0:
+        raise ValueError("snapshot_cadence must be > 0")
+    n_steps = whole_steps(duration, step_interval, "duration", "trajectory steps")
+    if snapshot_cadence is None:
+        return n_steps, 1
+    return n_steps, whole_steps(snapshot_cadence, step_interval, "snapshot_cadence",
+                                "trajectory steps")
 
 
 class Sensor(Protocol):
@@ -101,10 +129,13 @@ class SearchWindow:
         for name in ("dxy_step", "dtheta_step"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"search window {name} must be finite and > 0")
+        self.offsets()  # raises unless each half-width is a whole number of its step
 
     def offsets(self):
-        n_xy = int(round(self.dxy_max / self.dxy_step))
-        n_th = int(round(self.dtheta_max / self.dtheta_step))
+        """The dx/dy and dtheta offsets; each maximum must be a whole number of its step."""
+        n_xy = whole_steps(self.dxy_max, self.dxy_step, "search window dxy_max", "dxy_step")
+        n_th = whole_steps(self.dtheta_max, self.dtheta_step, "search window dtheta_max",
+                           "dtheta_step")
         dxy = np.arange(-n_xy, n_xy + 1) * self.dxy_step
         dth = np.arange(-n_th, n_th + 1) * self.dtheta_step
         return dxy, dth
@@ -261,13 +292,8 @@ def run_slam(
     the poses are computed up front, and ``ground_truth_scans`` casts their
     scans lazily, one block at a time as the loop reaches it.
     """
-    if not duration > 0:
-        raise ValueError("duration must be > 0")
     dt = scene.trajectory.step_interval
-    n_steps = max(1, int(round(duration / dt)))
-    every = 1
-    if snapshot_cadence is not None:
-        every = max(1, int(round(snapshot_cadence / dt)))
+    n_steps, every = run_steps(duration, snapshot_cadence, dt)
     grid = OccupancyGrid.for_scene(scene, cfg)
     # t += dt, step after step
     times = list(itertools.accumulate([dt] * n_steps))

@@ -236,6 +236,14 @@ def test_condition_rejects_other_sensor_keys(key, value):
     (("cluster",), "eps", float("inf"), "cluster eps must be finite and > 0"),
     (("sweep", "conditions", 0), "delta_r_m", float("nan"),
      "error model delta_r must be finite and >= 0"),
+    (("run",), "duration", 3.2,
+     "duration must be a whole number of trajectory steps (0.5), got 3.2"),
+    (("run",), "snapshot_cadence", 0.7,
+     "snapshot_cadence must be a whole number of trajectory steps (0.5), got 0.7"),
+    (("slam",), "search_dxy_max", 0.25,
+     "search window dxy_max must be a whole number of dxy_step (0.1), got 0.25"),
+    (("slam",), "search_dtheta_max_deg", 1.2,
+     "search window dtheta_max must be a whole number of dtheta_step"),
 ])
 def test_out_of_range_value_rejected_at_load(path, key, value, message):
     """Each of these used to load, then crash mid-run or be read as another value."""

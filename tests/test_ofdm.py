@@ -514,6 +514,35 @@ def test_detect_peaks_adjacent_suppressed():
     assert np.flatnonzero(peaks).tolist() == [10]  # second one is within one bin of the first
 
 
+@pytest.mark.parametrize("run", [3, 4, 5])
+def test_detect_peaks_run_keeps_every_other_bin_from_low_end(run):
+    spec = np.full(64, 0.01)
+    spec[20:20 + run] = 5.0  # a plateau: every bin of it is a local maximum
+    peaks = detect_peaks(spec, PeakPolicy(threshold_db=6.0, max_peaks=len(spec)))
+    assert np.flatnonzero(peaks).tolist() == list(range(20, 20 + run, 2))
+
+
+def test_detect_peaks_stacked_runs_and_equal_value_cut():
+    """Rows of a stack pick like 1-D calls: plateaus of 3-5 bins keep every other
+    bin from the low end, and a max_peaks cut among equal values keeps the
+    lower bins, after any stronger peak."""
+    rows = np.full((5, 48), 0.01)
+    rows[0, 3:6] = 2.0
+    rows[1, 10:14] = 2.0
+    rows[1, 30] = 2.0
+    rows[2, 40:45] = 2.0
+    rows[3, [5, 15, 25, 35]] = 2.0
+    rows[4, [5, 15, 25]] = 2.0
+    rows[4, 35] = 3.0
+    policy = PeakPolicy(threshold_db=6.0, max_peaks=2)
+    mask = detect_peaks(rows, policy)
+    assert [np.flatnonzero(r).tolist() for r in mask] == [[3, 5], [10, 12], [40, 42], [5, 15],
+                                                          [5, 35]]
+    for row, got in zip(rows, mask):
+        assert np.array_equal(detect_peaks(row, policy), got)
+        assert np.flatnonzero(got).tolist() == sorted(_reference_detect_peaks(row, policy))
+
+
 # ---------------------------------------------------------------------------
 # end-to-end sensing
 

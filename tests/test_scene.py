@@ -15,13 +15,16 @@ from etslam.scene import (
     Rectangle,
     Scene,
     SceneValidationError,
+    ExtendedTarget,
     RAY_BLOCK,
     RAY_MIN_T,
     Trajectory,
     _cast_rays,
+    _edge_candidates,
     ground_truth_scan,
     ground_truth_scans,
     load_scene,
+    polar_points,
     reference_points,
     trajectory_pose,
 )
@@ -343,6 +346,153 @@ def test_cast_rays_tie_goes_to_rectangle():
     assert t[0, 0] == 5.0 and tid[0, 0] == 9
     hit = _one_ray(scene, np.array([0.0, 0.0]), 0.0)
     assert hit.ranges[0] == 5.0 and hit.target_ids[0] == 9
+
+
+def _assert_cast_matches_reference(scene, origins, dirs):
+    """``_cast_rays`` on a block gives, row by row, the bytes of the dense
+    two-block reference."""
+    t, tid = _cast_rays(scene, np.asarray(origins, dtype=float), dirs)
+    for origin, fan, got_t, got_tid in zip(origins, dirs, t, tid):
+        want_t, want_tid = _cast_rays_two_blocks(scene, np.asarray(origin, dtype=float), fan)
+        assert got_t.tobytes() == want_t.tobytes()
+        assert got_tid.dtype == want_tid.dtype and got_tid.tobytes() == want_tid.tobytes()
+    return t
+
+
+def _aimed_at(origin, points):
+    """Unit directions from ``origin`` to each of ``points``, shape (n, 2)."""
+    d = np.asarray(points, dtype=float) - origin
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+def _aim_points(scene):
+    """Every rectangle corner (each edge's a end) and every circle centre."""
+    return np.concatenate([scene._seg_a, scene._circ_c])
+
+
+def test_broad_phase_rays_aimed_at_endpoints_and_corners():
+    """Rays through each edge end, with and without a 1-ulp nudge either way."""
+    scene = load_scene(DEFAULT_SCENE)
+    rng = np.random.default_rng(41)
+    poses = [trajectory_pose(scene.trajectory, t).position for t in np.arange(0.0, 60.0, 3.7)]
+    origins = np.array(poses + list(rng.uniform(scene.bounds_min, scene.bounds_max, (30, 2))))
+    origins = origins[~scene.contains_point_in_target(origins)]
+    hits = 0
+    for block in np.array_split(origins, 4):
+        dirs = np.stack([_aimed_at(o, _aim_points(scene)) for o in block])
+        angles = np.arctan2(dirs[..., 1], dirs[..., 0])
+        nudged = np.concatenate([angles, np.nextafter(angles, np.inf),
+                                 np.nextafter(angles, -np.inf)], axis=1)
+        for fan in (dirs, polar_points(1.0, nudged)):
+            hits += int(np.isfinite(_assert_cast_matches_reference(scene, block, fan)).sum())
+    assert hits > 0
+
+
+def test_broad_phase_fans_across_pi_and_unsorted():
+    scene = load_scene(DEFAULT_SCENE)
+    rng = np.random.default_rng(43)
+    origins = np.array([trajectory_pose(scene.trajectory, t).position for t in (2.0, 17.0, 31.0)])
+    across = np.concatenate([np.linspace(math.pi - 0.6, math.pi + 0.6, 97), [math.pi, -math.pi]])
+    fans = [
+        polar_points(1.0, np.broadcast_to(across, (3, across.size))),
+        np.stack([np.full(across.size, -1.0), np.full(across.size, -0.0)], axis=-1)[None]
+        .repeat(3, axis=0),  # theta is -pi exactly
+        polar_points(1.0, rng.permutation(np.radians(np.arange(0.0, 360.0, 2.0)))[None]
+                     .repeat(3, axis=0)),
+        polar_points(1.0, rng.uniform(-4.0, 4.0, (3, 150))),
+    ]
+    for fan in fans:
+        _assert_cast_matches_reference(scene, origins, fan)
+
+
+def test_broad_phase_origin_collinear_with_edge():
+    """Origins on an edge's line beyond either end, on the edge and at its ends,
+    for an axis-aligned and a rotated rectangle.  On the edge, rays that graze
+    it within 1e-6 rad meet it at a rounded t just over RAY_MIN_T: a pad of a
+    fixed 1e-9 rad culls some of those hits."""
+    scene = _simple_scene(targets=[
+        {"id": 1, "kind": "rect", "center": [10.0, 0.0], "width": 2.0, "height": 2.0},
+        {"id": 5, "kind": "rect", "center": [0.3, -12.1], "width": 3.0, "height": 1.5,
+         "rotation": 0.3},
+        {"id": 2, "kind": "circle", "center": [0.0, 10.0], "radius": 1.0},
+    ])
+    fan = np.radians(np.arange(0.0, 360.0, 0.5))
+    graze = np.concatenate([np.logspace(-15, -4, 45), -np.logspace(-15, -4, 45)])
+    grazing_hits = 0
+    for a, b in zip(scene._seg_a, scene._seg_b):
+        along = math.atan2(b[1] - a[1], b[0] - a[0])
+        grazing = polar_points(1.0, np.concatenate([along + graze, along + math.pi + graze]))
+        for lam in (-2.5, -1e-7, 0.0, 0.3, 0.5, 0.85, 1.0, 3.7):
+            origin = a + lam * (b - a)
+            ends = np.array([a, b])
+            ends = ends[np.any(ends != origin, axis=1)]  # an origin at an end aims at the other
+            dirs = np.concatenate([polar_points(1.0, fan), _aimed_at(origin, ends), grazing])
+            t = _assert_cast_matches_reference(scene, origin[None], dirs[None])
+            grazing_hits += int(np.sum(t[0, -len(grazing):] < 1e-6))
+    assert grazing_hits > 0
+
+
+def test_broad_phase_one_ray_validation_cast():
+    """``Scene._segment_blocked`` casts one ray; it agrees with the reference,
+    also on segments that end at or run through a corner."""
+    scene = load_scene(DEFAULT_SCENE)
+    rng = np.random.default_rng(47)
+    starts = rng.uniform(scene.bounds_min, scene.bounds_max, (60, 2))
+    starts = starts[~scene.contains_point_in_target(starts)]
+    corners = scene._seg_a
+    blocked = []
+    for k, p0 in enumerate(starts):
+        corner = corners[k % len(corners)]
+        for p1 in (corner, p0 + 1.5 * (corner - p0), rng.uniform(scene.bounds_min,
+                                                                 scene.bounds_max)):
+            length = float(np.linalg.norm(p1 - p0))
+            u = (p1 - p0) / length
+            want_t, _ = _cast_rays_two_blocks(scene, p0, u[None])
+            assert scene._segment_blocked(p0, p1) == bool(want_t[0] < length)
+            blocked.append(bool(want_t[0] < length))
+    assert any(blocked) and not all(blocked)
+
+
+def _random_rect_scene(rng, n_side=7):
+    """A rotated rectangle in each cell of an n_side x n_side lattice of 4 m
+    cells, but for a clearing of 3 x 3 cells that a square loop runs through:
+    40 rectangles at the default size."""
+    targets = []
+    for i in range(n_side):
+        for j in range(n_side):
+            if 2 <= i <= 4 and 2 <= j <= 4:
+                continue
+            centre = (4.0 * i + 2.0 + rng.uniform(-0.4, 0.4), 4.0 * j + 2.0 + rng.uniform(-0.4, 0.4))
+            shape = Rectangle(centre, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)),
+                              float(rng.uniform(-math.pi, math.pi)))
+            targets.append(ExtendedTarget(id=len(targets) + 1, shape=shape,
+                                          reference_points=reference_points(shape, 4)))
+    loop = np.array([[10.5, 10.5], [17.5, 10.5], [17.5, 17.5], [10.5, 17.5], [10.5, 10.5]])
+    return Scene(bounds_min=np.array([-2.0, -2.0]), bounds_max=np.array([30.0, 30.0]),
+                 targets=targets, trajectory=Trajectory(loop, speed=1.0, step_interval=0.5))
+
+
+def test_broad_phase_random_scene_culls_most_pairs():
+    """Among 40 rectangles most (ray, edge) pairs are culled, and the cast keeps
+    the reference's bytes."""
+    rng = np.random.default_rng(53)
+    scene = _random_rect_scene(rng)
+    assert len(scene.targets) == 40
+    poses = [trajectory_pose(scene.trajectory, t) for t in np.arange(0.0, 28.0, 1.3)]
+    loose = rng.uniform(scene.bounds_min, scene.bounds_max, (40, 2))
+    loose = loose[~scene.contains_point_in_target(loose)]
+    origins = np.concatenate([[p.position for p in poses], loose])
+    headings = np.concatenate([[p.heading for p in poses], rng.uniform(-math.pi, math.pi,
+                                                                       len(loose))])
+    fan = np.radians(np.arange(0.0, 360.0, 1.0))
+    hits = 0
+    for start in range(0, len(origins), RAY_BLOCK):
+        block = slice(start, start + RAY_BLOCK)
+        dirs = polar_points(1.0, headings[block, None] + fan)
+        hits += int(np.isfinite(_assert_cast_matches_reference(scene, origins[block], dirs)).sum())
+        ray, _, _ = _edge_candidates(scene, origins[block], dirs)
+        assert len(ray) < 0.05 * dirs.shape[0] * dirs.shape[1] * len(scene._seg_a)
+    assert hits > 0
 
 
 @pytest.mark.parametrize("kinds", [("rect", "circle"), ("rect",), ("circle",), ()],

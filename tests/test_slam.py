@@ -390,7 +390,7 @@ def _result_bytes(result):
 @pytest.mark.parametrize("window", [
     load_experiment("ci.yaml").slam.window,
     SearchWindow(),
-    SearchWindow(dxy_step=0.07),
+    SearchWindow(dxy_max=0.49, dxy_step=0.07),
     SearchWindow(dxy_max=0.0),
     SearchWindow(dtheta_max=0.0),
 ], ids=["ci", "default", "dxy_step_0.07", "dxy_max_0", "dtheta_max_0"])
@@ -418,6 +418,26 @@ def test_match_scan_matches_per_rotation_reference(window):
     for scan, grid, prior in cases:
         assert _result_bytes(match_scan(scan, grid, prior, window)) == \
             _result_bytes(_match_scan_reference(scan, grid, prior, window))
+
+
+@pytest.mark.parametrize("kw, field", [
+    (dict(dxy_max=0.25), "dxy_max"),  # rounded, this searched +-0.2 m
+    (dict(dxy_max=0.29), "dxy_max"),  # and this +-0.3 m
+    (dict(dxy_max=0.5, dxy_step=0.07), "dxy_max"),
+    (dict(dtheta_max=math.radians(1.2)), "dtheta_max"),
+])
+def test_search_window_rejects_maximum_off_its_step_grid(kw, field):
+    with pytest.raises(ValueError, match=f"^search window {field} must be a whole number of "):
+        SearchWindow(**kw)
+
+
+def test_search_window_whole_quotients_survive_rounding():
+    """0.3 / 0.1 is 2.9999999999999996: a whole number of steps, not a rejection."""
+    assert 0.3 / 0.1 != 3.0
+    dxy, dth = SearchWindow(dxy_max=0.3, dxy_step=0.1,
+                            dtheta_max=math.radians(1.0), dtheta_step=math.radians(0.5)).offsets()
+    assert (len(dxy), len(dth)) == (7, 5)
+    assert len(SearchWindow(dxy_max=0.49, dxy_step=0.07).offsets()[0]) == 15
 
 
 def test_match_scores_out_of_grid_points_zero():
@@ -454,6 +474,16 @@ def test_run_slam_rejects_nonpositive_duration():
     with pytest.raises(ValueError):
         run_slam(_scene(), _sensor(), OdometryModel(),
                  np.random.default_rng(0), duration=0.0)
+
+
+@pytest.mark.parametrize("kw, field", [
+    (dict(duration=0.2), "duration"),  # rounded, this ran one 0.5 s step
+    (dict(duration=3.2), "duration"),
+    (dict(duration=3.0, snapshot_cadence=0.7), "snapshot_cadence"),
+])
+def test_run_slam_rejects_times_off_the_step_grid(kw, field):
+    with pytest.raises(ValueError, match=f"^{field} must be a whole number of trajectory steps"):
+        run_slam(_scene(), _sensor(), OdometryModel(), np.random.default_rng(0), **kw)
 
 
 def test_noiseless_chain_exact_without_matching():
