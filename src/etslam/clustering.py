@@ -36,21 +36,31 @@ class ClusterParams:
             raise ValueError(f"min_pts must be an int >= 1, got {min_pts!r}")
 
 
-def _lowest_index_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lowest node index in each node's component of the n-node graph with edges (a, b).
+def _lowest_index_components(n: int, edges: np.ndarray) -> np.ndarray:
+    """Lowest node index in each node's component of the n-node graph with ``edges``.
 
-    Each round hooks every edge's larger root onto its smaller end, jumps pointers
-    until each node points at its root and drops the edges left inside one tree.
-    Pointers only decrease, so no cycle forms and each root is its tree's lowest index.
+    ``edges`` is an (E, 2) intp array of (lo, hi) rows, and it is overwritten.
+    Each round hooks every row's hi root onto its lo end, jumps pointers until
+    each node points at its root, rewrites the rows as their roots in place and
+    keeps the rows left between two trees, each reordered to (lo, hi).  The
+    first round takes the rows as given, so a row with lo > hi waits one round.
+    Pointers only decrease, so no cycle forms and each root is its tree's
+    lowest index.
     """
     root = np.arange(n)
-    while a.size:
-        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+    while len(edges):
+        lo, hi = edges.T
+        np.minimum.at(root, hi, lo)
         while not np.array_equal(jumped := root[root], root):
             root = jumped
-        a, b = root[a], root[b]
-        cross = a != b
-        a, b = a[cross], b[cross]
+        # mode="clip" writes in place, unbuffered; every entry is a node, so none clips
+        np.take(root, edges, out=edges, mode="clip")
+        # compress and min/max: a boolean row index and a row sort are 4x and 15x slower
+        edges = np.compress(lo != hi, edges, axis=0)
+        lo, hi = edges.T
+        smaller = np.minimum(lo, hi)
+        np.maximum(lo, hi, out=hi)
+        lo[:] = smaller
     return root
 
 
@@ -62,21 +72,26 @@ def dbscan(points: np.ndarray, params: ClusterParams = ClusterParams()) -> np.nd
         return np.zeros(0, dtype=int)
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
+    # (E, 2) rows i < j, the call's largest array: the steps below work inside it
     edges = cKDTree(points).query_pairs(params.eps, output_type="ndarray")
     core = np.bincount(edges.ravel(), minlength=n) + 1 >= params.min_pts
-    a, b = edges.T
-    core_a, core_b = core[a], core[b]
-    # clusters: components of the core-core edges, numbered by first core point
-    both = core_a & core_b
-    root = _lowest_index_components(n, a[both], b[both])
+    lo, hi = edges.T
+    core_lo, core_hi = core[lo], core[hi]
+    mixed = np.compress(core_lo != core_hi, edges, axis=0)  # one core end, one border end
+    # clusters: components of the core-core edges, numbered by first core point;
+    # every other edge becomes a self-loop, which hooks nothing
+    np.copyto(hi, lo, where=~(core_lo & core_hi))
+    root = _lowest_index_components(n, edges)
     firsts, ids = np.unique(root[core], return_inverse=True)
-    labels = np.full(n, NOISE, dtype=int)
+    labels = np.full(n, len(firsts), dtype=int)
     labels[core] = ids
     # border points: the smallest cluster id among their core neighbors
-    border = np.full(n, len(firsts))
-    for src, dst, reach in ((a, b, core_a & ~core_b), (b, a, core_b & ~core_a)):
-        np.minimum.at(border, dst[reach], labels[src[reach]])
-    return np.where(border < len(firsts), border, labels)
+    lo, hi = mixed.T
+    to_lo, to_hi = labels[hi], labels[lo]
+    np.minimum.at(labels, lo, to_lo)
+    np.minimum.at(labels, hi, to_hi)
+    labels[labels == len(firsts)] = NOISE
+    return labels
 
 
 def cluster_centroids(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -85,10 +100,14 @@ def cluster_centroids(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
     if len(labels) != len(points):
         raise ValueError("labels must align with points")
-    ids = np.unique(labels[labels != NOISE])
-    if ids.size == 0:
+    order = np.argsort(labels, kind="stable")
+    ids, starts = np.unique(labels[order], return_index=True)
+    ends = np.append(starts[1:], len(order))
+    keep = ids != NOISE
+    if not keep.any():
         return np.zeros((0, 2))
-    return np.stack([points[labels == c].mean(axis=0) for c in ids])
+    grouped = points[order]  # each cluster's points contiguous, in input order
+    return np.stack([grouped[s:e].mean(axis=0) for s, e in zip(starts[keep], ends[keep])])
 
 
 def recovered_target_count(

@@ -460,9 +460,17 @@ def ground_truth_scans(
         world = np.array([p.heading for p in block])[:, None] + bearings
         dirs = polar_points(1.0, world)  # (P, B, 2)
         t, tid = _cast_rays(scene, origins, dirs)
-        for o, dp, tp, ip, h in zip(origins, dirs, t, tid, np.isfinite(t)):
-            yield GroundTruthScan(bearings=bearings[h], ranges=tp[h],
-                                  points=o + tp[h, None] * dp[h], target_ids=ip[h])
+        # the block's hits, gathered once in (pose, bearing) order; each scan is a slice
+        hit = np.isfinite(t)
+        pose_of, ray = np.nonzero(hit)
+        ranges = t[hit]
+        points = origins[pose_of] + ranges[:, None] * dirs[hit]
+        hit_bearings, target_ids = bearings[ray], tid[hit]
+        counts = np.count_nonzero(hit, axis=1)
+        ends = np.cumsum(counts)
+        for s, e in zip(ends - counts, ends):
+            yield GroundTruthScan(bearings=hit_bearings[s:e], ranges=ranges[s:e],
+                                  points=points[s:e], target_ids=target_ids[s:e])
 
 
 def ground_truth_scan(

@@ -1,6 +1,7 @@
 """DBSCAN clustering tests, including an exhaustive O(n^2) reference."""
 
 import re
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from etslam import clustering, harness, scene
 from etslam.clustering import (
@@ -307,7 +309,7 @@ def _check_components(monkeypatch, n, a, b):
     hooks = _CountedHooks(n)
     with monkeypatch.context() as m:
         m.setattr(clustering, "np", hooks)
-        root = clustering._lowest_index_components(n, a, b)
+        root = clustering._lowest_index_components(n, np.column_stack([a, b]))
     assert np.array_equal(root, want)
     return hooks.rounds
 
@@ -336,6 +338,21 @@ def test_lowest_index_components_long_paths_and_stars(monkeypatch):
         _check_components(monkeypatch, n, leaves, np.full(n - 1, centre))
 
 
+def test_lowest_index_components_reversed_edges(monkeypatch):
+    """Rows with lo > hi hook nothing in the first round and still join in time."""
+    rng = np.random.default_rng(33)
+    n = 100_000
+    perm = rng.permutation(n)
+    a, b = perm[:-1], perm[1:]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    assert _check_components(monkeypatch, n, hi, lo) > 5
+    for density in (0.5, 2.0):
+        n = int(rng.integers(100, 400))
+        a, b = np.sort(rng.integers(0, n, size=(int(density * n), 2)), axis=1).T
+        a, b = a[a != b], b[a != b]
+        _check_components(monkeypatch, n, b, a)
+
+
 def test_lowest_index_components_without_edges(monkeypatch):
     for n in (0, 1, 5):
         assert _check_components(monkeypatch, n, [], []) == 0
@@ -357,20 +374,96 @@ def surface_hits():
     return cfg.scene, hits
 
 
-@pytest.mark.parametrize("noise_std, clutter", [(0.05, 0.02), (0.2, 0.10)])
-def test_surface_map_matches_reference(surface_hits, noise_std, clutter):
-    """About 2000 map points, where the components take several hook rounds."""
+_SURFACE_MAPS = [(0.05, 0.02), (0.2, 0.10)]  # (position noise std [m], clutter share)
+
+
+def _surface_map(surface_hits, noise_std, clutter):
+    """The surface hits with Gaussian noise and uniform clutter, in shuffled order."""
     sc, hits = surface_hits
     rng = np.random.default_rng(int(100 * noise_std))
     pts = hits + noise_std * rng.standard_normal(hits.shape)
     junk = rng.uniform(sc.bounds_min, sc.bounds_max, (int(round(clutter * len(hits))), 2))
-    pts = np.vstack([pts, junk])[rng.permutation(len(pts) + len(junk))]
+    return np.vstack([pts, junk])[rng.permutation(len(pts) + len(junk))]
+
+
+@pytest.mark.parametrize("noise_std, clutter", _SURFACE_MAPS)
+def test_surface_map_matches_reference(surface_hits, noise_std, clutter):
+    """About 2000 map points, where the components take several hook rounds."""
+    pts = _surface_map(surface_hits, noise_std, clutter)
     assert 2000 <= len(pts) <= 2500
     for eps, min_pts in ((0.5, 3), (0.25, 4), (1.0, 10)):
         params = ClusterParams(eps=eps, min_pts=min_pts)
         labels = dbscan(pts, params)
         assert labels.max() >= 5
         assert np.array_equal(labels, reference_dbscan(pts, params)), (eps, min_pts)
+
+
+def test_dbscan_footprint_within_its_pair_array(surface_hits):
+    """One call's numpy temporaries stay within 1.5x the bytes of its eps-pair array.
+
+    The components, core-core graph and border pass all work inside the
+    pair array, so no temporary is a full-length copy of an edge column.
+    """
+    pts = _surface_map(surface_hits, *_SURFACE_MAPS[-1])
+    params = ClusterParams()
+    pairs = cKDTree(pts).query_pairs(params.eps, output_type="ndarray")
+    want = dbscan(pts, params)
+    tracemalloc.start()
+    try:
+        labels = dbscan(pts, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(labels, want)
+    assert peak <= 1.5 * pairs.nbytes, (peak, pairs.nbytes)
+
+
+# ---------------------------------------------------------------------------
+# centroids against the per-cluster mask formula
+
+
+def reference_cluster_centroids(points, labels):
+    """Mean of ``points[labels == c]`` for each id c other than NOISE, in id order."""
+    points, labels = np.asarray(points, dtype=float), np.asarray(labels)
+    ids = np.unique(labels[labels != NOISE])
+    if ids.size == 0:
+        return np.zeros((0, 2))
+    return np.stack([points[labels == c].mean(axis=0) for c in ids])
+
+
+def _assert_centroids_match_reference(points, labels):
+    got, want = cluster_centroids(points, labels), reference_cluster_centroids(points, labels)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("noise_std, clutter", _SURFACE_MAPS)
+def test_centroids_of_surface_map_match_reference(surface_hits, noise_std, clutter):
+    pts = _surface_map(surface_hits, noise_std, clutter)
+    for params in (ClusterParams(), ClusterParams(eps=0.25, min_pts=4)):
+        labels = dbscan(pts, params)
+        assert labels.max() >= 5 and (labels == NOISE).any()
+        _assert_centroids_match_reference(pts, labels)
+
+
+def test_centroids_all_noise_and_single_label_match_reference():
+    pts = np.random.default_rng(5).normal(0.0, 3.0, size=(40, 2))
+    _assert_centroids_match_reference(pts, np.full(40, NOISE))
+    for label in (0, 7, -3):
+        _assert_centroids_match_reference(pts, np.full(40, label))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(0, 60))
+def test_centroids_of_arbitrary_labels_match_reference(data, n):
+    """Unsorted, non-contiguous ids, with NOISE and ids below it among them."""
+    ids = data.draw(st.lists(st.integers(-5, 40), min_size=1, max_size=8, unique=True))
+    ids = sorted(set(ids) | {NOISE, -4})
+    labels = np.array(data.draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n)),
+                      dtype=int)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    pts = np.random.default_rng(seed).normal(0.0, 10.0, size=(n, 2))
+    _assert_centroids_match_reference(pts, labels)
 
 
 # ---------------------------------------------------------------------------
