@@ -80,18 +80,12 @@ def cost_matrix(
     if len(targets) == 0 or len(estimates) == 0:
         raise ValueError("targets and estimates must be non-empty")
     d = _min_costs(targets, estimates, params)
-    n = len(targets)
-    if n == 1:
-        others_min = np.full((1, len(estimates)), params.c ** params.p)
-    else:
-        # min over the other targets via the two smallest values per column
-        part = np.partition(d, 1, axis=0)
-        m1, m2 = part[0], part[1]
-        # rows achieving the column minimum take the second-smallest instead
-        first_min_row = np.argmin(d, axis=0)
-        others_min = np.where(
-            np.arange(n)[:, None] == first_min_row[None, :], m2[None, :], m1[None, :]
-        )
+    # min over the other targets via the two smallest values per column; a row at
+    # c^p, the largest value d takes, stands for "no other target" when n = 1
+    part = np.partition(np.vstack([d, np.full(len(estimates), params.c ** params.p)]), 1, axis=0)
+    # rows achieving the column minimum take the second-smallest instead
+    first_min_row = np.argmin(d, axis=0)
+    others_min = np.where(np.arange(len(d))[:, None] == first_min_row, part[1], part[0])
     return params.c + d - others_min
 
 

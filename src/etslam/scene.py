@@ -80,11 +80,6 @@ class Rectangle:
         local = np.array([[hw, hh], [-hw, hh], [-hw, -hh], [hw, -hh]])
         return local @ rotation(self.rotation).T + np.asarray(self.center)
 
-    def segments(self) -> np.ndarray:
-        """Boundary as an array of shape (4, 2, 2): (segment, endpoint, xy)."""
-        pts = self.corners()
-        return np.stack([np.stack([pts[i], pts[(i + 1) % 4]]) for i in range(4)])
-
     def signed_distance(self, points: np.ndarray) -> np.ndarray:
         """Signed distance to the boundary; negative inside."""
         return _rect_signed_distance(
@@ -223,10 +218,9 @@ def trajectory_pose(trajectory: Trajectory, t: float) -> Pose:
 class GroundTruthScan:
     """Ray-cast hits of one fan of bearings; ``bearings`` are relative to the pose heading."""
 
-    bearings: np.ndarray    # (n,)
-    ranges: np.ndarray      # (n,)
-    points: np.ndarray      # (n, 2) world frame
-    target_ids: np.ndarray  # (n,)
+    bearings: np.ndarray  # (n,)
+    ranges: np.ndarray    # (n,)
+    points: np.ndarray    # (n, 2) world frame
 
     def __len__(self) -> int:
         return len(self.ranges)
@@ -243,15 +237,11 @@ class Scene:
     _rect_cos: np.ndarray = field(init=False, repr=False)
     _rect_sin: np.ndarray = field(init=False, repr=False)
     _rect_half: np.ndarray = field(init=False, repr=False)
-    _seg_a: np.ndarray = field(init=False, repr=False)
-    _seg_b: np.ndarray = field(init=False, repr=False)
     _seg_ends: np.ndarray = field(init=False, repr=False)  # (2S, 2): every a, then every b
     _seg_d: np.ndarray = field(init=False, repr=False)     # b - a
     _seg_d2: np.ndarray = field(init=False, repr=False)    # |b - a|^2
-    _seg_tid: np.ndarray = field(init=False, repr=False)
     _circ_c: np.ndarray = field(init=False, repr=False)
     _circ_r: np.ndarray = field(init=False, repr=False)
-    _circ_tid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.bounds_min = np.asarray(self.bounds_min, dtype=float)
@@ -261,27 +251,15 @@ class Scene:
         self._rect_cos = np.array([math.cos(r.rotation) for r in rects])
         self._rect_sin = np.array([math.sin(r.rotation) for r in rects])
         self._rect_half = np.array([[r.width / 2.0, r.height / 2.0] for r in rects]).reshape(-1, 2)
-        seg_a, seg_b, seg_tid = [], [], []
-        circ_c, circ_r, circ_tid = [], [], []
-        for tgt in self.targets:
-            if isinstance(tgt.shape, Rectangle):
-                for seg in tgt.shape.segments():
-                    seg_a.append(seg[0])
-                    seg_b.append(seg[1])
-                    seg_tid.append(tgt.id)
-            else:
-                circ_c.append(np.asarray(tgt.shape.center, dtype=float))
-                circ_r.append(tgt.shape.radius)
-                circ_tid.append(tgt.id)
-        self._seg_a = np.array(seg_a).reshape(-1, 2)
-        self._seg_b = np.array(seg_b).reshape(-1, 2)
-        self._seg_ends = np.concatenate([self._seg_a, self._seg_b])
-        self._seg_d = self._seg_b - self._seg_a
+        # each rectangle's four edges, corner k to corner k + 1
+        corners = np.array([r.corners() for r in rects]).reshape(-1, 4, 2)
+        seg_a, seg_b = np.stack([corners, np.roll(corners, -1, axis=1)]).reshape(2, -1, 2)
+        self._seg_ends = np.concatenate([seg_a, seg_b])
+        self._seg_d = seg_b - seg_a
         self._seg_d2 = np.sum(self._seg_d**2, axis=1)
-        self._seg_tid = np.array(seg_tid, dtype=int)
-        self._circ_c = np.array(circ_c).reshape(-1, 2)
-        self._circ_r = np.array(circ_r, dtype=float)
-        self._circ_tid = np.array(circ_tid, dtype=int)
+        circles = [t.shape for t in self.targets if isinstance(t.shape, Circle)]
+        self._circ_c = np.array([c.center for c in circles], dtype=float).reshape(-1, 2)
+        self._circ_r = np.array([c.radius for c in circles], dtype=float)
         self._validate()
 
     def _validate(self):
@@ -302,18 +280,12 @@ class Scene:
                 raise SceneValidationError(
                     f"trajectory waypoint inside target {tgt.id}"
                 )
-        for i in range(len(wp) - 1):
-            if self._segment_blocked(wp[i], wp[i + 1]):
-                raise SceneValidationError(
-                    f"trajectory segment {i} intersects a target"
-                )
-
-    def _segment_blocked(self, p0: np.ndarray, p1: np.ndarray) -> bool:
-        d = p1 - p0
-        length = float(np.linalg.norm(d))
-        u = d / length
-        t, _ = _cast_rays(self, p0[None], u[None, None])
-        return bool(t[0, 0] < length)
+        # one ray per segment, from its start along it
+        lengths = self.trajectory.segment_lengths
+        t = _cast_rays(self, wp[:-1], (np.diff(wp, axis=0) / lengths[:, None])[:, None])
+        blocked = np.flatnonzero(t[:, 0] < lengths)
+        if blocked.size:
+            raise SceneValidationError(f"trajectory segment {blocked[0]} intersects a target")
 
     def contains_point_in_target(self, points: np.ndarray) -> np.ndarray:
         """Whether each point of ``points``, shape (..., 2), lies strictly inside a
@@ -339,18 +311,20 @@ _HALF_ALL = math.pi + 1e-6
 # half-width up to _HALF_ALL about a centre in [-1.5pi, 1.5pi] is one run of them
 _COPIES = 2.0 * math.pi * np.array([[-1.0], [0.0], [1.0]])
 # origin p's copies sit at p * _ROW_SPAN, so one sorted search serves a block;
-# the shift rounds by ~1e-14 rad in a block of RAY_BLOCK origins, far inside ARC_PAD
+# the shift rounds by ulp(6pi P) for P origins: ~6e-14 rad in a block of
+# RAY_BLOCK origins, ~4e-12 rad for a trajectory check of a thousand segments,
+# far inside ARC_PAD
 _ROW_SPAN = 6.0 * math.pi
 
 
 def _edge_candidates(scene: Scene, origins: np.ndarray, dirs: np.ndarray):
-    """The (ray, column, t) triples of the rays inside each edge's arc, flat.
+    """The (ray, t) pairs of the rays inside each edge's arc, flat.
 
     For each (origin, edge), the rays whose angle lies in the padded arc the
     edge subtends are found by one sorted search over the rays' angles; the
-    ray-edge test runs on those triples alone, by the expressions of the dense
-    cast, so each t has its bits.  A triple that fails the test gets t = inf
-    and the miss column.  Rays are numbered ``origin * B + ray``.
+    ray-edge test runs on those pairs alone, by the expressions of the dense
+    cast, so each t has its bits.  A pair that fails the test gets t = inf.
+    Rays are numbered ``origin * B + ray``.
     """
     n_origins, n_rays = dirs.shape[:2]
     d = scene._seg_d
@@ -375,7 +349,7 @@ def _edge_candidates(scene: Scene, origins: np.ndarray, dirs: np.ndarray):
                           _HALF_ALL)
         start, stop = table.searchsorted(mid[..., None] + half[..., None] * [-1.0, 1.0]
                                          ).reshape(-1, 2).T
-        # one triple per (pair, table slot in the pair's run)
+        # one candidate per ((origin, edge) pair, table slot in the pair's run)
         lens = stop - start
         pair = np.arange(lens.size).repeat(lens)
         slot = np.arange(pair.size) + (start + lens - lens.cumsum()).repeat(lens)
@@ -390,14 +364,12 @@ def _edge_candidates(scene: Scene, origins: np.ndarray, dirs: np.ndarray):
         t = num_t[pair] / denom
         s = num_s / denom
     valid = (np.abs(denom) > 1e-15) & (t > RAY_MIN_T) & (s >= 0.0) & (s <= 1.0)
-    miss = n_seg + len(scene._circ_c)
-    return ray, np.where(valid, seg, miss), np.where(valid, t, np.inf)
+    return ray, np.where(valid, t, np.inf)
 
 
 def _circle_candidates(scene: Scene, origins: np.ndarray, dirs: np.ndarray):
-    """``_edge_candidates`` for the circles, tested densely: a triple per (ray,
-    circle) pair whose line meets the circle."""
-    n_seg, n_circ = len(scene._seg_a), len(scene._circ_c)
+    """``_edge_candidates`` for the circles, tested densely: a (ray, t) pair per
+    (ray, circle) pair whose line meets the circle."""
     oc = scene._circ_c - origins[:, None]  # (P, C, 2)
     # one matmul per origin, as in a block of one: BLAS may fuse the products
     proj = dirs @ oc.swapaxes(1, 2)  # (P, B, C)
@@ -408,32 +380,25 @@ def _circle_candidates(scene: Scene, origins: np.ndarray, dirs: np.ndarray):
     t1 = proj - sq
     t2 = proj + sq
     t = np.where(t1 > RAY_MIN_T, t1, np.where(t2 > RAY_MIN_T, t2, np.inf))
-    ray, circ = np.divmod(near, n_circ)
-    return ray, np.where(t < np.inf, n_seg + circ, n_seg + n_circ), t
+    return near // len(scene._circ_c), t
 
 
 def _cast_rays(scene: Scene, origins: np.ndarray, dirs: np.ndarray):
     """Distance to the nearest boundary per unit direction, inf when no hit.
 
     ``origins`` has shape (P, 2) and ``dirs`` (P, B, 2), a fan of B directions
-    per origin.  Returns (ranges, target_ids), each (P, B), target id -1 for a
-    miss; used by ``ground_truth_scans`` and by the trajectory check in scene
-    validation.  A ray's hit is the first minimum over the columns [edges,
-    circles, miss], so on a tie the lower column wins: a segment over a
-    circle.  Edges go through the angular broad phase (``_edge_candidates``),
-    circles are tested densely; every ray gets the bits it gets in a block of
-    one origin, and those of a dense test of every (ray, primitive) pair.
+    per origin.  Returns the (P, B) ranges; used by ``ground_truth_scans`` and
+    by the trajectory check in scene validation.  Edges go through the angular
+    broad phase (``_edge_candidates``), circles are tested densely; every ray
+    gets the bits it gets in a block of one origin, and those of a dense test
+    of every (ray, primitive) pair.
     """
     n_origins, n_rays = dirs.shape[:2]
-    ray, col, t = (np.concatenate(parts) for parts in zip(
+    ray, t = (np.concatenate(parts) for parts in zip(
         _edge_candidates(scene, origins, dirs), _circle_candidates(scene, origins, dirs)))
     best = np.full(n_origins * n_rays, np.inf)
     np.minimum.at(best, ray, t)
-    won = t == best[ray]
-    tids = np.concatenate([scene._seg_tid, scene._circ_tid, [-1]])
-    first = np.full(best.shape, len(tids) - 1)
-    np.minimum.at(first, ray[won], col[won])
-    return best.reshape(n_origins, n_rays), tids[first].reshape(n_origins, n_rays)
+    return best.reshape(n_origins, n_rays)
 
 
 # poses per ray-cast block: bounds the (poses, bearings, primitives) temporaries
@@ -459,18 +424,18 @@ def ground_truth_scans(
             raise GeometryError("scan origin lies inside a target")
         world = np.array([p.heading for p in block])[:, None] + bearings
         dirs = polar_points(1.0, world)  # (P, B, 2)
-        t, tid = _cast_rays(scene, origins, dirs)
+        t = _cast_rays(scene, origins, dirs)
         # the block's hits, gathered once in (pose, bearing) order; each scan is a slice
         hit = np.isfinite(t)
         pose_of, ray = np.nonzero(hit)
         ranges = t[hit]
         points = origins[pose_of] + ranges[:, None] * dirs[hit]
-        hit_bearings, target_ids = bearings[ray], tid[hit]
+        hit_bearings = bearings[ray]
         counts = np.count_nonzero(hit, axis=1)
         ends = np.cumsum(counts)
         for s, e in zip(ends - counts, ends):
             yield GroundTruthScan(bearings=hit_bearings[s:e], ranges=ranges[s:e],
-                                  points=points[s:e], target_ids=target_ids[s:e])
+                                  points=points[s:e])
 
 
 def ground_truth_scan(
@@ -577,7 +542,7 @@ def _parse_target(doc: dict) -> ExtendedTarget:
         raise SceneValidationError(f"scene: key 'targets': expected a mapping, got {doc!r}")
     where = f"target {_require(doc, 'id', 'target')}"
     kind = _require(doc, "kind", where)
-    if kind not in _SHAPES:
+    if type(kind) is not str or kind not in _SHAPES:
         raise SceneValidationError(f"{where}: unknown kind '{kind}' (expected rect|circle)")
     shape_cls, shape_keys, required = _SHAPES[kind]
     target, shape_kw = parse_section(doc, where, _TARGET_KEYS, shape_keys, required=required)

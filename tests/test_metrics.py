@@ -138,6 +138,23 @@ def test_cost_matrix_single_perfect():
     assert m[0, 0] == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+def test_cost_matrix_one_target_subtracts_c_to_the_p(p):
+    """With one target the subtrahend is c^p: the matrix is c + d - c^p, bit for bit,
+    also for estimates beyond c, where d is c^p itself."""
+    params = MetricParams(c=2.0, p=p, alpha=2.0)
+    rng = np.random.default_rng(31)
+    target = rng.uniform(-1.0, 1.0, (5, 2))
+    est = np.concatenate([rng.uniform(-2.0, 2.0, (40, 2)), [[9.0, 9.0], target[2]]])
+    d2 = np.sum((target[:, None, :] - est[None, :, :]) ** 2, axis=-1)
+    d = np.min(np.minimum(d2, params.c) ** p, axis=0)
+    want = params.c + d - params.c ** p
+    m = cost_matrix([target], est, params)
+    assert m.shape == (1, len(est))
+    assert m[0].tobytes() == want.tobytes()
+    assert m[0, -2] == params.c and m[0, -1] == params.c - params.c ** p
+
+
 def test_cost_matrix_two_by_two():
     targets = [np.array([[0.0, 0.0]]), np.array([[10.0, 0.0]])]
     est = np.array([[0.0, 0.0], [10.0, 0.0]])

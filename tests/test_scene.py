@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from etslam import scene as scene_module
+from etslam.clustering import recovered_target_count
 from etslam.scene import (
     Circle,
     GeometryError,
@@ -77,9 +78,35 @@ def test_trajectory_through_target_rejected():
         _simple_scene(waypoints=[[0.0, 0.0], [20.0, 0.0]])
 
 
+def test_trajectory_first_blocked_segment_named():
+    """Segment 0 is clear, segments 1 and 2 both cross the rectangle: 1 is named."""
+    waypoints = [[0.0, -5.0], [5.0, 0.0], [15.0, 0.0], [5.0, 0.5]]
+    with pytest.raises(SceneValidationError,
+                       match=r"^trajectory segment 1 intersects a target$"):
+        _simple_scene(waypoints=waypoints)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(SceneValidationError):
         _simple_scene(targets=[{"id": 1, "kind": "triangle", "center": [5.0, 5.0]}])
+
+
+@pytest.mark.parametrize("kind", [[], {}], ids=["list", "mapping"])
+def test_unhashable_kind_rejected_with_location(kind):
+    with pytest.raises(SceneValidationError, match=r"^target 3: unknown kind"):
+        _simple_scene(targets=[{"id": 3, "kind": kind, "center": [5.0, 5.0], "radius": 1.0}])
+
+
+def test_huge_target_id_loads_and_counts():
+    """Ids only label targets: one far beyond int64 loads and is counted."""
+    scene = _simple_scene(targets=[
+        {"id": 1e300, "kind": "rect", "center": [10.0, 0.0], "width": 2.0, "height": 2.0},
+        {"id": 2, "kind": "circle", "center": [0.0, 10.0], "radius": 1.0},
+    ])
+    assert scene.targets[0].id == int(1e300)
+    centroids = np.concatenate([t.reference_points[:1] for t in scene.targets])
+    assert recovered_target_count(centroids, scene.targets) == 2
+    assert recovered_target_count(centroids[:1], scene.targets) == 1
 
 
 def test_duplicate_ids_rejected():
@@ -163,7 +190,6 @@ def test_raycast_rectangle_face():
     assert len(hit) == 1
     assert np.allclose(hit.points[0], [2.0, 0.0], atol=1e-9)
     assert hit.ranges[0] == pytest.approx(2.0, abs=1e-9)
-    assert hit.target_ids[0] == 1
 
 
 def test_raycast_miss():
@@ -178,7 +204,6 @@ def test_raycast_circle():
     hit = _one_ray(scene, np.array([0.0, 0.0]), 0.0)
     assert np.allclose(hit.points[0], [3.0, 0.0], atol=1e-9)
     assert hit.ranges[0] == pytest.approx(3.0, abs=1e-9)
-    assert hit.target_ids[0] == 7
 
 
 def test_raycast_origin_inside_target_rejected():
@@ -233,7 +258,6 @@ def test_contains_point_boundary_is_outside():
 def test_raycast_range_and_boundary_invariants():
     scene = load_scene(DEFAULT_SCENE)
     rng = np.random.default_rng(6)
-    shapes = {t.id: t.shape for t in scene.targets}
     for _ in range(200):
         t = float(rng.uniform(0, 60))
         pose = trajectory_pose(scene.trajectory, t)
@@ -243,8 +267,9 @@ def test_raycast_range_and_boundary_invariants():
             continue
         assert hit.ranges[0] == pytest.approx(
             float(np.linalg.norm(hit.points[0] - pose.position)), abs=1e-9)
-        sd = float(shapes[hit.target_ids[0]].signed_distance(hit.points[:1])[0])
-        assert abs(sd) < 1e-6
+        # the hit lies on some target's boundary
+        sd = [float(tgt.shape.signed_distance(hit.points[:1])[0]) for tgt in scene.targets]
+        assert min(map(abs, sd)) < 1e-6
 
 
 def test_raycast_nearest_hit_bruteforce():
@@ -265,13 +290,21 @@ def test_raycast_nearest_hit_bruteforce():
             assert np.all(tgt.shape.signed_distance(samples) > -1e-9)
 
 
+def _edges(scene):
+    """Each rectangle edge of ``scene.targets`` as an (a, b) pair, corner k to corner k + 1."""
+    return [(c[k], c[(k + 1) % 4]) for tgt in scene.targets if isinstance(tgt.shape, Rectangle)
+            for c in [tgt.shape.corners()] for k in range(4)]
+
+
 def _cast_rays_two_blocks(scene, origin, dirs):
-    """Reference for ``_cast_rays``: nearest segment hit, then a strictly nearer circle hit."""
+    """Reference for ``_cast_rays``: nearest segment hit, then a strictly nearer
+    circle hit; the primitives come from ``scene.targets``, not the scene's cache."""
     nb = dirs.shape[0]
     best_t = np.full(nb, np.inf)
-    best_tid = np.full(nb, -1, dtype=int)
-    if len(scene._seg_a):
-        a, b = scene._seg_a, scene._seg_b
+    edges = _edges(scene)
+    circles = [tgt.shape for tgt in scene.targets if isinstance(tgt.shape, Circle)]
+    if edges:
+        a, b = (np.array(ends) for ends in zip(*edges))
         d = b - a
         ao = a - origin
         denom = dirs[:, 0:1] * d[None, :, 1] - dirs[:, 1:2] * d[None, :, 0]
@@ -286,12 +319,11 @@ def _cast_rays_two_blocks(scene, origin, dirs):
         tmin = t[np.arange(nb), idx]
         upd = tmin < best_t
         best_t[upd] = tmin[upd]
-        best_tid[upd] = scene._seg_tid[idx[upd]]
-    if len(scene._circ_c):
-        oc = scene._circ_c - origin
+    if circles:
+        oc = np.array([c.center for c in circles], dtype=float) - origin
         proj = dirs @ oc.T
         d2 = np.sum(oc**2, axis=1)[None, :] - proj**2
-        disc = scene._circ_r[None, :] ** 2 - d2
+        disc = np.array([c.radius for c in circles])[None, :] ** 2 - d2
         sq = np.sqrt(np.maximum(disc, 0.0))
         t1 = proj - sq
         t2 = proj + sq
@@ -301,8 +333,7 @@ def _cast_rays_two_blocks(scene, origin, dirs):
         tmin = t[np.arange(nb), idx]
         upd = tmin < best_t
         best_t[upd] = tmin[upd]
-        best_tid[upd] = scene._circ_tid[idx[upd]]
-    return best_t, best_tid
+    return best_t
 
 
 def _default_scene_with(kinds):
@@ -314,10 +345,10 @@ def _default_scene_with(kinds):
 
 
 def test_cast_rays_matches_two_block_reference():
-    """One argmin over [miss, segments, circles] gives the two-block reduction's bytes."""
+    """One minimum over segments and circles gives the two-block reduction's bytes."""
     scenes = [_default_scene_with(kinds) for kinds in (("rect", "circle"), ("rect",),
                                                        ("circle",), ())]
-    assert [len(s._seg_a) > 0 for s in scenes] == [True, True, False, False]
+    assert [len(s._seg_d) > 0 for s in scenes] == [True, True, False, False]
     assert [len(s._circ_c) > 0 for s in scenes] == [True, False, True, False]
     rng = np.random.default_rng(29)
     for scene in scenes:
@@ -328,34 +359,31 @@ def test_cast_rays_matches_two_block_reference():
             angles = np.concatenate([np.radians(np.arange(0.0, 360.0, 2.0)),
                                      rng.uniform(-math.pi, math.pi, 100)])
             dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-            t, tid = (a[0] for a in _cast_rays(scene, origin[None], dirs[None]))
-            want_t, want_tid = _cast_rays_two_blocks(scene, origin, dirs)
-            assert t.tobytes() == want_t.tobytes()
-            assert tid.dtype == want_tid.dtype and tid.tobytes() == want_tid.tobytes()
+            t = _cast_rays(scene, origin[None], dirs[None])[0]
+            assert t.tobytes() == _cast_rays_two_blocks(scene, origin, dirs).tobytes()
             hits += int(np.isfinite(t).sum())
         assert (hits > 0) == bool(scene.targets)
 
 
 def test_cast_rays_tie_goes_to_rectangle():
-    """A ray meeting a rectangle edge and a circle at the same distance reports the rectangle."""
+    """A ray meeting a rectangle edge and a circle at the same distance reports that distance."""
     scene = _simple_scene(targets=[
         {"id": 4, "kind": "circle", "center": [6.0, 0.0], "radius": 1.0},
         {"id": 9, "kind": "rect", "center": [6.0, 0.0], "width": 2.0, "height": 2.0},
     ], waypoints=[[0.0, -5.0], [0.0, 5.0]])
-    t, tid = _cast_rays(scene, np.array([[0.0, 0.0]]), np.array([[[1.0, 0.0]]]))
-    assert t[0, 0] == 5.0 and tid[0, 0] == 9
+    t = _cast_rays(scene, np.array([[0.0, 0.0]]), np.array([[[1.0, 0.0]]]))
+    assert t[0, 0] == 5.0
     hit = _one_ray(scene, np.array([0.0, 0.0]), 0.0)
-    assert hit.ranges[0] == 5.0 and hit.target_ids[0] == 9
+    assert hit.ranges[0] == 5.0
 
 
 def _assert_cast_matches_reference(scene, origins, dirs):
     """``_cast_rays`` on a block gives, row by row, the bytes of the dense
     two-block reference."""
-    t, tid = _cast_rays(scene, np.asarray(origins, dtype=float), dirs)
-    for origin, fan, got_t, got_tid in zip(origins, dirs, t, tid):
-        want_t, want_tid = _cast_rays_two_blocks(scene, np.asarray(origin, dtype=float), fan)
-        assert got_t.tobytes() == want_t.tobytes()
-        assert got_tid.dtype == want_tid.dtype and got_tid.tobytes() == want_tid.tobytes()
+    t = _cast_rays(scene, np.asarray(origins, dtype=float), dirs)
+    for origin, fan, got in zip(origins, dirs, t):
+        want = _cast_rays_two_blocks(scene, np.asarray(origin, dtype=float), fan)
+        assert got.tobytes() == want.tobytes()
     return t
 
 
@@ -367,7 +395,8 @@ def _aimed_at(origin, points):
 
 def _aim_points(scene):
     """Every rectangle corner (each edge's a end) and every circle centre."""
-    return np.concatenate([scene._seg_a, scene._circ_c])
+    corners = [a for a, _ in _edges(scene)]
+    return np.concatenate([np.reshape(corners, (-1, 2)), scene._circ_c])
 
 
 def test_broad_phase_rays_aimed_at_endpoints_and_corners():
@@ -419,7 +448,7 @@ def test_broad_phase_origin_collinear_with_edge():
     fan = np.radians(np.arange(0.0, 360.0, 0.5))
     graze = np.concatenate([np.logspace(-15, -4, 45), -np.logspace(-15, -4, 45)])
     grazing_hits = 0
-    for a, b in zip(scene._seg_a, scene._seg_b):
+    for a, b in _edges(scene):
         along = math.atan2(b[1] - a[1], b[0] - a[0])
         grazing = polar_points(1.0, np.concatenate([along + graze, along + math.pi + graze]))
         for lam in (-2.5, -1e-7, 0.0, 0.3, 0.5, 0.85, 1.0, 3.7):
@@ -433,24 +462,26 @@ def test_broad_phase_origin_collinear_with_edge():
 
 
 def test_broad_phase_one_ray_validation_cast():
-    """``Scene._segment_blocked`` casts one ray; it agrees with the reference,
-    also on segments that end at or run through a corner."""
+    """Scene validation casts one ray from each segment start, all in one block;
+    each agrees with the reference, also on segments that end at or run through
+    a corner."""
     scene = load_scene(DEFAULT_SCENE)
     rng = np.random.default_rng(47)
     starts = rng.uniform(scene.bounds_min, scene.bounds_max, (60, 2))
     starts = starts[~scene.contains_point_in_target(starts)]
-    corners = scene._seg_a
-    blocked = []
+    corners = [a for a, _ in _edges(scene)]
+    origins, ends = [], []
     for k, p0 in enumerate(starts):
         corner = corners[k % len(corners)]
         for p1 in (corner, p0 + 1.5 * (corner - p0), rng.uniform(scene.bounds_min,
                                                                  scene.bounds_max)):
-            length = float(np.linalg.norm(p1 - p0))
-            u = (p1 - p0) / length
-            want_t, _ = _cast_rays_two_blocks(scene, p0, u[None])
-            assert scene._segment_blocked(p0, p1) == bool(want_t[0] < length)
-            blocked.append(bool(want_t[0] < length))
-    assert any(blocked) and not all(blocked)
+            origins.append(p0)
+            ends.append(p1)
+    origins, d = np.array(origins), np.array(ends) - origins
+    lengths = np.linalg.norm(d, axis=1)
+    t = _assert_cast_matches_reference(scene, origins, (d / lengths[:, None])[:, None])
+    blocked = t[:, 0] < lengths
+    assert blocked.any() and not blocked.all()
 
 
 def _random_rect_scene(rng, n_side=7):
@@ -490,8 +521,8 @@ def test_broad_phase_random_scene_culls_most_pairs():
         block = slice(start, start + RAY_BLOCK)
         dirs = polar_points(1.0, headings[block, None] + fan)
         hits += int(np.isfinite(_assert_cast_matches_reference(scene, origins[block], dirs)).sum())
-        ray, _, _ = _edge_candidates(scene, origins[block], dirs)
-        assert len(ray) < 0.05 * dirs.shape[0] * dirs.shape[1] * len(scene._seg_a)
+        ray, _ = _edge_candidates(scene, origins[block], dirs)
+        assert len(ray) < 0.05 * dirs.shape[0] * dirs.shape[1] * len(_edges(scene))
     assert hits > 0
 
 
@@ -510,13 +541,11 @@ def test_ground_truth_scans_match_two_block_reference(kinds, n_poses):
     for pose, scan in zip(poses, scans):
         dirs = np.stack([np.cos(pose.heading + bearings), np.sin(pose.heading + bearings)],
                         axis=-1)
-        t, tid = _cast_rays_two_blocks(scene, pose.position, dirs)
+        t = _cast_rays_two_blocks(scene, pose.position, dirs)
         hit = np.isfinite(t)
         assert scan.ranges.tobytes() == t[hit].tobytes()
         assert scan.bearings.tobytes() == bearings[hit].tobytes()
         assert scan.points.tobytes() == (pose.position + t[hit, None] * dirs[hit]).tobytes()
-        assert scan.target_ids.dtype == tid.dtype
-        assert scan.target_ids.tobytes() == tid[hit].tobytes()
         assert ground_truth_scan(scene, pose, bearings).points.tobytes() == scan.points.tobytes()
 
 
@@ -570,7 +599,6 @@ def test_ground_truth_scan_matches_single_raycast():
     assert np.allclose(scan.bearings, [s.bearings[0] for s in hits])
     assert np.allclose(scan.points, [s.points[0] for s in hits])
     assert np.allclose(scan.ranges, [s.ranges[0] for s in hits])
-    assert list(scan.target_ids) == [s.target_ids[0] for s in hits]
 
 
 def test_ground_truth_scan_default_scene_hits():
@@ -591,7 +619,7 @@ def test_ground_truth_scan_frame_consistency():
         straight = ground_truth_scan(scene, Pose(*origin, 0.0), [heading + bearing])
         assert len(turned) == len(straight) == (k < 3)
         assert np.allclose(turned.points, straight.points)
-        assert np.array_equal(turned.target_ids, straight.target_ids)
+        assert np.allclose(turned.ranges, straight.ranges)
 
 
 def test_ground_truth_scan_rejects_empty_bearings():

@@ -542,7 +542,7 @@ def test_run_slam_senses_each_true_pose_own_cast():
     assert len(sensor.scans) == len(run.snapshots) == n_steps
     for snap, gt in zip(run.snapshots, sensor.scans):
         want = ground_truth_scan(scene, snap.pose_truth, sensor.bearings)
-        for name in ("bearings", "ranges", "points", "target_ids"):
+        for name in ("bearings", "ranges", "points"):
             assert getattr(gt, name).tobytes() == getattr(want, name).tobytes()
 
 
