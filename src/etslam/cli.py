@@ -92,18 +92,13 @@ def cmd_metric(args) -> int:
     targets = [truth_rows[ids == tid, 1:3] for tid in np.unique(ids)]
     params = MetricParams(c=args.c, p=args.p, alpha=args.alpha)
     result = et_gospa(targets, est, params)
-    print(f"value {result.value:.9g}")
-    print(f"sum_pair_costs {result.sum_pair_costs:.9g}")
-    print(f"cardinality_term {result.cardinality_term:.9g}")
-    print(f"missed_count {result.missed_count}")
-    print(f"extra_count {result.extra_count}")
-    print(f"clamped {str(result.clamped).lower()}")
+    names = ["value", "sum_pair_costs", "cardinality_term", "missed_count", "extra_count"]
+    fmts = ["%.9g"] * 3 + ["%d"] * 2
+    values = [getattr(result, name) for name in names]
+    for name, fmt, value in zip(names, fmts, values):
+        print(f"{name} {fmt % value}")
     if args.csv:
-        harness.write_csv(
-            args.csv, "value,sum_pair_costs,cardinality_term,missed_count,extra_count,clamped",
-            [[result.value], [result.sum_pair_costs], [result.cardinality_term],
-             [result.missed_count], [result.extra_count], [int(result.clamped)]],
-            ["%.9g"] * 3 + ["%d"] * 3)
+        harness.write_csv(args.csv, ",".join(names), [[value] for value in values], fmts)
     return 0
 
 

@@ -117,6 +117,7 @@ def recovered_target_count(
 
     A centroid claims the target whose boundary is nearest (the first such
     target on a tie), provided that distance is at most ``max_distance``.
+    Targets are told apart by their position in ``targets``, not by their ids.
     """
     centroids = as_points(centroids, "centroids")
     if not np.all(np.isfinite(centroids)):
@@ -128,4 +129,4 @@ def recovered_target_count(
     dist = np.abs(np.stack([tgt.shape.signed_distance(centroids) for tgt in targets]))
     nearest = np.argmin(dist, axis=0)
     claimed = nearest[dist[nearest, np.arange(len(centroids))] <= max_distance]
-    return len(np.unique(np.array([tgt.id for tgt in targets])[claimed]))
+    return len(np.unique(claimed))

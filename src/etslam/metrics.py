@@ -3,12 +3,17 @@
 ``et_gospa`` scores an estimated point set Y against a ground truth X given
 as one point set per extended target.  Each matched estimate pays
 
-    E = c + min_k d_c(x_{i,k}, y)^p - min_k d_c(x_{-i,k}, y)^p
+    E = c^p + min_k d_c(x_{i,k}, y)^p - min_k d_c(x_{-i,k}, y)^p
 
-where d_c is the squared Euclidean distance clamped at c and x_{-i} are the
-points of all other targets; matching is the optimal injection.  Extra
-estimates pay (c^p / alpha) each; when there are fewer estimates than
-targets each unmatched target pays the supremum of E, c + c^p.
+where d_c is the squared Euclidean distance clamped at c, x_{-i} are the
+points of all other targets (with none, the subtrahend is c^p), and matching
+is the optimal injection.  Every term is in d^p units, as in GOSPA
+(Rahmathullah et al. 2017), so E lies in [0, 2c^p] and the sum needs no
+clamp.  A constant c in place of c^p mixed units and, for p > 1 and c > 1,
+sent E negative (c = 5, p = 2: -20 per exact estimate, so a 1 m error read
+as none); at p = 1 the two agree.  A target left unmatched pays the supremum
+of E, 2c^p.  Extras are counted against the truth *points*:
+max(0, |Y| - sum_i |x_i|) estimates pay c^p / alpha each.
 
 ``gospa_baseline`` is the point-target baseline using the same clamped
 squared ground cost.
@@ -49,7 +54,6 @@ class EtGospaResult:
     cardinality_term: float
     missed_count: int
     extra_count: int
-    clamped: bool
 
 
 def _as_target_sets(targets: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -63,11 +67,12 @@ def _as_target_sets(targets: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 
 def _min_costs(targets: list[np.ndarray], estimates: np.ndarray, params: MetricParams):
-    """D[i, j] = min_k d_c(x_{i,k}, y_j)^p, shape (|X|, |Y|)."""
+    """D[i, j] = min_k d_c(x_{i,k}, y_j)^p, shape (|X|, |Y|), clamped after the power to
+    the scalar c**p, so D <= c^p bit for bit (numpy's power of c can differ from it)."""
     rows = []
     for pts in targets:
         d2 = np.sum((pts[:, None, :] - estimates[None, :, :]) ** 2, axis=-1)
-        rows.append(np.min(np.minimum(d2, params.c) ** params.p, axis=0))
+        rows.append(np.minimum(np.min(d2, axis=0) ** params.p, params.c ** params.p))
     return np.stack(rows)
 
 
@@ -80,13 +85,15 @@ def cost_matrix(
     if len(targets) == 0 or len(estimates) == 0:
         raise ValueError("targets and estimates must be non-empty")
     d = _min_costs(targets, estimates, params)
+    cp = params.c ** params.p
     # min over the other targets via the two smallest values per column; a row at
     # c^p, the largest value d takes, stands for "no other target" when n = 1
-    part = np.partition(np.vstack([d, np.full(len(estimates), params.c ** params.p)]), 1, axis=0)
+    part = np.partition(np.vstack([d, np.full(len(estimates), cp)]), 1, axis=0)
     # rows achieving the column minimum take the second-smallest instead
     first_min_row = np.argmin(d, axis=0)
     others_min = np.where(np.arange(len(d))[:, None] == first_min_row, part[1], part[0])
-    return params.c + d - others_min
+    # fl(c^p + d) >= c^p >= others_min, so every entry is >= 0 after rounding too
+    return cp + d - others_min
 
 
 def et_gospa(
@@ -108,15 +115,12 @@ def et_gospa(
         rows, cols, sum_pairs = solve_assignment(cost_matrix(targets, estimates, params))
         for i, j in zip(rows.tolist(), cols.tolist()):
             assignment[i] = j
+    cp = params.c ** params.p
     missed = max(0, n_x - n_y)
-    # each missed target pays the supremum of E: own term c^p, subtrahend 0
-    surcharge = missed * (params.c + params.c ** params.p)
     extra = max(0, n_y - n_truth_points)
-    cardinality = (params.c ** params.p / params.alpha) * extra
-    bracket = sum_pairs + surcharge + cardinality
-    clamped = bracket < 0.0
-    if clamped:
-        bracket = 0.0
+    cardinality = (cp / params.alpha) * extra
+    # each missed target pays the supremum of E: own term c^p, subtrahend 0
+    bracket = sum_pairs + missed * 2.0 * cp + cardinality
     return EtGospaResult(
         value=float(bracket ** (1.0 / params.p)),
         assignment=tuple(assignment),
@@ -124,7 +128,6 @@ def et_gospa(
         cardinality_term=float(cardinality),
         missed_count=missed,
         extra_count=extra,
-        clamped=clamped,
     )
 
 

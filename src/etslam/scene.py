@@ -74,6 +74,8 @@ class Rectangle:
             raise SceneValidationError("rectangle width must be > 0")
         if not self.height > 0:
             raise SceneValidationError("rectangle height must be > 0")
+        if not np.all(np.isfinite([*self.center, self.rotation])):
+            raise SceneValidationError("rectangle center and rotation must be finite")
 
     def corners(self) -> np.ndarray:
         hw, hh = self.width / 2.0, self.height / 2.0
@@ -110,6 +112,8 @@ class Circle:
     def __post_init__(self):
         if not self.radius > 0:
             raise SceneValidationError("circle radius must be > 0")
+        if not np.all(np.isfinite(self.center)):
+            raise SceneValidationError("circle center must be finite")
 
     def signed_distance(self, points: np.ndarray) -> np.ndarray:
         d = np.linalg.norm(np.atleast_2d(points) - np.asarray(self.center), axis=-1)
@@ -148,7 +152,7 @@ class ExtendedTarget:
         if pts.size == 0:
             raise SceneValidationError(f"target {self.id}: reference_points empty")
         sd = self.shape.signed_distance(pts)
-        if np.any(np.abs(sd) > BOUNDARY_TOL):
+        if not np.all(np.abs(sd) <= BOUNDARY_TOL):  # a NaN point is off the boundary too
             raise SceneValidationError(
                 f"target {self.id}: reference point off boundary (|sd|={np.abs(sd).max():.2e})"
             )
@@ -263,6 +267,8 @@ class Scene:
         self._validate()
 
     def _validate(self):
+        if not np.all(np.isfinite([self.bounds_min, self.bounds_max])):
+            raise SceneValidationError("bounds: min and max must be finite")
         if not np.all(self.bounds_max > self.bounds_min):
             raise SceneValidationError("bounds: max must exceed min componentwise")
         for tgt in self.targets:
@@ -489,8 +495,14 @@ def as_points(value, what: str = "points") -> np.ndarray:
     return pts
 
 
+def as_coords(value) -> np.ndarray:
+    """Config coordinates as an (n, 2) array, each through ``convert(x, float)``."""
+    as_points(value)  # the shape check, naming the shape
+    return np.array([[convert(x, float) for x in row] for row in value]).reshape(-1, 2)
+
+
 def as_pair(value) -> tuple:
-    return tuple(as_points([value])[0].tolist())
+    return tuple(as_coords([value])[0].tolist())
 
 
 def parse_section(doc, section: str, *tables: dict, required=()) -> list[dict]:
@@ -521,12 +533,12 @@ def parse_section(doc, section: str, *tables: dict, required=()) -> list[dict]:
 _SCENE_KEYS = {"bounds": ("bounds", dict), "targets": ("targets", list),
                "trajectory": ("trajectory", dict)}
 _BOUNDS_KEYS = {"min": ("bounds_min", as_pair), "max": ("bounds_max", as_pair)}
-_TRAJECTORY_KEYS = {"waypoints": ("waypoints", as_points), "speed": ("speed", float),
+_TRAJECTORY_KEYS = {"waypoints": ("waypoints", as_coords), "speed": ("speed", float),
                     "step_interval": ("step_interval", float)}
 # reference points of a target that gives neither ref_points nor ref_count
 DEFAULT_REF_COUNT = 4
 _TARGET_KEYS = {"id": ("id", int), "kind": ("kind", str),
-                "ref_points": ("reference_points", as_points), "ref_count": ("ref_count", int)}
+                "ref_points": ("reference_points", as_coords), "ref_count": ("ref_count", int)}
 # kind -> (shape class, its keys, the keys it requires)
 _SHAPES = {
     "rect": (Rectangle, {"center": ("center", as_pair), "width": ("width", float),
@@ -546,7 +558,10 @@ def _parse_target(doc: dict) -> ExtendedTarget:
         raise SceneValidationError(f"{where}: unknown kind '{kind}' (expected rect|circle)")
     shape_cls, shape_keys, required = _SHAPES[kind]
     target, shape_kw = parse_section(doc, where, _TARGET_KEYS, shape_keys, required=required)
-    shape = shape_cls(**shape_kw)
+    try:
+        shape = shape_cls(**shape_kw)
+    except SceneValidationError as exc:
+        raise SceneValidationError(f"{where}: {exc}") from None
     refs = target.get("reference_points")
     if refs is None:
         refs = reference_points(shape, target.get("ref_count", DEFAULT_REF_COUNT))

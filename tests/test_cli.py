@@ -80,8 +80,26 @@ def test_metric_et_gospa_worked_example(tmp_path, capsys):
     assert lines[2].split(",")[0] == "2.5"
     assert out_csv.read_bytes() == (
         b"# etslam csv v1\n"
-        b"value,sum_pair_costs,cardinality_term,missed_count,extra_count,clamped\n"
-        b"2.5,0,2.5,0,1,0\n")
+        b"value,sum_pair_costs,cardinality_term,missed_count,extra_count\n"
+        b"2.5,0,2.5,0,1\n")
+
+
+def test_metric_et_gospa_p2(tmp_path, capsys):
+    """c = 5, p = 2, each estimate 0.5 m off its target: the pair costs are d^p,
+    not c + d^p - c^p summed to -39.875 and read as 0."""
+    truth = tmp_path / "truth.csv"
+    truth.write_text("target_id,x,y\n1,0,0\n2,20,0\n")
+    est = tmp_path / "est.csv"
+    est.write_text("x,y\n0.5,0\n20.5,0\n")
+    out_csv = tmp_path / "result.csv"
+    assert main(["metric", "et-gospa", "--truth", str(truth), "--est", str(est),
+                 "--p", "2", "--csv", str(out_csv)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "value 0.353553391", "sum_pair_costs 0.125", "cardinality_term 0",
+        "missed_count 0", "extra_count 0"]
+    assert out_csv.read_text().splitlines()[1:] == [
+        "value,sum_pair_costs,cardinality_term,missed_count,extra_count",
+        "0.353553391,0.125,0,0,0"]
 
 
 def test_cluster_command(tmp_path, capsys):

@@ -20,7 +20,14 @@ from etslam.clustering import (
     dbscan,
     recovered_target_count,
 )
-from etslam.scene import load_scene
+from etslam.scene import (
+    Circle,
+    ExtendedTarget,
+    Scene,
+    Trajectory,
+    load_scene,
+    reference_points,
+)
 
 DEFAULT_SCENE = str(resources.files("etslam") / "configs" / "default_scene.yaml")
 
@@ -531,14 +538,29 @@ def reference_recovered_target_count(centroids, targets, max_distance=1.0):
     """The former centroids x targets loop; a later target must be strictly nearer to win."""
     claimed = set()
     for c in np.atleast_2d(centroids):
-        best_id, best_d = None, np.inf
-        for tgt in targets:
+        best, best_d = None, np.inf
+        for i, tgt in enumerate(targets):
             d = abs(float(tgt.shape.signed_distance(c[None, :])[0]))
             if d < best_d:
-                best_id, best_d = tgt.id, d
-        if best_id is not None and best_d <= max_distance:
-            claimed.add(best_id)
+                best, best_d = i, d
+        if best is not None and best_d <= max_distance:
+            claimed.add(best)
     return len(claimed)
+
+
+def test_recovered_target_count_counts_targets_not_ids():
+    """Two circles built in code with one id: a centroid beside each counts two."""
+    circles = [Circle(center=(x, 0.0), radius=1.0) for x in (0.0, 10.0)]
+    scene = Scene(
+        bounds_min=np.array([-20.0, -20.0]), bounds_max=np.array([20.0, 20.0]),
+        targets=[ExtendedTarget(id=1, shape=c, reference_points=reference_points(c, 4))
+                 for c in circles],
+        trajectory=Trajectory(waypoints=np.array([[0.0, -10.0], [1.0, -10.0]]),
+                              speed=1.0, step_interval=0.5),
+    )
+    cents = np.array([[0.0, 1.2], [10.0, 1.2]])
+    assert recovered_target_count(cents, scene.targets) == 2
+    assert reference_recovered_target_count(cents, scene.targets) == 2
 
 
 def test_recovered_target_count_edge_cases():

@@ -39,7 +39,7 @@ def _ref_pair_cost(i, targets, y, params):
     own = min(_ref_ground(x, y, c, p) for x in targets[i])
     others = [x for k in range(len(targets)) if k != i for x in targets[k]]
     sub = min((_ref_ground(x, y, c, p) for x in others), default=c**p)
-    return c + own - sub
+    return c**p + own - sub
 
 
 def reference_et_gospa(targets, estimates, params):
@@ -62,8 +62,9 @@ def reference_et_gospa(targets, estimates, params):
         )
     missed = max(0, n_x - n_y)
     extra = max(0, n_y - sum(len(t) for t in targets))
-    bracket = pairs + missed * (c + c**p) + (c**p / alpha) * extra
-    return max(0.0, bracket) ** (1.0 / p)
+    bracket = pairs + missed * 2 * c**p + (c**p / alpha) * extra
+    assert bracket >= 0.0  # every term is in d^p units, so nothing can go negative
+    return bracket ** (1.0 / p)
 
 
 def _random_instance(rng):
@@ -140,19 +141,20 @@ def test_cost_matrix_single_perfect():
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
 def test_cost_matrix_one_target_subtracts_c_to_the_p(p):
-    """With one target the subtrahend is c^p: the matrix is c + d - c^p, bit for bit,
+    """With one target the subtrahend is c^p: the matrix is c^p + d - c^p, bit for bit,
     also for estimates beyond c, where d is c^p itself."""
     params = MetricParams(c=2.0, p=p, alpha=2.0)
+    cp = params.c ** p
     rng = np.random.default_rng(31)
     target = rng.uniform(-1.0, 1.0, (5, 2))
     est = np.concatenate([rng.uniform(-2.0, 2.0, (40, 2)), [[9.0, 9.0], target[2]]])
     d2 = np.sum((target[:, None, :] - est[None, :, :]) ** 2, axis=-1)
-    d = np.min(np.minimum(d2, params.c) ** p, axis=0)
-    want = params.c + d - params.c ** p
+    d = np.minimum(np.min(d2, axis=0) ** p, cp)
+    want = cp + d - cp
     m = cost_matrix([target], est, params)
     assert m.shape == (1, len(est))
     assert m[0].tobytes() == want.tobytes()
-    assert m[0, -2] == params.c and m[0, -1] == params.c - params.c ** p
+    assert m[0, -2] == cp and m[0, -1] == 0.0  # the far estimate, the on-target one
 
 
 def test_cost_matrix_two_by_two():
@@ -169,9 +171,46 @@ def test_cost_matrix_entries_bounded():
         if len(est) == 0:
             continue
         m = cost_matrix(targets, est, params)
-        cp = params.c**params.p
-        assert np.all(m >= params.c - cp - 1e-12)
-        assert np.all(m <= params.c + cp + 1e-12)
+        assert np.all(m >= 0.0)
+        assert np.all(m <= 2 * params.c**params.p)
+
+
+_coord = st.floats(-20.0, 20.0)
+_float_point = st.tuples(_coord, _coord)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    targets=st.lists(st.lists(_float_point, min_size=1, max_size=4), min_size=1, max_size=4),
+    est=st.lists(_float_point, max_size=6),
+    c=st.floats(0.1, 50.0),
+    p=st.floats(1.0, 3.0),
+    alpha=st.floats(0.1, 2.0),
+)
+def test_pair_costs_in_zero_to_two_c_to_the_p(targets, est, c, p, alpha):
+    """Every term is in d^p units, so E lies in [0, 2 c^p] with no tolerance and the
+    value is >= 0 with no clamp, at every p in range."""
+    params = MetricParams(c=c, p=p, alpha=alpha)
+    targets = [np.array(t) for t in targets]
+    est = np.array(est, dtype=float).reshape(-1, 2)
+    if len(est):
+        m = cost_matrix(targets, est, params)
+        assert np.all((m >= 0.0) & (m <= 2 * c**p))
+    result = et_gospa(targets, est, params)
+    assert result.sum_pair_costs >= 0.0 and result.value >= 0.0
+
+
+@pytest.mark.parametrize("offset, value, sum_pairs", [
+    (0.0, "0", 0.0), (0.5, "0.353553391", 0.125), (1.0, "1.41421356", 2.0),
+])
+def test_p2_value_grows_with_the_error(offset, value, sum_pairs):
+    """c = 5, p = 2, one estimate per target ``offset`` m off.  A pair cost of
+    c + D - c^p summed to -40 / -39.875 / -38 here, so all three values read 0."""
+    targets = [np.array([[0.0, 0.0]]), np.array([[20.0, 0.0]])]
+    est = np.array([[offset, 0.0], [20.0 + offset, 0.0]])
+    result = et_gospa(targets, est, MetricParams(c=5.0, p=2.0, alpha=2.0))
+    assert result.sum_pair_costs == sum_pairs
+    assert f"{result.value:.9g}" == value
 
 
 def test_cost_matrix_agrees_with_pair_cost():
@@ -253,7 +292,7 @@ def test_invalid_params_rejected():
 
 
 def test_missed_target_surcharge():
-    # one estimate, two targets: unmatched target pays c + c^p
+    # one estimate, two targets: unmatched target pays 2 c^p
     targets = [np.array([[0.0, 0.0]]), np.array([[50.0, 0.0]])]
     result = et_gospa(targets, np.array([[0.0, 0.0]]), P514)
     assert result.missed_count == 1
@@ -317,11 +356,11 @@ def test_value_invariant_under_reordering(targets, near, n_far, c, p, alpha, dat
     """The argmin is not canonical, but value and sum_pair_costs are invariant."""
     params = MetricParams(c=c, p=p, alpha=alpha)
     targets = [np.array(t) for t in targets]
-    # far from every target: pair cost exactly c against each target
+    # far from every target: pair cost exactly c^p against each target
     far = [(100.0 + 10.0 * k, -100.0) for k in range(n_far)]
     est = np.array(near + far, dtype=float).reshape(-1, 2)
     if n_far:
-        assert np.all(cost_matrix(targets, est, params)[:, len(near):] == c)
+        assert np.all(cost_matrix(targets, est, params)[:, len(near):] == c**p)
     base = et_gospa(targets, est, params)
     t_order = data.draw(st.permutations(range(len(targets))))
     e_order = data.draw(st.permutations(range(len(est))))
@@ -419,6 +458,23 @@ def test_singleton_far_apart_reduction():
         got = et_gospa(targets, est, params).value
         want = gospa_baseline(np.vstack(targets), est, params)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_singleton_far_apart_reduction_every_p(seed, p):
+    """The reduction holds at every p, not only at p = 1.
+
+    E forms c^p + D before it subtracts the other targets' c^p, so each pair
+    cost is exact to rounding at the scale of c^p (c^p = 125 at p = 3).  The
+    brackets are compared with that absolute error allowed; the value, their
+    p-th root, would amplify it wherever the bracket is near 0.
+    """
+    params = MetricParams(c=5.0, p=p, alpha=2.0)
+    targets, est = _far_apart_singletons(np.random.default_rng(seed), params)
+    got = et_gospa(targets, est, params).value
+    want = gospa_baseline(np.vstack(targets), est, params)
+    assert got**p == pytest.approx(want**p, rel=1e-12, abs=1e-12 * params.c**p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """World-model tests: geometry, scene loading, trajectory, ray casting."""
 
 import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -33,8 +34,8 @@ from etslam.scene import (
 DEFAULT_SCENE = str(resources.files("etslam") / "configs" / "default_scene.yaml")
 
 
-def _simple_scene(targets=None, waypoints=None):
-    doc = {
+def _simple_doc(targets=None, waypoints=None):
+    return {
         "bounds": {"min": [-20.0, -20.0], "max": [40.0, 40.0]},
         "targets": targets if targets is not None else [
             {"id": 1, "kind": "rect", "center": [10.0, 0.0], "width": 2.0, "height": 2.0},
@@ -46,7 +47,10 @@ def _simple_scene(targets=None, waypoints=None):
             "step_interval": 0.5,
         },
     }
-    return load_scene(doc)
+
+
+def _simple_scene(targets=None, waypoints=None):
+    return load_scene(_simple_doc(targets, waypoints))
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +99,44 @@ def test_unknown_kind_rejected():
 def test_unhashable_kind_rejected_with_location(kind):
     with pytest.raises(SceneValidationError, match=r"^target 3: unknown kind"):
         _simple_scene(targets=[{"id": 3, "kind": kind, "center": [5.0, 5.0], "radius": 1.0}])
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("bounds", "min"), [True, 0], "bounds: key 'min': expected float, got True"),
+    (("trajectory", "waypoints"), [[0.0, 0.0], [0.0, True]],
+     "trajectory: key 'waypoints': expected float, got True"),
+    (("targets", 0, "center"), [math.nan, 0.0],
+     "target 1: rectangle center and rotation must be finite"),
+    (("targets", 0, "rotation"), math.nan,
+     "target 1: rectangle center and rotation must be finite"),
+    (("bounds", "max"), [math.inf, 30.0], "bounds: min and max must be finite"),
+    (("targets", 1, "center"), [0.0, -math.inf], "target 2: circle center must be finite"),
+    (("targets", 1, "ref_points"), [[1.0, True]],
+     "target 2: key 'ref_points': expected float, got True"),
+    (("targets", 1, "ref_points"), [[math.nan, 10.0]], "target 2: reference point off boundary"),
+], ids=["bounds-min-bool", "waypoint-bool", "rect-center-nan", "rect-rotation-nan",
+        "bounds-max-inf", "circle-center-inf", "ref-points-bool", "ref-points-nan"])
+def test_coordinates_fail_loudly(path, value, message):
+    """Each of these loaded: a bool coordinate as 1.0, a non-finite one as itself."""
+    doc = _simple_doc()
+    leaf = doc
+    for key in path[:-1]:
+        leaf = leaf[key]
+    leaf[path[-1]] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        load_scene(doc)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Rectangle(center=(0.0, math.nan), width=1.0, height=1.0),
+    lambda: Rectangle(center=(0.0, 0.0), width=1.0, height=1.0, rotation=math.inf),
+    lambda: Circle(center=(math.nan, 0.0), radius=1.0),
+    lambda: Scene(bounds_min=np.array([-20.0, -math.inf]), bounds_max=np.array([20.0, 20.0]),
+                  targets=[], trajectory=Trajectory(np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0, 0.5)),
+], ids=["rect-center", "rect-rotation", "circle-center", "scene-bounds"])
+def test_shapes_and_scene_built_in_code_reject_non_finite(build):
+    with pytest.raises(SceneValidationError, match="must be finite"):
+        build()
 
 
 def test_huge_target_id_loads_and_counts():
