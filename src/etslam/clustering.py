@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from etslam.scene import as_points
+from etslam.scene import as_points, require_positive
 
 NOISE = -1
 
@@ -29,8 +29,7 @@ class ClusterParams:
     min_pts: int = 3
 
     def __post_init__(self):
-        if not 0.0 < self.eps < np.inf:
-            raise ValueError("cluster eps must be finite and > 0")
+        require_positive("cluster", eps=self.eps)
         min_pts = self.min_pts
         if isinstance(min_pts, bool) or not isinstance(min_pts, (int, np.integer)) or min_pts < 1:
             raise ValueError(f"min_pts must be an int >= 1, got {min_pts!r}")
@@ -70,8 +69,6 @@ def dbscan(points: np.ndarray, params: ClusterParams = ClusterParams()) -> np.nd
     n = len(points)
     if n == 0:
         return np.zeros(0, dtype=int)
-    if not np.all(np.isfinite(points)):
-        raise ValueError("points must be finite")
     # (E, 2) rows i < j, the call's largest array: the steps below work inside it
     edges = cKDTree(points).query_pairs(params.eps, output_type="ndarray")
     core = np.bincount(edges.ravel(), minlength=n) + 1 >= params.min_pts
@@ -120,8 +117,6 @@ def recovered_target_count(
     Targets are told apart by their position in ``targets``, not by their ids.
     """
     centroids = as_points(centroids, "centroids")
-    if not np.all(np.isfinite(centroids)):
-        raise ValueError("centroids must be finite")
     if not max_distance >= 0.0:
         raise ValueError(f"max_distance must be >= 0, got {max_distance!r}")
     if len(centroids) == 0 or not targets:

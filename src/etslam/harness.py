@@ -26,7 +26,8 @@ from etslam.clustering import ClusterParams, cluster_centroids, dbscan, recovere
 from etslam.metrics import MetricParams, et_gospa, location_mse
 from etslam.ofdm import FOV, WAVEFORM_KEYS, OfdmSensor, PeakPolicy, WaveformConfig
 from etslam.parametric import ErrorModel, ParametricSensor
-from etslam.scene import Scene, as_radians, convert, load_scene, parse_section
+from etslam.scene import (Scene, as_radians, convert, load_scene, parse_section,
+                          require_positive)
 from etslam.slam import OdometryModel, SearchWindow, SlamConfig, run_slam, run_steps
 
 CSV_HEADER_COMMENT = "# etslam csv v1"
@@ -38,8 +39,7 @@ class ExperimentConfig:
     backend: str = "parametric"           # "parametric" | "ofdm"
     error_model: ErrorModel = ErrorModel()
     bearing_step_deg: float = 2.0
-    angle_peak_threshold_db: float = 6.0
-    angle_max_peaks: int = 4
+    angle_policy: PeakPolicy = PeakPolicy()
     waveform: Optional[WaveformConfig] = None
     slam: SlamConfig = SlamConfig()
     odometry: OdometryModel = OdometryModel()
@@ -55,14 +55,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        for name in ("duration", "snapshot_cadence", "bearing_step_deg"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0")
         run_steps(self.duration, self.snapshot_cadence, self.scene.trajectory.step_interval)
-        if not math.isfinite(self.angle_peak_threshold_db):
-            raise ValueError("angle_peak_threshold_db must be finite")
-        if self.angle_max_peaks < 1:
-            raise ValueError("angle_max_peaks must be >= 1")
+        require_positive(bearing_step_deg=self.bearing_step_deg)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.estimate_cap < 0:
@@ -77,9 +71,7 @@ class ExperimentConfig:
         if self.backend == "ofdm":
             step = math.radians(self.bearing_step_deg)
             fan = np.linspace(FOV[0], FOV[1], int(round((FOV[1] - FOV[0]) / step)) + 1)
-            policy = PeakPolicy(threshold_db=self.angle_peak_threshold_db,
-                                max_peaks=self.angle_max_peaks)
-            return OfdmSensor(self.waveform, fan, policy)
+            return OfdmSensor(self.waveform, fan, self.angle_policy)
         bearings = np.radians(np.arange(0.0, 360.0, self.bearing_step_deg))
         return ParametricSensor(model=self.error_model, bearings=bearings)
 
@@ -97,10 +89,10 @@ def _find_config(ref, what: str, base_dir: Optional[Path] = None) -> Path:
 
 
 # config key -> (dataclass field, kind), one table per dataclass
-_SENSOR_KEYS = {"backend": ("backend", str), "bearing_step_deg": ("bearing_step_deg", float),
-                "angle_peak_threshold_db": ("angle_peak_threshold_db", float),
-                "angle_max_peaks": ("angle_max_peaks", int)}
+_SENSOR_KEYS = {"backend": ("backend", str), "bearing_step_deg": ("bearing_step_deg", float)}
 _ERROR_MODEL_KEYS = {"delta_r_m": ("delta_r", float), "delta_theta_deg": ("delta_theta", as_radians)}
+_ANGLE_POLICY_KEYS = {"angle_peak_threshold_db": ("threshold_db", float),
+                      "angle_max_peaks": ("max_peaks", int)}
 _SLAM_KEYS = {"resolution": ("resolution", float), "l_occ": ("l_occ", float),
               "l_free": ("l_free", float), "matching_enabled": ("matching_enabled", bool)}
 _WINDOW_KEYS = {"search_dxy_max": ("dxy_max", float), "search_dxy_step": ("dxy_step", float),
@@ -137,7 +129,8 @@ def load_experiment(source: Union[str, Path, dict]) -> ExperimentConfig:
     def section(name, *tables):
         return parse_section(top.get(name, {}), name, *tables)
 
-    fields, error_model = section("sensor", _SENSOR_KEYS, _ERROR_MODEL_KEYS)
+    fields, error_model, angle_policy = section("sensor", _SENSOR_KEYS, _ERROR_MODEL_KEYS,
+                                                _ANGLE_POLICY_KEYS)
     slam, window = section("slam", _SLAM_KEYS, _WINDOW_KEYS)
     [odometry] = section("odometry", _ODOMETRY_KEYS)
     [cluster] = section("cluster", _CLUSTER_KEYS)
@@ -151,6 +144,7 @@ def load_experiment(source: Union[str, Path, dict]) -> ExperimentConfig:
         scene=load_scene(scene if isinstance(scene, dict)
                          else _find_config(scene, "scene document", base_dir)),
         error_model=ErrorModel(**error_model),
+        angle_policy=PeakPolicy(**angle_policy),
         slam=SlamConfig(window=SearchWindow(**window), **slam),
         odometry=OdometryModel(**odometry),
         cluster=ClusterParams(**cluster),

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from etslam.assignment import solve_assignment
-from etslam.scene import as_points
+from etslam.scene import as_points, require_positive
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,7 @@ class MetricParams:
     alpha: float = 2.0
 
     def __post_init__(self):
-        if not 0.0 < self.c < np.inf:
-            raise ValueError("metric c must be finite and > 0")
+        require_positive("metric", c=self.c)
         if not (1.0 <= self.p < np.inf):
             raise ValueError("p must satisfy 1 <= p < inf")
         if not (0.0 < self.alpha <= 2.0):
@@ -145,7 +144,8 @@ def gospa_baseline(
     if len(x) == 0 or len(y) == 0:
         return float(((cp / params.alpha) * (len(x) + len(y))) ** (1.0 / params.p))
     d2 = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1)
-    ground = np.minimum(d2, params.c) ** params.p
+    # clamped after the power, to the scalar the unmatched points pay, as in _min_costs
+    ground = np.minimum(d2 ** params.p, cp)
     *_, matched = solve_assignment(ground)
     unmatched = abs(len(x) - len(y))
     return float((matched + (cp / params.alpha) * unmatched) ** (1.0 / params.p))

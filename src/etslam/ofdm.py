@@ -34,7 +34,7 @@ import numpy as np
 # ground_truth_scan stays importable here: bench/spans.py wraps the ray-casting
 # layer at this name
 from etslam.scene import (GroundTruthScan, convert, ground_truth_scan,
-                          parse_section, polar_points)
+                          parse_section, polar_points, require_positive)
 
 C0 = 3.0e8
 # sensor-frame bearings (rad) the array resolves unambiguously, away from endfire
@@ -66,11 +66,8 @@ class WaveformConfig:
             raise ValueError("N, M, N_t, N_r must all be >= 1")
         if self.n_tx != self.n_rx:
             raise ValueError("waveform n_tx must equal n_rx (monostatic array)")
-        for name in ("fc", "delta_f"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"waveform {name} must be finite and > 0")
-        if not 0.0 <= self.tc < math.inf:
-            raise ValueError("waveform tc must be finite and >= 0")
+        require_positive("waveform", fc=self.fc, delta_f=self.delta_f)
+        require_positive("waveform", or_zero=True, tc=self.tc)
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise ValueError("waveform snr_db must be finite (or null for no noise)")
         if not abs(self.t_sym - (self.tp + self.tc)) <= 1e-9:
@@ -79,8 +76,7 @@ class WaveformConfig:
             raise ValueError("tp * delta_f must equal 1 (within 1e-6)")
         if self.d is None:
             object.__setattr__(self, "d", self.wavelength / 2.0)
-        if not 0.0 < self.d < math.inf:
-            raise ValueError("waveform d must be finite and > 0")
+        require_positive("waveform", d=self.d)
 
     @property
     def wavelength(self) -> float:
@@ -188,8 +184,14 @@ def bin_to_cos(bins: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PeakPolicy:
-    threshold_db: float   # relative to the spectrum median
-    max_peaks: int
+    threshold_db: float = 6.0   # relative to the spectrum median
+    max_peaks: int = 4
+
+    def __post_init__(self):
+        if not math.isfinite(self.threshold_db):
+            raise ValueError("peak policy threshold_db must be finite")
+        if self.max_peaks < 1:
+            raise ValueError("peak policy max_peaks must be >= 1")
 
 
 # range-peak picking on the rx-averaged range profile

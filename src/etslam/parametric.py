@@ -8,14 +8,13 @@ from a ground-truth scan of its fan and casts no rays itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # ground_truth_scan stays importable here: bench/spans.py wraps the ray-casting
 # layer at this name
-from etslam.scene import GroundTruthScan, ground_truth_scan, polar_points
+from etslam.scene import GroundTruthScan, ground_truth_scan, polar_points, require_positive
 
 
 @dataclass(frozen=True)
@@ -24,9 +23,8 @@ class ErrorModel:
     delta_theta: float = 0.0   # bearing error std [rad]
 
     def __post_init__(self):
-        for name in ("delta_r", "delta_theta"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"error model {name} must be finite and >= 0")
+        require_positive("error model", or_zero=True, delta_r=self.delta_r,
+                         delta_theta=self.delta_theta)
 
 
 def sense_parametric(

@@ -70,10 +70,7 @@ class Rectangle:
     rotation: float = 0.0
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise SceneValidationError("rectangle width must be > 0")
-        if not self.height > 0:
-            raise SceneValidationError("rectangle height must be > 0")
+        require_positive("rectangle", SceneValidationError, width=self.width, height=self.height)
         if not np.all(np.isfinite([*self.center, self.rotation])):
             raise SceneValidationError("rectangle center and rotation must be finite")
 
@@ -110,8 +107,7 @@ class Circle:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise SceneValidationError("circle radius must be > 0")
+        require_positive("circle", SceneValidationError, radius=self.radius)
         if not np.all(np.isfinite(self.center)):
             raise SceneValidationError("circle center must be finite")
 
@@ -173,9 +169,8 @@ class Trajectory:
         wp = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
         if wp.shape[0] < 2:
             raise SceneValidationError("trajectory needs >= 2 waypoints")
-        for name in ("speed", "step_interval"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise SceneValidationError(f"trajectory {name} must be finite and > 0")
+        require_positive("trajectory", SceneValidationError, speed=self.speed,
+                         step_interval=self.step_interval)
         if not np.all(np.isfinite(wp)):
             raise SceneValidationError("trajectory waypoints must be finite")
         lengths = np.linalg.norm(np.diff(wp, axis=0), axis=1)
@@ -281,6 +276,11 @@ class Scene:
             if np.any(extreme < self.bounds_min) or np.any(extreme > self.bounds_max):
                 raise SceneValidationError(f"target {tgt.id} extends outside scene bounds")
         wp = self.trajectory.waypoints
+        # the bounds are a box, so a segment between two waypoints inside it stays inside
+        outside = np.flatnonzero(np.any((wp < self.bounds_min) | (wp > self.bounds_max), axis=1))
+        if outside.size:
+            raise SceneValidationError(
+                f"trajectory waypoint {outside[0]} lies outside scene bounds")
         for tgt in self.targets:
             if np.any(tgt.shape.signed_distance(wp) <= 0.0):
                 raise SceneValidationError(
@@ -482,22 +482,42 @@ def convert(value, kind):
     return value
 
 
+def require_positive(what: str = "", error: type = ValueError, *, or_zero: bool = False,
+                     **values) -> None:
+    """Raise ``error("<what> <name> must be finite and > 0")`` for the first of ``values``
+    outside that range (``>= 0`` with ``or_zero``); NaN and inf are outside both.  With
+    no ``what``, the name alone."""
+    for name, value in values.items():
+        if not ((0.0 <= value if or_zero else 0.0 < value) and value < math.inf):
+            bound = ">= 0" if or_zero else "> 0"
+            raise error(f"{what} {name} must be finite and {bound}".lstrip())
+
+
 def as_radians(value) -> float:
     """An angle given in degrees, stored in radians."""
     return math.radians(convert(value, float))
 
 
-def as_points(value, what: str = "points") -> np.ndarray:
-    """``value`` as a float array of shape (n, 2); any other shape raises, naming it."""
+def _shaped(value, what: str) -> np.ndarray:
     pts = np.asarray(value, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"{what} must have shape (n, 2), got {pts.shape}")
     return pts
 
 
+def as_points(value, what: str = "points") -> np.ndarray:
+    """``value`` as a finite float array of shape (n, 2); any other shape, or a NaN or
+    inf entry, raises, naming it."""
+    pts = _shaped(value, what)
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{what} must be finite")
+    return pts
+
+
 def as_coords(value) -> np.ndarray:
-    """Config coordinates as an (n, 2) array, each through ``convert(x, float)``."""
-    as_points(value)  # the shape check, naming the shape
+    """Config coordinates as an (n, 2) array, each through ``convert(x, float)``; the
+    dataclass that takes them checks that they are finite, naming its field."""
+    _shaped(value, "points")
     return np.array([[convert(x, float) for x in row] for row in value]).reshape(-1, 2)
 
 

@@ -18,8 +18,8 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from etslam.scene import (GroundTruthScan, Pose, Scene, ground_truth_scans, rotation,
-                          trajectory_pose, wrap_angle)
+from etslam.scene import (GroundTruthScan, Pose, Scene, ground_truth_scans, require_positive,
+                          rotation, trajectory_pose, wrap_angle)
 
 LOG_ODDS_CLAMP = 10.0
 # grid border beyond the scene bounds on every side [m]
@@ -42,11 +42,10 @@ def whole_steps(value: float, step: float, what: str, per: str) -> int:
 def run_steps(duration: float, snapshot_cadence: Optional[float],
               step_interval: float) -> tuple[int, int]:
     """Trajectory steps in a run of ``duration`` s and between snapshots (every
-    step when ``snapshot_cadence`` is None); each must be whole and > 0."""
-    if not duration > 0:
-        raise ValueError("duration must be > 0")
-    if snapshot_cadence is not None and not snapshot_cadence > 0:
-        raise ValueError("snapshot_cadence must be > 0")
+    step when ``snapshot_cadence`` is None); each must be finite, > 0 and whole."""
+    require_positive(duration=duration)
+    if snapshot_cadence is not None:
+        require_positive(snapshot_cadence=snapshot_cadence)
     n_steps = whole_steps(duration, step_interval, "duration", "trajectory steps")
     if snapshot_cadence is None:
         return n_steps, 1
@@ -72,8 +71,7 @@ class OccupancyGrid:
     l_free: float
 
     def __post_init__(self):
-        if not self.resolution > 0:
-            raise ValueError("grid resolution must be > 0")
+        require_positive("grid", resolution=self.resolution)
         self.origin = np.asarray(self.origin, dtype=float)
 
     @classmethod
@@ -123,12 +121,9 @@ class SearchWindow:
     dtheta_step: float = math.radians(0.5)
 
     def __post_init__(self):
-        for name in ("dxy_max", "dtheta_max"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"search window {name} must be finite and >= 0")
-        for name in ("dxy_step", "dtheta_step"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"search window {name} must be finite and > 0")
+        require_positive("search window", or_zero=True, dxy_max=self.dxy_max,
+                         dtheta_max=self.dtheta_max)
+        require_positive("search window", dxy_step=self.dxy_step, dtheta_step=self.dtheta_step)
         self.offsets()  # raises unless each half-width is a whole number of its step
 
     def offsets(self):
@@ -237,9 +232,9 @@ class OdometryModel:
     rotation_noise_std: float = 0.0     # rad per step
 
     def __post_init__(self):
-        for name in ("translation_noise_std", "rotation_noise_std"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"odometry {name} must be finite and >= 0")
+        require_positive("odometry", or_zero=True,
+                         translation_noise_std=self.translation_noise_std,
+                         rotation_noise_std=self.rotation_noise_std)
 
 
 @dataclass(frozen=True)
@@ -251,9 +246,7 @@ class SlamConfig:
     matching_enabled: bool = True
 
     def __post_init__(self):
-        for name in ("resolution", "l_occ", "l_free"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"slam {name} must be finite and > 0")
+        require_positive("slam", resolution=self.resolution, l_occ=self.l_occ, l_free=self.l_free)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from etslam.harness import (
     write_csv,
 )
 from etslam.metrics import MetricParams, et_gospa
-from etslam.ofdm import WaveformConfig
+from etslam.ofdm import PeakPolicy, WaveformConfig
 from etslam.parametric import ErrorModel
 from etslam.scene import Circle, Rectangle, ground_truth_scan, load_scene, trajectory_pose
 from etslam.slam import OdometryModel, SearchWindow, SlamConfig
@@ -222,9 +222,10 @@ def test_condition_rejects_other_sensor_keys(key, value):
     (("waveform",), "T", float("nan"), "t_sym must equal tp + tc"),
     (("waveform",), "B", float("nan"), "configured bandwidth B=nan inconsistent"),
     (("sweep", "conditions", 0), "snr_db", float("nan"), "waveform snr_db must be finite"),
-    (("sensor",), "angle_peak_threshold_db", float("nan"), "angle_peak_threshold_db must be finite"),
-    (("sensor",), "angle_max_peaks", 0, "angle_max_peaks must be >= 1"),
-    (("sensor",), "angle_max_peaks", -3, "angle_max_peaks must be >= 1"),
+    (("sensor",), "angle_peak_threshold_db", float("nan"),
+     "peak policy threshold_db must be finite"),
+    (("sensor",), "angle_max_peaks", 0, "peak policy max_peaks must be >= 1"),
+    (("sensor",), "angle_max_peaks", -3, "peak policy max_peaks must be >= 1"),
     (("sensor",), "delta_r_m", float("nan"), "error model delta_r must be finite and >= 0"),
     (("sensor",), "delta_theta_deg", float("inf"),
      "error model delta_theta must be finite and >= 0"),
@@ -324,7 +325,7 @@ _DTH1, _DTH5 = 0.017453292519943295, 0.08726646259971647
 PINNED = {
     "ci.yaml": (
         dict(backend="parametric", error_model=ErrorModel(0.0, _DTH1), bearing_step_deg=2.0,
-             angle_peak_threshold_db=5.9, angle_max_peaks=4, waveform=_CI_WAVEFORM,
+             angle_policy=PeakPolicy(threshold_db=5.9, max_peaks=4), waveform=_CI_WAVEFORM,
              slam=_SLAM, odometry=_ODOMETRY, cluster=ClusterParams(eps=0.5, min_pts=3),
              metric=MetricParams(c=5.0, p=1.0, alpha=2.0), trials=20, duration=60.0,
              seed=20260826, snapshot_cadence=5.0, estimate_cap=100),
@@ -335,7 +336,7 @@ PINNED = {
     ),
     "full_scale.yaml": (
         dict(backend="ofdm", error_model=ErrorModel(), bearing_step_deg=2.0,
-             angle_peak_threshold_db=6.0, angle_max_peaks=4, waveform=_FULL_WAVEFORM,
+             angle_policy=PeakPolicy(threshold_db=6.0, max_peaks=4), waveform=_FULL_WAVEFORM,
              slam=_SLAM, odometry=_ODOMETRY, cluster=ClusterParams(eps=0.5, min_pts=3),
              metric=MetricParams(c=10.0, p=1.0, alpha=2.0), trials=500, duration=80.0,
              seed=20260826, snapshot_cadence=5.0, estimate_cap=100),

@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etslam.metrics import (
@@ -282,6 +282,22 @@ def test_point_sets_must_be_n_by_2(call, what, shape):
         call(bad)
 
 
+@pytest.mark.parametrize("call, what", [
+    (lambda bad: et_gospa([_POINT], bad, P514), "estimates"),
+    (lambda bad: et_gospa([_POINT, bad], _POINT, P514), "target 1"),
+    (lambda bad: cost_matrix([_POINT], bad, P514), "estimates"),
+    (lambda bad: cost_matrix([bad], _POINT, P514), "target 0"),
+    (lambda bad: gospa_baseline(bad, _POINT, P514), "truth points"),
+    (lambda bad: gospa_baseline(_POINT, bad, P514), "estimates"),
+], ids=["et_gospa-estimates", "et_gospa-target", "cost_matrix-estimates",
+        "cost_matrix-target", "gospa_baseline-truth", "gospa_baseline-estimates"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_point_sets_must_be_finite(call, what, value):
+    """An inf estimate was scored as one far away, and a NaN failed later, naming no set."""
+    with pytest.raises(ValueError, match=f"^{what} must be finite$"):
+        call(np.array([[0.0, 1.0], [value, 0.0]]))
+
+
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         MetricParams(c=-1.0)
@@ -432,6 +448,17 @@ def test_gospa_baseline_examples():
 def test_gospa_baseline_empty_sets():
     assert gospa_baseline(np.zeros((0, 2)), np.zeros((0, 2)), P514) == 0.0
     assert gospa_baseline(np.zeros((0, 2)), np.array([[1.0, 1.0]]), P514) == pytest.approx(2.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.floats(0.5, 20.0), p=st.floats(1.0, 3.0))
+@example(c=5.0, p=2.2)
+@example(c=10.0, p=2.5)
+def test_gospa_baseline_clamped_pair_costs_the_cardinality_charge(c, p):
+    """A pair clamped at c^p costs, bit for bit, what one unmatched point pays at alpha = 1."""
+    params = MetricParams(c=c, p=p, alpha=1.0)
+    far = gospa_baseline(_POINT, np.array([[100.0, 0.0]]), params)  # d^2 = 1e4 > c
+    assert far == gospa_baseline(_POINT, np.zeros((0, 2)), params)
 
 
 def _far_apart_singletons(rng, params):

@@ -479,6 +479,22 @@ def test_detect_peaks_empty_spectrum():
     assert mask.shape == (64,) and not mask.any()
 
 
+def test_peak_policy_defaults():
+    assert PeakPolicy() == PeakPolicy(threshold_db=6.0, max_peaks=4)
+
+
+@pytest.mark.parametrize("threshold_db, max_peaks, message", [
+    (math.nan, 1, "peak policy threshold_db must be finite"),
+    (math.inf, 1, "peak policy threshold_db must be finite"),
+    (6.0, 0, "peak policy max_peaks must be >= 1"),
+    (6.0, -3, "peak policy max_peaks must be >= 1"),
+])
+def test_peak_policy_built_in_code_checks_its_fields(threshold_db, max_peaks, message):
+    """Each of these was taken, and detect_peaks then returned no peaks without an error."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PeakPolicy(threshold_db=threshold_db, max_peaks=max_peaks)
+
+
 def test_detect_peaks_rejects_empty_input():
     with pytest.raises(ValueError):
         detect_peaks(np.zeros(0), PeakPolicy(threshold_db=12.0, max_peaks=1))

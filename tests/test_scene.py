@@ -3,6 +3,7 @@
 import math
 import re
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +91,22 @@ def test_trajectory_first_blocked_segment_named():
         _simple_scene(waypoints=waypoints)
 
 
+@pytest.mark.parametrize("index, waypoint", [(1, [45.0, 5.0]), (3, [5.0, -0.5])])
+def test_waypoint_outside_bounds_rejected(index, waypoint):
+    """Both loaded: the packaged scene's bounds are [0, 30] on each axis."""
+    doc = yaml.safe_load(Path(DEFAULT_SCENE).read_text())
+    doc["trajectory"]["waypoints"][index] = waypoint
+    with pytest.raises(SceneValidationError,
+                       match=f"^trajectory waypoint {index} lies outside scene bounds$"):
+        load_scene(doc)
+
+
+def test_waypoint_on_bounds_accepted():
+    doc = yaml.safe_load(Path(DEFAULT_SCENE).read_text())
+    doc["trajectory"]["waypoints"] = [[0.0, 5.0], [30.0, 5.0]]
+    assert load_scene(doc).trajectory.total_length == 30.0
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(SceneValidationError):
         _simple_scene(targets=[{"id": 1, "kind": "triangle", "center": [5.0, 5.0]}])
@@ -114,10 +131,15 @@ def test_unhashable_kind_rejected_with_location(kind):
     (("targets", 1, "ref_points"), [[1.0, True]],
      "target 2: key 'ref_points': expected float, got True"),
     (("targets", 1, "ref_points"), [[math.nan, 10.0]], "target 2: reference point off boundary"),
+    (("targets", 0, "width"), math.inf, "target 1: rectangle width must be finite and > 0"),
+    (("targets", 0, "height"), math.inf, "target 1: rectangle height must be finite and > 0"),
+    (("targets", 1, "radius"), math.inf, "target 2: circle radius must be finite and > 0"),
 ], ids=["bounds-min-bool", "waypoint-bool", "rect-center-nan", "rect-rotation-nan",
-        "bounds-max-inf", "circle-center-inf", "ref-points-bool", "ref-points-nan"])
+        "bounds-max-inf", "circle-center-inf", "ref-points-bool", "ref-points-nan",
+        "rect-width-inf", "rect-height-inf", "circle-radius-inf"])
 def test_coordinates_fail_loudly(path, value, message):
-    """Each of these loaded: a bool coordinate as 1.0, a non-finite one as itself."""
+    """Each of these loaded: a bool coordinate as 1.0, a non-finite one as itself; an
+    infinite size failed only as a RuntimeWarning, then "reference point off boundary"."""
     doc = _simple_doc()
     leaf = doc
     for key in path[:-1]:
@@ -133,7 +155,11 @@ def test_coordinates_fail_loudly(path, value, message):
     lambda: Circle(center=(math.nan, 0.0), radius=1.0),
     lambda: Scene(bounds_min=np.array([-20.0, -math.inf]), bounds_max=np.array([20.0, 20.0]),
                   targets=[], trajectory=Trajectory(np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0, 0.5)),
-], ids=["rect-center", "rect-rotation", "circle-center", "scene-bounds"])
+    lambda: Rectangle(center=(0.0, 0.0), width=math.inf, height=1.0),
+    lambda: Rectangle(center=(0.0, 0.0), width=1.0, height=math.inf),
+    lambda: Circle(center=(0.0, 0.0), radius=math.inf),
+], ids=["rect-center", "rect-rotation", "circle-center", "scene-bounds", "rect-width",
+        "rect-height", "circle-radius"])
 def test_shapes_and_scene_built_in_code_reject_non_finite(build):
     with pytest.raises(SceneValidationError, match="must be finite"):
         build()

@@ -97,6 +97,12 @@ def test_grid_rejects_bad_resolution():
         _grid(origin=np.zeros(2), resolution=0.0, log_odds=np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("resolution", [math.inf, math.nan])
+def test_grid_built_in_code_rejects_non_finite_resolution(resolution):
+    with pytest.raises(ValueError, match=r"^grid resolution must be finite and > 0$"):
+        _grid(origin=np.zeros(2), resolution=resolution, log_odds=np.zeros((2, 2)))
+
+
 def test_update_single_detection():
     grid = _grid(origin=np.array([-5.0, -5.0]), resolution=0.1,
                  log_odds=np.zeros((100, 100)))
