@@ -1,14 +1,35 @@
 """DBSCAN recognition of extended targets from accumulated map points.
 
 Classic DBSCAN semantics (Ester et al. 1996): a point is core iff it has
->= min_pts neighbors within eps (closed ball, itself included).  Clusters are
-the connected components of the core points under the eps-neighbor relation,
-found by hooking each component onto its lowest core index (Shiloach & Vishkin
-1982), and numbered in order of that first core point in the input.  A border
-point (not core, within eps of a core point) joins the lowest-id cluster
-among its core neighbors; every other point is noise.  Core/noise status and
-the partition of the core points do not depend on input order; cluster ids
-and border labels can change under a permutation.
+>= min_pts neighbors within eps (closed ball, itself included), where p and q
+are neighbors iff ``dx*dx + dy*dy <= eps*eps`` on their coordinates.
+Clusters are the connected components of the core points under that
+relation, numbered in order of each cluster's first core point in the input.
+A border point (not core, within eps of a core point) joins the lowest-id
+cluster among its core neighbors; every other point is noise.  Core/noise
+status and the partition of the core points do not depend on input order;
+cluster ids and border labels can change under a permutation.
+
+The neighbours come from a grid of square cells of side eps/3 (Gunawan 2013;
+Gan & Tao 2015), placed at the points' minimum and keyed over the occupied
+cells only, so no array is sized by the map's extent:
+
+- Near cells, which differ by at most 1 on each axis, hold points at most
+  2*sqrt(2)/3 eps = 0.943 eps apart: neighbours with no distance computed.
+  A cell whose 3x3 block holds min_pts points makes all its points core.
+- Ring cells, the rest within reach, get the exact test point by point:
+  cells whose gap, (max(|dx|-1, 0)^2 + max(|dy|-1, 0)^2) (eps/3)^2, exceeds
+  eps^2 hold no neighbours, so the reach is |dx|, |dy| <= 4 less the
+  corners.  Only the sparser cells' points, to count their neighbours, and
+  the core points of two cells in different near-cell components are tested.
+- The cells that hold a core point are the component graph's nodes, hooked
+  onto their lowest index (Shiloach & Vishkin 1982) and numbered by their
+  first core point, so each component's lowest node holds its cluster's
+  first core point and the clusters come out in that order.
+
+A span beyond 2**29 eps is refused with a ValueError: past it the int64 cell
+keys can overflow, and rounding of the cell index can eat the near cells'
+margin of 0.057 eps.
 """
 
 from __future__ import annotations
@@ -16,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from etslam.scene import as_points, require_positive
 
@@ -63,31 +83,136 @@ def _lowest_index_components(n: int, edges: np.ndarray) -> np.ndarray:
     return root
 
 
+# Half of the offsets within reach, as (row offset, column offsets lo..hi) of one row
+# each, so every pair of occupied cells within reach is found once, from its lower
+# key.  Near cells differ by at most 1 on each axis; the ring is the rest.
+_NEAR = ((0, 1, 1), (1, -1, 1))
+_RING = ((0, 2, 4), (1, -4, -2), (1, 2, 4), (2, -3, 3), (3, -3, 3), (4, -1, 1))
+
+
+def _ragged(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) for every i and every j in [lo[i], hi[i]), grouped by i."""
+    size = hi - lo
+    i = np.repeat(np.arange(len(lo)), size)
+    j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(size) - size), size)
+    return i, j
+
+
+def _cell_pairs(keys: np.ndarray, width: int, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) for every pair of occupied cells whose key offset lies in one of ``offsets``."""
+    pairs = [
+        _ragged(np.searchsorted(keys, keys + (dx * width + lo)),
+                np.searchsorted(keys, keys + (dx * width + hi), side="right"))
+        for dx, lo, hi in offsets
+    ]
+    return np.concatenate([a for a, _ in pairs]), np.concatenate([b for _, b in pairs])
+
+
+def _grid(points: np.ndarray, eps: float):
+    """The cells of side eps/3 that hold a point: each point's cell, the point indices
+    grouped by cell, where each cell's group starts, and the (a, b) pairs of near
+    cells and of ring cells."""
+    n = len(points)
+    # per column: a reduction over axis 0 of an (n, 2) array is ten times slower;
+    # Python floats, so a span past the float range reads inf without a warning
+    x, y = points.T
+    x0, y0 = float(x.min()), float(y.min())
+    span = max(float(x.max()) - x0, float(y.max()) - y0)
+    if span > 2**29 * eps:
+        raise ValueError(
+            f"points span {span:g}, more than 2**29 times eps {eps!r}, too wide for the cell grid"
+        )
+    ij = np.floor((points - [x0, y0]) / (eps / 3)).astype(np.int64)
+    # column offsets -4..4 stay inside a row this wide, so no key wraps onto a cell
+    width = int(ij[:, 1].max()) + 9
+    key = ij[:, 0] * width + ij[:, 1]
+    members = np.argsort(key)
+    key = key[members]
+    first = np.concatenate([[True], key[1:] != key[:-1]])
+    cell = np.empty(n, dtype=np.intp)
+    cell[members] = np.cumsum(first) - 1
+    keys = key[first]
+    start = np.append(np.flatnonzero(first), n)
+    return cell, members, start, _cell_pairs(keys, width, _NEAR), _cell_pairs(keys, width, _RING)
+
+
+def _close_pairs(points, eps, members, start, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) for every point p of cell a[k] and q of cell b[k] within eps of each other,
+    where cell c holds the points ``members[start[c]:start[c + 1]]``."""
+    k, p = _ragged(start[a], start[a + 1])
+    k, q = _ragged(start[b[k]], start[b[k] + 1])
+    p, q = members[p[k]], members[q]
+    dx = points[p, 0] - points[q, 0]
+    dy = points[p, 1] - points[q, 1]
+    close = dx * dx + dy * dy <= eps * eps
+    return p[close], q[close]
+
+
+def _cell_clusters(points, eps, core, cell, members, m, near, ring) -> tuple[np.ndarray, int]:
+    """The cluster id of the core points in each of the m cells, and the number of
+    clusters, which is also the id of every cell that holds no core point.
+
+    The graph's nodes are the cells that hold a core point, numbered in the
+    order of each cell's first core point, and one extra node k stands for
+    every other cell, so each component's lowest node holds its first core
+    point.  Near cells join outright; ring cells in two near components join if
+    a core point of one lies within eps of one of the other.
+    """
+    core_members = members[core[members]]
+    core_start = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cell[core_members], minlength=m), out=core_start[1:])
+    held = np.diff(core_start) > 0
+    firsts = np.sort(np.minimum.reduceat(core_members, core_start[:-1][held]))
+    k = len(firsts)
+    node = np.full(m, k)
+    node[cell[firsts]] = np.arange(k)
+    a, b = node[near[0]], node[near[1]]
+    joined = (a < k) & (b < k)
+    root = _lowest_index_components(k + 1, np.column_stack([a[joined], b[joined]]))
+    a, b = root[node[ring[0]]], root[node[ring[1]]]
+    apart = np.flatnonzero((a != b) & (np.maximum(a, b) < k))
+    a, b = ring[0][apart], ring[1][apart]
+    p, q = _close_pairs(points, eps, core_members, core_start, a, b)
+    edges = np.column_stack([root[node[cell[p]]], root[node[cell[q]]]])
+    root = _lowest_index_components(k + 1, edges)[root]
+    # roots ascend with their first core point; node k, a root, ranks last
+    rank = np.cumsum(root == np.arange(k + 1)) - 1
+    return rank[root[node]], rank[k]
+
+
 def dbscan(points: np.ndarray, params: ClusterParams = ClusterParams()) -> np.ndarray:
     """Cluster labels per row of (n, 2) points; noise is NOISE (-1), ids contiguous from 0."""
     points = as_points(points)
     n = len(points)
     if n == 0:
         return np.zeros(0, dtype=int)
-    # (E, 2) rows i < j, the call's largest array: the steps below work inside it
-    edges = cKDTree(points).query_pairs(params.eps, output_type="ndarray")
-    core = np.bincount(edges.ravel(), minlength=n) + 1 >= params.min_pts
-    lo, hi = edges.T
-    core_lo, core_hi = core[lo], core[hi]
-    mixed = np.compress(core_lo != core_hi, edges, axis=0)  # one core end, one border end
-    # clusters: components of the core-core edges, numbered by first core point;
-    # every other edge becomes a self-loop, which hooks nothing
-    np.copyto(hi, lo, where=~(core_lo & core_hi))
-    root = _lowest_index_components(n, edges)
-    firsts, ids = np.unique(root[core], return_inverse=True)
-    labels = np.full(n, len(firsts), dtype=int)
-    labels[core] = ids
-    # border points: the smallest cluster id among their core neighbors
-    lo, hi = mixed.T
-    to_lo, to_hi = labels[hi], labels[lo]
-    np.minimum.at(labels, lo, to_lo)
-    np.minimum.at(labels, hi, to_hi)
-    labels[labels == len(firsts)] = NOISE
+    eps, min_pts = params.eps, params.min_pts
+    cell, members, start, near, ring = _grid(points, eps)
+    m = len(start) - 1
+
+    # core: every point of a cell whose 3x3 block holds min_pts points; in the
+    # sparser cells, each point adds its exact neighbours in the ring cells
+    count = np.diff(start)
+    block = (count + np.bincount(near[0], count[near[1]], minlength=m)
+             + np.bincount(near[1], count[near[0]], minlength=m))
+    sparse = block < min_pts
+    either = sparse[ring[0]] | sparse[ring[1]]
+    close_p, close_q = _close_pairs(points, eps, members, start, ring[0][either], ring[1][either])
+    core = (block[cell] + np.bincount(close_p, minlength=n)
+            + np.bincount(close_q, minlength=n) >= min_pts)
+
+    cid, n_clusters = _cell_clusters(points, eps, core, cell, members, m, near, ring)
+    # border points: the lowest cluster id among their core neighbours; a near
+    # cell's core points all lie within eps, a ring cell's were tested above.
+    # A cell that holds a core point keeps its id, which its near core cells share.
+    to_a, to_b = cid[near[1]], cid[near[0]]
+    np.minimum.at(cid, near[0], to_a)
+    np.minimum.at(cid, near[1], to_b)
+    labels = cid[cell]
+    for p, q in ((close_p, close_q), (close_q, close_p)):
+        border = core[q] & ~core[p]
+        np.minimum.at(labels, p[border], labels[q[border]])
+    labels[labels == n_clusters] = NOISE
     return labels
 
 

@@ -55,8 +55,13 @@ class EtGospaResult:
     extra_count: int
 
 
-def _as_target_sets(targets: Sequence[np.ndarray]) -> list[np.ndarray]:
-    out = []
+class _TargetSets(list):
+    """Target sets checked by ``_as_target_sets``.  ``et_gospa`` checks its estimates
+    beside them, so ``cost_matrix`` takes both from it as they are."""
+
+
+def _as_target_sets(targets: Sequence[np.ndarray]) -> _TargetSets:
+    out = _TargetSets()
     for i, pts in enumerate(targets):
         arr = as_points(pts, f"target {i}")
         if len(arr) == 0:
@@ -79,8 +84,9 @@ def cost_matrix(
     targets: Sequence[np.ndarray], estimates: np.ndarray, params: MetricParams
 ) -> np.ndarray:
     """Pair cost E of every target against every estimate, shape (|X|, |Y|)."""
-    targets = _as_target_sets(targets)
-    estimates = as_points(estimates, "estimates")
+    if not isinstance(targets, _TargetSets):
+        targets = _as_target_sets(targets)
+        estimates = as_points(estimates, "estimates")
     if len(targets) == 0 or len(estimates) == 0:
         raise ValueError("targets and estimates must be non-empty")
     d = _min_costs(targets, estimates, params)

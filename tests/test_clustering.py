@@ -66,6 +66,33 @@ def reference_dbscan(points: np.ndarray, params: ClusterParams) -> np.ndarray:
     return labels
 
 
+def pair_list_dbscan(points: np.ndarray, params: ClusterParams) -> np.ndarray:
+    """The former library DBSCAN, worked inside the KD-tree's (E, 2) eps-pair array.
+
+    Core points count their pairs; the core-core pairs give the components,
+    hooked onto their lowest core index; a border point takes the lowest
+    cluster id over its mixed (core, non-core) pairs.  Fast enough for the
+    bench-sized maps that the O(n^2) reference cannot take.
+    """
+    n = len(points)
+    edges = cKDTree(points).query_pairs(params.eps, output_type="ndarray")
+    core = np.bincount(edges.ravel(), minlength=n) + 1 >= params.min_pts
+    lo, hi = edges.T
+    core_lo, core_hi = core[lo], core[hi]
+    mixed = edges[core_lo != core_hi]
+    both = edges[core_lo & core_hi]
+    root = clustering._lowest_index_components(n, both)
+    firsts, ids = np.unique(root[core], return_inverse=True)
+    labels = np.full(n, len(firsts), dtype=int)
+    labels[core] = ids
+    lo, hi = mixed.T
+    to_lo, to_hi = labels[hi], labels[lo]
+    np.minimum.at(labels, lo, to_lo)
+    np.minimum.at(labels, hi, to_hi)
+    labels[labels == len(firsts)] = NOISE
+    return labels
+
+
 # ---------------------------------------------------------------------------
 # worked examples
 
@@ -182,6 +209,113 @@ def test_duplicate_points_match_reference():
     # a point repeated min_pts times is core on its own
     labels = dbscan(np.array([[1.0, 1.0]] * 3 + [[9.0, 9.0]]), ClusterParams(0.1, 3))
     assert list(labels) == [0, 0, 0, NOISE]
+
+
+# ---------------------------------------------------------------------------
+# the eps/3 cell grid: cell boundaries, exact-eps ties, far coordinates
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("divisor", [3, 6])
+def test_grid_lattice_matches_reference(eps, divisor):
+    """Lattices of spacing eps/3 and eps/6 put points on cell boundaries and
+    exact-eps ties at the stencil's far offsets, 3 and 4 cells out."""
+    rng = np.random.default_rng(int(40 * eps) + divisor)
+    cells = np.array([(i, j) for i in range(-6, 7) for j in range(-6, 7)])
+    for min_pts in (1, 2, 3, 5, 9):
+        for _ in range(4):
+            keep = rng.random(len(cells)) < rng.uniform(0.2, 0.8)
+            pts = (eps / divisor) * cells[keep] + np.array([3.0, -7.25])
+            params = ClusterParams(eps=eps, min_pts=min_pts)
+            assert np.array_equal(dbscan(pts, params), reference_dbscan(pts, params))
+
+
+def test_grid_finds_neighbours_at_far_cell_offsets():
+    """Every neighbour pair of the lattices whose cells lie 3 or 4 apart on an axis,
+    by the grid's own cell rule, clusters as the reference clusters it, alone with
+    the lattice's corner point, which keeps the grid's origin: these pairs are
+    found only through the ring's far offsets, (0, 4) and (3, 3) among them."""
+    cells = np.array([(i, j) for i in range(-6, 7) for j in range(-6, 7)])
+    seen = set()
+    for eps in (0.5, 0.75, 1.0):
+        params = ClusterParams(eps=eps, min_pts=2)
+        for divisor in (3, 6):
+            pts = (eps / divisor) * cells + np.array([3.0, -7.25])
+            grid = np.floor((pts - pts.min(axis=0)) / (eps / 3))
+            d = pts[:, None, :] - pts[None, :, :]
+            close = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] <= eps * eps
+            offset = np.abs(grid[:, None, :] - grid[None, :, :])
+            for i, j in zip(*np.nonzero(close & (offset.max(axis=-1) >= 3))):
+                if i < j:
+                    seen.add(tuple(sorted(offset[i, j].astype(int))))
+                    trio = pts[[0, i, j]]
+                    assert np.array_equal(dbscan(trio, params), reference_dbscan(trio, params))
+    assert {(0, 4), (3, 3)} <= seen
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_grid_finds_a_neighbour_four_cells_and_one_row_away(transpose):
+    """Rounding puts p, on a cell boundary, in the cell below, so q lies 4 cells and
+    1 row off: the stencil's (4, 1) offset, a gap of exactly eps, must be tested."""
+    eps = 0.3
+    pts = np.array([[0.0, 0.0],  # the grid's origin
+                    [2.9999999999999996, 0.09999999999999998],
+                    [3.2999999999999994, 0.09999999999999999]])
+    offset = np.abs(np.diff(np.floor(pts[1:] / (eps / 3)), axis=0))
+    dx, dy = pts[2] - pts[1]
+    assert offset.tolist() == [[4, 1]] and dx * dx + dy * dy <= eps * eps
+    pts = pts[:, ::-1] if transpose else pts
+    params = ClusterParams(eps=eps, min_pts=2)
+    assert list(dbscan(pts, params)) == [NOISE, 0, 0]
+    assert np.array_equal(dbscan(pts, params), reference_dbscan(pts, params))
+
+
+def _linked_groups(eps, gap):
+    """Two 3x3 groups, each with one link point, the two links ``gap`` apart in x
+    and every other pair across the groups more than eps apart."""
+    offsets = np.array([(i, j) for i in (-0.4, -0.3, -0.2) for j in (-0.1, 0.0, 0.1)])
+    left = np.vstack([offsets * eps, [[0.0, 0.0]]])
+    right = np.vstack([offsets * [-eps, eps], [[0.0, 0.0]]]) + [gap, 0.0]
+    return np.vstack([left, right])
+
+
+@pytest.mark.parametrize("eps", [0.5, 1.0])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_grid_joins_groups_over_one_exact_eps_pair(eps, transpose):
+    """The only link is one pair exactly eps apart, three cells apart on the grid, so
+    the ring test decides it; one ulp further apart, the groups stay two clusters."""
+    params = ClusterParams(eps=eps, min_pts=3)
+    for gap, want in ((eps, [0] * 20), (np.nextafter(eps, np.inf), [0] * 10 + [1] * 10)):
+        pts = _linked_groups(eps, gap)
+        cells = np.floor((pts[[9, 19], 0] - pts[:, 0].min()) / (eps / 3))
+        assert cells[1] - cells[0] == 3
+        pts = pts[:, ::-1] if transpose else pts
+        labels = dbscan(pts, params)
+        assert list(labels) == want
+        assert np.array_equal(labels, reference_dbscan(pts, params))
+
+
+def test_grid_at_utm_scale_matches_reference():
+    """Map coordinates in metres from a UTM origin, where a point's ulp is 1e-9 m."""
+    rng = np.random.default_rng(17)
+    for trial in range(30):
+        n = int(rng.integers(1, 120))
+        blobs = rng.uniform(-8.0, 8.0, size=(3, 2))
+        pts = blobs[rng.integers(0, 3, size=n)] + rng.normal(0, 0.3, size=(n, 2))
+        pts = np.vstack([pts, rng.uniform(-8.0, 8.0, size=(n // 4, 2))]) + [5e5, 4e6]
+        params = ClusterParams(eps=float(rng.uniform(0.2, 1.0)), min_pts=int(rng.integers(1, 6)))
+        assert np.array_equal(dbscan(pts, params), reference_dbscan(pts, params)), trial
+
+
+def test_grid_span_guard():
+    """Past 2**29 eps the cell keys could overflow, so the span is refused, naming eps."""
+    params = ClusterParams(eps=0.5, min_pts=1)
+    assert list(dbscan(np.array([[0.0, 0.0], [2**28, 1.0]]), params)) == [0, 1]
+    for near, far in (([0.0, 0.0], [np.nextafter(2.0**28, np.inf), 0.0]),
+                      ([0.0, 0.0], [0.0, 1e300]),
+                      ([-1e308, 0.0], [1e308, 0.0])):
+        with pytest.raises(ValueError, match=r"2\*\*29 times eps 0\.5"):
+            dbscan(np.array([near, far]), params)
 
 
 # ---------------------------------------------------------------------------
@@ -405,24 +539,89 @@ def test_surface_map_matches_reference(surface_hits, noise_std, clutter):
         assert np.array_equal(labels, reference_dbscan(pts, params)), (eps, min_pts)
 
 
-def test_dbscan_footprint_within_its_pair_array(surface_hits):
-    """One call's numpy temporaries stay within 1.5x the bytes of its eps-pair array.
+def _cell_pair_bytes(points, eps):
+    """Bytes of the near and ring cell-pair arrays that ``dbscan`` builds for ``points``."""
+    *_, near, ring = clustering._grid(points, eps)
+    return sum(a.nbytes for a in (*near, *ring))
 
-    The components, core-core graph and border pass all work inside the
-    pair array, so no temporary is a full-length copy of an edge column.
-    """
-    pts = _surface_map(surface_hits, *_SURFACE_MAPS[-1])
-    params = ClusterParams()
-    pairs = cKDTree(pts).query_pairs(params.eps, output_type="ndarray")
-    want = dbscan(pts, params)
+
+def _traced_peak(points, params):
+    """Labels and the tracemalloc peak of one ``dbscan`` call, after a warm-up call."""
+    want = dbscan(points, params)
     tracemalloc.start()
     try:
-        labels = dbscan(pts, params)
+        labels = dbscan(points, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.array_equal(labels, want)
-    assert peak <= 1.5 * pairs.nbytes, (peak, pairs.nbytes)
+    return labels, peak
+
+
+@pytest.mark.parametrize("noise_std, clutter", _SURFACE_MAPS)
+def test_dbscan_footprint_within_its_cell_pairs(surface_hits, noise_std, clutter):
+    """One call's numpy temporaries stay within 4x the bytes of its cell-pair arrays.
+
+    The call holds per-point and per-cell arrays and its cell pairs, and only
+    the point pairs of the cells that need an exact test.  On the dense map
+    the bound is below the bytes of its (E, 2) eps-pair array, so a per-point-
+    pair list, the former design's largest array, would not fit.
+    """
+    pts = _surface_map(surface_hits, noise_std, clutter)
+    params = ClusterParams()
+    bound = 4 * _cell_pair_bytes(pts, params.eps)
+    _, peak = _traced_peak(pts, params)
+    assert peak <= bound, (peak, bound)
+    if noise_std == _SURFACE_MAPS[0][0]:
+        pairs = cKDTree(pts).query_pairs(params.eps, output_type="ndarray")
+        assert bound < pairs.nbytes, (bound, pairs.nbytes)
+
+
+@pytest.fixture(scope="module")
+def map_eval_hits():
+    """Ray hits on the target surfaces at every step of the first 60 s of the ci.yaml
+    trajectory, as the bench's ``map_eval`` workload casts them."""
+    cfg = harness.load_experiment("ci.yaml")
+    traj = cfg.scene.trajectory
+    bearings = np.radians(np.arange(0.0, 360.0, 2.0))
+    hits = np.vstack([
+        scene.ground_truth_scan(
+            cfg.scene, scene.trajectory_pose(traj, k * traj.step_interval), bearings
+        ).points
+        for k in range(1, int(round(60.0 / traj.step_interval)) + 1)
+    ])
+    return cfg.scene, hits
+
+
+def _map_eval_maps(map_eval_hits, seed):
+    """The ``map_eval`` workload's two maps at ``seed``: noise, clutter and shuffle as
+    it draws them, with its estimate draws between the maps."""
+    sc, hits = map_eval_hits
+    rng = np.random.default_rng(seed)
+    maps = []
+    for noise_std, clutter in _SURFACE_MAPS:
+        pts = hits + noise_std * rng.standard_normal(hits.shape)
+        junk = rng.uniform(sc.bounds_min, sc.bounds_max, (int(round(clutter * len(hits))), 2))
+        maps.append(np.vstack([pts, junk])[rng.permutation(len(pts) + len(junk))])
+        for size in (20, 50, 100, 200, 300):
+            rng.choice(len(maps[-1]), size, replace=False)
+    return maps
+
+
+@pytest.mark.parametrize("seed", [7, 13])
+def test_map_eval_maps_match_pair_list_dbscan(map_eval_hits, seed):
+    """The bench's 6590- and 7107-point maps: labels byte for byte as the former
+    pair-list design's, and one call's peak below the bytes of its eps-pair array."""
+    params = harness.load_experiment("ci.yaml").cluster
+    maps = _map_eval_maps(map_eval_hits, seed)
+    assert [len(pts) for pts in maps] == [6590, 7107]
+    for pts in maps:
+        want = pair_list_dbscan(pts, params)
+        labels, peak = _traced_peak(pts, params)
+        assert labels.dtype == want.dtype and labels.tobytes() == want.tobytes()
+        assert labels.max() >= 9 and (labels == NOISE).any()
+        pairs = cKDTree(pts).query_pairs(params.eps, output_type="ndarray")
+        assert peak < pairs.nbytes, (peak, pairs.nbytes)
 
 
 # ---------------------------------------------------------------------------

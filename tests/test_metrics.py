@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from etslam import harness, metrics
 from etslam.metrics import (
     EtGospaResult,
     MetricParams,
@@ -296,6 +297,25 @@ def test_point_sets_must_be_finite(call, what, value):
     """An inf estimate was scored as one far away, and a NaN failed later, naming no set."""
     with pytest.raises(ValueError, match=f"^{what} must be finite$"):
         call(np.array([[0.0, 1.0], [value, 0.0]]))
+
+
+def test_et_gospa_checks_each_point_set_once(monkeypatch):
+    """The ci.yaml truth with 20 estimates: one ``as_points`` per target set and one for
+    the estimates, and one call to the module-level ``cost_matrix``, which checks none
+    of them again; called directly, ``cost_matrix`` still checks them all."""
+    truth = harness.load_experiment("ci.yaml").truth_sets()
+    est = np.vstack(truth)[::7][:20]
+    checked, costed = [], []
+    as_points, cost = metrics.as_points, metrics.cost_matrix
+    monkeypatch.setattr(metrics, "as_points", lambda *a: checked.append(a[1:]) or as_points(*a))
+    monkeypatch.setattr(metrics, "cost_matrix", lambda *a: costed.append(1) or cost(*a))
+    want = [(f"target {i}",) for i in range(len(truth))] + [("estimates",)]
+    result = metrics.et_gospa(truth, est, P514)
+    assert checked == want and len(costed) == 1
+    checked.clear()
+    assert metrics.cost_matrix(truth, est, P514).shape == (len(truth), len(est))
+    assert checked == want
+    assert result == et_gospa(truth, est, P514)
 
 
 def test_invalid_params_rejected():
