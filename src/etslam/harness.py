@@ -28,7 +28,8 @@ from etslam.ofdm import FOV, WAVEFORM_KEYS, OfdmSensor, PeakPolicy, WaveformConf
 from etslam.parametric import ErrorModel, ParametricSensor
 from etslam.scene import (Scene, as_radians, convert, load_scene, parse_section,
                           require_positive)
-from etslam.slam import OdometryModel, SearchWindow, SlamConfig, run_slam, run_steps
+from etslam.slam import (OdometryModel, SearchWindow, SlamConfig, run_slam, run_steps,
+                         whole_steps)
 
 CSV_HEADER_COMMENT = "# etslam csv v1"
 
@@ -63,6 +64,10 @@ class ExperimentConfig:
             raise ValueError("estimate_cap must be >= 0 (0 means no cap)")
         if self.backend not in ("parametric", "ofdm"):
             raise ValueError(f"unknown sensor backend '{self.backend}'")
+        # the backend's fan spans FOV or the full circle in whole steps
+        span = math.degrees(FOV[1] - FOV[0]) if self.backend == "ofdm" else 360.0
+        whole_steps(span, self.bearing_step_deg, f"the {self.backend} fan (deg)",
+                    "bearing_step_deg")
         if self.backend == "ofdm" and self.waveform is None:
             raise ValueError("ofdm backend requires a waveform section")
 

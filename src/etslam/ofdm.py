@@ -4,8 +4,9 @@ The processing path is: ground-truth rays (cast by the caller) -> per-path
 delay and steering phases -> equalized symbol-0 column per receive antenna
 (static paths, so the QPSK frame divides out and one symbol suffices) ->
 IDFT range profile per antenna -> peaks of the rx-averaged profile -> DFT
-angle spectrum per range peak -> bin-centre placement.  The full (n_rx, M, N) frame model is
-the tests' reference (``tests/test_ofdm.py``).
+angle spectrum per range peak -> bin-centre placement.  The full (n_tx, M, N)
+frame model of Sturm & Wiesbeck 2011 is the tests' reference (``tests/test_ofdm.py``),
+and so is its timing, which the column does not read: M symbols of T = 1/delta_f + Tc.
 
 Conventions
 -----------
@@ -26,7 +27,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,44 +44,35 @@ FOV = (math.radians(20.0), math.radians(160.0))
 
 @dataclass(frozen=True)
 class WaveformConfig:
-    """OFDM numerology plus the sensing-array geometry.
+    """The OFDM numerology and array geometry that ``sense`` reads.
 
-    ``d`` is the element spacing in meters; None selects half-wavelength.
-    ``snr_db`` is received-echo power over noise power; None disables noise.
+    ``n_tx`` counts the elements of the monostatic array, each of which transmits
+    and receives: the steering rows, the column and the angle DFT all have
+    ``n_tx``.  ``snr_db`` is received-echo power over noise power; None disables noise.
     """
 
     fc: float            # carrier frequency [Hz]
     delta_f: float       # subcarrier spacing [Hz]
-    n_symbols: int       # M
     n_subcarriers: int   # N
-    tp: float            # elementary symbol duration [s]
-    tc: float            # guard interval [s]
-    t_sym: float         # total symbol duration [s]
     n_tx: int = 32
-    n_rx: int = 32
-    d: Optional[float] = None
+    d_over_lambda: float = 0.5
     snr_db: Optional[float] = None
 
     def __post_init__(self):
-        if min(self.n_symbols, self.n_subcarriers, self.n_tx, self.n_rx) < 1:
-            raise ValueError("N, M, N_t, N_r must all be >= 1")
-        if self.n_tx != self.n_rx:
-            raise ValueError("waveform n_tx must equal n_rx (monostatic array)")
+        if min(self.n_subcarriers, self.n_tx) < 1:
+            raise ValueError("waveform N and Nt must be >= 1")
         require_positive("waveform", fc=self.fc, delta_f=self.delta_f)
-        require_positive("waveform", or_zero=True, tc=self.tc)
+        require_positive("waveform", d=self.d)
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise ValueError("waveform snr_db must be finite (or null for no noise)")
-        if not abs(self.t_sym - (self.tp + self.tc)) <= 1e-9:
-            raise ValueError("t_sym must equal tp + tc (within 1e-9 s)")
-        if not abs(self.tp * self.delta_f - 1.0) <= 1e-6:
-            raise ValueError("tp * delta_f must equal 1 (within 1e-6)")
-        if self.d is None:
-            object.__setattr__(self, "d", self.wavelength / 2.0)
-        require_positive("waveform", d=self.d)
 
     @property
     def wavelength(self) -> float:
         return C0 / self.fc
+
+    @property
+    def d(self) -> float:  # element spacing [m]
+        return self.d_over_lambda * self.wavelength
 
     @property
     def bandwidth(self) -> float:
@@ -100,37 +92,24 @@ class WaveformConfig:
 
     @classmethod
     def from_mapping(cls, doc: dict) -> "WaveformConfig":
-        """Build from config-file keys (fc, delta_f, M, N, Tp, Tc, T, B, Nt, Nr, ...)."""
-        kw, derived = parse_section(doc, "waveform", WAVEFORM_KEYS, _DERIVED_KEYS,
-                                    required=("fc", "delta_f", "M", "N", "Tp", "Tc", "T"))
-        cfg = cls(**kw)
-        if "d_over_lambda" in derived:
-            cfg = replace(cfg, d=derived["d_over_lambda"] * cfg.wavelength)
-        b = derived.get("bandwidth")
-        if b is not None and not abs(b - cfg.bandwidth) <= 0.01 * cfg.bandwidth:
-            raise ValueError(
-                f"configured bandwidth B={b:g} inconsistent with N*delta_f={cfg.bandwidth:g}"
-            )
-        return cfg
+        """Build from config-file keys (``WAVEFORM_KEYS``)."""
+        [kw] = parse_section(doc, "waveform", WAVEFORM_KEYS, required=("fc", "delta_f", "N"))
+        return cls(**kw)
 
 
 # config key -> (WaveformConfig field, kind); the paper's symbols as keys
 WAVEFORM_KEYS = {
-    "fc": ("fc", float), "delta_f": ("delta_f", float),
-    "M": ("n_symbols", int), "N": ("n_subcarriers", int),
-    "Tp": ("tp", float), "Tc": ("tc", float), "T": ("t_sym", float),
-    "Nt": ("n_tx", int), "Nr": ("n_rx", int),
+    "fc": ("fc", float), "delta_f": ("delta_f", float), "N": ("n_subcarriers", int),
+    "Nt": ("n_tx", int), "d_over_lambda": ("d_over_lambda", float),
     "snr_db": ("snr_db", lambda v: None if v is None else convert(v, float)),
 }
-# keys that are checked against or converted with the other fields
-_DERIVED_KEYS = {"d_over_lambda": ("d_over_lambda", float), "B": ("bandwidth", float)}
 
 
 def _path_phases(cfg: WaveformConfig, ranges: np.ndarray, bearings: np.ndarray):
-    """Per-path steering across rx elements, shape (L, n_rx), and delay phase
-    across subcarriers, shape (L, N)."""
+    """Per-path steering across the array's elements, shape (L, n_tx), and delay
+    phase across subcarriers, shape (L, N)."""
     omega = (2.0 * np.pi * cfg.d / cfg.wavelength) * np.cos(bearings)
-    steer = np.exp(1j * np.outer(omega, np.arange(cfg.n_rx)))
+    steer = np.exp(1j * np.outer(omega, np.arange(cfg.n_tx)))
     # exp(-2 pi i f (B q + r)) = hi[q] * lo[r]: L*(N/B + B) exponentials, not L*N,
     # with B the smallest power of two >= sqrt(N)
     n = cfg.n_subcarriers
@@ -258,12 +237,12 @@ class OfdmSensor:
 
 def _equalized_column(cfg: WaveformConfig, ranges: np.ndarray, bearings: np.ndarray,
                       rng: Optional[np.random.Generator]) -> np.ndarray:
-    """Equalized symbol-0 response per rx element, shape (n_rx, N).
+    """Equalized symbol-0 response per array element, shape (n_tx, N).
 
     For unit-amplitude, zero-Doppler paths this is symbol 0 of the full-frame
     echo divided by the frame: equalization of unit-modulus QPSK leaves the
     noise statistics unchanged.  One matmul, then, with noise enabled, one unit
-    draw of shape (2, n_rx, N).
+    draw of shape (2, n_tx, N).
     """
     steer, delay = _path_phases(cfg, ranges, bearings)
     y = steer.T @ delay
@@ -281,7 +260,7 @@ def sense(gt: GroundTruthScan, sensor: OfdmSensor, rng: np.random.Generator) -> 
     if np.any(gt.ranges >= cfg.unambiguous_range):
         raise ValueError("path range outside unambiguous window c0/(2*delta_f)")
     col = _equalized_column(cfg, gt.ranges, gt.bearings, rng)
-    profiles = np.fft.ifft(col, axis=1)  # (n_rx, N)
+    profiles = np.fft.ifft(col, axis=1)  # (n_tx, N)
     range_peaks = np.flatnonzero(detect_peaks(np.mean(np.abs(profiles), axis=0), RANGE_POLICY))
     # angle spectrum of every range peak at once: DFT over the rx axis, one row per peak
     specs = np.abs(np.fft.fft(profiles[:, range_peaks], axis=0)).T

@@ -1,11 +1,18 @@
 """Session-wide guards: tier-1 must run in under 1 GB of resident memory and
-leave no thread but the main thread alive."""
+leave no thread but the main thread alive.  It runs BLAS and OpenMP on one
+thread unless the environment says otherwise."""
 
+import os
 import resource
 import sys
 import threading
 
 import pytest
+
+# read once, when numpy loads its BLAS, so set before any test module imports numpy;
+# the sweep's worker processes inherit them
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 PEAK_RSS_LIMIT_BYTES = 1 << 30
 

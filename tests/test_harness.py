@@ -110,8 +110,7 @@ def test_config_validation():
         load_experiment(doc)
 
 
-WAVEFORM_DOC = {"fc": 28.0e9, "delta_f": 1.2e6, "M": 4, "N": 64, "Tp": 1.0 / 1.2e6,
-                "Tc": 2.08e-7, "T": 1.0 / 1.2e6 + 2.08e-7}
+WAVEFORM_DOC = {"fc": 28.0e9, "delta_f": 1.2e6, "N": 64}
 
 
 def full_doc():
@@ -160,7 +159,7 @@ def test_unknown_key_names_section_and_key(path, section):
     (("sensor",), "delta_r_m", "abc", "sensor"),
     (("cluster",), "eps", [0.5], "cluster"),
     (("metric",), "c", None, "metric"),
-    (("waveform",), "M", 4.5, "waveform"),
+    (("waveform",), "N", 4.5, "waveform"),
     (("sweep", "conditions", 0), "snr_db", "high", "sweep condition"),
     (("scene", "targets", 0), "width", True, "target 1"),
     (("scene", "trajectory"), "waypoints", [0.0, 1.0], "trajectory"),
@@ -186,6 +185,43 @@ def test_condition_rejects_other_sensor_keys(key, value):
     doc["sweep"]["conditions"][0][key] = value
     with pytest.raises(ValueError, match=f"^sweep condition: unknown key '{key}'$"):
         load_experiment(doc)
+
+
+@pytest.mark.parametrize("backend, step, span", [("ofdm", 3.0, 140), ("parametric", 7.0, 360)])
+def test_fan_step_that_does_not_divide_the_fan_rejected(backend, step, span):
+    """These used to load and be rounded: 3.0 gave the OFDM fan 48 bearings 2.979 deg
+    apart over its 140 deg, and 7.0 the parametric fan 52 bearings with a 3 deg gap
+    at the wrap."""
+    doc = full_doc()
+    doc["sensor"].update(backend=backend, bearing_step_deg=step)
+    message = (f"the {backend} fan (deg) must be a whole number of bearing_step_deg "
+               f"({step:g}), got {span}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_experiment(doc)
+
+
+def test_fan_step_checked_against_a_condition_backend():
+    """3.0 divides the parametric fan's 360 deg but not the OFDM fan's 140 deg, so a
+    condition that switches to the OFDM backend is refused at load."""
+    doc = full_doc()
+    doc["sensor"]["bearing_step_deg"] = 3.0
+    assert len(load_experiment(doc).make_sensor().bearings) == 120
+    doc["sweep"]["conditions"].append({"name": "ofdm", "backend": "ofdm"})
+    with pytest.raises(ValueError, match="^the ofdm fan [(]deg[)] must be a whole number"):
+        load_experiment(doc)
+
+
+@pytest.mark.parametrize("backend, step, count", [
+    ("ofdm", 1.0, 141), ("ofdm", 2.0, 71), ("ofdm", 5.0, 29),
+    ("parametric", 1.0, 360), ("parametric", 2.0, 180), ("parametric", 5.0, 72),
+    ("parametric", 30.0, 12),
+])
+def test_fan_steps_in_use_load(backend, step, count):
+    doc = full_doc()
+    doc["sensor"].update(backend=backend, bearing_step_deg=step)
+    bearings = load_experiment(doc).make_sensor().bearings
+    assert len(bearings) == count
+    assert np.allclose(np.diff(np.degrees(bearings)), step)
 
 
 @pytest.mark.parametrize("path, key, value, message", [
@@ -217,10 +253,12 @@ def test_condition_rejects_other_sensor_keys(key, value):
     (("waveform",), "delta_f", float("nan"), "waveform delta_f must be finite and > 0"),
     (("waveform",), "snr_db", float("nan"), "waveform snr_db must be finite"),
     (("waveform",), "d_over_lambda", float("inf"), "waveform d must be finite and > 0"),
-    (("waveform",), "Tc", -2.08e-7, "waveform tc must be finite and >= 0"),
-    (("waveform",), "Nr", 16, "waveform n_tx must equal n_rx"),
-    (("waveform",), "T", float("nan"), "t_sym must equal tp + tc"),
-    (("waveform",), "B", float("nan"), "configured bandwidth B=nan inconsistent"),
+    # retired keys: Nt is the one element count, and the frame timing and the
+    # bandwidth follow from delta_f and N, so each is refused, naming it
+    (("waveform",), "Tc", -2.08e-7, "waveform: unknown key 'Tc'"),
+    (("waveform",), "Nr", 16, "waveform: unknown key 'Nr'"),
+    (("waveform",), "T", float("nan"), "waveform: unknown key 'T'"),
+    (("waveform",), "B", float("nan"), "waveform: unknown key 'B'"),
     (("sweep", "conditions", 0), "snr_db", float("nan"), "waveform snr_db must be finite"),
     (("sensor",), "angle_peak_threshold_db", float("nan"),
      "peak policy threshold_db must be finite"),
@@ -307,14 +345,10 @@ def test_sensor_returns_sensor_frame_points(backend):
         assert (len(scan) > 0) == nonempty
 
 
-_CI_WAVEFORM = WaveformConfig(
-    fc=28.0e9, delta_f=1.2e6, n_symbols=64, n_subcarriers=1024,
-    tp=8.333333333333333e-07, tc=2.08e-07, t_sym=1.0413333333333333e-06,
-    n_tx=32, n_rx=32, d=0.005357142857142857, snr_db=10.0)
-_FULL_WAVEFORM = WaveformConfig(
-    fc=28.0e9, delta_f=1.2e5, n_symbols=256, n_subcarriers=10240,
-    tp=8.333333333333334e-06, tc=2.08e-06, t_sym=1.0413333333333334e-05,
-    n_tx=32, n_rx=32, d=0.005357142857142857, snr_db=10.0)
+_CI_WAVEFORM = WaveformConfig(fc=28.0e9, delta_f=1.2e6, n_subcarriers=1024, n_tx=32,
+                              d_over_lambda=0.5, snr_db=10.0)
+_FULL_WAVEFORM = WaveformConfig(fc=28.0e9, delta_f=1.2e5, n_subcarriers=10240, n_tx=32,
+                                d_over_lambda=0.5, snr_db=10.0)
 _SLAM = SlamConfig(resolution=0.1, window=SearchWindow(
     dxy_max=0.3, dxy_step=0.1, dtheta_max=0.017453292519943295,
     dtheta_step=0.008726646259971648), l_occ=0.85, l_free=0.4, matching_enabled=True)
@@ -360,6 +394,7 @@ def test_packaged_config_values_pinned(name):
     cfg = load_experiment(name)
     for field_name, want in fields.items():
         assert getattr(cfg, field_name) == want, field_name
+    assert cfg.waveform.d == 0.005357142857142857  # the element spacing in meters
     assert [c["name"] for c in cfg.sweep_conditions] == list(conditions)
     for cond in cfg.sweep_conditions:
         resolved = apply_condition(cfg, cond)
