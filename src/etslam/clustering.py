@@ -222,14 +222,14 @@ def cluster_centroids(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
     if len(labels) != len(points):
         raise ValueError("labels must align with points")
-    order = np.argsort(labels, kind="stable")
-    ids, starts = np.unique(labels[order], return_index=True)
-    ends = np.append(starts[1:], len(order))
+    ids, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
     keep = ids != NOISE
     if not keep.any():
         return np.zeros((0, 2))
-    grouped = points[order]  # each cluster's points contiguous, in input order
-    return np.stack([grouped[s:e].mean(axis=0) for s, e in zip(starts[keep], ends[keep])])
+    # bincount adds each cluster's points in input order, as mean(axis=0) of its
+    # rows does, so the centroids are the per-cluster means bit for bit
+    sums = np.column_stack([np.bincount(inverse, column) for column in points.T])
+    return (sums / counts[:, None])[keep]
 
 
 def recovered_target_count(

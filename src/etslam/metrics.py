@@ -70,14 +70,40 @@ def _as_target_sets(targets: Sequence[np.ndarray]) -> _TargetSets:
     return out
 
 
+# Cells of the (truth points, |Y|) distance array built at once: 2 MB per float64
+# temporary.  A larger truth set goes in groups of whole consecutive targets.
+_CELL_BUDGET = 2**18
+
+
 def _min_costs(targets: list[np.ndarray], estimates: np.ndarray, params: MetricParams):
     """D[i, j] = min_k d_c(x_{i,k}, y_j)^p, shape (|X|, |Y|), clamped after the power to
-    the scalar c**p, so D <= c^p bit for bit (numpy's power of c can differ from it)."""
-    rows = []
-    for pts in targets:
-        d2 = np.sum((pts[:, None, :] - estimates[None, :, :]) ** 2, axis=-1)
-        rows.append(np.minimum(np.min(d2, axis=0) ** params.p, params.c ** params.p))
-    return np.stack(rows)
+    the scalar c**p, so D <= c^p bit for bit (numpy's power of c can differ from it).
+
+    The squared distances are ``dx*dx + dy*dy``, x term first, the sum that
+    ``np.sum(diff**2, axis=-1)`` over a (K, |Y|, 2) array gives, so D is the same
+    bit for bit as a loop over the targets.  The targets' points are stacked
+    and each target's rows reduced with ``np.minimum.reduceat``, in groups of
+    consecutive targets of at most ``_CELL_BUDGET`` cells; a target larger than
+    that is a group on its own.  Every config fits in one group, and a large
+    truth CSV needs no more memory than the budget or its largest target.
+    """
+    ex, ey = estimates.T
+    ends = np.cumsum([len(pts) for pts in targets])
+    rows_budget = _CELL_BUDGET // len(estimates)
+    d = np.empty((len(targets), len(estimates)))
+    lo = 0
+    while lo < len(targets):
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + rows_budget, side="right")))
+        x, y = np.concatenate(targets[lo:hi]).T
+        d2 = x[:, None] - ex
+        dy = y[:, None] - ey
+        d2 *= d2
+        dy *= dy
+        d2 += dy  # dx*dx + dy*dy, in place
+        np.minimum.reduceat(d2, np.append(0, ends[lo:hi - 1] - base), axis=0, out=d[lo:hi])
+        lo = hi
+    return np.minimum(d ** params.p, params.c ** params.p)
 
 
 def cost_matrix(

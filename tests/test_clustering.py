@@ -659,6 +659,21 @@ def test_centroids_all_noise_and_single_label_match_reference():
         _assert_centroids_match_reference(pts, np.full(40, label))
 
 
+def test_centroids_with_gaps_and_negative_ids_match_reference():
+    """Ids {-3, 0, 7} with NOISE among them: -3 is a cluster, ordered first."""
+    rng = np.random.default_rng(9)
+    labels = rng.choice([-3, NOISE, 0, 7], size=500)
+    pts = rng.normal(0.0, 5.0, size=(500, 2))
+    _assert_centroids_match_reference(pts, labels)
+    assert len(cluster_centroids(pts, labels)) == 3
+
+
+def test_centroids_of_one_large_cluster_match_reference():
+    """2e5 points in one cluster: the sums run in input order, as the mean's do."""
+    pts = np.random.default_rng(21).normal(100.0, 7.0, size=(200_000, 2))
+    _assert_centroids_match_reference(pts, np.zeros(len(pts), dtype=int))
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.integers(0, 60))
 def test_centroids_of_arbitrary_labels_match_reference(data, n):

@@ -120,27 +120,45 @@ def full_doc():
     return doc
 
 
+def _slotted_parametrize(argnames, cases):
+    """``parametrize`` over ``(slot, *values)`` cases, each with the id pytest gave it
+    when it sat at list position ``slot``: its values joined by ``-``, a non-scalar
+    one shown as its argument name and slot (``path12``).  An id no longer follows
+    the position, so removing a case renames no other test; a new case takes an
+    unused slot."""
+    names = [name.strip() for name in argnames.split(",")]
+
+    def shown(name, value, slot):
+        scalar = value is None or isinstance(value, (str, int, float))
+        return str(value) if scalar else f"{name}{slot}"
+
+    return pytest.mark.parametrize(argnames, [
+        pytest.param(*values, id="-".join(shown(n, v, slot) for n, v in zip(names, values)))
+        for slot, *values in cases
+    ])
+
+
 def _section(doc, path):
     for step in path:
         doc = doc[step]
     return doc
 
 
-@pytest.mark.parametrize("path, section", [
-    ((), "experiment"),
-    (("sensor",), "sensor"),
-    (("waveform",), "waveform"),
-    (("slam",), "slam"),
-    (("odometry",), "odometry"),
-    (("cluster",), "cluster"),
-    (("metric",), "metric"),
-    (("run",), "run"),
-    (("sweep",), "sweep"),
-    (("sweep", "conditions", 1), "sweep condition"),
-    (("scene",), "scene"),
-    (("scene", "bounds"), "bounds"),
-    (("scene", "targets", 0), "target 1"),
-    (("scene", "trajectory"), "trajectory"),
+@_slotted_parametrize("path, section", [
+    (0, (), "experiment"),
+    (1, ("sensor",), "sensor"),
+    (2, ("waveform",), "waveform"),
+    (3, ("slam",), "slam"),
+    (4, ("odometry",), "odometry"),
+    (5, ("cluster",), "cluster"),
+    (6, ("metric",), "metric"),
+    (7, ("run",), "run"),
+    (8, ("sweep",), "sweep"),
+    (9, ("sweep", "conditions", 1), "sweep condition"),
+    (10, ("scene",), "scene"),
+    (11, ("scene", "bounds"), "bounds"),
+    (12, ("scene", "targets", 0), "target 1"),
+    (13, ("scene", "trajectory"), "trajectory"),
 ])
 def test_unknown_key_names_section_and_key(path, section):
     doc = full_doc()
@@ -149,25 +167,25 @@ def test_unknown_key_names_section_and_key(path, section):
         load_experiment(doc)
 
 
-@pytest.mark.parametrize("path, key, value, section", [
-    (("run",), "trials", 2.5, "run"),
-    (("run",), "trials", True, "run"),
-    (("run",), "seed", "7", "run"),
-    (("slam",), "matching_enabled", "no", "slam"),
-    (("slam",), "matching_enabled", 1, "slam"),
-    (("sensor",), "backend", 3, "sensor"),
-    (("sensor",), "delta_r_m", "abc", "sensor"),
-    (("cluster",), "eps", [0.5], "cluster"),
-    (("metric",), "c", None, "metric"),
-    (("waveform",), "N", 4.5, "waveform"),
-    (("sweep", "conditions", 0), "snr_db", "high", "sweep condition"),
-    (("scene", "targets", 0), "width", True, "target 1"),
-    (("scene", "trajectory"), "waypoints", [0.0, 1.0], "trajectory"),
-    (("scene", "bounds"), "min", [0.0, 0.0, 0.0], "bounds"),
-    ((), "scene", 5, "experiment"),
-    ((), "scene", None, "experiment"),
-    (("scene",), "targets", [None], "scene"),
-    (("scene",), "targets", [3], "scene"),
+@_slotted_parametrize("path, key, value, section", [
+    (0, ("run",), "trials", 2.5, "run"),
+    (1, ("run",), "trials", True, "run"),
+    (2, ("run",), "seed", "7", "run"),
+    (3, ("slam",), "matching_enabled", "no", "slam"),
+    (4, ("slam",), "matching_enabled", 1, "slam"),
+    (5, ("sensor",), "backend", 3, "sensor"),
+    (6, ("sensor",), "delta_r_m", "abc", "sensor"),
+    (7, ("cluster",), "eps", [0.5], "cluster"),
+    (8, ("metric",), "c", None, "metric"),
+    (9, ("waveform",), "N", 4.5, "waveform"),
+    (10, ("sweep", "conditions", 0), "snr_db", "high", "sweep condition"),
+    (11, ("scene", "targets", 0), "width", True, "target 1"),
+    (12, ("scene", "trajectory"), "waypoints", [0.0, 1.0], "trajectory"),
+    (13, ("scene", "bounds"), "min", [0.0, 0.0, 0.0], "bounds"),
+    (14, (), "scene", 5, "experiment"),
+    (15, (), "scene", None, "experiment"),
+    (16, ("scene",), "targets", [None], "scene"),
+    (17, ("scene",), "targets", [3], "scene"),
 ])
 def test_mistyped_value_names_section_and_key(path, key, value, section):
     doc = full_doc()
@@ -224,64 +242,68 @@ def test_fan_steps_in_use_load(backend, step, count):
     assert np.allclose(np.diff(np.degrees(bearings)), step)
 
 
-@pytest.mark.parametrize("path, key, value, message", [
-    (("slam",), "search_dxy_step", 0.0, "search window dxy_step must be finite and > 0"),
-    (("slam",), "search_dtheta_step_deg", 0.0, "search window dtheta_step must be finite and > 0"),
-    (("slam",), "search_dxy_step", -0.1, "search window dxy_step must be finite and > 0"),
-    (("slam",), "search_dtheta_step_deg", -0.5, "search window dtheta_step must be finite and > 0"),
-    (("slam",), "search_dxy_max", -0.3, "search window dxy_max must be finite and >= 0"),
-    (("slam",), "search_dtheta_max_deg", -1.0, "search window dtheta_max must be finite and >= 0"),
-    (("slam",), "resolution", 0.0, "slam resolution must be finite and > 0"),
-    (("run",), "snapshot_cadence", -5.0, "snapshot_cadence must be finite and > 0"),
-    (("run",), "duration", float("inf"), "duration must be finite and > 0"),
-    (("sensor",), "bearing_step_deg", 0.0, "bearing_step_deg must be finite and > 0"),
-    (("run",), "estimate_cap", -3, "estimate_cap must be >= 0"),
-    (("run",), "seed", -1, "seed must be >= 0"),
-    (("scene", "trajectory"), "waypoints", [[0.0, 0.0], [4.0, 0.0], [4.0, 0.0]],
+@_slotted_parametrize("path, key, value, message", [
+    (0, ("slam",), "search_dxy_step", 0.0, "search window dxy_step must be finite and > 0"),
+    (1, ("slam",), "search_dtheta_step_deg", 0.0,
+     "search window dtheta_step must be finite and > 0"),
+    (2, ("slam",), "search_dxy_step", -0.1, "search window dxy_step must be finite and > 0"),
+    (3, ("slam",), "search_dtheta_step_deg", -0.5,
+     "search window dtheta_step must be finite and > 0"),
+    (4, ("slam",), "search_dxy_max", -0.3, "search window dxy_max must be finite and >= 0"),
+    (5, ("slam",), "search_dtheta_max_deg", -1.0,
+     "search window dtheta_max must be finite and >= 0"),
+    (6, ("slam",), "resolution", 0.0, "slam resolution must be finite and > 0"),
+    (7, ("run",), "snapshot_cadence", -5.0, "snapshot_cadence must be finite and > 0"),
+    (8, ("run",), "duration", float("inf"), "duration must be finite and > 0"),
+    (9, ("sensor",), "bearing_step_deg", 0.0, "bearing_step_deg must be finite and > 0"),
+    (10, ("run",), "estimate_cap", -3, "estimate_cap must be >= 0"),
+    (11, ("run",), "seed", -1, "seed must be >= 0"),
+    (12, ("scene", "trajectory"), "waypoints", [[0.0, 0.0], [4.0, 0.0], [4.0, 0.0]],
      "trajectory segment 1 has zero length"),
-    (("slam",), "l_free", -1.0, "slam l_free must be finite and > 0"),
-    (("slam",), "l_free", float("inf"), "slam l_free must be finite and > 0"),
-    (("slam",), "l_occ", 0.0, "slam l_occ must be finite and > 0"),
-    (("slam",), "l_occ", float("nan"), "slam l_occ must be finite and > 0"),
-    (("scene", "trajectory"), "speed", float("inf"), "trajectory speed must be finite and > 0"),
-    (("scene", "trajectory"), "step_interval", float("nan"),
+    (13, ("slam",), "l_free", -1.0, "slam l_free must be finite and > 0"),
+    (14, ("slam",), "l_free", float("inf"), "slam l_free must be finite and > 0"),
+    (15, ("slam",), "l_occ", 0.0, "slam l_occ must be finite and > 0"),
+    (16, ("slam",), "l_occ", float("nan"), "slam l_occ must be finite and > 0"),
+    (17, ("scene", "trajectory"), "speed", float("inf"),
+     "trajectory speed must be finite and > 0"),
+    (18, ("scene", "trajectory"), "step_interval", float("nan"),
      "trajectory step_interval must be finite and > 0"),
-    (("scene", "trajectory"), "waypoints", [[0.0, 0.0], [float("nan"), 0.0]],
+    (19, ("scene", "trajectory"), "waypoints", [[0.0, 0.0], [float("nan"), 0.0]],
      "trajectory waypoints must be finite"),
-    (("waveform",), "fc", 0.0, "waveform fc must be finite and > 0"),
-    (("waveform",), "fc", -28.0e9, "waveform fc must be finite and > 0"),
-    (("waveform",), "delta_f", float("nan"), "waveform delta_f must be finite and > 0"),
-    (("waveform",), "snr_db", float("nan"), "waveform snr_db must be finite"),
-    (("waveform",), "d_over_lambda", float("inf"), "waveform d must be finite and > 0"),
+    (20, ("waveform",), "fc", 0.0, "waveform fc must be finite and > 0"),
+    (21, ("waveform",), "fc", -28.0e9, "waveform fc must be finite and > 0"),
+    (22, ("waveform",), "delta_f", float("nan"), "waveform delta_f must be finite and > 0"),
+    (23, ("waveform",), "snr_db", float("nan"), "waveform snr_db must be finite"),
+    (24, ("waveform",), "d_over_lambda", float("inf"), "waveform d must be finite and > 0"),
     # retired keys: Nt is the one element count, and the frame timing and the
     # bandwidth follow from delta_f and N, so each is refused, naming it
-    (("waveform",), "Tc", -2.08e-7, "waveform: unknown key 'Tc'"),
-    (("waveform",), "Nr", 16, "waveform: unknown key 'Nr'"),
-    (("waveform",), "T", float("nan"), "waveform: unknown key 'T'"),
-    (("waveform",), "B", float("nan"), "waveform: unknown key 'B'"),
-    (("sweep", "conditions", 0), "snr_db", float("nan"), "waveform snr_db must be finite"),
-    (("sensor",), "angle_peak_threshold_db", float("nan"),
+    (25, ("waveform",), "Tc", -2.08e-7, "waveform: unknown key 'Tc'"),
+    (26, ("waveform",), "Nr", 16, "waveform: unknown key 'Nr'"),
+    (27, ("waveform",), "T", float("nan"), "waveform: unknown key 'T'"),
+    (28, ("waveform",), "B", float("nan"), "waveform: unknown key 'B'"),
+    (29, ("sweep", "conditions", 0), "snr_db", float("nan"), "waveform snr_db must be finite"),
+    (30, ("sensor",), "angle_peak_threshold_db", float("nan"),
      "peak policy threshold_db must be finite"),
-    (("sensor",), "angle_max_peaks", 0, "peak policy max_peaks must be >= 1"),
-    (("sensor",), "angle_max_peaks", -3, "peak policy max_peaks must be >= 1"),
-    (("sensor",), "delta_r_m", float("nan"), "error model delta_r must be finite and >= 0"),
-    (("sensor",), "delta_theta_deg", float("inf"),
+    (31, ("sensor",), "angle_max_peaks", 0, "peak policy max_peaks must be >= 1"),
+    (32, ("sensor",), "angle_max_peaks", -3, "peak policy max_peaks must be >= 1"),
+    (33, ("sensor",), "delta_r_m", float("nan"), "error model delta_r must be finite and >= 0"),
+    (34, ("sensor",), "delta_theta_deg", float("inf"),
      "error model delta_theta must be finite and >= 0"),
-    (("odometry",), "translation_noise_std", float("nan"),
+    (35, ("odometry",), "translation_noise_std", float("nan"),
      "odometry translation_noise_std must be finite and >= 0"),
-    (("odometry",), "rotation_noise_std_deg", float("inf"),
+    (36, ("odometry",), "rotation_noise_std_deg", float("inf"),
      "odometry rotation_noise_std must be finite and >= 0"),
-    (("metric",), "c", float("inf"), "metric c must be finite and > 0"),
-    (("cluster",), "eps", float("inf"), "cluster eps must be finite and > 0"),
-    (("sweep", "conditions", 0), "delta_r_m", float("nan"),
+    (37, ("metric",), "c", float("inf"), "metric c must be finite and > 0"),
+    (38, ("cluster",), "eps", float("inf"), "cluster eps must be finite and > 0"),
+    (39, ("sweep", "conditions", 0), "delta_r_m", float("nan"),
      "error model delta_r must be finite and >= 0"),
-    (("run",), "duration", 3.2,
+    (40, ("run",), "duration", 3.2,
      "duration must be a whole number of trajectory steps (0.5), got 3.2"),
-    (("run",), "snapshot_cadence", 0.7,
+    (41, ("run",), "snapshot_cadence", 0.7,
      "snapshot_cadence must be a whole number of trajectory steps (0.5), got 0.7"),
-    (("slam",), "search_dxy_max", 0.25,
+    (42, ("slam",), "search_dxy_max", 0.25,
      "search window dxy_max must be a whole number of dxy_step (0.1), got 0.25"),
-    (("slam",), "search_dtheta_max_deg", 1.2,
+    (43, ("slam",), "search_dtheta_max_deg", 1.2,
      "search window dtheta_max must be a whole number of dtheta_step"),
 ])
 def test_out_of_range_value_rejected_at_load(path, key, value, message):

@@ -214,6 +214,63 @@ def test_p2_value_grows_with_the_error(offset, value, sum_pairs):
     assert f"{result.value:.9g}" == value
 
 
+def loop_min_costs(targets, estimates, params):
+    """D one target at a time, from a (K, |Y|, 2) difference array each: the bit-level
+    oracle for ``metrics._min_costs``."""
+    rows = []
+    for pts in targets:
+        d2 = np.sum((pts[:, None, :] - estimates[None, :, :]) ** 2, axis=-1)
+        rows.append(np.minimum(np.min(d2, axis=0) ** params.p, params.c ** params.p))
+    return np.stack(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 7), min_size=1, max_size=6),
+    n_y=st.sampled_from([1, 2, 9, 40]),
+    p=st.sampled_from([1.0, 2.0, 3.5]),
+    c=st.floats(0.5, 20.0),
+    budget=st.sampled_from([1, 8, 30, metrics._CELL_BUDGET]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_min_costs_equal_the_per_target_loop(sizes, n_y, p, c, budget, seed):
+    """Ragged targets of 1 to 7 points: D and the cost matrix equal the per-target loop's
+    bit for bit, with every target in one group and, with the budget cut down, with the
+    targets split over groups and targets larger than a group on their own."""
+    rng = np.random.default_rng(seed)
+    targets = [rng.normal(0.0, 4.0, (k, 2)) for k in sizes]
+    est = rng.normal(0.0, 4.0, (n_y, 2))
+    params = MetricParams(c=c, p=p)
+    want_d = loop_min_costs(targets, est, params)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_CELL_BUDGET", budget)
+        got_d = metrics._min_costs(targets, est, params)
+        got = cost_matrix(targets, est, params)
+        mp.setattr(metrics, "_min_costs", loop_min_costs)
+        want = cost_matrix(targets, est, params)
+    assert got_d.shape == want_d.shape and got_d.tobytes() == want_d.tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_min_costs_group_boundary():
+    """A budget of 3 rows of |Y| = 4 groups targets of 2, 1, 3, 5 and 1 points as
+    [2, 1], [3], [5], [1]; D equals the loop's and the one-group result."""
+    rng = np.random.default_rng(3)
+    targets = [rng.normal(0.0, 3.0, (k, 2)) for k in (2, 1, 3, 5, 1)]
+    est = rng.normal(0.0, 3.0, (4, 2))
+    params = MetricParams(c=4.0, p=2.0)
+    whole = metrics._min_costs(targets, est, params)
+    groups = []
+    concatenate = np.concatenate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_CELL_BUDGET", 3 * len(est))
+        mp.setattr(metrics.np, "concatenate", lambda a: groups.append(len(a)) or concatenate(a))
+        split = metrics._min_costs(targets, est, params)
+    assert groups == [2, 1, 1, 1]
+    want = loop_min_costs(targets, est, params)
+    assert split.tobytes() == whole.tobytes() == want.tobytes()
+
+
 def test_cost_matrix_agrees_with_pair_cost():
     """Every entry equals the loop-based oracle's pair cost, on 50 random instances."""
     rng = np.random.default_rng(11)
