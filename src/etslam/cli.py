@@ -157,6 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    harness.one_blas_thread()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

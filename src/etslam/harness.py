@@ -9,6 +9,7 @@ draws the trial's standard normals ahead of the SLAM loop, in stream order
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import itertools
 import math
@@ -20,6 +21,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
+import numpy.linalg._umath_linalg
 import yaml
 
 from etslam.clustering import ClusterParams, cluster_centroids, dbscan, recovered_target_count
@@ -252,6 +254,39 @@ class ReadAheadNormals:
         return float(out) if size is None else out
 
 
+# (argtypes, restype) of OpenBLAS's thread-count functions
+_OPENBLAS_SIGNATURES = {"set": ([ctypes.c_int], None), "get": ([], ctypes.c_int)}
+
+
+def _openblas(action: str):
+    """numpy's bundled OpenBLAS ``<action>_num_threads`` function ("set" or "get"),
+    or None where numpy links another BLAS.  The symbol names differ by wheel:
+    scipy-openblas (numpy >= 2), then the older ``openblas64_``."""
+    # an extension module that links the library: dlsym searches its dependencies
+    lib = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
+    for prefix in ("scipy_openblas", "openblas"):
+        fn = getattr(lib, f"{prefix}_{action}_num_threads64_", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = _OPENBLAS_SIGNATURES[action]
+            return fn
+    return None
+
+
+def one_blas_thread() -> None:
+    """Run this process's BLAS on one thread, as the bench does: etslam's matmuls
+    are small, and with a thread per core the pool's processes contend for the
+    cores.  Environment variables act only before numpy loads; this acts after.
+    A no-op without numpy's bundled OpenBLAS."""
+    setter = _openblas("set")
+    if setter is not None:
+        setter(1)
+
+
+def _trial_pool(parallel: int) -> ProcessPoolExecutor:
+    """``run_monte_carlo``'s worker processes, each on one BLAS thread."""
+    return ProcessPoolExecutor(max_workers=parallel, initializer=one_blas_thread)
+
+
 @dataclass
 class TrialRecord:
     trial_index: int
@@ -317,7 +352,7 @@ def run_monte_carlo(cfg: ExperimentConfig, parallel: int = 1) -> Report:
         raise ValueError("parallel must be >= 1")
     indices = list(range(cfg.trials))
     if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with _trial_pool(parallel) as pool:
             records = list(pool.map(run_trial, itertools.repeat(cfg), indices))
     else:
         records = [run_trial(cfg, i) for i in indices]

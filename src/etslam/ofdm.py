@@ -1,9 +1,12 @@
 """OFDM sensing chain: the equalized echo column and its DFT estimation.
 
 The processing path is: ground-truth rays (cast by the caller) -> per-path
-delay and steering phases -> equalized symbol-0 column per receive antenna
-(static paths, so the QPSK frame divides out and one symbol suffices) ->
-IDFT range profile per antenna -> peaks of the rx-averaged profile -> DFT
+steering phases and delay phases, the latter in two factors, per block and
+within a block -> equalized symbol-0 column per receive antenna (static paths,
+so the QPSK frame divides out and one symbol suffices), one gemm of the
+steering-by-block Kronecker rows with the in-block phases, written into the
+array the sensor keeps -> noise scaled from the echo power, one dot product
+-> IDFT range profile per antenna -> peaks of the rx-averaged profile -> DFT
 angle spectrum per range peak -> bin-centre placement.  The full (n_tx, M, N)
 frame model of Sturm & Wiesbeck 2011 is the tests' reference (``tests/test_ofdm.py``),
 and so is its timing, which the column does not read: M symbols of T = 1/delta_f + Tc.
@@ -27,7 +30,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -105,21 +108,40 @@ WAVEFORM_KEYS = {
 }
 
 
+def _blocks(n: int) -> tuple[int, int]:
+    """The delay phase's block B, the smallest power of two >= sqrt(N), and the
+    number of blocks, ceil(N / B): 128 and 80 at N = 10240."""
+    block = 1 << math.isqrt(n - 1).bit_length()
+    return block, -(-n // block)
+
+
 def _path_phases(cfg: WaveformConfig, ranges: np.ndarray, bearings: np.ndarray):
-    """Per-path steering across the array's elements, shape (L, n_tx), and delay
-    phase across subcarriers, shape (L, N)."""
+    """Per-path steering across the array's elements, shape (L, n_tx), and the delay
+    phase across subcarriers in two factors: exp(-2 pi i f (B q + r)) = hi[q] * lo[r],
+    ``hi`` of shape (L, n_blocks) and ``lo`` of shape (L, B) (``_blocks``), so
+    L*(N/B + B) exponentials, not L*N."""
     omega = (2.0 * np.pi * cfg.d / cfg.wavelength) * np.cos(bearings)
     steer = np.exp(1j * np.outer(omega, np.arange(cfg.n_tx)))
-    # exp(-2 pi i f (B q + r)) = hi[q] * lo[r]: L*(N/B + B) exponentials, not L*N,
-    # with B the smallest power of two >= sqrt(N)
-    n = cfg.n_subcarriers
-    block = 1 << math.isqrt(n - 1).bit_length()
-    n_blocks = -(-n // block)
+    block, n_blocks = _blocks(cfg.n_subcarriers)
     f = 2.0 * ranges / C0 * cfg.delta_f
     hi = np.exp(-2j * np.pi * np.outer(f, block * np.arange(n_blocks)))
     lo = np.exp(-2j * np.pi * np.outer(f, np.arange(block)))
-    delay = (hi[:, :, None] * lo[:, None, :]).reshape(len(f), n_blocks * block)
-    return steer, delay[:, :n]
+    return steer, hi, lo
+
+
+def _column_buffer(cfg: WaveformConfig) -> np.ndarray:
+    """An uninitialized (n_tx, n_blocks * B) complex array for ``_equalized_column``
+    to write into; the column is its first N columns."""
+    block, n_blocks = _blocks(cfg.n_subcarriers)
+    return np.empty((cfg.n_tx, n_blocks * block), dtype=complex)
+
+
+def _echo_power(y: np.ndarray) -> float:
+    """Mean |y|^2: one dot product of ``y``'s float64 view with itself.  numpy's own
+    einsum loop, not BLAS, so its bits do not depend on BLAS's thread count."""
+    v = y.view(np.float64)
+    axes = list(range(v.ndim))
+    return float(np.einsum(v, axes, v, axes, [])) / y.size
 
 
 def _add_noise(cfg: WaveformConfig, y: np.ndarray, has_paths: bool,
@@ -129,7 +151,7 @@ def _add_noise(cfg: WaveformConfig, y: np.ndarray, has_paths: bool,
     power 1 when there are no paths).  ``z`` is a unit normal draw of shape
     ``(2,) + y.shape``, the real parts then the imaginary parts; it is scaled
     in place."""
-    ref = float(np.mean(np.abs(y) ** 2)) if has_paths else 1.0
+    ref = _echo_power(y) if has_paths else 1.0
     sigma2 = ref / cfg.snr_linear
     z *= math.sqrt(sigma2 / 2.0)
     y.real += z[0]
@@ -230,26 +252,38 @@ class OfdmSensor:
     cfg: WaveformConfig
     bearings: np.ndarray
     angle_policy: PeakPolicy
+    # every call's column is written here, so one sensor serves one thread: one trial
+    _column: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_column", _column_buffer(self.cfg))
 
     def __call__(self, gt: GroundTruthScan, rng: np.random.Generator) -> np.ndarray:
         return sense(gt, self, rng)
 
 
 def _equalized_column(cfg: WaveformConfig, ranges: np.ndarray, bearings: np.ndarray,
-                      rng: Optional[np.random.Generator]) -> np.ndarray:
-    """Equalized symbol-0 response per array element, shape (n_tx, N).
+                      rng: Optional[np.random.Generator], out: np.ndarray) -> np.ndarray:
+    """Equalized symbol-0 response per array element, shape (n_tx, N), written into
+    ``out`` (a ``_column_buffer(cfg)``) and returned as a view of its first N columns.
 
     For unit-amplitude, zero-Doppler paths this is symbol 0 of the full-frame
     echo divided by the frame: equalization of unit-modulus QPSK leaves the
-    noise statistics unchanged.  One matmul, then, with noise enabled, one unit
-    draw of shape (2, n_tx, N).
+    noise statistics unchanged.  One gemm, (n_tx * n_blocks, L) @ (L, B): the
+    Kronecker rows steer[:, t] * hi[:, q] times ``lo`` fill row t's block q, so
+    no (L, N) delay matrix is formed.  Then, with noise enabled, one unit draw of
+    shape (2, n_tx, N).
     """
-    steer, delay = _path_phases(cfg, ranges, bearings)
-    y = steer.T @ delay
-    del delay  # (L, N), freed before the draw below
+    steer, hi, lo = _path_phases(cfg, ranges, bearings)
+    n_paths, block = lo.shape
+    rows = cfg.n_tx * hi.shape[1]  # row t * n_blocks + q
+    # (n_tx, n_blocks, L) in C order, so that the reshape is a view
+    kron = np.multiply(steer.T[:, None, :], hi.T[None, :, :], order="C")
+    np.matmul(kron.reshape(rows, n_paths), lo, out=out.reshape(rows, block))
+    y = out[:, :cfg.n_subcarriers]
     if cfg.snr_db is None:
         return y
-    return _add_noise(cfg, y, len(ranges) > 0, rng.standard_normal((2,) + y.shape))
+    return _add_noise(cfg, y, n_paths > 0, rng.standard_normal((2,) + y.shape))
 
 
 def sense(gt: GroundTruthScan, sensor: OfdmSensor, rng: np.random.Generator) -> np.ndarray:
@@ -259,7 +293,7 @@ def sense(gt: GroundTruthScan, sensor: OfdmSensor, rng: np.random.Generator) -> 
     cfg = sensor.cfg
     if np.any(gt.ranges >= cfg.unambiguous_range):
         raise ValueError("path range outside unambiguous window c0/(2*delta_f)")
-    col = _equalized_column(cfg, gt.ranges, gt.bearings, rng)
+    col = _equalized_column(cfg, gt.ranges, gt.bearings, rng, sensor._column)
     profiles = np.fft.ifft(col, axis=1)  # (n_tx, N)
     range_peaks = np.flatnonzero(detect_peaks(np.mean(np.abs(profiles), axis=0), RANGE_POLICY))
     # angle spectrum of every range peak at once: DFT over the rx axis, one row per peak

@@ -15,6 +15,8 @@ from etslam.harness import (
     ExperimentConfig,
     Report,
     TrialRecord,
+    _openblas,
+    _trial_pool,
     apply_condition,
     downsample,
     emit_csv,
@@ -527,6 +529,27 @@ def test_parallel_equals_serial():
     for a, b in zip(serial.trials, para.trials):
         for name in _RECORD_ARRAYS:
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+def _blas_threads() -> int:
+    """This process's thread count, from numpy's bundled OpenBLAS."""
+    return _openblas("get")()
+
+
+def test_pool_workers_run_one_blas_thread():
+    """``run_monte_carlo``'s workers run BLAS on one thread, also when the process
+    that starts them runs two."""
+    setter = _openblas("set")
+    if setter is None:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+    before = _blas_threads()
+    setter(2)
+    try:
+        with _trial_pool(2) as pool:
+            counts = [pool.submit(_blas_threads).result(timeout=60) for _ in range(4)]
+    finally:
+        setter(before)
+    assert counts == [1] * 4
 
 
 def test_sweep_named_reports():

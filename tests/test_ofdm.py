@@ -2,14 +2,18 @@
 
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import etslam
 from etslam import ofdm
 from etslam.harness import ExperimentConfig, ReadAheadNormals, load_experiment
 from etslam.ofdm import (
@@ -19,6 +23,8 @@ from etslam.ofdm import (
     PeakPolicy,
     WaveformConfig,
     _add_noise,
+    _column_buffer,
+    _echo_power,
     _equalized_column,
     _path_phases,
     bin_to_cos,
@@ -55,7 +61,48 @@ def small_cfg(**overrides):
 
 
 # ---------------------------------------------------------------------------
-# the full-frame model: the reference for sense's column
+# the references for sense's column: the delay-matrix column and the full-frame model
+
+
+def delay_matrix(hi, lo, n):
+    """The (L, N) delay phase from ``_path_phases``' factors: entry (l, B q + r) is
+    hi[l, q] * lo[l, r]."""
+    return (hi[:, :, None] * lo[:, None, :]).reshape(len(hi), hi.shape[1] * lo.shape[1])[:, :n]
+
+
+def delay_matrix_column(cfg, ranges, bearings, rng):
+    """Oracle for ``_equalized_column``: one (n_tx, L) @ (L, N) matmul over the full
+    delay matrix, and noise scaled from the echo power as mean(|y|**2), from the same
+    (2, n_tx, N) unit draw as the column's.  The column forms each term as
+    (steer * hi) * lo, not steer * (hi * lo), and sums |y|^2 in another order, so
+    the two agree to a few ulp of the column's scale (``assert_within_ulps``)."""
+    steer, hi, lo = _path_phases(cfg, ranges, bearings)
+    y = steer.T @ delay_matrix(hi, lo, cfg.n_subcarriers)
+    if cfg.snr_db is None:
+        return y
+    ref = float(np.mean(np.abs(y) ** 2)) if len(ranges) else 1.0
+    z = rng.standard_normal((2,) + y.shape) * math.sqrt(ref / cfg.snr_linear / 2.0)
+    y.real += z[0]
+    y.imag += z[1]
+    return y
+
+
+def fresh_column(cfg, ranges, bearings, rng):
+    """``_equalized_column`` written into an array of its own."""
+    return _equalized_column(cfg, ranges, bearings, rng, _column_buffer(cfg))
+
+
+# the column against the delay-matrix column: each entry sums L unit-modulus terms
+# whose factors each carry a rounding error of about an ulp, and the scale is at
+# least L (element 0, subcarrier 0 is the sum of L ones), so a bound of a few ulp
+# of the scale holds at any L
+ULPS = 8
+
+
+def assert_within_ulps(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    scale = np.max(np.abs(want), initial=0.0)
+    assert np.max(np.abs(got - want), initial=0.0) <= ULPS * np.finfo(float).eps * scale
 
 
 def qpsk_frame(cfg, n_symbols, rng):
@@ -72,11 +119,12 @@ def reference_echo(cfg, frame, ranges, bearings, amps, velocities, rng=None):
     Doppler phase across symbols, T_SYM apart, and its steering phase, times
     its amplitude, across the array's elements.  With noise enabled,
     ``_add_noise`` adds one unit draw of ``rng``.  At M = 1 on a unit frame with
-    unit amplitudes, symbol 0 is ``_equalized_column`` byte for byte: the
-    amplitude and the Doppler phase are exactly 1, so the matmul is the same.
+    unit amplitudes, the amplitude and the Doppler phase are exactly 1, so the
+    matmul is ``delay_matrix_column``'s.
     """
     m = frame.shape[0]
-    steer, delay = _path_phases(cfg, ranges, bearings)
+    steer, hi, lo = _path_phases(cfg, ranges, bearings)
+    delay = delay_matrix(hi, lo, cfg.n_subcarriers)
     steer = steer * amps[:, None]
     doppler = np.exp(2j * np.pi * np.outer(2.0 * velocities * cfg.fc / C0 * T_SYM,
                                            np.arange(m)))
@@ -230,7 +278,7 @@ def test_equalized_column_matches_synthesis_noiseless():
     frame = qpsk_frame(cfg, SMALL_M, np.random.default_rng(6))
     ranges = np.array([3.1, 17.45, 42.0])
     bearings = np.array([0.6, math.pi / 2, 2.3])
-    col = _equalized_column(cfg, ranges, bearings, None)
+    col = fresh_column(cfg, ranges, bearings, None)
     want = (reference_echo(cfg, frame, ranges, bearings, np.ones(3, dtype=complex),
                            np.zeros(3)) / frame)[:, 0, :]
     assert col.shape == want.shape == (cfg.n_tx, cfg.n_subcarriers)
@@ -249,7 +297,7 @@ def test_full_scale_cube_every_antenna_and_symbol():
     profiles = np.fft.ifft(s_g, axis=-1)
     assert (np.argmax(np.abs(profiles), axis=-1) == 82).all()
     assert (np.argmax(np.abs(np.fft.fft(profiles[..., 82], axis=0)), axis=0) == 8).all()
-    col = _equalized_column(cfg, np.array([10.0]), np.array([bearing]), None)
+    col = fresh_column(cfg, np.array([10.0]), np.array([bearing]), None)
     np.testing.assert_allclose(col, s_g[:, 0, :], rtol=1e-9, atol=0.0)
 
 
@@ -285,15 +333,50 @@ def test_path_phases_delay_matches_direct_exp(n, n_paths):
     rng = np.random.default_rng(n + n_paths)
     ranges = rng.uniform(0.0, cfg.unambiguous_range, n_paths)
     bearings = rng.uniform(0.0, math.pi, n_paths)
-    _, delay = _path_phases(cfg, ranges, bearings)
+    _, hi, lo = _path_phases(cfg, ranges, bearings)
+    delay = delay_matrix(hi, lo, n)
     direct = np.exp(-2j * np.pi * np.outer(2.0 * ranges / C0 * cfg.delta_f, np.arange(n)))
     assert delay.shape == (n_paths, n)
     assert np.max(np.abs(delay - direct), initial=0.0) <= 1e-10
 
 
+@pytest.mark.parametrize("snr_db", [None, 10.0])
+@pytest.mark.parametrize("n_paths", [0, 1, 71])
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 1000, 1024, 4096, 10240])
+def test_column_within_ulps_of_delay_matrix_column(n, n_paths, snr_db):
+    """The Kronecker gemm's column against the delay-matrix oracle, noisy and not:
+    within a few ulp of the column's scale, from the same draw.  It is the first N
+    columns of the array it was written into, a view when the last block is cut
+    (N = 127, 129, 1000); no paths give the zero column, or pure noise at
+    reference power 1."""
+    cfg = table_cfg(N=n, snr_db=snr_db)
+    rng = np.random.default_rng(n + n_paths)
+    ranges = rng.uniform(0.0, cfg.unambiguous_range, n_paths)
+    bearings = rng.uniform(0.0, math.pi, n_paths)
+    out = _column_buffer(cfg)
+    got_rng, want_rng = np.random.default_rng(1), np.random.default_rng(1)
+    got = _equalized_column(cfg, ranges, bearings, got_rng, out)
+    want = delay_matrix_column(cfg, ranges, bearings, want_rng)
+    assert got.base is out and got.shape == (cfg.n_tx, n)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    if n_paths == 0:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert_within_ulps(got, want)
+
+
+def test_echo_power_is_mean_squared_magnitude():
+    """The one-dot echo power of a strided view (the column of a cut last block) and
+    of a 3-D array, against mean(|y|**2)."""
+    rng = np.random.default_rng(2)
+    full = rng.standard_normal((32, 1024)) + 1j * rng.standard_normal((32, 1024))
+    for y in (full[:, :1000], full.reshape(4, 8, 1024)):
+        assert _echo_power(y) == pytest.approx(float(np.mean(np.abs(y) ** 2)), rel=1e-13)
+
+
 def _add_noise_two_draws(cfg, y, has_paths, rng):
     """Reference: real parts then imaginary parts in two draws, added out of place."""
-    ref = float(np.mean(np.abs(y) ** 2)) if has_paths else 1.0
+    ref = _echo_power(y) if has_paths else 1.0
     sigma2 = ref / cfg.snr_linear
     return y + math.sqrt(sigma2 / 2.0) * (
         rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
@@ -724,10 +807,10 @@ def test_sense_requires_monostatic():
 
 
 def _sense_per_peak(scene, pose, cfg, rng, sensor):
-    """Reference for ``sense``: the full-frame model's column, greedy peak picking and
-    one angle DFT per range peak, each visible detection placed at its bin centres."""
+    """Reference for ``sense``: the delay-matrix column, greedy peak picking and one
+    angle DFT per range peak, each visible detection placed at its bin centres."""
     gt = ground_truth_scan(scene, pose, sensor.bearings)
-    col = reference_column(cfg, gt.ranges, gt.bearings, rng)
+    col = delay_matrix_column(cfg, gt.ranges, gt.bearings, rng)
     profiles = np.fft.ifft(col, axis=1)
     range_peaks = _reference_detect_peaks(np.mean(np.abs(profiles), axis=0), ofdm.RANGE_POLICY)
     r_bins, cosines = [], []
@@ -744,7 +827,8 @@ def _sense_per_peak(scene, pose, cfg, rng, sensor):
 
 @pytest.mark.parametrize("config", ["ci.yaml", "full_scale.yaml"])
 def test_sense_matches_per_peak_reference(config):
-    """The batched angle stage emits the reference's detections, byte for byte."""
+    """The Kronecker column and the batched angle stage emit the detections of the
+    delay-matrix column and per-peak picking, byte for byte."""
     exp = load_experiment(config)
     traj = exp.scene.trajectory
     poses = [trajectory_pose(traj, t) for t in (0.0, 7.5, 19.0, 33.0, 52.5)]
@@ -764,19 +848,73 @@ def test_sense_matches_per_peak_reference(config):
     assert detections > 0
 
 
+def test_sensor_writes_every_column_into_the_array_it_keeps():
+    """Repeated calls on one sensor write their columns into its one array; another
+    sensor and a ``dataclasses.replace`` copy each get an array of their own."""
+    exp = load_experiment("ci.yaml")
+    sensor = dataclasses.replace(exp, backend="ofdm").make_sensor()
+    kept, n = sensor._column, sensor.cfg.n_subcarriers
+    for seed, t in enumerate((7.5, 8.0, 19.0)):
+        gt = ground_truth_scan(exp.scene, trajectory_pose(exp.scene.trajectory, t),
+                               sensor.bearings)
+        kept[...] = np.nan
+        sense(gt, sensor, np.random.default_rng(seed))
+        assert sensor._column is kept
+        want = fresh_column(sensor.cfg, gt.ranges, gt.bearings, np.random.default_rng(seed))
+        assert kept[:, :n].tobytes() == want.tobytes()
+    for other in (dataclasses.replace(exp, backend="ofdm").make_sensor(),
+                  dataclasses.replace(sensor)):
+        assert other._column.shape == kept.shape
+        assert not np.shares_memory(other._column, kept)
+
+
+# one full-scale sense call; prints the BLAS thread count (0 where numpy's BLAS is
+# not its bundled OpenBLAS), the detection count and the digest of the column and
+# the scan
+_FULL_SCALE_SENSE = """
+import hashlib
+import numpy as np
+from etslam.harness import _openblas, load_experiment
+from etslam.scene import ground_truth_scan, trajectory_pose
+exp = load_experiment("full_scale.yaml")
+sensor = exp.make_sensor()
+gt = ground_truth_scan(exp.scene, trajectory_pose(exp.scene.trajectory, 7.5), sensor.bearings)
+scan = sensor(gt, np.random.default_rng(13))
+getter = _openblas("get")
+print(getter() if getter is not None else 0, len(scan),
+      hashlib.sha256(sensor._column.tobytes() + scan.tobytes()).hexdigest())
+"""
+
+
+def test_full_scale_sense_bytes_do_not_depend_on_blas_threads():
+    """The column and the detections of a full-scale call, in processes whose
+    OpenBLAS runs 1 and 2 threads (set explicitly: conftest only sets a default)."""
+    src = str(Path(etslam.__file__).resolve().parents[1])
+    out = {}
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _FULL_SCALE_SENSE], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        reported, detections, digest = run.stdout.split()
+        assert int(reported) <= threads  # OpenBLAS runs no more threads than cores
+        assert int(detections) > 0
+        out[threads] = digest
+    assert out[1] == out[2]
+
+
 # ---------------------------------------------------------------------------
 # the noise drawn ahead on a worker thread (harness.ReadAheadNormals)
 
 
 def _assert_column_matches_reference(sensor, scene, pose, source, want_rng):
     """``_equalized_column`` at one pose, its noise read from the read-ahead ``source``,
-    equals the full-frame model's column on the bare generator byte for byte, and the
-    source's stream goes on where the reference's draw leaves ``want_rng``; returns the
-    column."""
+    equals the column drawn serially from the bare generator byte for byte, and the
+    source's stream goes on where that draw leaves ``want_rng``; returns the column."""
     gt = ground_truth_scan(scene, pose, sensor.bearings)
     args = (sensor.cfg, gt.ranges, gt.bearings)
-    got = _equalized_column(*args, source)
-    want = reference_column(*args, want_rng)
+    got = fresh_column(*args, source)
+    want = fresh_column(*args, want_rng)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert source.standard_normal() == want_rng.standard_normal()
@@ -789,8 +927,8 @@ def _noise_workers():
 
 @pytest.mark.parametrize("config", ["ci.yaml", "full_scale.yaml"])
 def test_threaded_noise_column_matches_serial_draw(config):
-    """Two columns whose noise the worker drew ahead are the reference's columns, drawn
-    serially from the bare generator."""
+    """Two columns whose noise the worker drew ahead are the columns drawn serially
+    from the bare generator."""
     exp = load_experiment(config)
     assert exp.waveform.snr_db is not None
     sensor = dataclasses.replace(exp, backend="ofdm").make_sensor()
@@ -807,7 +945,8 @@ def test_noisy_column_matches_one_symbol_synthesis(config):
     """The column, noisy and noiseless, against the full-frame model: at M = 1 on a
     unit frame (``reference_column``), ``reference_echo`` draws (2, n_tx, 1, N)
     normals, the same stream as the column's (2, n_tx, N), so its one symbol row is
-    the column byte for byte, and both leave the generator in the same state."""
+    the column to a few ulp of its scale, and both leave the generator in the same
+    state."""
     exp = load_experiment(config)
     assert exp.waveform.snr_db is not None
     sensor = dataclasses.replace(exp, backend="ofdm").make_sensor()
@@ -819,15 +958,14 @@ def test_noisy_column_matches_one_symbol_synthesis(config):
             assert len(gt) > 0
             args = (cfg, gt.ranges, gt.bearings)
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = _equalized_column(*args, got_rng)
+            got = fresh_column(*args, got_rng)
             want = reference_column(*args, want_rng)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+            assert_within_ulps(got, want)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_threaded_noise_column_empty_scene():
-    """No paths: pure noise at reference power 1, as the reference's draw makes it."""
+    """No paths: pure noise at reference power 1, as the serial draw makes it."""
     scene = _empty_scene()
     sensor = _sensor(scene, small_cfg(snr_db=10.0))
     with ReadAheadNormals(np.random.default_rng(4)) as source:
@@ -856,7 +994,7 @@ def test_noiseless_sense_starts_no_thread_and_leaves_rng(monkeypatch):
 
 def test_threaded_noise_under_fast_thread_switching():
     """With the interpreter switching threads every microsecond, every column of a
-    20-pose run, its noise drawn ahead from one rng, still equals the reference's column."""
+    20-pose run, its noise drawn ahead from one rng, still equals the serial draw's."""
     exp = load_experiment("ci.yaml")
     sensor = dataclasses.replace(exp, backend="ofdm").make_sensor()
     traj = exp.scene.trajectory
