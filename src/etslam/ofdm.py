@@ -6,8 +6,9 @@ within a block -> equalized symbol-0 column per receive antenna (static paths,
 so the QPSK frame divides out and one symbol suffices), one gemm of the
 steering-by-block Kronecker rows with the in-block phases, written into the
 array the sensor keeps -> noise scaled from the echo power, one dot product
--> IDFT range profile per antenna -> peaks of the rx-averaged profile -> DFT
-angle spectrum per range peak -> bin-centre placement.  The full (n_tx, M, N)
+-> IDFT range profile per antenna, in place, so the kept array ends a call
+holding the profiles -> peaks of the rx-averaged profile -> DFT angle
+spectrum per range peak -> bin-centre placement.  The full (n_tx, M, N)
 frame model of Sturm & Wiesbeck 2011 is the tests' reference (``tests/test_ofdm.py``),
 and so is its timing, which the column does not read: M symbols of T = 1/delta_f + Tc.
 
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.fft
 
 # ground_truth_scan stays importable here: bench/spans.py wraps the ray-casting
 # layer at this name
@@ -116,15 +118,15 @@ def _blocks(n: int) -> tuple[int, int]:
 
 
 def _path_phases(cfg: WaveformConfig, ranges: np.ndarray, bearings: np.ndarray):
-    """Per-path steering across the array's elements, shape (L, n_tx), and the delay
+    """Per-path steering across the array's elements, shape (n_tx, L), and the delay
     phase across subcarriers in two factors: exp(-2 pi i f (B q + r)) = hi[q] * lo[r],
-    ``hi`` of shape (L, n_blocks) and ``lo`` of shape (L, B) (``_blocks``), so
+    ``hi`` of shape (n_blocks, L) and ``lo`` of shape (L, B) (``_blocks``), so
     L*(N/B + B) exponentials, not L*N."""
     omega = (2.0 * np.pi * cfg.d / cfg.wavelength) * np.cos(bearings)
-    steer = np.exp(1j * np.outer(omega, np.arange(cfg.n_tx)))
+    steer = np.exp(1j * np.outer(np.arange(cfg.n_tx), omega))
     block, n_blocks = _blocks(cfg.n_subcarriers)
     f = 2.0 * ranges / C0 * cfg.delta_f
-    hi = np.exp(-2j * np.pi * np.outer(f, block * np.arange(n_blocks)))
+    hi = np.exp(-2j * np.pi * np.outer(block * np.arange(n_blocks), f))
     lo = np.exp(-2j * np.pi * np.outer(f, np.arange(block)))
     return steer, hi, lo
 
@@ -252,7 +254,8 @@ class OfdmSensor:
     cfg: WaveformConfig
     bearings: np.ndarray
     angle_policy: PeakPolicy
-    # every call's column is written here, so one sensor serves one thread: one trial
+    # every call's column is written here, then its range profiles over it, so one
+    # sensor serves one thread: one trial
     _column: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -262,6 +265,25 @@ class OfdmSensor:
         return sense(gt, self, rng)
 
 
+def _kronecker_column(cfg: WaveformConfig, ranges: np.ndarray, bearings: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+    """The noiseless column, shape (n_tx, N), written into ``out`` (a
+    ``_column_buffer(cfg)``) and returned as a view of its first N columns.
+
+    One gemm, (n_tx * n_blocks, L) @ (L, B): the Kronecker rows steer[t] * hi[q]
+    times ``lo`` fill row t's block q, so no (L, N) delay matrix is formed.  The
+    rows (2.9 MB at full scale and L = 71) are freed on return, before any noise
+    is drawn.
+    """
+    steer, hi, lo = _path_phases(cfg, ranges, bearings)
+    n_paths, block = lo.shape
+    rows = cfg.n_tx * len(hi)  # row t * n_blocks + q
+    # (n_tx, n_blocks, L) in C order, so that the reshape is a view
+    kron = steer[:, None, :] * hi[None, :, :]
+    np.matmul(kron.reshape(rows, n_paths), lo, out=out.reshape(rows, block))
+    return out[:, :cfg.n_subcarriers]
+
+
 def _equalized_column(cfg: WaveformConfig, ranges: np.ndarray, bearings: np.ndarray,
                       rng: Optional[np.random.Generator], out: np.ndarray) -> np.ndarray:
     """Equalized symbol-0 response per array element, shape (n_tx, N), written into
@@ -269,21 +291,13 @@ def _equalized_column(cfg: WaveformConfig, ranges: np.ndarray, bearings: np.ndar
 
     For unit-amplitude, zero-Doppler paths this is symbol 0 of the full-frame
     echo divided by the frame: equalization of unit-modulus QPSK leaves the
-    noise statistics unchanged.  One gemm, (n_tx * n_blocks, L) @ (L, B): the
-    Kronecker rows steer[:, t] * hi[:, q] times ``lo`` fill row t's block q, so
-    no (L, N) delay matrix is formed.  Then, with noise enabled, one unit draw of
-    shape (2, n_tx, N).
+    noise statistics unchanged.  The sum over paths is ``_kronecker_column``;
+    then, with noise enabled, one unit draw of shape (2, n_tx, N) is added.
     """
-    steer, hi, lo = _path_phases(cfg, ranges, bearings)
-    n_paths, block = lo.shape
-    rows = cfg.n_tx * hi.shape[1]  # row t * n_blocks + q
-    # (n_tx, n_blocks, L) in C order, so that the reshape is a view
-    kron = np.multiply(steer.T[:, None, :], hi.T[None, :, :], order="C")
-    np.matmul(kron.reshape(rows, n_paths), lo, out=out.reshape(rows, block))
-    y = out[:, :cfg.n_subcarriers]
+    y = _kronecker_column(cfg, ranges, bearings, out)
     if cfg.snr_db is None:
         return y
-    return _add_noise(cfg, y, n_paths > 0, rng.standard_normal((2,) + y.shape))
+    return _add_noise(cfg, y, len(ranges) > 0, rng.standard_normal((2,) + y.shape))
 
 
 def sense(gt: GroundTruthScan, sensor: OfdmSensor, rng: np.random.Generator) -> np.ndarray:
@@ -294,7 +308,8 @@ def sense(gt: GroundTruthScan, sensor: OfdmSensor, rng: np.random.Generator) -> 
     if np.any(gt.ranges >= cfg.unambiguous_range):
         raise ValueError("path range outside unambiguous window c0/(2*delta_f)")
     col = _equalized_column(cfg, gt.ranges, gt.bearings, rng, sensor._column)
-    profiles = np.fft.ifft(col, axis=1)  # (n_tx, N)
+    # (n_tx, N), transformed in place: the sensor's array now holds the profiles
+    profiles = scipy.fft.ifft(col, axis=1, overwrite_x=True)
     range_peaks = np.flatnonzero(detect_peaks(np.mean(np.abs(profiles), axis=0), RANGE_POLICY))
     # angle spectrum of every range peak at once: DFT over the rx axis, one row per peak
     specs = np.abs(np.fft.fft(profiles[:, range_peaks], axis=0)).T

@@ -4,8 +4,10 @@ thread unless the environment says otherwise."""
 
 import os
 import resource
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +37,36 @@ def pytest_sessionfinish(session, exitstatus):
     if stray:
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
         writer.line(f"threads still alive at the end of the session: {', '.join(stray)}: FAIL")
+
+
+# appended to each script: the BLAS thread count the process ran, 0 where numpy's
+# BLAS is not its bundled OpenBLAS
+_REPORT_BLAS_THREADS = """
+from etslam.harness import _openblas
+getter = _openblas("get")
+print(getter() if getter is not None else 0)
+"""
+
+
+@pytest.fixture
+def stdout_under_blas_threads():
+    """Runs a Python script in two fresh processes whose OpenBLAS runs 1 and 2 threads
+    (set explicitly: the default above applies only where the environment sets none)
+    and returns ``{threads: stdout}``, each checked to have run no more threads."""
+    import etslam  # after the defaults above are set
+
+    src = str(Path(etslam.__file__).resolve().parents[1])
+
+    def run(script: str) -> dict:
+        out = {}
+        for threads in (1, 2):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", script + _REPORT_BLAS_THREADS], env=env,
+                                  capture_output=True, text=True, timeout=120, check=True)
+            *lines, reported = proc.stdout.splitlines()
+            assert int(reported) <= threads  # OpenBLAS runs no more threads than cores
+            out[threads] = "\n".join(lines)
+        return out
+
+    return run

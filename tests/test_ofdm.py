@@ -2,18 +2,16 @@
 
 import dataclasses
 import math
-import os
-import subprocess
 import sys
 import threading
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import etslam
 from etslam import ofdm
 from etslam.harness import ExperimentConfig, ReadAheadNormals, load_experiment
 from etslam.ofdm import (
@@ -66,8 +64,8 @@ def small_cfg(**overrides):
 
 def delay_matrix(hi, lo, n):
     """The (L, N) delay phase from ``_path_phases``' factors: entry (l, B q + r) is
-    hi[l, q] * lo[l, r]."""
-    return (hi[:, :, None] * lo[:, None, :]).reshape(len(hi), hi.shape[1] * lo.shape[1])[:, :n]
+    hi[q, l] * lo[l, r]."""
+    return (hi.T[:, :, None] * lo[:, None, :]).reshape(len(lo), hi.shape[0] * lo.shape[1])[:, :n]
 
 
 def delay_matrix_column(cfg, ranges, bearings, rng):
@@ -77,7 +75,7 @@ def delay_matrix_column(cfg, ranges, bearings, rng):
     (steer * hi) * lo, not steer * (hi * lo), and sums |y|^2 in another order, so
     the two agree to a few ulp of the column's scale (``assert_within_ulps``)."""
     steer, hi, lo = _path_phases(cfg, ranges, bearings)
-    y = steer.T @ delay_matrix(hi, lo, cfg.n_subcarriers)
+    y = steer @ delay_matrix(hi, lo, cfg.n_subcarriers)
     if cfg.snr_db is None:
         return y
     ref = float(np.mean(np.abs(y) ** 2)) if len(ranges) else 1.0
@@ -125,7 +123,7 @@ def reference_echo(cfg, frame, ranges, bearings, amps, velocities, rng=None):
     m = frame.shape[0]
     steer, hi, lo = _path_phases(cfg, ranges, bearings)
     delay = delay_matrix(hi, lo, cfg.n_subcarriers)
-    steer = steer * amps[:, None]
+    steer = steer.T * amps[:, None]
     doppler = np.exp(2j * np.pi * np.outer(2.0 * velocities * cfg.fc / C0 * T_SYM,
                                            np.arange(m)))
     # one (n_tx * M, L) @ (L, N) matmul; explicit sizes, so no paths reshape too
@@ -849,57 +847,72 @@ def test_sense_matches_per_peak_reference(config):
 
 
 def test_sensor_writes_every_column_into_the_array_it_keeps():
-    """Repeated calls on one sensor write their columns into its one array; another
-    sensor and a ``dataclasses.replace`` copy each get an array of their own."""
-    exp = load_experiment("ci.yaml")
-    sensor = dataclasses.replace(exp, backend="ofdm").make_sensor()
-    kept, n = sensor._column, sensor.cfg.n_subcarriers
-    for seed, t in enumerate((7.5, 8.0, 19.0)):
-        gt = ground_truth_scan(exp.scene, trajectory_pose(exp.scene.trajectory, t),
-                               sensor.bearings)
-        kept[...] = np.nan
-        sense(gt, sensor, np.random.default_rng(seed))
-        assert sensor._column is kept
-        want = fresh_column(sensor.cfg, gt.ranges, gt.bearings, np.random.default_rng(seed))
-        assert kept[:, :n].tobytes() == want.tobytes()
-    for other in (dataclasses.replace(exp, backend="ofdm").make_sensor(),
-                  dataclasses.replace(sensor)):
-        assert other._column.shape == kept.shape
-        assert not np.shares_memory(other._column, kept)
+    """Repeated calls on one sensor reuse its one array, and each ends with the range
+    profiles of the column it wrote there: the IFFT runs in place, also over the
+    strided view of an N that is not a multiple of the block (N = 1000, B = 32).
+    Another sensor and a ``dataclasses.replace`` copy each get an array of their own."""
+    base = load_experiment("ci.yaml")
+    for n in (1024, 1000):
+        exp = dataclasses.replace(base, backend="ofdm",
+                                  waveform=dataclasses.replace(base.waveform, n_subcarriers=n))
+        sensor = exp.make_sensor()
+        kept = sensor._column
+        assert (kept.shape[1] == n) == (n == 1024)
+        for seed, t in enumerate((7.5, 8.0, 19.0)):
+            gt = ground_truth_scan(exp.scene, trajectory_pose(exp.scene.trajectory, t),
+                                   sensor.bearings)
+            kept[...] = np.nan
+            sense(gt, sensor, np.random.default_rng(seed))
+            assert sensor._column is kept
+            col = fresh_column(sensor.cfg, gt.ranges, gt.bearings, np.random.default_rng(seed))
+            want = scipy.fft.ifft(col, axis=1)
+            assert kept[:, :n].tobytes() == want.tobytes(), n
+        for other in (exp.make_sensor(), dataclasses.replace(sensor)):
+            assert other._column.shape == kept.shape
+            assert not np.shares_memory(other._column, kept)
 
 
-# one full-scale sense call; prints the BLAS thread count (0 where numpy's BLAS is
-# not its bundled OpenBLAS), the detection count and the digest of the column and
-# the scan
+def test_full_scale_sense_peaks_at_its_noise_draw():
+    """One full-scale call with a plain generator holds one (n_tx, N)-sized array of
+    its own at a time: its traced peak is within 10% of the bytes of its
+    (2, n_tx, N) noise draw.  Out-of-place profiles, or the Kronecker rows kept
+    alive through the draw, put it above."""
+    exp = load_experiment("full_scale.yaml")
+    sensor = exp.make_sensor()
+    gt = ground_truth_scan(exp.scene, trajectory_pose(exp.scene.trajectory, 7.5),
+                           sensor.bearings)
+    noise_bytes = 2 * sensor.cfg.n_tx * sensor.cfg.n_subcarriers * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        scan = sensor(gt, np.random.default_rng(13))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scan) > 0
+    assert peak <= 1.1 * noise_bytes
+
+
+# one full-scale sense call; prints the detection count and the digest of the
+# sensor's array (the profiles) and the scan
 _FULL_SCALE_SENSE = """
 import hashlib
 import numpy as np
-from etslam.harness import _openblas, load_experiment
+from etslam.harness import load_experiment
 from etslam.scene import ground_truth_scan, trajectory_pose
 exp = load_experiment("full_scale.yaml")
 sensor = exp.make_sensor()
 gt = ground_truth_scan(exp.scene, trajectory_pose(exp.scene.trajectory, 7.5), sensor.bearings)
 scan = sensor(gt, np.random.default_rng(13))
-getter = _openblas("get")
-print(getter() if getter is not None else 0, len(scan),
-      hashlib.sha256(sensor._column.tobytes() + scan.tobytes()).hexdigest())
+print(len(scan), hashlib.sha256(sensor._column.tobytes() + scan.tobytes()).hexdigest())
 """
 
 
-def test_full_scale_sense_bytes_do_not_depend_on_blas_threads():
-    """The column and the detections of a full-scale call, in processes whose
-    OpenBLAS runs 1 and 2 threads (set explicitly: conftest only sets a default)."""
-    src = str(Path(etslam.__file__).resolve().parents[1])
-    out = {}
-    for threads in (1, 2):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", _FULL_SCALE_SENSE], env=env,
-                             capture_output=True, text=True, timeout=120, check=True)
-        reported, detections, digest = run.stdout.split()
-        assert int(reported) <= threads  # OpenBLAS runs no more threads than cores
-        assert int(detections) > 0
-        out[threads] = digest
+def test_full_scale_sense_bytes_do_not_depend_on_blas_threads(stdout_under_blas_threads):
+    """The profiles and the detections of a full-scale call, in processes whose
+    OpenBLAS runs 1 and 2 threads."""
+    out = stdout_under_blas_threads(_FULL_SCALE_SENSE)
+    detections, _ = out[1].split()
+    assert int(detections) > 0
     assert out[1] == out[2]
 
 

@@ -655,6 +655,36 @@ def test_ground_truth_scans_cast_one_block_at_a_time(monkeypatch):
     assert cast == [RAY_BLOCK]
 
 
+# the truth scans of 240 SLAM steps for the fan of every sweep condition of every
+# packaged experiment; prints the hit count and the digest of every scan's arrays
+_SWEEP_FAN_SCANS = """
+import hashlib
+from etslam.harness import apply_condition, load_experiment
+from etslam.scene import ground_truth_scans, trajectory_pose
+digest, hits = hashlib.sha256(), 0
+for config in ("ci.yaml", "full_scale.yaml"):
+    exp = load_experiment(config)
+    traj = exp.scene.trajectory
+    poses = [trajectory_pose(traj, k * traj.step_interval) for k in range(240)]
+    for condition in exp.sweep_conditions:
+        bearings = apply_condition(exp, condition).make_sensor().bearings
+        for scan in ground_truth_scans(exp.scene, poses, bearings):
+            hits += len(scan)
+            for a in (scan.bearings, scan.ranges, scan.points):
+                digest.update(a.tobytes())
+print(hits, digest.hexdigest())
+"""
+
+
+def test_sweep_fan_scans_do_not_depend_on_blas_threads(stdout_under_blas_threads):
+    """The truth scans of every packaged sweep condition's fan, circles' projections
+    (a matmul) included, in processes whose OpenBLAS runs 1 and 2 threads."""
+    out = stdout_under_blas_threads(_SWEEP_FAN_SCANS)
+    hits, _ = out[1].split()
+    assert int(hits) > 0
+    assert out[1] == out[2]
+
+
 def test_ground_truth_scan_matches_single_raycast():
     """A fan of bearings equals one one-bearing scan per bearing, misses dropped."""
     scene = load_scene(DEFAULT_SCENE)
