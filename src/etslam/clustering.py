@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from etslam.scene import as_points, require_positive
+from etslam.scene import as_points, ragged_ranges, require_positive
 
 NOISE = -1
 
@@ -90,19 +90,11 @@ _NEAR = ((0, 1, 1), (1, -1, 1))
 _RING = ((0, 2, 4), (1, -4, -2), (1, 2, 4), (2, -3, 3), (3, -3, 3), (4, -1, 1))
 
 
-def _ragged(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) for every i and every j in [lo[i], hi[i]), grouped by i."""
-    size = hi - lo
-    i = np.repeat(np.arange(len(lo)), size)
-    j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(size) - size), size)
-    return i, j
-
-
 def _cell_pairs(keys: np.ndarray, width: int, offsets) -> tuple[np.ndarray, np.ndarray]:
     """(a, b) for every pair of occupied cells whose key offset lies in one of ``offsets``."""
     pairs = [
-        _ragged(np.searchsorted(keys, keys + (dx * width + lo)),
-                np.searchsorted(keys, keys + (dx * width + hi), side="right"))
+        ragged_ranges(np.searchsorted(keys, keys + (dx * width + lo)),
+                      np.searchsorted(keys, keys + (dx * width + hi), side="right"))
         for dx, lo, hi in offsets
     ]
     return np.concatenate([a for a, _ in pairs]), np.concatenate([b for _, b in pairs])
@@ -139,8 +131,8 @@ def _grid(points: np.ndarray, eps: float):
 def _close_pairs(points, eps, members, start, a, b) -> tuple[np.ndarray, np.ndarray]:
     """(p, q) for every point p of cell a[k] and q of cell b[k] within eps of each other,
     where cell c holds the points ``members[start[c]:start[c + 1]]``."""
-    k, p = _ragged(start[a], start[a + 1])
-    k, q = _ragged(start[b[k]], start[b[k] + 1])
+    k, p = ragged_ranges(start[a], start[a + 1])
+    k, q = ragged_ranges(start[b[k]], start[b[k] + 1])
     p, q = members[p[k]], members[q]
     dx = points[p, 0] - points[q, 0]
     dy = points[p, 1] - points[q, 1]

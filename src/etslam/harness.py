@@ -66,21 +66,25 @@ class ExperimentConfig:
             raise ValueError("estimate_cap must be >= 0 (0 means no cap)")
         if self.backend not in ("parametric", "ofdm"):
             raise ValueError(f"unknown sensor backend '{self.backend}'")
-        # the backend's fan spans FOV or the full circle in whole steps
-        span = math.degrees(FOV[1] - FOV[0]) if self.backend == "ofdm" else 360.0
-        whole_steps(span, self.bearing_step_deg, f"the {self.backend} fan (deg)",
-                    "bearing_step_deg")
+        self._fan()  # raises unless the step divides the backend's fan
         if self.backend == "ofdm" and self.waveform is None:
             raise ValueError("ofdm backend requires a waveform section")
+
+    def _fan(self) -> np.ndarray:
+        """The backend's ray bearings, every ``bearing_step_deg``: FOV with both ends, or
+        the full circle from 0; ValueError when the step does not divide that span."""
+        ofdm = self.backend == "ofdm"
+        n = whole_steps(math.degrees(FOV[1] - FOV[0]) if ofdm else 360.0, self.bearing_step_deg,
+                        f"the {self.backend} fan (deg)", "bearing_step_deg")
+        if ofdm:
+            return np.linspace(FOV[0], FOV[1], n + 1)
+        return np.radians(np.arange(n) * self.bearing_step_deg)
 
     def make_sensor(self):
         """The backend's sensor, with its fan of ray bearings every ``bearing_step_deg``."""
         if self.backend == "ofdm":
-            step = math.radians(self.bearing_step_deg)
-            fan = np.linspace(FOV[0], FOV[1], int(round((FOV[1] - FOV[0]) / step)) + 1)
-            return OfdmSensor(self.waveform, fan, self.angle_policy)
-        bearings = np.radians(np.arange(0.0, 360.0, self.bearing_step_deg))
-        return ParametricSensor(model=self.error_model, bearings=bearings)
+            return OfdmSensor(self.waveform, self._fan(), self.angle_policy)
+        return ParametricSensor(model=self.error_model, bearings=self._fan())
 
     def truth_sets(self) -> list[np.ndarray]:
         return [t.reference_points for t in self.scene.targets]
@@ -158,8 +162,14 @@ def load_experiment(source: Union[str, Path, dict]) -> ExperimentConfig:
         metric=MetricParams(**metric),
         **fields, **run, **sweep,
     )
-    for condition in cfg.sweep_conditions:
-        apply_condition(cfg, condition)
+    for k, condition in enumerate(cfg.sweep_conditions):
+        try:
+            apply_condition(cfg, condition)
+        except ValueError as exc:
+            if str(exc).startswith("sweep condition"):  # a parse error, which says so already
+                raise
+            name = condition.get("name", f"condition_{k}")
+            raise ValueError(f"sweep condition '{name}': {exc}") from None
     _condition_names(cfg.sweep_conditions)
     return cfg
 
@@ -172,7 +182,7 @@ def apply_condition(cfg: ExperimentConfig, condition: dict) -> ExperimentConfig:
         updates["error_model"] = dataclasses.replace(cfg.error_model, **error_model)
     if "snr_db" in extra:
         if cfg.waveform is None:
-            raise ValueError("sweep condition: key 'snr_db' needs a waveform section")
+            raise ValueError("key 'snr_db' needs a waveform section")
         updates["waveform"] = dataclasses.replace(cfg.waveform, snr_db=extra["snr_db"])
     return dataclasses.replace(cfg, **updates)
 
@@ -371,9 +381,13 @@ def run_monte_carlo(cfg: ExperimentConfig, parallel: int = 1) -> Report:
 
 
 def _condition_names(conditions) -> list[str]:
-    """Each sweep condition's output name, its ``name`` or ``condition_<k>``; a repeat raises."""
+    """Each sweep condition's output name, its ``name`` or ``condition_<k>``.  A repeat
+    raises, and so does a name that is not one path component below the output
+    directory: ``""``, ``"."``, ``".."`` or one with a ``/`` or a NUL."""
     names = [str(cond.get("name", f"condition_{k}")) for k, cond in enumerate(conditions)]
     for k, name in enumerate(names):
+        if name in ("", ".", "..") or "/" in name or "\0" in name:
+            raise ValueError(f"sweep condition '{name}': the name must be one path component")
         if name in names[:k]:
             raise ValueError(f"sweep condition: duplicate name '{name}'")
     return names

@@ -15,8 +15,8 @@ as none); at p = 1 the two agree.  A target left unmatched pays the supremum
 of E, 2c^p.  Extras are counted against the truth *points*:
 max(0, |Y| - sum_i |x_i|) estimates pay c^p / alpha each.
 
-``gospa_baseline`` is the point-target baseline using the same clamped
-squared ground cost.
+``gospa_baseline`` is the point-target baseline on the same pair costs,
+``_min_costs`` with each truth point a target of its own.
 """
 
 from __future__ import annotations
@@ -175,10 +175,8 @@ def gospa_baseline(
         return 0.0
     if len(x) == 0 or len(y) == 0:
         return float(((cp / params.alpha) * (len(x) + len(y))) ** (1.0 / params.p))
-    d2 = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1)
-    # clamped after the power, to the scalar the unmatched points pay, as in _min_costs
-    ground = np.minimum(d2 ** params.p, cp)
-    *_, matched = solve_assignment(ground)
+    # each truth point a one-point target, so a pair costs min(d^p, c^p)
+    *_, matched = solve_assignment(_min_costs(list(x[:, None]), y, params))
     unmatched = abs(len(x) - len(y))
     return float((matched + (cp / params.alpha) * unmatched) ** (1.0 / params.p))
 

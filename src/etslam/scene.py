@@ -81,24 +81,14 @@ class Rectangle:
 
     def signed_distance(self, points: np.ndarray) -> np.ndarray:
         """Signed distance to the boundary; negative inside."""
-        return _rect_signed_distance(
-            np.atleast_2d(points), np.asarray(self.center), math.cos(self.rotation),
-            math.sin(self.rotation), np.array([self.width / 2.0, self.height / 2.0]))
-
-
-def _rect_signed_distance(points, center, cos, sin, half) -> np.ndarray:
-    """Rectangle signed distance, broadcast over points and rectangles alike.
-
-    ``center`` and ``half`` (half width, half height) end in an xy axis; the
-    points are rotated into the rectangle frame elementwise, so one rectangle
-    gives the same bits alone as in a stack.
-    """
-    d = points - center
-    qx = np.abs(d[..., 0] * cos + d[..., 1] * sin) - half[..., 0]
-    qy = np.abs(d[..., 1] * cos - d[..., 0] * sin) - half[..., 1]
-    outside = np.hypot(np.maximum(qx, 0.0), np.maximum(qy, 0.0))
-    inside = np.minimum(np.maximum(qx, qy), 0.0)
-    return outside + inside
+        d = np.atleast_2d(points) - np.asarray(self.center)
+        cos, sin = math.cos(self.rotation), math.sin(self.rotation)
+        half = np.array([self.width / 2.0, self.height / 2.0])
+        qx = np.abs(d[..., 0] * cos + d[..., 1] * sin) - half[0]
+        qy = np.abs(d[..., 1] * cos - d[..., 0] * sin) - half[1]
+        outside = np.hypot(np.maximum(qx, 0.0), np.maximum(qy, 0.0))
+        inside = np.minimum(np.maximum(qx, qy), 0.0)
+        return outside + inside
 
 
 @dataclass(frozen=True)
@@ -231,11 +221,7 @@ class Scene:
     bounds_max: np.ndarray
     targets: list[ExtendedTarget]
     trajectory: Trajectory
-    # flattened primitive caches for vectorized ray casting and containment
-    _rect_c: np.ndarray = field(init=False, repr=False)
-    _rect_cos: np.ndarray = field(init=False, repr=False)
-    _rect_sin: np.ndarray = field(init=False, repr=False)
-    _rect_half: np.ndarray = field(init=False, repr=False)
+    # flattened primitive caches for vectorized ray casting
     _seg_ends: np.ndarray = field(init=False, repr=False)  # (2S, 2): every a, then every b
     _seg_d: np.ndarray = field(init=False, repr=False)     # b - a
     _seg_d2: np.ndarray = field(init=False, repr=False)    # |b - a|^2
@@ -246,10 +232,6 @@ class Scene:
         self.bounds_min = np.asarray(self.bounds_min, dtype=float)
         self.bounds_max = np.asarray(self.bounds_max, dtype=float)
         rects = [t.shape for t in self.targets if isinstance(t.shape, Rectangle)]
-        self._rect_c = np.array([r.center for r in rects], dtype=float).reshape(-1, 2)
-        self._rect_cos = np.array([math.cos(r.rotation) for r in rects])
-        self._rect_sin = np.array([math.sin(r.rotation) for r in rects])
-        self._rect_half = np.array([[r.width / 2.0, r.height / 2.0] for r in rects]).reshape(-1, 2)
         # each rectangle's four edges, corner k to corner k + 1
         corners = np.array([r.corners() for r in rects]).reshape(-1, 4, 2)
         seg_a, seg_b = np.stack([corners, np.roll(corners, -1, axis=1)]).reshape(2, -1, 2)
@@ -296,11 +278,20 @@ class Scene:
     def contains_point_in_target(self, points: np.ndarray) -> np.ndarray:
         """Whether each point of ``points``, shape (..., 2), lies strictly inside a
         target (on a boundary is outside); shape (...)."""
-        points = np.asarray(points, dtype=float)[..., None, :]
-        rect_sd = _rect_signed_distance(points, self._rect_c, self._rect_cos, self._rect_sin,
-                                        self._rect_half)
-        circ_sd = np.linalg.norm(points - self._circ_c, axis=-1) - self._circ_r
-        return np.any(rect_sd < 0.0, axis=-1) | np.any(circ_sd < 0.0, axis=-1)
+        points = np.asarray(points, dtype=float)
+        flat = points.reshape(-1, 2)
+        inside = np.zeros(len(flat), dtype=bool)
+        for tgt in self.targets:
+            inside |= tgt.shape.signed_distance(flat) < 0.0
+        return inside.reshape(points.shape[:-1])
+
+
+def ragged_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) for every i and every j in [lo[i], hi[i]), grouped by i, j ascending."""
+    size = hi - lo
+    i = np.repeat(np.arange(len(lo)), size)
+    j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(size) - size), size)
+    return i, j
 
 
 # a hit nearer than this to the origin is the origin's own boundary, not a hit
@@ -356,9 +347,7 @@ def _edge_candidates(scene: Scene, origins: np.ndarray, dirs: np.ndarray):
         start, stop = table.searchsorted(mid[..., None] + half[..., None] * [-1.0, 1.0]
                                          ).reshape(-1, 2).T
         # one candidate per ((origin, edge) pair, table slot in the pair's run)
-        lens = stop - start
-        pair = np.arange(lens.size).repeat(lens)
-        slot = np.arange(pair.size) + (start + lens - lens.cumsum()).repeat(lens)
+        pair, slot = ragged_ranges(start, stop)
         ray = ray_of.repeat(3, axis=0).ravel()[slot]
         seg = pair % n_seg
         dk = dirs.reshape(-1, 2).take(ray, axis=0)

@@ -18,8 +18,8 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from etslam.scene import (GroundTruthScan, Pose, Scene, ground_truth_scans, require_positive,
-                          rotation, trajectory_pose, wrap_angle)
+from etslam.scene import (GroundTruthScan, Pose, Scene, ground_truth_scans, ragged_ranges,
+                          require_positive, rotation, trajectory_pose, wrap_angle)
 
 LOG_ODDS_CLAMP = 10.0
 # grid border beyond the scene bounds on every side [m]
@@ -198,10 +198,9 @@ def update_grid(grid: OccupancyGrid, pose: Pose, scan: np.ndarray) -> OccupancyG
     dists = np.linalg.norm(ends - start, axis=1)
     step = grid.resolution * 0.5
     counts = np.maximum(1, np.ceil(dists / step).astype(int))
-    ray_idx = np.repeat(np.arange(len(scan)), counts)
     # sample j of a ray with k samples sits at fraction j / k along it
-    first = np.repeat(np.cumsum(counts) - counts, counts)  # flat index of each ray's sample 0
-    fracs = (np.arange(len(ray_idx)) - first) / counts[ray_idx]
+    ray_idx, sample = ragged_ranges(np.zeros_like(counts), counts)
+    fracs = sample / counts[ray_idx]
     # samples as (2, N) coordinate rows, which keeps numpy's inner loops N long
     idx, ok = grid.index_of((start[:, None] + fracs * np.take((ends - start).T, ray_idx, axis=1)).T)
     flat = grid.log_odds.reshape(-1)

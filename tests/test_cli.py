@@ -240,6 +240,19 @@ def test_sweep_writes_condition_dirs(tmp_path, capsys):
     assert (out / "clean" / "metric_curve.csv").exists()
 
 
+def test_sweep_refuses_a_condition_name_outside_out(tmp_path, capsys):
+    """``../escaped`` wrote its CSVs beside ``--out``; now nothing is written."""
+    cfg = tmp_path / "cfg" / "tiny.yaml"
+    cfg.parent.mkdir()
+    doc = yaml.safe_load(_write_tiny_config(tmp_path).read_text())
+    doc["sweep"]["conditions"][0]["name"] = "../escaped"
+    cfg.write_text(yaml.safe_dump(doc))
+    before = sorted(tmp_path.iterdir())
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 2
+    assert "sweep condition '../escaped'" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_missing_config_is_error(capsys):
     assert main(["simulate", "--config", "nope.yaml"]) == 2
     assert "etslam: error:" in capsys.readouterr().err

@@ -222,13 +222,26 @@ def test_fan_step_that_does_not_divide_the_fan_rejected(backend, step, span):
 
 def test_fan_step_checked_against_a_condition_backend():
     """3.0 divides the parametric fan's 360 deg but not the OFDM fan's 140 deg, so a
-    condition that switches to the OFDM backend is refused at load."""
+    condition that switches to the OFDM backend is refused at load, naming it."""
     doc = full_doc()
     doc["sensor"]["bearing_step_deg"] = 3.0
     assert len(load_experiment(doc).make_sensor().bearings) == 120
     doc["sweep"]["conditions"].append({"name": "ofdm", "backend": "ofdm"})
-    with pytest.raises(ValueError, match="^the ofdm fan [(]deg[)] must be a whole number"):
+    with pytest.raises(ValueError, match="^sweep condition 'ofdm': the ofdm fan [(]deg[)] must "
+                                         "be a whole number"):
         load_experiment(doc)
+
+
+def test_parametric_fan_repeats_no_bearing():
+    """360/161 deg divides the circle to within the whole-step tolerance, and
+    ``np.arange(0, 360, step)`` gave 162 bearings, the last at 359.99999999999994
+    deg: a second ray along bearing 0."""
+    doc = full_doc()
+    step = 360.0 / 161
+    doc["sensor"]["bearing_step_deg"] = step
+    degrees = np.degrees(load_experiment(doc).make_sensor().bearings)
+    assert len(degrees) == 161
+    assert np.allclose(np.diff(np.append(degrees, degrees[0] + 360.0)), step)
 
 
 @pytest.mark.parametrize("backend, step, count", [
@@ -283,7 +296,8 @@ def test_fan_steps_in_use_load(backend, step, count):
     (26, ("waveform",), "Nr", 16, "waveform: unknown key 'Nr'"),
     (27, ("waveform",), "T", float("nan"), "waveform: unknown key 'T'"),
     (28, ("waveform",), "B", float("nan"), "waveform: unknown key 'B'"),
-    (29, ("sweep", "conditions", 0), "snr_db", float("nan"), "waveform snr_db must be finite"),
+    (29, ("sweep", "conditions", 0), "snr_db", float("nan"),
+     "sweep condition 'clean': waveform snr_db must be finite"),
     (30, ("sensor",), "angle_peak_threshold_db", float("nan"),
      "peak policy threshold_db must be finite"),
     (31, ("sensor",), "angle_max_peaks", 0, "peak policy max_peaks must be >= 1"),
@@ -298,7 +312,7 @@ def test_fan_steps_in_use_load(backend, step, count):
     (37, ("metric",), "c", float("inf"), "metric c must be finite and > 0"),
     (38, ("cluster",), "eps", float("inf"), "cluster eps must be finite and > 0"),
     (39, ("sweep", "conditions", 0), "delta_r_m", float("nan"),
-     "error model delta_r must be finite and >= 0"),
+     "sweep condition 'clean': error model delta_r must be finite and >= 0"),
     (40, ("run",), "duration", 3.2,
      "duration must be a whole number of trajectory steps (0.5), got 3.2"),
     (41, ("run",), "snapshot_cadence", 0.7,
@@ -330,7 +344,8 @@ def test_integral_float_accepted_for_int_field():
 def test_condition_snr_without_waveform_rejected():
     doc = tiny_doc()
     doc["sweep"]["conditions"].append({"name": "ofdm", "snr_db": 10.0})
-    with pytest.raises(ValueError, match="sweep condition: key 'snr_db' needs a waveform"):
+    with pytest.raises(ValueError,
+                       match="^sweep condition 'ofdm': key 'snr_db' needs a waveform section$"):
         load_experiment(doc)
     cfg = load_experiment(full_doc())
     assert apply_condition(cfg, {"snr_db": 3.0}).waveform.snr_db == 3.0
@@ -346,6 +361,36 @@ def test_duplicate_condition_name_rejected(conditions, name):
     doc = tiny_doc()
     doc["sweep"]["conditions"] = conditions
     with pytest.raises(ValueError, match=f"^sweep condition: duplicate name '{name}'$"):
+        load_experiment(doc)
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "/tmp/x", "a/b", "a\0b"])
+def test_condition_name_must_be_one_path_component(name):
+    """A sweep writes each condition to ``out / name``: these wrote beside or above
+    ``out``, or into ``out`` itself, where two such conditions overwrite each other;
+    a NUL ran the whole sweep, then failed unlocated at the first write."""
+    doc = tiny_doc()
+    doc["sweep"]["conditions"][1]["name"] = name
+    message = f"sweep condition '{name}': the name must be one path component"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_experiment(doc)
+
+
+@pytest.mark.parametrize("sensor, condition, name, message", [
+    ({}, {"name": "b", "backend": "ofdm"}, "b", "ofdm backend requires a waveform section"),
+    ({}, {"name": "b", "delta_r_m": -1.0}, "b", "error model delta_r must be finite and >= 0"),
+    ({}, {"backend": "radar"}, "condition_2", "unknown sensor backend 'radar'"),
+    ({"backend": "ofdm", "bearing_step_deg": 7.0}, {"name": "b", "backend": "parametric"}, "b",
+     "the parametric fan (deg) must be a whole number of bearing_step_deg (7), got 360"),
+], ids=["no-waveform", "negative-delta-r", "unknown-backend", "fan-step"])
+def test_condition_error_names_the_condition(sensor, condition, name, message):
+    """An error raised while a condition is applied at load names the condition, once."""
+    doc = tiny_doc()
+    doc["sensor"].update(sensor)
+    if sensor:
+        doc["waveform"] = dict(WAVEFORM_DOC)
+    doc["sweep"]["conditions"].append(condition)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'sweep condition {name!r}: {message}')}$"):
         load_experiment(doc)
 
 

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etslam import harness, metrics
+from etslam.assignment import solve_assignment
 from etslam.metrics import (
     EtGospaResult,
     MetricParams,
@@ -536,6 +537,23 @@ def test_gospa_baseline_clamped_pair_costs_the_cardinality_charge(c, p):
     params = MetricParams(c=c, p=p, alpha=1.0)
     far = gospa_baseline(_POINT, np.array([[100.0, 0.0]]), params)  # d^2 = 1e4 > c
     assert far == gospa_baseline(_POINT, np.zeros((0, 2)), params)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.7, 2.0])
+def test_gospa_baseline_matches_its_pair_matrix(p):
+    """The baseline takes its pair costs from ``_min_costs``, each truth point a target
+    of its own; it equals, bit for bit, the assignment over the (|X|, |Y|) matrix
+    min(|x - y|^2 ^ p, c^p) formed from ``np.sum(diff**2, axis=-1)``."""
+    params = MetricParams(c=5.0, p=p, alpha=2.0)
+    cp = params.c ** params.p
+    rng = np.random.default_rng(31)
+    for n_x, n_y in [(1, 1), (3, 7), (9, 4), (40, 300)]:
+        x = rng.uniform(-4.0, 4.0, (n_x, 2))
+        y = rng.uniform(-4.0, 4.0, (n_y, 2))
+        d2 = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1)
+        *_, matched = solve_assignment(np.minimum(d2 ** p, cp))
+        want = (matched + (cp / params.alpha) * abs(n_x - n_y)) ** (1.0 / p)
+        assert gospa_baseline(x, y, params) == want
 
 
 def _far_apart_singletons(rng, params):

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from etslam import scene as scene_module
 from etslam.clustering import recovered_target_count
@@ -28,6 +30,7 @@ from etslam.scene import (
     ground_truth_scans,
     load_scene,
     polar_points,
+    ragged_ranges,
     reference_points,
     trajectory_pose,
 )
@@ -280,12 +283,29 @@ def test_raycast_origin_inside_target_rejected():
         _one_ray(scene, np.array([10.0, 0.0]), 0.0)
 
 
-def _contains_point_loop(scene, point):
-    """Reference for Scene.contains_point_in_target: one signed distance per target."""
-    return any(float(t.shape.signed_distance(point)[0]) < 0.0 for t in scene.targets)
+def _stacked_contains(scene, points):
+    """Reference for Scene.contains_point_in_target: every rectangle at once, from
+    (R, 2) tables of centres and half sizes and (R,) tables of cos and sin, then
+    every circle's norm, each (..., R) signed distance tested against 0."""
+    points = np.asarray(points, dtype=float)[..., None, :]
+    rects = [t.shape for t in scene.targets if isinstance(t.shape, Rectangle)]
+    circles = [t.shape for t in scene.targets if isinstance(t.shape, Circle)]
+    center = np.array([r.center for r in rects], dtype=float).reshape(-1, 2)
+    cos = np.array([math.cos(r.rotation) for r in rects])
+    sin = np.array([math.sin(r.rotation) for r in rects])
+    half = np.array([[r.width / 2.0, r.height / 2.0] for r in rects]).reshape(-1, 2)
+    d = points - center
+    qx = np.abs(d[..., 0] * cos + d[..., 1] * sin) - half[..., 0]
+    qy = np.abs(d[..., 1] * cos - d[..., 0] * sin) - half[..., 1]
+    rect_sd = (np.hypot(np.maximum(qx, 0.0), np.maximum(qy, 0.0))
+               + np.minimum(np.maximum(qx, qy), 0.0))
+    circ_c = np.array([c.center for c in circles], dtype=float).reshape(-1, 2)
+    circ_sd = np.linalg.norm(points - circ_c, axis=-1) - np.array([c.radius for c in circles])
+    return np.any(rect_sd < 0.0, axis=-1) | np.any(circ_sd < 0.0, axis=-1)
 
 
 def test_contains_point_matches_per_target_loop():
+    """The loop over the targets' own signed distances against the stacked reference."""
     rotated = _simple_scene(targets=[
         {"id": 1, "kind": "rect", "center": [10.0, 0.0], "width": 3.0, "height": 1.0,
          "rotation": 0.7},
@@ -307,11 +327,26 @@ def test_contains_point_matches_per_target_loop():
         ])
         got = scene.contains_point_in_target(points)
         assert got.shape == (len(points),)
-        assert got.tolist() == [_contains_point_loop(scene, p) for p in points]
+        assert got.tobytes() == _stacked_contains(scene, points).tobytes()
         assert got.any() == bool(scene.targets)
         # (..., 2) points: the leading axes are kept
         grid = scene.contains_point_in_target(points[:3000].reshape(30, 100, 2))
         assert grid.shape == (30, 100) and grid.tobytes() == got[:3000].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2**40, 2**40), st.integers(0, 300)), max_size=20))
+@example([])
+@example([(0, 0), (5, 0), (9, 0)])
+@example([(3, 0), (-7, 100_000), (2**40, 3)])
+def test_ragged_ranges_match_double_loop(ranges):
+    """(i, j) for every j in [lo[i], hi[i]), in (i, j) order: empty ranges, no ranges
+    and a large one included."""
+    lo = np.array([a for a, _ in ranges], dtype=np.int64)
+    hi = lo + np.array([n for _, n in ranges], dtype=np.int64)
+    i, j = ragged_ranges(lo, hi)
+    want = [(k, v) for k, (a, n) in enumerate(ranges) for v in range(a, a + n)]
+    assert list(zip(i.tolist(), j.tolist())) == want
 
 
 def test_contains_point_boundary_is_outside():
