@@ -41,6 +41,8 @@ import numpy as np
 from etslam.scene import as_points, ragged_ranges, require_positive
 
 NOISE = -1
+# a centroid claims a target whose boundary is within this distance [m]
+RECOVERY_DISTANCE = 1.0
 
 
 @dataclass(frozen=True)
@@ -224,21 +226,17 @@ def cluster_centroids(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return (sums / counts[:, None])[keep]
 
 
-def recovered_target_count(
-    centroids: np.ndarray, targets, max_distance: float = 1.0
-) -> int:
+def recovered_target_count(centroids: np.ndarray, targets) -> int:
     """Number of distinct targets claimed by at least one cluster centroid.
 
     A centroid claims the target whose boundary is nearest (the first such
-    target on a tie), provided that distance is at most ``max_distance``.
+    target on a tie), provided that distance is at most ``RECOVERY_DISTANCE``.
     Targets are told apart by their position in ``targets``, not by their ids.
     """
     centroids = as_points(centroids, "centroids")
-    if not max_distance >= 0.0:
-        raise ValueError(f"max_distance must be >= 0, got {max_distance!r}")
     if len(centroids) == 0 or not targets:
         return 0
     dist = np.abs(np.stack([tgt.shape.signed_distance(centroids) for tgt in targets]))
     nearest = np.argmin(dist, axis=0)
-    claimed = nearest[dist[nearest, np.arange(len(centroids))] <= max_distance]
+    claimed = nearest[dist[nearest, np.arange(len(centroids))] <= RECOVERY_DISTANCE]
     return len(np.unique(claimed))

@@ -26,7 +26,7 @@ import yaml
 
 from etslam.clustering import ClusterParams, cluster_centroids, dbscan, recovered_target_count
 from etslam.metrics import MetricParams, et_gospa, location_mse
-from etslam.ofdm import FOV, WAVEFORM_KEYS, OfdmSensor, PeakPolicy, WaveformConfig
+from etslam.ofdm import FOV, OfdmSensor, PeakPolicy, WaveformConfig
 from etslam.parametric import ErrorModel, ParametricSensor
 from etslam.scene import (Scene, as_radians, convert, load_scene, parse_section,
                           require_positive)
@@ -56,6 +56,8 @@ class ExperimentConfig:
     sweep_conditions: tuple[dict, ...] = ()
 
     def __post_init__(self):
+        if not self.scene.targets:
+            raise ValueError("scene: key 'targets': at least one target required")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         run_steps(self.duration, self.snapshot_cadence, self.scene.trajectory.step_interval)
@@ -100,6 +102,12 @@ def _find_config(ref, what: str, base_dir: Optional[Path] = None) -> Path:
 
 
 # config key -> (dataclass field, kind), one table per dataclass
+# the waveform's keys are the paper's symbols
+_WAVEFORM_KEYS = {
+    "fc": ("fc", float), "delta_f": ("delta_f", float), "N": ("n_subcarriers", int),
+    "Nt": ("n_tx", int), "d_over_lambda": ("d_over_lambda", float),
+    "snr_db": ("snr_db", lambda v: None if v is None else convert(v, float)),
+}
 _SENSOR_KEYS = {"backend": ("backend", str), "bearing_step_deg": ("bearing_step_deg", float)}
 _ERROR_MODEL_KEYS = {"delta_r_m": ("delta_r", float), "delta_theta_deg": ("delta_theta", as_radians)}
 _ANGLE_POLICY_KEYS = {"angle_peak_threshold_db": ("threshold_db", float),
@@ -117,7 +125,7 @@ _RUN_KEYS = {"trials": ("trials", int), "duration": ("duration", float), "seed":
              "snapshot_cadence": ("snapshot_cadence", float), "estimate_cap": ("estimate_cap", int)}
 _SWEEP_KEYS = {"conditions": ("sweep_conditions", lambda v: tuple(convert(v, list)))}
 # a sweep condition takes these, the backend and the error-model keys
-_CONDITION_KEYS = {"name": ("name", str), "snr_db": WAVEFORM_KEYS["snr_db"]}
+_CONDITION_KEYS = {"name": ("name", str), "snr_db": _WAVEFORM_KEYS["snr_db"]}
 _EXPERIMENT_KEYS = {
     key: (key, dict)
     for key in ("sensor", "waveform", "slam", "odometry", "cluster", "metric", "run", "sweep")
@@ -149,7 +157,9 @@ def load_experiment(source: Union[str, Path, dict]) -> ExperimentConfig:
     [run] = section("run", _RUN_KEYS)
     [sweep] = section("sweep", _SWEEP_KEYS)
     if "waveform" in top:
-        fields["waveform"] = WaveformConfig.from_mapping(top["waveform"])
+        [waveform] = parse_section(top["waveform"], "waveform", _WAVEFORM_KEYS,
+                                   required=("fc", "delta_f", "N"))
+        fields["waveform"] = WaveformConfig(**waveform)
     scene = top["scene"]
     cfg = ExperimentConfig(
         scene=load_scene(scene if isinstance(scene, dict)
@@ -303,7 +313,6 @@ class TrialRecord:
     times: np.ndarray
     et_gospa: np.ndarray
     sq_error: np.ndarray
-    cluster_count: int
     recovered_targets: int
     map_points: np.ndarray
     map_times: np.ndarray
@@ -336,7 +345,6 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
         times=np.array([s.t for s in snaps]),
         et_gospa=np.array(values),
         sq_error=location_mse([s.pose_truth for s in snaps], [s.pose_estimate for s in snaps]),
-        cluster_count=int(labels.max() + 1) if len(labels) else 0,
         recovered_targets=recovered_target_count(centroids, cfg.scene.targets),
         map_points=run.map_points,
         map_times=run.map_times,
@@ -349,10 +357,7 @@ class Report:
     times: np.ndarray
     et_gospa_mean: np.ndarray
     mse_mean: np.ndarray
-    per_trial_et: np.ndarray        # (trials, snapshots)
-    per_trial_sq_error: np.ndarray  # (trials, snapshots)
-    cluster_counts: np.ndarray
-    recovered_targets: np.ndarray
+    per_trial_et: np.ndarray  # (trials, snapshots)
     trials: list[TrialRecord] = field(repr=False, default_factory=list)
 
 
@@ -367,15 +372,11 @@ def run_monte_carlo(cfg: ExperimentConfig, parallel: int = 1) -> Report:
     else:
         records = [run_trial(cfg, i) for i in indices]
     per_et = np.stack([r.et_gospa for r in records])
-    per_sq = np.stack([r.sq_error for r in records])
     return Report(
         times=records[0].times,
         et_gospa_mean=per_et.mean(axis=0),
-        mse_mean=per_sq.mean(axis=0),
+        mse_mean=np.stack([r.sq_error for r in records]).mean(axis=0),
         per_trial_et=per_et,
-        per_trial_sq_error=per_sq,
-        cluster_counts=np.array([r.cluster_count for r in records]),
-        recovered_targets=np.array([r.recovered_targets for r in records]),
         trials=records,
     )
 

@@ -3,7 +3,8 @@
 The processing path is: ground-truth rays (cast by the caller) -> per-path
 steering phases and delay phases, the latter in two factors, per block and
 within a block -> equalized symbol-0 column per receive antenna (static paths,
-so the QPSK frame divides out and one symbol suffices), one gemm of the
+so the unit-modulus QPSK frame divides out, leaving the noise statistics
+unchanged, and one symbol suffices), one gemm of the
 steering-by-block Kronecker rows with the in-block phases, written into the
 array the sensor keeps -> noise scaled from the echo power, one dot product
 -> IDFT range profile per antenna, in place, so the kept array ends a call
@@ -39,8 +40,7 @@ import scipy.fft
 
 # ground_truth_scan stays importable here: bench/spans.py wraps the ray-casting
 # layer at this name
-from etslam.scene import (GroundTruthScan, convert, ground_truth_scan,
-                          parse_section, polar_points, require_positive)
+from etslam.scene import GroundTruthScan, ground_truth_scan, polar_points, require_positive
 
 C0 = 3.0e8
 # sensor-frame bearings (rad) the array resolves unambiguously, away from endfire
@@ -95,20 +95,6 @@ class WaveformConfig:
     def snr_linear(self) -> Optional[float]:
         return None if self.snr_db is None else 10.0 ** (self.snr_db / 10.0)
 
-    @classmethod
-    def from_mapping(cls, doc: dict) -> "WaveformConfig":
-        """Build from config-file keys (``WAVEFORM_KEYS``)."""
-        [kw] = parse_section(doc, "waveform", WAVEFORM_KEYS, required=("fc", "delta_f", "N"))
-        return cls(**kw)
-
-
-# config key -> (WaveformConfig field, kind); the paper's symbols as keys
-WAVEFORM_KEYS = {
-    "fc": ("fc", float), "delta_f": ("delta_f", float), "N": ("n_subcarriers", int),
-    "Nt": ("n_tx", int), "d_over_lambda": ("d_over_lambda", float),
-    "snr_db": ("snr_db", lambda v: None if v is None else convert(v, float)),
-}
-
 
 def _blocks(n: int) -> tuple[int, int]:
     """The delay phase's block B, the smallest power of two >= sqrt(N), and the
@@ -132,7 +118,7 @@ def _path_phases(cfg: WaveformConfig, ranges: np.ndarray, bearings: np.ndarray):
 
 
 def _column_buffer(cfg: WaveformConfig) -> np.ndarray:
-    """An uninitialized (n_tx, n_blocks * B) complex array for ``_equalized_column``
+    """An uninitialized (n_tx, n_blocks * B) complex array for ``_kronecker_column``
     to write into; the column is its first N columns."""
     block, n_blocks = _blocks(cfg.n_subcarriers)
     return np.empty((cfg.n_tx, n_blocks * block), dtype=complex)
@@ -284,22 +270,6 @@ def _kronecker_column(cfg: WaveformConfig, ranges: np.ndarray, bearings: np.ndar
     return out[:, :cfg.n_subcarriers]
 
 
-def _equalized_column(cfg: WaveformConfig, ranges: np.ndarray, bearings: np.ndarray,
-                      rng: Optional[np.random.Generator], out: np.ndarray) -> np.ndarray:
-    """Equalized symbol-0 response per array element, shape (n_tx, N), written into
-    ``out`` (a ``_column_buffer(cfg)``) and returned as a view of its first N columns.
-
-    For unit-amplitude, zero-Doppler paths this is symbol 0 of the full-frame
-    echo divided by the frame: equalization of unit-modulus QPSK leaves the
-    noise statistics unchanged.  The sum over paths is ``_kronecker_column``;
-    then, with noise enabled, one unit draw of shape (2, n_tx, N) is added.
-    """
-    y = _kronecker_column(cfg, ranges, bearings, out)
-    if cfg.snr_db is None:
-        return y
-    return _add_noise(cfg, y, len(ranges) > 0, rng.standard_normal((2,) + y.shape))
-
-
 def sense(gt: GroundTruthScan, sensor: OfdmSensor, rng: np.random.Generator) -> np.ndarray:
     """Full OFDM sensing pipeline on the ground-truth scan of ``sensor.bearings``: one
     sensor-frame point per detection, shape (n, 2), at the centres of its range bin and
@@ -307,7 +277,9 @@ def sense(gt: GroundTruthScan, sensor: OfdmSensor, rng: np.random.Generator) -> 
     cfg = sensor.cfg
     if np.any(gt.ranges >= cfg.unambiguous_range):
         raise ValueError("path range outside unambiguous window c0/(2*delta_f)")
-    col = _equalized_column(cfg, gt.ranges, gt.bearings, rng, sensor._column)
+    col = _kronecker_column(cfg, gt.ranges, gt.bearings, sensor._column)
+    if cfg.snr_db is not None:
+        _add_noise(cfg, col, len(gt.ranges) > 0, rng.standard_normal((2,) + col.shape))
     # (n_tx, N), transformed in place: the sensor's array now holds the profiles
     profiles = scipy.fft.ifft(col, axis=1, overwrite_x=True)
     range_peaks = np.flatnonzero(detect_peaks(np.mean(np.abs(profiles), axis=0), RANGE_POLICY))

@@ -458,16 +458,20 @@ def convert(value, kind):
 
     Types match exactly, except that a float takes any number (PyYAML reads
     exponent literals such as ``28.0e9`` as strings) and an int an integral
-    float; a bool field takes only true or false.
+    float; an int must lie in int64's range, the widest numpy takes; a
+    bool field takes only true or false.
     """
     if not isinstance(kind, type):
         return kind(value)
     if kind is float and (type(value) is int or type(value) is str and _NUMBER.fullmatch(value)):
         return float(value)
-    if kind is int and type(value) is float and value.is_integer():
-        return int(value)
-    if type(value) is not kind:
+    if type(value) is not kind and not (kind is int and type(value) is float
+                                        and value.is_integer()):
         raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    if kind is int:
+        if not -2**63 <= value < 2**63:
+            raise ValueError(f"{value!r} is outside int64 [-2**63, 2**63)")
+        return int(value)
     return value
 
 

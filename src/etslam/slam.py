@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -39,18 +39,13 @@ def whole_steps(value: float, step: float, what: str, per: str) -> int:
     return n
 
 
-def run_steps(duration: float, snapshot_cadence: Optional[float],
+def run_steps(duration: float, snapshot_cadence: float,
               step_interval: float) -> tuple[int, int]:
-    """Trajectory steps in a run of ``duration`` s and between snapshots (every
-    step when ``snapshot_cadence`` is None); each must be finite, > 0 and whole."""
-    require_positive(duration=duration)
-    if snapshot_cadence is not None:
-        require_positive(snapshot_cadence=snapshot_cadence)
-    n_steps = whole_steps(duration, step_interval, "duration", "trajectory steps")
-    if snapshot_cadence is None:
-        return n_steps, 1
-    return n_steps, whole_steps(snapshot_cadence, step_interval, "snapshot_cadence",
-                                "trajectory steps")
+    """Trajectory steps in a run of ``duration`` s and between snapshots; each must be
+    finite, > 0 and whole."""
+    require_positive(duration=duration, snapshot_cadence=snapshot_cadence)
+    return (whole_steps(duration, step_interval, "duration", "trajectory steps"),
+            whole_steps(snapshot_cadence, step_interval, "snapshot_cadence", "trajectory steps"))
 
 
 class Sensor(Protocol):
@@ -272,8 +267,8 @@ def run_slam(
     odometry: OdometryModel,
     rng: np.random.Generator,
     duration: float,
+    snapshot_cadence: float,
     cfg: SlamConfig = SlamConfig(),
-    snapshot_cadence: Optional[float] = None,
 ) -> SlamRun:
     """Run the SLAM loop for ``duration`` seconds at the trajectory step interval.
 

@@ -138,8 +138,8 @@ def test_criterion_5_estimator_bins(capsys):
     Ranges are drawn over the whole centred 0.12207 m bin (see README on peak
     rounding).
     """
-    base = dict(fc=28.0e9, delta_f=1.2e5, N=10240)
-    range_cfg = WaveformConfig.from_mapping(dict(base, Nt=1))
+    base = dict(fc=28.0e9, delta_f=1.2e5, n_subcarriers=10240)
+    range_cfg = WaveformConfig(**base, n_tx=1)
     rng = np.random.default_rng(6)
     frame = qpsk_frame(range_cfg, 1, rng)
     w = range_cfg.range_bin_width
@@ -152,12 +152,12 @@ def test_criterion_5_estimator_bins(capsys):
         peak = int(np.argmax(np.abs(np.fft.ifft(s_g[0, 0]))))
         ranges_ok = ranges_ok and peak == i and abs(bin_to_range(peak, range_cfg) - r) < w / 2
 
-    full = WaveformConfig.from_mapping(dict(base, Nt=32))
+    full = WaveformConfig(**base, n_tx=32)
     snap = np.exp(1j * (2.0 * math.pi * full.d / full.wavelength)
                   * math.cos(math.pi / 2.0) * np.arange(full.n_tx))
     angle_ok = int(np.argmax(np.abs(np.fft.fft(snap)))) == 0
 
-    dop_cfg = WaveformConfig.from_mapping(dict(base, Nt=1))
+    dop_cfg = WaveformConfig(**base, n_tx=1)
     frame = qpsk_frame(dop_cfg, 256, np.random.default_rng(7))
     s_g = one_path_echo(dop_cfg, frame, 12.0, velocity=0.0) / frame
     doppler_ok = int(np.argmax(np.abs(np.fft.fft(s_g[0, :, 0])))) == 0

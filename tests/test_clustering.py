@@ -717,11 +717,15 @@ def test_recovered_target_count_deduplicates():
     assert recovered_target_count(cents, targets) == 1
 
 
-def test_recovered_target_count_distance_gate():
+def test_recovered_target_count_distance_gate(monkeypatch):
+    """A centroid claims a target within ``RECOVERY_DISTANCE`` (1 m) of its boundary."""
     targets = _targets()
+    assert clustering.RECOVERY_DISTANCE == 1.0
     cents = np.array([[0.0, 4.0]])  # 3 m from the circle boundary
-    assert recovered_target_count(cents, targets, max_distance=1.0) == 0
-    assert recovered_target_count(cents, targets, max_distance=3.5) == 1
+    assert recovered_target_count(cents, targets) == 0
+    assert recovered_target_count(np.array([[0.0, 2.0]]), targets) == 1  # exactly 1 m
+    monkeypatch.setattr(clustering, "RECOVERY_DISTANCE", 3.5)
+    assert recovered_target_count(cents, targets) == 1
 
 
 @pytest.mark.parametrize("centroids, shape", [
@@ -739,13 +743,6 @@ def test_recovered_target_count_rejects_non_finite_centroid(bad):
     cents = np.array([[0.0, 1.0], [bad, 1.0]])
     with pytest.raises(ValueError, match="centroids must be finite"):
         recovered_target_count(cents, _targets())
-
-
-@pytest.mark.parametrize("max_distance", [-1.0, -1e-12, np.nan])
-def test_recovered_target_count_rejects_bad_max_distance(max_distance):
-    cents = np.array([[0.0, 1.0]])  # on the circle: a silent 0 would be wrong
-    with pytest.raises(ValueError, match="max_distance must be >= 0"):
-        recovered_target_count(cents, _targets(), max_distance)
 
 
 def reference_recovered_target_count(centroids, targets, max_distance=1.0):
@@ -777,7 +774,7 @@ def test_recovered_target_count_counts_targets_not_ids():
     assert reference_recovered_target_count(cents, scene.targets) == 2
 
 
-def test_recovered_target_count_edge_cases():
+def test_recovered_target_count_edge_cases(monkeypatch):
     targets = _targets()
     # (4, 0) is exactly 3 m from the circle (id 1) and from the rect's left face (id 2);
     # (0, 1) sits on the circle, so a count of 1 means the tie went to the first target
@@ -792,11 +789,12 @@ def test_recovered_target_count_edge_cases():
         (beyond, targets, np.nextafter(1.5, 0.0), 0),
     ]
     for cents, tgts, max_distance, want in cases:
-        assert recovered_target_count(cents, tgts, max_distance) == want
+        monkeypatch.setattr(clustering, "RECOVERY_DISTANCE", max_distance)
+        assert recovered_target_count(cents, tgts) == want
         assert reference_recovered_target_count(cents, tgts, max_distance) == want
 
 
-def test_recovered_target_count_matches_reference():
+def test_recovered_target_count_matches_reference(monkeypatch):
     targets = load_scene(DEFAULT_SCENE).targets
     rng = np.random.default_rng(12)
     for _ in range(200):
@@ -808,5 +806,6 @@ def test_recovered_target_count_matches_reference():
         cents[near] = refs[rng.integers(0, len(refs), size=near.sum())] + rng.normal(
             0.0, 0.7, size=(near.sum(), 2))
         max_distance = float(rng.uniform(0.1, 3.0))
-        assert recovered_target_count(cents, targets, max_distance) == \
+        monkeypatch.setattr(clustering, "RECOVERY_DISTANCE", max_distance)
+        assert recovered_target_count(cents, targets) == \
             reference_recovered_target_count(cents, targets, max_distance)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from etslam import harness
 from etslam.clustering import ClusterParams
 from etslam.harness import (
     CSV_HEADER_COMMENT,
@@ -321,12 +322,34 @@ def test_fan_steps_in_use_load(backend, step, count):
      "search window dxy_max must be a whole number of dxy_step (0.1), got 0.25"),
     (43, ("slam",), "search_dtheta_max_deg", 1.2,
      "search window dtheta_max must be a whole number of dtheta_step"),
+    # an int leaf lies in int64: each of these loaded, then failed late or ran
+    (44, ("run",), "trials", 1e300, "run: key 'trials': 1e+300 is outside int64"),
+    (45, ("waveform",), "N", 1e20, "waveform: key 'N': 1e+20 is outside int64"),
+    (46, ("scene", "targets", 0), "id", 1e300,
+     "target 1e+300: key 'id': 1e+300 is outside int64"),
+    (47, ("run",), "seed", 1e300, "run: key 'seed': 1e+300 is outside int64"),
+    (48, ("run",), "estimate_cap", 2**63, "run: key 'estimate_cap': 9223372036854775808 is "
+                                          "outside int64"),
 ])
 def test_out_of_range_value_rejected_at_load(path, key, value, message):
     """Each of these used to load, then crash mid-run or be read as another value."""
     doc = full_doc()
     _section(doc, path)[key] = value
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        load_experiment(doc)
+
+
+def test_int_leaf_at_int64_bounds_loads():
+    assert load_experiment(tiny_doc(seed=2**63 - 1)).seed == 2**63 - 1
+    assert load_experiment(tiny_doc(estimate_cap=float(2**62))).estimate_cap == 2**62
+
+
+def test_experiment_without_targets_rejected_at_load():
+    """A scene with no target loaded, ran the whole trial, then failed at the first
+    snapshot with the metric's unlocated 'at least one target required'."""
+    doc = tiny_doc()
+    doc["scene"]["targets"] = []
+    with pytest.raises(ValueError, match="^scene: key 'targets': at least one target required$"):
         load_experiment(doc)
 
 
@@ -531,6 +554,34 @@ def test_distinct_trials_differ():
     assert not np.array_equal(r0.map_points, r1.map_points)
 
 
+class _FirstDraws(Exception):
+    """Raised in place of the SLAM run with the first normals its rng gives."""
+
+
+def _trial_first_draws(monkeypatch, cfg, seed, trial_index, n=8):
+    """The first ``n`` standard normals trial ``trial_index`` of ``seed`` hands its run."""
+    def first_draws(scene, sensor, odometry, rng, **kw):
+        raise _FirstDraws(rng.standard_normal(n))
+
+    monkeypatch.setattr(harness, "run_slam", first_draws)
+    with pytest.raises(_FirstDraws) as drawn:
+        run_trial(dataclasses.replace(cfg, seed=seed), trial_index)
+    return drawn.value.args[0]
+
+
+@pytest.mark.parametrize("trial_index", [1, 2, 7])
+def test_trial_seeded_from_seed_and_index(monkeypatch, trial_index):
+    """Trial k of seed s draws ``default_rng(SeedSequence([s, k]))``'s stream, which
+    trial k - 1 of seed s + 1 does not share.  k >= 1: ``SeedSequence(s)`` and
+    ``SeedSequence([s, 0])`` give one stream, so trial 0 cannot tell the two apart."""
+    cfg = load_experiment(tiny_doc())
+    got = _trial_first_draws(monkeypatch, cfg, cfg.seed, trial_index)
+    want = np.random.default_rng(np.random.SeedSequence([cfg.seed, trial_index]))
+    assert got.tobytes() == want.standard_normal(len(got)).tobytes()
+    neighbour = _trial_first_draws(monkeypatch, cfg, cfg.seed + 1, trial_index - 1)
+    assert not np.isin(got, neighbour).any()
+
+
 def test_trial_record_shapes():
     cfg = load_experiment(tiny_doc())
     rec = run_trial(cfg, 0)
@@ -546,7 +597,7 @@ def test_report_aggregates_per_trial():
     report = run_monte_carlo(cfg)
     assert report.per_trial_et.shape == (cfg.trials, len(report.times))
     assert np.allclose(report.et_gospa_mean, report.per_trial_et.mean(axis=0))
-    assert np.allclose(report.mse_mean, report.per_trial_sq_error.mean(axis=0))
+    assert np.allclose(report.mse_mean, np.mean([r.sq_error for r in report.trials], axis=0))
     for i, rec in enumerate(report.trials):
         assert rec.trial_index == i
         assert np.array_equal(report.per_trial_et[i], rec.et_gospa)
@@ -569,7 +620,7 @@ def test_parallel_equals_serial():
     serial = run_monte_carlo(cfg, parallel=1)
     para = run_monte_carlo(cfg, parallel=2)
     assert serial.per_trial_et.tobytes() == para.per_trial_et.tobytes()
-    assert serial.per_trial_sq_error.tobytes() == para.per_trial_sq_error.tobytes()
+    assert serial.mse_mean.tobytes() == para.mse_mean.tobytes()
     assert len(serial.trials) == len(para.trials) == 3
     for a, b in zip(serial.trials, para.trials):
         for name in _RECORD_ARRAYS:
@@ -622,15 +673,11 @@ def test_emit_csv_contents(tmp_path):
         et_gospa_mean=np.array([5.5, 4.25]),
         mse_mean=np.array([0.0, 0.125]),
         per_trial_et=np.array([[5.5, 4.25]]),
-        per_trial_sq_error=np.array([[0.0, 0.125]]),
-        cluster_counts=np.array([1]),
-        recovered_targets=np.array([1]),
         trials=[TrialRecord(
             trial_index=0,
             times=np.array([1.0, 2.0]),
             et_gospa=np.array([5.5, 4.25]),
             sq_error=np.array([0.0, 0.125]),
-            cluster_count=1,
             recovered_targets=1,
             map_points=np.array([[1.5, -2.0]]),
             map_times=np.array([1.0]),
@@ -653,11 +700,9 @@ def test_emit_csv_empty_map(tmp_path):
     """A trial with no map points writes header-only map and cluster files."""
     report = Report(times=np.array([1.0]), et_gospa_mean=np.array([2.5]),
                     mse_mean=np.array([0.0]), per_trial_et=np.array([[2.5]]),
-                    per_trial_sq_error=np.array([[0.0]]), cluster_counts=np.array([0]),
-                    recovered_targets=np.array([0]),
                     trials=[TrialRecord(trial_index=0, times=np.array([1.0]),
                                         et_gospa=np.array([2.5]), sq_error=np.array([0.0]),
-                                        cluster_count=0, recovered_targets=0,
+                                        recovered_targets=0,
                                         map_points=np.zeros((0, 2)), map_times=np.zeros(0),
                                         cluster_labels=np.zeros(0, dtype=int))])
     emit_csv(report, tmp_path)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etslam import ofdm
-from etslam.harness import ExperimentConfig, ReadAheadNormals, load_experiment
+from etslam.harness import ReadAheadNormals, load_experiment
 from etslam.ofdm import (
     C0,
     FOV,
@@ -23,7 +23,7 @@ from etslam.ofdm import (
     _add_noise,
     _column_buffer,
     _echo_power,
-    _equalized_column,
+    _kronecker_column,
     _path_phases,
     bin_to_cos,
     bin_to_range,
@@ -32,7 +32,7 @@ from etslam.ofdm import (
 )
 from etslam.scene import Pose, ground_truth_scan, load_scene, polar_points, trajectory_pose
 
-TABLE = dict(fc=28.0e9, delta_f=1.2e5, N=10240, Nt=32, d_over_lambda=0.5)
+TABLE = dict(fc=28.0e9, delta_f=1.2e5, n_subcarriers=10240, n_tx=32, d_over_lambda=0.5)
 # the frame model's symbol duration T = Tp + Tc under the table numerology: the
 # elementary symbol Tp = 1/delta_f and a 2.08 us guard interval Tc
 T_SYM = 1.0 / 1.2e5 + 2.08e-6
@@ -41,21 +41,23 @@ SMALL_M = 16
 
 
 def table_cfg(**overrides):
-    doc = dict(TABLE)
-    doc.update(overrides)
-    return WaveformConfig.from_mapping(doc)
+    return WaveformConfig(**dict(TABLE, **overrides))
 
 
 def one_row_cfg(**overrides):
     """Full-scale numerology with one antenna: row 0 of its one-symbol frame and its
     range profile are those of ``table_cfg()``, at 1/8192 of the full cube's size."""
-    return table_cfg(Nt=1, **overrides)
+    return table_cfg(n_tx=1, **overrides)
 
 
 def small_cfg(**overrides):
-    doc = dict(TABLE, N=1024, Nt=8)
-    doc.update(overrides)
-    return WaveformConfig.from_mapping(doc)
+    return table_cfg(**{"n_subcarriers": 1024, "n_tx": 8, **overrides})
+
+
+def load_waveform(**keys):
+    """The waveform an experiment file loads from the table's keys plus ``keys``."""
+    doc = dict(fc=28.0e9, delta_f=1.2e5, N=10240, Nt=32, d_over_lambda=0.5, **keys)
+    return load_experiment({"scene": "default_scene.yaml", "waveform": doc}).waveform
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +71,7 @@ def delay_matrix(hi, lo, n):
 
 
 def delay_matrix_column(cfg, ranges, bearings, rng):
-    """Oracle for ``_equalized_column``: one (n_tx, L) @ (L, N) matmul over the full
+    """Oracle for ``fresh_column``: one (n_tx, L) @ (L, N) matmul over the full
     delay matrix, and noise scaled from the echo power as mean(|y|**2), from the same
     (2, n_tx, N) unit draw as the column's.  The column forms each term as
     (steer * hi) * lo, not steer * (hi * lo), and sums |y|^2 in another order, so
@@ -85,9 +87,14 @@ def delay_matrix_column(cfg, ranges, bearings, rng):
     return y
 
 
-def fresh_column(cfg, ranges, bearings, rng):
-    """``_equalized_column`` written into an array of its own."""
-    return _equalized_column(cfg, ranges, bearings, rng, _column_buffer(cfg))
+def fresh_column(cfg, ranges, bearings, rng, out=None):
+    """The column ``sense`` forms, written into ``out`` or an array of its own:
+    ``_kronecker_column``, then with noise enabled ``_add_noise`` of one unit draw
+    of ``rng``, shape (2, n_tx, N)."""
+    col = _kronecker_column(cfg, ranges, bearings, _column_buffer(cfg) if out is None else out)
+    if cfg.snr_db is not None:
+        _add_noise(cfg, col, len(ranges) > 0, rng.standard_normal((2,) + col.shape))
+    return col
 
 
 # the column against the delay-matrix column: each entry sums L unit-modulus terms
@@ -171,14 +178,14 @@ def test_invalid_symbol_durations_rejected():
     for key, value in (("Tp", 1e-5), ("Tp", 1.0 / 1.2e5), ("Tc", 2.08e-6),
                        ("T", 1.9e-5), ("T", T_SYM)):
         with pytest.raises(ValueError, match=f"^waveform: unknown key '{key}'$"):
-            table_cfg(**{key: value})
+            load_waveform(**{key: value})
 
 
 def test_inconsistent_bandwidth_rejected():
     """The bandwidth is N * delta_f, not a key: B is refused, whatever its value."""
     for value in (2.0e9, 1.2288e9):
         with pytest.raises(ValueError, match="^waveform: unknown key 'B'$"):
-            table_cfg(B=value)
+            load_waveform(B=value)
 
 
 def test_bandwidth_within_tolerance_accepted():
@@ -192,7 +199,7 @@ def test_bandwidth_within_tolerance_accepted():
 def test_symbol_count_is_the_frames():
     """The symbol count M belongs to the frame model, not to the config."""
     with pytest.raises(ValueError, match="^waveform: unknown key 'M'$"):
-        table_cfg(M=256)
+        load_waveform(M=256)
     assert qpsk_frame(small_cfg(), 3, np.random.default_rng(0)).shape == (3, 1024)
 
 
@@ -204,9 +211,7 @@ def test_d_over_lambda_kept_as_written():
         cfg = table_cfg(d_over_lambda=value)
         assert cfg.d_over_lambda == value
         assert cfg.d == value * (C0 / 28.0e9)
-    doc = dict(TABLE)
-    del doc["d_over_lambda"]
-    cfg = WaveformConfig.from_mapping(doc)
+    cfg = WaveformConfig(fc=28.0e9, delta_f=1.2e5, n_subcarriers=10240)
     assert cfg.d_over_lambda == 0.5 and cfg.d == (C0 / 28.0e9) / 2.0
 
 
@@ -227,7 +232,7 @@ def test_frame_unit_magnitude():
 
 
 def test_frame_shape():
-    frame = qpsk_frame(small_cfg(N=4), 1, np.random.default_rng(1))
+    frame = qpsk_frame(small_cfg(n_subcarriers=4), 1, np.random.default_rng(1))
     assert frame.shape == (1, 4)
 
 
@@ -304,7 +309,7 @@ def test_out_of_window_paths_rejected():
     cfg = small_cfg()
     scene = _one_circle_scene(cfg.unambiguous_range + 10.0)
     with pytest.raises(ValueError, match="^path range outside unambiguous window c0/"):
-        _sense_at(scene, Pose(3.0, 3.0, 0.0), _sensor(scene, cfg), np.random.default_rng(0))
+        _sense_at(scene, Pose(3.0, 3.0, 0.0), _sensor(cfg), np.random.default_rng(0))
 
 
 def test_snr_calibration():
@@ -327,7 +332,7 @@ def test_path_phases_delay_matches_direct_exp(n, n_paths):
     """The blockwise-factored delay phase against one exponential per entry: the
     block (the smallest power of two >= sqrt(N)) is 32 at N = 1000, which truncates
     the last block, and 64 at N = 4096, an exact fit."""
-    cfg = table_cfg(N=n)
+    cfg = table_cfg(n_subcarriers=n)
     rng = np.random.default_rng(n + n_paths)
     ranges = rng.uniform(0.0, cfg.unambiguous_range, n_paths)
     bearings = rng.uniform(0.0, math.pi, n_paths)
@@ -347,13 +352,13 @@ def test_column_within_ulps_of_delay_matrix_column(n, n_paths, snr_db):
     columns of the array it was written into, a view when the last block is cut
     (N = 127, 129, 1000); no paths give the zero column, or pure noise at
     reference power 1."""
-    cfg = table_cfg(N=n, snr_db=snr_db)
+    cfg = table_cfg(n_subcarriers=n, snr_db=snr_db)
     rng = np.random.default_rng(n + n_paths)
     ranges = rng.uniform(0.0, cfg.unambiguous_range, n_paths)
     bearings = rng.uniform(0.0, math.pi, n_paths)
     out = _column_buffer(cfg)
     got_rng, want_rng = np.random.default_rng(1), np.random.default_rng(1)
-    got = _equalized_column(cfg, ranges, bearings, got_rng, out)
+    got = fresh_column(cfg, ranges, bearings, got_rng, out)
     want = delay_matrix_column(cfg, ranges, bearings, want_rng)
     assert got.base is out and got.shape == (cfg.n_tx, n)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -691,9 +696,11 @@ def _one_circle_scene(range_to_face: float):
     })
 
 
-def _sensor(scene, cfg):
-    """The default experiment's OFDM sensor on waveform ``cfg``."""
-    return ExperimentConfig(scene=scene, backend="ofdm", waveform=cfg).make_sensor()
+def _sensor(cfg):
+    """The default experiment's OFDM sensor on waveform ``cfg``: its fan does not
+    depend on the scene, and an experiment's scene has a target."""
+    exp = load_experiment({"scene": "default_scene.yaml"})
+    return dataclasses.replace(exp, backend="ofdm", waveform=cfg).make_sensor()
 
 
 def _sense_at(scene, pose, sensor, rng):
@@ -713,10 +720,10 @@ def _empty_scene():
 def test_sense_empty_scene():
     cfg = small_cfg()
     scene = _empty_scene()
-    scan = _sense_at(scene, Pose(1.0, 1.0, 0.0), _sensor(scene, cfg), np.random.default_rng(0))
+    scan = _sense_at(scene, Pose(1.0, 1.0, 0.0), _sensor(cfg), np.random.default_rng(0))
     assert len(scan) == 0
     # noise alone gives no range peak, so the angle stage runs on none
-    noisy = _sense_at(scene, Pose(1.0, 1.0, 0.0), _sensor(scene, small_cfg(snr_db=10.0)),
+    noisy = _sense_at(scene, Pose(1.0, 1.0, 0.0), _sensor(small_cfg(snr_db=10.0)),
                   np.random.default_rng(0))
     assert len(noisy) == 0
 
@@ -734,7 +741,7 @@ def test_sense_single_target_interval_contains_truth():
     cfg = small_cfg(snr_db=30.0)
     r_true = 8.25 * cfg.range_bin_width  # bin 8's centred interval, ~10.07 m
     scene = _one_circle_scene(r_true)
-    scan = _sense_at(scene, Pose(3.0, 3.0, 0.0), _sensor(scene, cfg), np.random.default_rng(12))
+    scan = _sense_at(scene, Pose(3.0, 3.0, 0.0), _sensor(cfg), np.random.default_rng(12))
     assert len(scan) >= 1
     rows = {row.tobytes() for row in scan}
     pairs = _bins_containing(cfg, r_true, math.pi / 2)
@@ -778,13 +785,13 @@ def test_sense_places_detection_at_bin_centre(theta_deg):
 def test_sense_deterministic():
     cfg = small_cfg(snr_db=10.0)
     scene = _one_circle_scene(9.5)
-    s1 = _sense_at(scene, Pose(3.0, 3.0, 0.0), _sensor(scene, cfg), np.random.default_rng(7))
-    s2 = _sense_at(scene, Pose(3.0, 3.0, 0.0), _sensor(scene, cfg), np.random.default_rng(7))
+    s1 = _sense_at(scene, Pose(3.0, 3.0, 0.0), _sensor(cfg), np.random.default_rng(7))
+    s2 = _sense_at(scene, Pose(3.0, 3.0, 0.0), _sensor(cfg), np.random.default_rng(7))
     assert np.array_equal(s1, s2)
 
 
 def test_sensor_fov_excludes_endfire():
-    sensor = _sensor(_one_circle_scene(9.5), small_cfg())
+    sensor = _sensor(small_cfg())
     assert isinstance(sensor, OfdmSensor)
     b = sensor.bearings
     assert FOV == (math.radians(20.0), math.radians(160.0))
@@ -801,7 +808,7 @@ def test_sense_requires_monostatic():
     equal to Nt."""
     for nr in (4, 8):
         with pytest.raises(ValueError, match="^waveform: unknown key 'Nr'$"):
-            small_cfg(Nr=nr)
+            load_waveform(Nr=nr)
 
 
 def _sense_per_peak(scene, pose, cfg, rng, sensor):
@@ -921,7 +928,7 @@ def test_full_scale_sense_bytes_do_not_depend_on_blas_threads(stdout_under_blas_
 
 
 def _assert_column_matches_reference(sensor, scene, pose, source, want_rng):
-    """``_equalized_column`` at one pose, its noise read from the read-ahead ``source``,
+    """``fresh_column`` at one pose, its noise read from the read-ahead ``source``,
     equals the column drawn serially from the bare generator byte for byte, and the
     source's stream goes on where that draw leaves ``want_rng``; returns the column."""
     gt = ground_truth_scan(scene, pose, sensor.bearings)
@@ -980,7 +987,7 @@ def test_noisy_column_matches_one_symbol_synthesis(config):
 def test_threaded_noise_column_empty_scene():
     """No paths: pure noise at reference power 1, as the serial draw makes it."""
     scene = _empty_scene()
-    sensor = _sensor(scene, small_cfg(snr_db=10.0))
+    sensor = _sensor(small_cfg(snr_db=10.0))
     with ReadAheadNormals(np.random.default_rng(4)) as source:
         got = _assert_column_matches_reference(sensor, scene, Pose(1.0, 1.0, 0.0), source,
                                             np.random.default_rng(4))
@@ -997,7 +1004,7 @@ def test_noiseless_sense_starts_no_thread_and_leaves_rng(monkeypatch):
 
     monkeypatch.setattr(threading, "Thread", no_thread)
     scene = _one_circle_scene(9.5)
-    sensor = _sensor(scene, small_cfg())
+    sensor = _sensor(small_cfg())
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
     scan = _sense_at(scene, Pose(3.0, 3.0, 0.0), sensor, rng)
@@ -1035,7 +1042,7 @@ def test_noise_draw_failure_raises_from_sense():
     """An exception in the read-ahead worker's draw is raised by ``sense``, not lost
     with the thread, and so is one in a plain generator's draw."""
     scene = _one_circle_scene(9.5)
-    sensor = _sensor(scene, small_cfg(snr_db=10.0))
+    sensor = _sensor(small_cfg(snr_db=10.0))
     with ReadAheadNormals(_FailingDraw()) as source:
         with pytest.raises(RuntimeError, match="^draw failed$"):
             _sense_at(scene, Pose(3.0, 3.0, 0.0), sensor, source)

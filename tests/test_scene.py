@@ -169,12 +169,13 @@ def test_shapes_and_scene_built_in_code_reject_non_finite(build):
 
 
 def test_huge_target_id_loads_and_counts():
-    """Ids only label targets: one far beyond int64 loads and is counted."""
+    """Ids only label targets: the largest int64 loads and is counted (one beyond
+    int64 is refused at load, like every int leaf)."""
     scene = _simple_scene(targets=[
-        {"id": 1e300, "kind": "rect", "center": [10.0, 0.0], "width": 2.0, "height": 2.0},
+        {"id": 2**63 - 1, "kind": "rect", "center": [10.0, 0.0], "width": 2.0, "height": 2.0},
         {"id": 2, "kind": "circle", "center": [0.0, 10.0], "radius": 1.0},
     ])
-    assert scene.targets[0].id == int(1e300)
+    assert scene.targets[0].id == 2**63 - 1
     centroids = np.concatenate([t.reference_points[:1] for t in scene.targets])
     assert recovered_target_count(centroids, scene.targets) == 2
     assert recovered_target_count(centroids[:1], scene.targets) == 1

@@ -1,5 +1,6 @@
 """Occupancy-grid SLAM tests: grid model, scan matching, full loop behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from etslam.harness import load_experiment
 from etslam.parametric import ErrorModel, ParametricSensor
 from etslam.scene import (RAY_BLOCK, Pose, ground_truth_scan, load_scene, polar_points,
-                          rotation, wrap_angle)
+                          rotation, trajectory_pose, wrap_angle)
 from etslam.slam import (
     LOG_ODDS_CLAMP,
     MatchResult,
@@ -23,6 +24,10 @@ from etslam.slam import (
     scan_to_points,
     update_grid,
 )
+
+
+# _scene's step_interval [s]: a snapshot every step
+STEP = 0.5
 
 
 def _scene():
@@ -471,7 +476,7 @@ def test_match_tie_break_prefers_zero_correction():
 def test_run_slam_single_step():
     scene = _scene()
     run = run_slam(scene, _sensor(), OdometryModel(), np.random.default_rng(0),
-                   duration=scene.trajectory.step_interval)
+                   duration=scene.trajectory.step_interval, snapshot_cadence=STEP)
     assert len(run.snapshots) == 1
     assert run.snapshots[0].t == pytest.approx(scene.trajectory.step_interval)
 
@@ -479,12 +484,13 @@ def test_run_slam_single_step():
 def test_run_slam_rejects_nonpositive_duration():
     with pytest.raises(ValueError):
         run_slam(_scene(), _sensor(), OdometryModel(),
-                 np.random.default_rng(0), duration=0.0)
+                 np.random.default_rng(0), duration=0.0, snapshot_cadence=STEP)
 
 
 @pytest.mark.parametrize("kw, field", [
-    (dict(duration=0.2), "duration"),  # rounded, this ran one 0.5 s step
-    (dict(duration=3.2), "duration"),
+    # rounded, this ran one 0.5 s step
+    (dict(duration=0.2, snapshot_cadence=STEP), "duration"),
+    (dict(duration=3.2, snapshot_cadence=STEP), "duration"),
     (dict(duration=3.0, snapshot_cadence=0.7), "snapshot_cadence"),
 ])
 def test_run_slam_rejects_times_off_the_step_grid(kw, field):
@@ -497,12 +503,66 @@ def test_noiseless_chain_exact_without_matching():
     scene = _scene()
     cfg = SlamConfig(matching_enabled=False)
     run = run_slam(scene, _sensor(), OdometryModel(), np.random.default_rng(0),
-                   duration=6.0, cfg=cfg)
+                   duration=6.0, cfg=cfg, snapshot_cadence=STEP)
     for snap in run.snapshots:
         assert snap.pose_estimate.position == pytest.approx(
             snap.pose_truth.position, abs=1e-9)
         assert snap.pose_estimate.heading == pytest.approx(
             snap.pose_truth.heading, abs=1e-9)
+
+
+class _RecordedNormals:
+    """A generator's ``standard_normal``, each draw kept in call order in ``draws``."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def standard_normal(self, size=None):
+        out = self.rng.standard_normal(size)
+        self.draws.append(out)
+        return out
+
+
+class _MarkingDraws:
+    """Wraps a sensor: keeps the index in ``rng.draws`` of each call's first draw."""
+
+    def __init__(self, sensor):
+        self.sensor, self.bearings, self.starts = sensor, sensor.bearings, []
+
+    def __call__(self, gt, rng):
+        self.starts.append(len(rng.draws))
+        return self.sensor(gt, rng)
+
+
+def test_dead_reckoning_matches_hand_composed_chain():
+    """With matching off, a ci.yaml trial's estimate track is its noisy odometry
+    chained by a plain loop, byte for byte: each step's true motion in the previous
+    true frame plus its translation draw, turned by the previous *estimate's*
+    heading, and its heading change plus its rotation draw.  The two draws are the
+    ones the run made just before each sensing call."""
+    exp = load_experiment("ci.yaml")
+    scene, odo = exp.scene, exp.odometry
+    assert odo.translation_noise_std > 0.0 and odo.rotation_noise_std > 0.0
+    normals = _RecordedNormals(np.random.default_rng(np.random.SeedSequence([exp.seed, 1])))
+    sensor = _MarkingDraws(exp.make_sensor())
+    run = run_slam(scene, sensor, odo, normals, duration=exp.duration,
+                   snapshot_cadence=scene.trajectory.step_interval,
+                   cfg=dataclasses.replace(exp.slam, matching_enabled=False))
+    assert len(run.snapshots) == len(sensor.starts) == 120
+    truth = [trajectory_pose(scene.trajectory, 0.0)] + [s.pose_truth for s in run.snapshots]
+    estimate, want = truth[0], []
+    for prev, new, start in zip(truth, truth[1:], sensor.starts):
+        noise_t, noise_r = normals.draws[start - 2:start]
+        assert noise_t.shape == (2,) and type(noise_r) is float
+        step = rotation(-prev.heading) @ (new.position - prev.position)
+        pos = estimate.position + rotation(estimate.heading) @ (
+            step + odo.translation_noise_std * noise_t)
+        heading = (estimate.heading + wrap_angle(new.heading - prev.heading)
+                   + odo.rotation_noise_std * noise_r)
+        estimate = Pose(float(pos[0]), float(pos[1]), heading)
+        want.append((estimate.x, estimate.y, estimate.heading))
+    got = [(s.pose_estimate.x, s.pose_estimate.y, s.pose_estimate.heading) for s in run.snapshots]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class _EveryOtherStepEmpty:
@@ -544,7 +604,7 @@ def test_run_slam_senses_each_true_pose_own_cast():
     n_steps = 2 * RAY_BLOCK + 3
     odo = OdometryModel(translation_noise_std=0.02, rotation_noise_std=math.radians(0.5))
     run = run_slam(scene, sensor, odo, np.random.default_rng(3),
-                   duration=n_steps * scene.trajectory.step_interval)
+                   duration=n_steps * scene.trajectory.step_interval, snapshot_cadence=STEP)
     assert len(sensor.scans) == len(run.snapshots) == n_steps
     for snap, gt in zip(run.snapshots, sensor.scans):
         want = ground_truth_scan(scene, snap.pose_truth, sensor.bearings)
@@ -554,7 +614,8 @@ def test_run_slam_senses_each_true_pose_own_cast():
 
 def test_run_slam_all_scans_empty():
     scene = _scene()
-    run = run_slam(scene, _Blind(), OdometryModel(), np.random.default_rng(0), duration=3.0)
+    run = run_slam(scene, _Blind(), OdometryModel(), np.random.default_rng(0), duration=3.0,
+                   snapshot_cadence=STEP)
     assert run.map_points.shape == (0, 2)
     assert run.map_times.shape == (0,)
     assert [s.map_size for s in run.snapshots] == [0] * 6
@@ -563,7 +624,8 @@ def test_run_slam_all_scans_empty():
 def test_run_slam_some_scans_empty():
     scene = _scene()
     sensor = _EveryOtherStepEmpty(_sensor())
-    run = run_slam(scene, sensor, OdometryModel(), np.random.default_rng(0), duration=3.0)
+    run = run_slam(scene, sensor, OdometryModel(), np.random.default_rng(0), duration=3.0,
+                   snapshot_cadence=STEP)
     assert sensor.sizes[0] == 0 and min(sensor.sizes[1::2]) > 0
     assert [s.map_size for s in run.snapshots] == np.cumsum(sensor.sizes).tolist()
     assert run.map_points.shape == (sum(sensor.sizes), 2)
@@ -585,7 +647,7 @@ def test_noiseless_matching_wander_bounded():
     scene = _scene()
     run = run_slam(scene, _dense_sensor(), OdometryModel(),
                    np.random.default_rng(0), duration=6.0,
-                   cfg=SlamConfig(window=TIGHT))
+                   cfg=SlamConfig(window=TIGHT), snapshot_cadence=STEP)
     for snap in run.snapshots:
         err = np.sum((np.asarray(snap.pose_estimate.position)
                       - np.asarray(snap.pose_truth.position)) ** 2)
@@ -600,7 +662,7 @@ def test_matching_beats_dead_reckoning():
 
     def final_err(cfg, seed):
         run = run_slam(scene, _dense_sensor(), odo, np.random.default_rng(seed),
-                       duration=8.0, cfg=cfg)
+                       duration=8.0, cfg=cfg, snapshot_cadence=STEP)
         snap = run.snapshots[-1]
         return float(np.sum((np.asarray(snap.pose_estimate.position)
                              - np.asarray(snap.pose_truth.position)) ** 2))
@@ -614,7 +676,7 @@ def test_matching_beats_dead_reckoning():
 def test_map_points_near_boundaries_in_clean_conditions():
     scene = _scene()
     run = run_slam(scene, _sensor(), OdometryModel(), np.random.default_rng(0),
-                   duration=6.0, cfg=SlamConfig(matching_enabled=False))
+                   duration=6.0, cfg=SlamConfig(matching_enabled=False), snapshot_cadence=STEP)
     assert len(run.map_points) > 0
     dists = np.array([
         min(abs(t.shape.signed_distance(p)) for t in scene.targets)
