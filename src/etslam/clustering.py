@@ -20,8 +20,14 @@ cells only, so no array is sized by the map's extent:
 - Ring cells, the rest within reach, get the exact test point by point:
   cells whose gap, (max(|dx|-1, 0)^2 + max(|dy|-1, 0)^2) (eps/3)^2, exceeds
   eps^2 hold no neighbours, so the reach is |dx|, |dy| <= 4 less the
-  corners.  Only the sparser cells' points, to count their neighbours, and
-  the core points of two cells in different near-cell components are tested.
+  corners.  Each cell keeps its ring neighbours as six ranges of positions
+  in the key order, one per ring row, all bounded by one search of 12 key
+  offsets; the near ranges are the gaps between them.  The test reads only
+  the sparser cells' points, to count their neighbours, and the core points
+  of two cells in different near-cell components, so only the ranges that a
+  sparse cell (3x3 block under min_pts) owns or holds, and those of a cell
+  with a core point that hold a cell of another near-cell component, are
+  expanded into cell pairs.
 - The cells that hold a core point are the component graph's nodes, hooked
   onto their lowest index (Shiloach & Vishkin 1982) and numbered by their
   first core point, so each component's lowest node holds its cluster's
@@ -85,27 +91,31 @@ def _lowest_index_components(n: int, edges: np.ndarray) -> np.ndarray:
     return root
 
 
-# Half of the offsets within reach, as (row offset, column offsets lo..hi) of one row
-# each, so every pair of occupied cells within reach is found once, from its lower
-# key.  Near cells differ by at most 1 on each axis; the ring is the rest.
-_NEAR = ((0, 1, 1), (1, -1, 1))
+# The ring's rows, as (row offset, first column offset, last column offset): the half
+# of the ring at higher keys, so every pair of ring cells is found once, from its lower
+# key.
 _RING = ((0, 2, 4), (1, -4, -2), (1, 2, 4), (2, -3, 3), (3, -3, 3), (4, -1, 1))
 
 
-def _cell_pairs(keys: np.ndarray, width: int, offsets) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) for every pair of occupied cells whose key offset lies in one of ``offsets``."""
-    pairs = [
-        ragged_ranges(np.searchsorted(keys, keys + (dx * width + lo)),
-                      np.searchsorted(keys, keys + (dx * width + hi), side="right"))
-        for dx, lo, hi in offsets
-    ]
-    return np.concatenate([a for a, _ in pairs]), np.concatenate([b for _, b in pairs])
+def _range_pairs(lo, hi, rows) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) for every cell b in [lo[r, a], hi[r, a]) of each flat index r * m + a in
+    ``rows``, where lo and hi are (R, m) arrays of cell positions."""
+    k, b = ragged_ranges(lo.ravel()[rows], hi.ravel()[rows])
+    return rows[k] % lo.shape[1], b
+
+
+def _next_flagged(flags: np.ndarray) -> np.ndarray:
+    """The first position q >= p whose flag is set, for every position p; the last
+    flag must be set."""
+    at = np.flatnonzero(flags)
+    return np.repeat(at, np.diff(at, prepend=-1))
 
 
 def _grid(points: np.ndarray, eps: float):
     """The cells of side eps/3 that hold a point: each point's cell, the point indices
-    grouped by cell, where each cell's group starts, and the (a, b) pairs of near
-    cells and of ring cells."""
+    grouped by cell, where each cell's group starts, the (a, b) pairs of near cells,
+    and the (lo, hi) bounds of each cell's ring ranges, (6, m) arrays of positions
+    in the key order, one row per row of ``_RING``."""
     n = len(points)
     # per column: a reduction over axis 0 of an (n, 2) array is ten times slower;
     # Python floats, so a span past the float range reads inf without a warning
@@ -127,7 +137,16 @@ def _grid(points: np.ndarray, eps: float):
     cell[members] = np.cumsum(first) - 1
     keys = key[first]
     start = np.append(np.flatnonzero(first), n)
-    return cell, members, start, _cell_pairs(keys, width, _NEAR), _cell_pairs(keys, width, _RING)
+    m = len(keys)
+    # one search finds both ends of each cell's range in every ring row, and the
+    # near cells lie between them: in row 0, the next cell, at column 1 when ring
+    # row 0 starts past it, and in row 1, columns -1..1, between its two ranges
+    ends = np.array([[dx * width + lo for dx, lo, _ in _RING],
+                     [dx * width + hi + 1 for dx, _, hi in _RING]])
+    lo, hi = np.searchsorted(keys, keys + ends[..., None])
+    a0 = np.flatnonzero(lo[0] - np.arange(1, m + 1))
+    a1, b1 = ragged_ranges(hi[1], lo[2])
+    return cell, members, start, (np.append(a0, a1), np.append(a0 + 1, b1)), (lo, hi)
 
 
 def _close_pairs(points, eps, members, start, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -163,9 +182,19 @@ def _cell_clusters(points, eps, core, cell, members, m, near, ring) -> tuple[np.
     a, b = node[near[0]], node[near[1]]
     joined = (a < k) & (b < k)
     root = _lowest_index_components(k + 1, np.column_stack([a[joined], b[joined]]))
-    a, b = root[node[ring[0]]], root[node[ring[1]]]
-    apart = np.flatnonzero((a != b) & (np.maximum(a, b) < k))
-    a, b = ring[0][apart], ring[1][apart]
+    # the ring ranges of a cell that holds a core point and that hold a cell of
+    # another near component: their first cell's root differs, or its run of one
+    # root in the key order ends inside them.  An empty range at m reads the pad.
+    cell_root = root[np.append(node, k)]
+    run_end = _next_flagged(np.append(cell_root[1:] != cell_root[:-1], True)) + 1
+    lo, hi = ring
+    own = cell_root[:-1]
+    a, b = _range_pairs(lo, hi, np.flatnonzero(
+        (own < k) & ((cell_root[lo] != own) | (run_end[lo] < hi))))
+    # the owner holds a core point, so a pair can join two components when b holds
+    # one too, in another component
+    apart = (cell_root[b] != cell_root[a]) & (cell_root[b] < k)
+    a, b = a[apart], b[apart]
     p, q = _close_pairs(points, eps, core_members, core_start, a, b)
     edges = np.column_stack([root[node[cell[p]]], root[node[cell[q]]]])
     root = _lowest_index_components(k + 1, edges)[root]
@@ -190,8 +219,12 @@ def dbscan(points: np.ndarray, params: ClusterParams = ClusterParams()) -> np.nd
     block = (count + np.bincount(near[0], count[near[1]], minlength=m)
              + np.bincount(near[1], count[near[0]], minlength=m))
     sparse = block < min_pts
-    either = sparse[ring[0]] | sparse[ring[1]]
-    close_p, close_q = _close_pairs(points, eps, members, start, ring[0][either], ring[1][either])
+    # the ring ranges that a sparse cell owns or holds
+    lo, hi = ring
+    next_sparse = _next_flagged(np.append(sparse, True))
+    a, b = _range_pairs(lo, hi, np.flatnonzero(sparse | (next_sparse[lo] < hi)))
+    either = sparse[a] | sparse[b]
+    close_p, close_q = _close_pairs(points, eps, members, start, a[either], b[either])
     core = (block[cell] + np.bincount(close_p, minlength=n)
             + np.bincount(close_q, minlength=n) >= min_pts)
 

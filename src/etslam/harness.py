@@ -24,7 +24,7 @@ import numpy as np
 import numpy.linalg._umath_linalg
 import yaml
 
-from etslam.clustering import ClusterParams, cluster_centroids, dbscan, recovered_target_count
+from etslam.clustering import ClusterParams, dbscan
 from etslam.metrics import MetricParams, et_gospa, location_mse
 from etslam.ofdm import FOV, OfdmSensor, PeakPolicy, WaveformConfig
 from etslam.parametric import ErrorModel, ParametricSensor
@@ -58,6 +58,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.scene.targets:
             raise ValueError("scene: key 'targets': at least one target required")
+        # the run section's int keys as the loader converts them, so a value set past
+        # it (the CLI's --trials and --seed) meets the same int64 bound and message
+        parse_section({key: getattr(self, key) for key in ("trials", "seed", "estimate_cap")},
+                      "run", _RUN_KEYS)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         run_steps(self.duration, self.snapshot_cadence, self.scene.trajectory.step_interval)
@@ -313,7 +317,6 @@ class TrialRecord:
     times: np.ndarray
     et_gospa: np.ndarray
     sq_error: np.ndarray
-    recovered_targets: int
     map_points: np.ndarray
     map_times: np.ndarray
     cluster_labels: np.ndarray
@@ -338,17 +341,14 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
     snaps = run.snapshots
     values = [et_gospa(truth, downsample(run.map_at(s), cfg.estimate_cap), cfg.metric).value
               for s in snaps]
-    labels = dbscan(run.map_points, cfg.cluster)
-    centroids = cluster_centroids(run.map_points, labels)
     return TrialRecord(
         trial_index=trial_index,
         times=np.array([s.t for s in snaps]),
         et_gospa=np.array(values),
         sq_error=location_mse([s.pose_truth for s in snaps], [s.pose_estimate for s in snaps]),
-        recovered_targets=recovered_target_count(centroids, cfg.scene.targets),
         map_points=run.map_points,
         map_times=run.map_times,
-        cluster_labels=labels,
+        cluster_labels=dbscan(run.map_points, cfg.cluster),
     )
 
 

@@ -15,7 +15,12 @@ from test_clustering import reference_dbscan
 from test_metrics import reference_et_gospa
 from test_ofdm import one_path_echo, qpsk_frame
 
-from etslam.clustering import ClusterParams, dbscan
+from etslam.clustering import (
+    ClusterParams,
+    cluster_centroids,
+    dbscan,
+    recovered_target_count,
+)
 from etslam.harness import (
     emit_csv,
     load_experiment,
@@ -202,7 +207,9 @@ def test_criterion_8_clustering_recovery(ci_sweep, capsys):
     """DBSCAN on the clean-condition final map recovers >= 8/10 targets,
     and agrees exactly with a brute-force reference on random sets."""
     results, _ = ci_sweep
-    recovered = int(results["dr0.0_dth1"].trials[0].recovered_targets)
+    rec = results["dr0.0_dth1"].trials[0]
+    centroids = cluster_centroids(rec.map_points, rec.cluster_labels)
+    recovered = recovered_target_count(centroids, load_experiment("ci.yaml").scene.targets)
 
     rng = np.random.default_rng(55)
     agree = True

@@ -232,6 +232,25 @@ def test_simulate_seed_override(tmp_path):
     assert read("overridden") != read("base")
 
 
+@pytest.mark.parametrize("key", ["trials", "seed"])
+def test_run_flag_outside_int64_refused_as_its_key(tmp_path, capsys, key):
+    """``--trials`` or ``--seed`` past int64 is refused at load with the message that the
+    same value under the file's ``run`` key gets, and no output directory is made."""
+    huge = 10**20
+    want = f"etslam: error: run: key '{key}': {huge} is outside int64 [-2**63, 2**63)\n"
+    cfg = _write_tiny_config(tmp_path)
+    for command in ("simulate", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out), f"--{key}", str(huge)]) == 2
+        assert capsys.readouterr().err == want
+        assert not out.exists()
+    doc = yaml.safe_load(cfg.read_text())
+    doc["run"][key] = huge
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "file")]) == 2
+    assert capsys.readouterr().err == want
+
+
 def test_sweep_writes_condition_dirs(tmp_path, capsys):
     cfg = _write_tiny_config(tmp_path)
     out = tmp_path / "sweep"

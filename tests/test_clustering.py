@@ -295,6 +295,56 @@ def test_grid_joins_groups_over_one_exact_eps_pair(eps, transpose):
         assert np.array_equal(labels, reference_dbscan(pts, params))
 
 
+# eps 3 makes the cells unit squares; a noise point at (-10, -10) puts the grid's
+# origin on a cell corner, so the cell of (x, y) is (floor(x), floor(y)) + 10
+_UNIT_EPS = 3.0
+_ANCHOR = [[-10.0, -10.0]]
+
+
+def _unit_cells(points):
+    return np.floor((points - points.min(axis=0)) / (_UNIT_EPS / 3)).astype(int) - 10
+
+
+def test_grid_joins_through_the_middle_of_a_ring_range():
+    """Cell (0, 0)'s ring range in row 2 holds cells (2, -3), (2, 0) and (2, 3).  The
+    ends belong to (0, 0)'s near component, through two chains of single points that
+    bend round (2, 0); (2, 0) holds a near component of its own, two points within
+    eps of (0, 0)'s point and of no other.  Those pairs alone join the two, and only
+    the middle of the range holds another root."""
+    chain = [[0.99, 0.5], [0.0, 1.9], [1.0, 2.99], [2.5, 3.9],     # (0, 0) up to (2, 3)
+             [0.0, -0.9], [1.0, -1.99], [2.5, -2.9]]               # down to (2, -3)
+    middle = [[2.99, 0.5], [2.99, 0.7]]
+    pts = np.array(_ANCHOR + chain + middle)
+    cells = _unit_cells(pts)
+    assert cells[[1, 4, 7, 8]].tolist() == [[0, 0], [2, 3], [2, -3], [2, 0]]
+    d = pts[1:8, None, :] - pts[None, 8:, :]
+    close = np.hypot(d[..., 0], d[..., 1]) <= _UNIT_EPS
+    assert close.tolist() == [[True, True]] + [[False, False]] * 6
+    params = ClusterParams(eps=_UNIT_EPS, min_pts=2)
+    labels = dbscan(pts, params)
+    assert labels.tolist() == [NOISE] + [0] * 9
+    assert np.array_equal(labels, reference_dbscan(pts, params))
+
+
+def test_grid_counts_a_sparse_cell_in_the_middle_of_a_dense_cells_range():
+    """Dense cell (0, 0)'s ring range in row 2 holds dense cells (2, -3) and (2, 3) at
+    its ends and, between them, the sparse cell (2, 0), whose one point is within eps
+    of (0, 0)'s three points and of no other: it is core only by counting them, which
+    only the range of (0, 0) can test, since (0, 0) has the lower key."""
+    dense = [[0.9, 0.4], [0.9, 0.5], [0.9, 0.6]]
+    lone = [[2.1, 0.5]]
+    ends = [[2.5, -2.9], [2.5, -2.8], [2.6, -2.9], [2.5, 3.9], [2.5, 3.8], [2.6, 3.9]]
+    pts = np.array(_ANCHOR + dense + lone + ends)
+    cells = _unit_cells(pts)
+    assert cells[[1, 4, 5, 8]].tolist() == [[0, 0], [2, 0], [2, -3], [2, 3]]
+    d = pts[4] - pts
+    assert np.flatnonzero(np.hypot(d[:, 0], d[:, 1]) <= _UNIT_EPS).tolist() == [1, 2, 3, 4]
+    params = ClusterParams(eps=_UNIT_EPS, min_pts=3)
+    labels = dbscan(pts, params)
+    assert labels.tolist() == [NOISE] + [0] * 4 + [1] * 3 + [2] * 3
+    assert np.array_equal(labels, reference_dbscan(pts, params))
+
+
 def test_grid_at_utm_scale_matches_reference():
     """Map coordinates in metres from a UTM origin, where a point's ulp is 1e-9 m."""
     rng = np.random.default_rng(17)
@@ -539,8 +589,9 @@ def test_surface_map_matches_reference(surface_hits, noise_std, clutter):
         assert np.array_equal(labels, reference_dbscan(pts, params)), (eps, min_pts)
 
 
-def _cell_pair_bytes(points, eps):
-    """Bytes of the near and ring cell-pair arrays that ``dbscan`` builds for ``points``."""
+def _grid_bytes(points, eps):
+    """Bytes of the near cell pairs and of the ring ranges' (lo, hi) bounds that
+    ``dbscan`` builds for ``points``."""
     *_, near, ring = clustering._grid(points, eps)
     return sum(a.nbytes for a in (*near, *ring))
 
@@ -560,16 +611,18 @@ def _traced_peak(points, params):
 
 @pytest.mark.parametrize("noise_std, clutter", _SURFACE_MAPS)
 def test_dbscan_footprint_within_its_cell_pairs(surface_hits, noise_std, clutter):
-    """One call's numpy temporaries stay within 4x the bytes of its cell-pair arrays.
+    """One call's numpy temporaries stay within 4x the bytes of its near cell pairs and
+    its ring ranges' bounds.
 
-    The call holds per-point and per-cell arrays and its cell pairs, and only
-    the point pairs of the cells that need an exact test.  On the dense map
-    the bound is below the bytes of its (E, 2) eps-pair array, so a per-point-
-    pair list, the former design's largest array, would not fit.
+    The call holds per-point and per-cell arrays, its near pairs and the bounds
+    of its ring ranges, and it expands only the ring ranges that an exact test
+    reads, into the point pairs of those cells.  On the dense map the bound is
+    below the bytes of its (E, 2) eps-pair array, so a per-point-pair list, an
+    earlier design's largest array, would not fit.
     """
     pts = _surface_map(surface_hits, noise_std, clutter)
     params = ClusterParams()
-    bound = 4 * _cell_pair_bytes(pts, params.eps)
+    bound = 4 * _grid_bytes(pts, params.eps)
     _, peak = _traced_peak(pts, params)
     assert peak <= bound, (peak, bound)
     if noise_std == _SURFACE_MAPS[0][0]:
@@ -611,7 +664,9 @@ def _map_eval_maps(map_eval_hits, seed):
 @pytest.mark.parametrize("seed", [7, 13])
 def test_map_eval_maps_match_pair_list_dbscan(map_eval_hits, seed):
     """The bench's 6590- and 7107-point maps: labels byte for byte as the former
-    pair-list design's, and one call's peak below the bytes of its eps-pair array."""
+    pair-list design's, and one call's peak below the bytes of its eps-pair array
+    and at most 1.3 MB.  Expanding every ring cell pair, 32,195 on the 7107-point
+    map at seed 13, took that call to 1.89 MB."""
     params = harness.load_experiment("ci.yaml").cluster
     maps = _map_eval_maps(map_eval_hits, seed)
     assert [len(pts) for pts in maps] == [6590, 7107]
@@ -622,6 +677,7 @@ def test_map_eval_maps_match_pair_list_dbscan(map_eval_hits, seed):
         assert labels.max() >= 9 and (labels == NOISE).any()
         pairs = cKDTree(pts).query_pairs(params.eps, output_type="ndarray")
         assert peak < pairs.nbytes, (peak, pairs.nbytes)
+        assert peak <= 1.3e6, peak
 
 
 # ---------------------------------------------------------------------------

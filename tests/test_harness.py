@@ -678,7 +678,6 @@ def test_emit_csv_contents(tmp_path):
             times=np.array([1.0, 2.0]),
             et_gospa=np.array([5.5, 4.25]),
             sq_error=np.array([0.0, 0.125]),
-            recovered_targets=1,
             map_points=np.array([[1.5, -2.0]]),
             map_times=np.array([1.0]),
             cluster_labels=np.array([0]),
@@ -702,7 +701,6 @@ def test_emit_csv_empty_map(tmp_path):
                     mse_mean=np.array([0.0]), per_trial_et=np.array([[2.5]]),
                     trials=[TrialRecord(trial_index=0, times=np.array([1.0]),
                                         et_gospa=np.array([2.5]), sq_error=np.array([0.0]),
-                                        recovered_targets=0,
                                         map_points=np.zeros((0, 2)), map_times=np.zeros(0),
                                         cluster_labels=np.zeros(0, dtype=int))])
     emit_csv(report, tmp_path)
