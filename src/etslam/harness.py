@@ -362,12 +362,15 @@ class Report:
 
 
 def run_monte_carlo(cfg: ExperimentConfig, parallel: int = 1) -> Report:
-    """Independent trials aggregated by arithmetic mean per snapshot."""
+    """Independent trials aggregated by arithmetic mean per snapshot, on at most
+    ``parallel`` worker processes and never more than there are trials; serially
+    when that is one."""
     if parallel < 1:
         raise ValueError("parallel must be >= 1")
     indices = list(range(cfg.trials))
-    if parallel > 1:
-        with _trial_pool(parallel) as pool:
+    workers = min(parallel, cfg.trials)
+    if workers > 1:
+        with _trial_pool(workers) as pool:
             records = list(pool.map(run_trial, itertools.repeat(cfg), indices))
     else:
         records = [run_trial(cfg, i) for i in indices]
@@ -406,20 +409,43 @@ def sweep_conditions(cfg: ExperimentConfig, parallel: int = 1) -> list[tuple[str
 def write_csv(path: Union[str, Path], header: str, columns, fmt="%.9g") -> Path:
     """One v1 CSV file: the version comment, ``header``, then a row per entry of ``columns``.
 
-    ``fmt`` is one %-format for every column, or a list of one per column.  All
-    rows are formatted by one ``%`` on the row template repeated, which gives
-    ``np.savetxt``'s bytes for the same formats.
+    A column is a 1-D array, a 2-D array (a column per array column) or a list,
+    whose values are formatted as they are: a list of str, text formatted
+    already, takes the format ``"%s"``.  ``fmt`` is one %-format for every
+    column, or a list of one per column.  All rows are formatted by one ``%`` on
+    the row template repeated, which gives ``np.savetxt``'s bytes for the same
+    formats.
     """
-    rows = np.column_stack(columns)
-    row = ",".join([fmt] * rows.shape[1] if isinstance(fmt, str) else fmt) + "\n"
-    body = (row * len(rows)) % tuple(rows.ravel().tolist())
+    fields = []  # the file's columns, each a list of its values
+    for col in columns:
+        if isinstance(col, list):
+            fields.append(col)
+        else:
+            col = np.asarray(col)
+            fields += col.T.tolist() if col.ndim == 2 else [col.tolist()]
+    n, k = len(fields[0]), len(fields)
+    values = [None] * (n * k)
+    for j, field in enumerate(fields):
+        values[j::k] = field  # row-major: row i's values are values[i * k:(i + 1) * k]
+    row = ",".join([fmt] * k if isinstance(fmt, str) else fmt) + "\n"
     path = Path(path)
-    path.write_text(f"{CSV_HEADER_COMMENT}\n{header}\n{body}")
+    path.write_text(f"{CSV_HEADER_COMMENT}\n{header}\n{(row * n) % tuple(values)}")
     return path
 
 
+def format_rows(fmt: str, rows: np.ndarray) -> list[str]:
+    """Each row of ``rows``, shape (n,) or (n, k), as text under the row %-format
+    ``fmt``, all by one ``%`` as ``write_csv`` formats them."""
+    n = len(rows)
+    return ((fmt + "\n") * n % tuple(rows.ravel().tolist())).split("\n")[:n]
+
+
 def emit_csv(report: Report, destination: Union[str, Path]) -> list[Path]:
-    """Write metric_curve.csv, agv_mse.csv, and per-trial map/cluster CSVs."""
+    """Write metric_curve.csv, agv_mse.csv, and per-trial map/cluster CSVs.
+
+    Each map point's x, y is formatted once for both of its trial's files, and
+    each distinct t (by its bits, so -0.0 keeps its sign) once.
+    """
     dest = Path(destination)
     dest.mkdir(parents=True, exist_ok=True)
     written = [
@@ -427,10 +453,13 @@ def emit_csv(report: Report, destination: Union[str, Path]) -> list[Path]:
         write_csv(dest / "agv_mse.csv", "t,mse_mean", (report.times, report.mse_mean)),
     ]
     for rec in report.trials:
+        xy = format_rows("%.9g,%.9g", rec.map_points)
+        bits, which = np.unique(np.ascontiguousarray(rec.map_times, dtype=float).view(np.int64),
+                                return_inverse=True)
+        t = np.array(format_rows("%.9g", bits.view(float)), dtype=object)[which].tolist()
         written += [
-            write_csv(dest / f"map_points_{rec.trial_index}.csv", "t,x,y",
-                      (rec.map_times, rec.map_points)),
+            write_csv(dest / f"map_points_{rec.trial_index}.csv", "t,x,y", (t, xy), "%s"),
             write_csv(dest / f"clusters_{rec.trial_index}.csv", "x,y,label",
-                      (rec.map_points, rec.cluster_labels), ["%.9g", "%.9g", "%d"]),
+                      (xy, rec.cluster_labels), ["%s", "%d"]),
         ]
     return written

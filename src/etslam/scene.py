@@ -215,6 +215,11 @@ class GroundTruthScan:
         return len(self.ranges)
 
 
+# a target's bounding circle is padded by BOUND_PAD * (r + |centre|_inf), far beyond
+# what rounding moves a point's distance or its signed distance by
+BOUND_PAD = 1e-9
+
+
 @dataclass
 class Scene:
     bounds_min: np.ndarray
@@ -227,6 +232,9 @@ class Scene:
     _seg_d2: np.ndarray = field(init=False, repr=False)    # |b - a|^2
     _circ_c: np.ndarray = field(init=False, repr=False)
     _circ_r: np.ndarray = field(init=False, repr=False)
+    # each target's centre and padded bounding radius, squared, in target order
+    _bound_c: np.ndarray = field(init=False, repr=False)   # (T, 2)
+    _bound_r2: np.ndarray = field(init=False, repr=False)  # (T,)
 
     def __post_init__(self):
         self.bounds_min = np.asarray(self.bounds_min, dtype=float)
@@ -241,6 +249,12 @@ class Scene:
         circles = [t.shape for t in self.targets if isinstance(t.shape, Circle)]
         self._circ_c = np.array([c.center for c in circles], dtype=float).reshape(-1, 2)
         self._circ_r = np.array([c.radius for c in circles], dtype=float)
+        shapes = [t.shape for t in self.targets]
+        self._bound_c = np.array([sh.center for sh in shapes], dtype=float).reshape(-1, 2)
+        radius = np.array([sh.radius if isinstance(sh, Circle)
+                           else math.hypot(sh.width / 2.0, sh.height / 2.0) for sh in shapes])
+        pad = BOUND_PAD * (radius + np.abs(self._bound_c).max(axis=1, initial=0.0))
+        self._bound_r2 = (radius + pad) ** 2
         self._validate()
 
     def _validate(self):
@@ -281,8 +295,12 @@ class Scene:
         points = np.asarray(points, dtype=float)
         flat = points.reshape(-1, 2)
         inside = np.zeros(len(flat), dtype=bool)
-        for tgt in self.targets:
-            inside |= tgt.shape.signed_distance(flat) < 0.0
+        # a point at or past a target's padded bounding circle is outside it, so
+        # each target's own test runs only on the points inside that circle
+        near = np.sum((flat[:, None, :] - self._bound_c) ** 2, axis=-1) < self._bound_r2
+        for k in np.flatnonzero(near.any(axis=0)):
+            rows = np.flatnonzero(near[:, k])
+            inside[rows] |= self.targets[k].shape.signed_distance(flat[rows]) < 0.0
         return inside.reshape(points.shape[:-1])
 
 

@@ -4,7 +4,8 @@ Localization uses correlative scan matching over a discrete (dx, dy, dtheta)
 window around the dead-reckoned prior; the map is a clamped log-odds grid
 plus the accumulated world-frame point cloud.  ``OccupancyGrid.index_of``
 (``cell_of``, then ``index_of_cells``) is the one point-to-cell rule: the
-matcher reads log-odds and the inverse sensor model writes them through it,
+matcher reads log-odds and the inverse sensor model writes them through it
+(its ray samples through ``cell_along``, ``cell_of`` one axis at a time),
 and both ignore points outside the grid.
 """
 
@@ -83,6 +84,13 @@ class OccupancyGrid:
 
     def cell_of(self, points: np.ndarray) -> np.ndarray:
         return np.floor((np.atleast_2d(points) - self.origin) / self.resolution).astype(int)
+
+    def cell_along(self, coords: np.ndarray, axis: int) -> np.ndarray:
+        """``cell_of`` along one axis for 1-D ``coords``, which it overwrites: the same
+        operations in the same order, so each floor keeps its bits."""
+        coords -= self.origin[axis]
+        coords /= self.resolution
+        return np.floor(coords, out=coords).astype(np.intp)
 
     def index_of(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row-major ``log_odds`` index of each point's cell and whether it is in the grid.
@@ -179,37 +187,57 @@ def match_scan(
     return MatchResult(corrected, float(scores[a, i, j]), True)
 
 
-def update_grid(grid: OccupancyGrid, pose: Pose, scan: np.ndarray) -> OccupancyGrid:
-    """Inverse sensor model: -l_free along each ray, +l_occ at the endpoint.
+def update_grid(grid: OccupancyGrid, pose: Pose, ends: np.ndarray) -> OccupancyGrid:
+    """Inverse sensor model: -l_free along each ray from ``pose`` to its endpoint
+    in ``ends``, the scan's world-frame points (``scan_to_points``), and +l_occ
+    at the endpoint.
 
     Cells are deduplicated per ray so one observation contributes one
     increment; log-odds are clamped to +-LOG_ODDS_CLAMP.  Mutates and
     returns ``grid``.
     """
-    ends = scan_to_points(scan, pose)
     start = pose.position
     end_idx, end_ok = grid.index_of(ends)
     end_idx = end_idx[end_ok]
-    dists = np.linalg.norm(ends - start, axis=1)
+    delta = ends - start
+    dists = np.linalg.norm(delta, axis=1)
     step = grid.resolution * 0.5
     counts = np.maximum(1, np.ceil(dists / step).astype(int))
     # sample j of a ray with k samples sits at fraction j / k along it
     ray_idx, sample = ragged_ranges(np.zeros_like(counts), counts)
     fracs = sample / counts[ray_idx]
-    # samples as (2, N) coordinate rows, which keeps numpy's inner loops N long
-    idx, ok = grid.index_of((start[:, None] + fracs * np.take((ends - start).T, ray_idx, axis=1)).T)
-    flat = grid.log_odds.reshape(-1)
-    # drop samples landing in any endpoint cell of this scan: grazing rays
-    # must not erode cells another ray just observed as occupied
-    is_end = np.zeros(flat.size, dtype=bool)
-    is_end[end_idx] = True
-    keep = ok & ~is_end[idx]
+    # each sample's cell, axis by axis on 1-D arrays: cell_of(start + fracs * delta)
+    cells = []
+    for axis in (0, 1):
+        coords = np.take(delta[:, axis], ray_idx)
+        coords *= fracs
+        coords += start[axis]
+        cells.append(grid.cell_along(coords, axis))
+    cx, cy = cells
+    nx, ny = grid.shape
+    # one unsigned compare per axis tests 0 <= cell < n
+    ok = (cx.view(np.uintp) < nx) & (cy.view(np.uintp) < ny)
+    idx = cx
+    idx *= ny
+    idx += cy
+    # off-grid samples get index -1, which no in-grid cell shares
+    idx[~ok] = -1
     # each ray decrements a crossed cell once: a ray's samples are monotone in
-    # x and in y, so its samples in one cell are consecutive
-    ray_idx, idx = ray_idx[keep], idx[keep]
-    run_start = np.ones(len(idx), dtype=bool)
-    run_start[1:] = (ray_idx[1:] != ray_idx[:-1]) | (idx[1:] != idx[:-1])
-    free_idx = idx[run_start]
+    # x and in y, so its samples in one cell are consecutive, and a run starts
+    # at a ray's first sample or where the index changes
+    run_start = np.empty(len(idx), dtype=bool)
+    np.not_equal(idx[1:], idx[:-1], out=run_start[1:])
+    run_start[np.cumsum(counts) - counts] = True
+    # np.compress: numpy's boolean indexing is slower on a mask this irregular
+    run_idx = np.compress(run_start, idx)
+    flat = grid.log_odds.reshape(-1)
+    # drop off-grid samples (index -1 reads the extra last flag) and samples
+    # landing in any endpoint cell of this scan: grazing rays must not erode
+    # cells another ray just observed as occupied
+    dropped = np.zeros(flat.size + 1, dtype=bool)
+    dropped[end_idx] = True
+    dropped[-1] = True
+    free_idx = np.compress(~dropped[run_idx], run_idx)
     # hit protection: grazing traversal samples quantize into wall cells;
     # never erode a cell already observed as occupied
     np.add.at(flat, free_idx[flat[free_idx] <= 0.0], -grid.l_free)
@@ -306,7 +334,7 @@ def run_slam(
         pts = scan_to_points(scan, estimate)
         map_points.append(pts)
         map_times.extend([t] * len(pts))
-        update_grid(grid, estimate, scan)
+        update_grid(grid, estimate, pts)
         if k % every == 0 or k == n_steps:
             snapshots.append(Snapshot(t, truth, estimate, len(map_times)))
     return SlamRun(snapshots, np.vstack(map_points), np.array(map_times))

@@ -64,7 +64,8 @@ def test_traced_trial_counts_work(spans, backend, tmp_path):
                   sensing, "metrics.et_gospa", "clustering.dbscan", "harness.emit_csv"):
         assert layer in by_layer, layer
     (rec,) = report.trials
-    # update_grid's third argument is the scan, match_scan's fourth the search window
+    # update_grid's third argument is the scan's world points, match_scan's fourth the
+    # search window
     assert sum(s.counts["rays"] for s in by_layer["slam.update_grid"]) == len(rec.map_points)
     dxy, dth = cfg.slam.window.offsets()
     for span in by_layer["slam.match_scan"]:

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from etslam import harness
-from etslam.clustering import ClusterParams
+from etslam.clustering import NOISE, ClusterParams
 from etslam.harness import (
     CSV_HEADER_COMMENT,
     ExperimentConfig,
@@ -627,6 +627,38 @@ def test_parallel_equals_serial():
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
+@pytest.mark.parametrize("trials, parallel, workers", [
+    (3, 5000, [3]), (3, 2, [2]), (1, 8, []), (3, 1, []),
+])
+def test_pool_capped_at_trial_count(monkeypatch, trials, parallel, workers):
+    """``run_monte_carlo`` starts at most one worker per trial, and no pool when that is
+    one; the report keeps the serial bytes.  The pool is a stand-in that records its
+    worker count and maps in this process, so no process starts."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer=None):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    cfg = load_experiment(tiny_doc(trials=trials, duration=1.0, snapshot_cadence=0.5))
+    report = run_monte_carlo(cfg, parallel=parallel)
+    assert started == workers
+    assert [r.trial_index for r in report.trials] == list(range(trials))
+    for a, b in zip(report.trials, [run_trial(cfg, i) for i in range(trials)]):
+        for name in _RECORD_ARRAYS:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
 def _blas_threads() -> int:
     """This process's thread count, from numpy's bundled OpenBLAS."""
     return _openblas("get")()
@@ -735,6 +767,31 @@ def test_write_csv_matches_savetxt(tmp_path, n_rows):
         _savetxt_csv(want, header, columns, fmt)
         assert got.read_bytes() == want.read_bytes()
         assert len(got.read_text().splitlines()) == n_rows + 2
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 7, 500])
+def test_emit_csv_matches_savetxt(tmp_path, n_rows):
+    """``emit_csv`` formats each map point and each distinct t once and writes
+    ``np.savetxt``'s bytes: t values repeated in runs, out of order, 0.0 beside -0.0,
+    and NOISE labels."""
+    rng = np.random.default_rng(n_rows)
+    runs = np.array([0.5, -0.0, 0.0, 0.5, 1.0 / 3.0, -0.0, 1e300, 2.5e-7, 60.0])
+    # the runs, then again from the start until n_rows
+    t = np.resize(np.repeat(runs, rng.integers(1, 40, len(runs))), n_rows)
+    xy = rng.standard_normal((n_rows, 2)) * 10.0 ** rng.integers(-12, 12, (n_rows, 2))
+    labels = rng.integers(NOISE, 40, n_rows)
+    labels[:2] = NOISE
+    report = Report(times=np.array([1.0]), et_gospa_mean=np.array([2.5]),
+                    mse_mean=np.array([0.0]), per_trial_et=np.array([[2.5]]),
+                    trials=[TrialRecord(trial_index=3, times=np.array([1.0]),
+                                        et_gospa=np.array([2.5]), sq_error=np.array([0.0]),
+                                        map_points=xy, map_times=t, cluster_labels=labels)])
+    emit_csv(report, tmp_path / "got")
+    cases = [("map_points_3.csv", "t,x,y", (t, xy), "%.9g"),
+             ("clusters_3.csv", "x,y,label", (xy, labels), ["%.9g", "%.9g", "%d"])]
+    for name, header, columns, fmt in cases:
+        _savetxt_csv(tmp_path / name, header, columns, fmt)
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_emit_csv_reemission_identical(tmp_path):

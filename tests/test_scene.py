@@ -305,8 +305,29 @@ def _stacked_contains(scene, points):
     return np.any(rect_sd < 0.0, axis=-1) | np.any(circ_sd < 0.0, axis=-1)
 
 
+def _bounding_circle_points(scene):
+    """Points on each target's bounding circle, one ulp and 1e-9 of its radius inside and
+    outside it, every 5 degrees and towards each rectangle corner."""
+    out = [np.zeros((0, 2))]
+    for tgt in scene.targets:
+        shape, center = tgt.shape, np.asarray(tgt.shape.center, dtype=float)
+        angles = np.radians(np.arange(0.0, 360.0, 5.0))
+        if isinstance(shape, Rectangle):
+            radius = math.hypot(shape.width / 2.0, shape.height / 2.0)
+            d = shape.corners() - center
+            angles = np.concatenate([angles, np.arctan2(d[:, 1], d[:, 0])])
+        else:
+            radius = shape.radius
+        radii = [radius, np.nextafter(radius, 0.0), np.nextafter(radius, np.inf),
+                 radius * (1.0 - 1e-9), radius * (1.0 + 1e-9)]
+        out += [center + polar_points(r, angles) for r in radii]
+    return np.concatenate(out)
+
+
 def test_contains_point_matches_per_target_loop():
-    """The loop over the targets' own signed distances against the stacked reference."""
+    """The bounding-circle pre-check and the targets' own signed distances against the
+    stacked reference, on random points, on target boundaries and next to them, and on,
+    just inside and just outside each bounding circle."""
     rotated = _simple_scene(targets=[
         {"id": 1, "kind": "rect", "center": [10.0, 0.0], "width": 3.0, "height": 1.0,
          "rotation": 0.7},
@@ -325,6 +346,7 @@ def test_contains_point_matches_per_target_loop():
         points = np.concatenate([
             rng.uniform(scene.bounds_min, scene.bounds_max, (3000, 2)),
             edge, edge + rng.normal(0.0, 1e-9, edge.shape),
+            _bounding_circle_points(scene),
         ])
         got = scene.contains_point_in_target(points)
         assert got.shape == (len(points),)

@@ -111,8 +111,8 @@ def test_grid_built_in_code_rejects_non_finite_resolution(resolution):
 def test_update_single_detection():
     grid = _grid(origin=np.array([-5.0, -5.0]), resolution=0.1,
                  log_odds=np.zeros((100, 100)))
-    scan = polar_points(np.array([2.0]), np.array([0.0]))
-    update_grid(grid, Pose(0.0, 0.0, 0.0), scan)
+    pose = Pose(0.0, 0.0, 0.0)
+    update_grid(grid, pose, scan_to_points(polar_points(np.array([2.0]), np.array([0.0])), pose))
     raised = np.argwhere(grid.log_odds > 0.0)
     assert len(raised) == 1
     assert list(raised[0]) == list(grid.cell_of(np.array([[2.0, 0.0]]))[0])
@@ -125,14 +125,15 @@ def test_update_single_detection():
 def test_update_clamps_log_odds():
     grid = _grid(origin=np.array([-5.0, -5.0]), resolution=0.1,
                  log_odds=np.zeros((100, 100)))
-    scan = polar_points(np.array([2.0]), np.array([0.0]))
+    pose = Pose(0.0, 0.0, 0.0)
+    world = scan_to_points(polar_points(np.array([2.0]), np.array([0.0])), pose)
     for _ in range(20):
-        update_grid(grid, Pose(0.0, 0.0, 0.0), scan)
+        update_grid(grid, pose, world)
     end = tuple(grid.cell_of(np.array([[2.0, 0.0]]))[0])
     mid = tuple(grid.cell_of(np.array([[1.0, 0.0]]))[0])
     assert grid.log_odds[end] == LOG_ODDS_CLAMP
     for _ in range(30):
-        update_grid(grid, Pose(0.0, 0.0, 0.0), scan)
+        update_grid(grid, pose, world)
     assert grid.log_odds[mid] == -LOG_ODDS_CLAMP
 
 
@@ -140,13 +141,12 @@ def test_update_does_not_erode_occupied_cells():
     """A ray grazing through a previously-hit cell must not decrement it."""
     grid = _grid(origin=np.array([-5.0, -5.0]), resolution=0.1,
                  log_odds=np.zeros((100, 100)))
-    update_grid(grid, Pose(0.0, 0.0, 0.0),
-                polar_points(np.array([1.0]), np.array([0.0])))
+    pose = Pose(0.0, 0.0, 0.0)
+    update_grid(grid, pose, scan_to_points(polar_points(np.array([1.0]), np.array([0.0])), pose))
     hit = tuple(grid.cell_of(np.array([[1.0, 0.0]]))[0])
     before = grid.log_odds[hit]
     assert before > 0
-    update_grid(grid, Pose(0.0, 0.0, 0.0),
-                polar_points(np.array([3.0]), np.array([0.0])))
+    update_grid(grid, pose, scan_to_points(polar_points(np.array([3.0]), np.array([0.0])), pose))
     assert grid.log_odds[hit] >= before
 
 
@@ -157,19 +157,18 @@ def test_update_empty_scan_noop():
     assert grid.log_odds.tobytes() == log_odds.tobytes()
 
 
-def _update_grid_reference(grid, pose, scan):
+def _update_grid_reference(grid, pose, ends):
     """update_grid with the former 2-D ``np.unique(axis=0)`` (ray, cx, cy) dedupe.
 
     The endpoint filter compares exact (cx, cy) cells, out-of-grid ones too.
     """
-    if len(scan) == 0:
+    if len(ends) == 0:
         return grid
-    ends = scan_to_points(scan, pose)
     start = pose.position
     end_cells = grid.cell_of(ends)
     dists = np.linalg.norm(ends - start, axis=1)
     counts = np.maximum(1, np.ceil(dists / (grid.resolution * 0.5)).astype(int))
-    ray_idx = np.repeat(np.arange(len(scan)), counts)
+    ray_idx = np.repeat(np.arange(len(ends)), counts)
     fracs = np.concatenate([np.arange(k) / k for k in counts])
     cells = grid.cell_of(start + fracs[:, None] * (ends[ray_idx] - start))
     end_set = set(map(tuple, end_cells.tolist()))
@@ -191,15 +190,23 @@ def _update_grid_reference(grid, pose, scan):
     return grid
 
 
+def _matches_reference(shape, scans):
+    """``update_grid`` and the reference, each on a fresh (-5, -5) grid of ``shape`` at
+    0.1 m, give the same log-odds bytes after every (pose, sensor-frame scan) of
+    ``scans``; returns the updated grid."""
+    fast, ref = (_grid(origin=np.array([-5.0, -5.0]), resolution=0.1, log_odds=np.zeros(shape))
+                 for _ in range(2))
+    for pose, scan in scans:
+        world = scan_to_points(scan, pose)
+        update_grid(fast, pose, world)
+        _update_grid_reference(ref, pose, world)
+        assert fast.log_odds.tobytes() == ref.log_odds.tobytes()
+    return fast
+
+
 def test_update_grid_matches_2d_unique_reference():
     """Vectorized ray sampling and the 1-D cell key keep log-odds bytes identical."""
     rng = np.random.default_rng(5)
-
-    def fresh():
-        return _grid(origin=np.array([-5.0, -5.0]), resolution=0.1,
-                     log_odds=np.zeros((100, 80)))
-
-    fast, ref = fresh(), fresh()
     scans = [
         # ranges up to 9 m from poses near the edge: endpoints leave the grid
         (Pose(x, y, h), polar_points(rng.uniform(0.05, 9.0, 60),
@@ -232,10 +239,29 @@ def test_update_grid_matches_2d_unique_reference():
     # a pose on a cell corner: samples start on a cell edge in x and in y
     scans.append((Pose(0.2, -0.3, 0.0), polar_points(rng.uniform(0.0, 4.0, 50),
                                                      rng.uniform(-math.pi, math.pi, 50))))
-    for pose, scan in scans:
-        update_grid(fast, pose, scan)
-        _update_grid_reference(ref, pose, scan)
-        assert fast.log_odds.tobytes() == ref.log_odds.tobytes()
+    # an empty scan
+    scans.append((Pose(0.4, 0.4, 0.0), np.zeros((0, 2))))
+    fast = _matches_reference((100, 80), scans)
+    assert fast.has_occupied() and np.any(fast.log_odds < 0)
+
+
+@pytest.mark.parametrize("shape", [(1, 40), (40, 1), (2, 40), (40, 2)])
+def test_update_grid_matches_reference_on_thin_grid(shape):
+    """On a grid one or two cells wide, rays from outside enter it, some through cell
+    0, some ending in it.  An off-grid sample just before a ray enters must not share
+    the index of the cell it enters (0, or cx * ny + cy aliasing an in-grid cell when
+    ny is 1), or the run finder takes the entry for a continuing run and skips it."""
+    rng = np.random.default_rng(shape)
+    lo = np.array([-5.0, -5.0])
+    hi = lo + 0.1 * np.array(shape)
+    scans = []
+    for _ in range(12):
+        pose = Pose(*rng.uniform(lo - 1.0, hi + 1.0), rng.uniform(-math.pi, math.pi))
+        aim = rng.uniform(lo - 0.2, hi + 0.2, (40, 2)) - pose.position
+        ranges = np.hypot(aim[:, 0], aim[:, 1]) * rng.uniform(0.8, 2.0, 40)
+        scans.append((pose, polar_points(ranges, np.arctan2(aim[:, 1], aim[:, 0]) - pose.heading)))
+    scans.append((scans[0][0], np.zeros((0, 2))))
+    fast = _matches_reference(shape, scans)
     assert fast.has_occupied() and np.any(fast.log_odds < 0)
 
 
@@ -269,7 +295,7 @@ def test_out_of_grid_endpoint_does_not_shield_in_grid_cell():
     ends = np.array([[0.05, -5.15], [-0.05, 4.0]]) - pose.position
     scan = polar_points(np.hypot(ends[:, 0], ends[:, 1]), np.arctan2(ends[:, 1], ends[:, 0]))
     assert grid.cell_of(scan_to_points(scan, pose)).tolist() == [[50, -2], [49, 90]]
-    update_grid(grid, pose, scan)
+    update_grid(grid, pose, scan_to_points(scan, pose))
     assert grid.log_odds[49, 79] == -grid.l_free
 
 
@@ -281,7 +307,7 @@ def _populated_grid(scene, sensor):
     grid = OccupancyGrid.for_scene(scene, SlamConfig())
     pose = Pose(0.0, 0.0, 0.0)
     scan = sensor(ground_truth_scan(scene, pose, sensor.bearings), np.random.default_rng(0))
-    update_grid(grid, pose, scan)
+    update_grid(grid, pose, scan_to_points(scan, pose))
     return grid, scan, pose
 
 
@@ -360,7 +386,7 @@ def test_match_recovers_injected_lattice_offset(seed, x, y, heading, i, j, a):
     truth = Pose(x, y, heading)
     grid = _grid(origin=np.array([-10.0, -10.0]), resolution=0.1,
                  log_odds=np.zeros((200, 200)))
-    update_grid(grid, truth, scan)
+    update_grid(grid, truth, scan_to_points(scan, truth))
     dxy, dth = _WINDOW.offsets()
     prior = Pose(x + dxy[i], y + dxy[j], heading + dth[a])
     result = match_scan(scan, grid, prior, _WINDOW)
