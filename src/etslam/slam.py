@@ -2,11 +2,11 @@
 
 Localization uses correlative scan matching over a discrete (dx, dy, dtheta)
 window around the dead-reckoned prior; the map is a clamped log-odds grid
-plus the accumulated world-frame point cloud.  ``OccupancyGrid.index_of``
-(``cell_of``, then ``index_of_cells``) is the one point-to-cell rule: the
-matcher reads log-odds and the inverse sensor model writes them through it
-(its ray samples through ``cell_along``, ``cell_of`` one axis at a time),
-and both ignore points outside the grid.
+plus the accumulated world-frame point cloud.  ``OccupancyGrid.cell_of`` is
+the one point-to-cell rule: the matcher reads log-odds through it (then
+``index_of_cells``), and the inverse sensor model writes them through
+``cell_along``, the same rule one axis at a time, for its ray samples and
+endpoints.  Both ignore points outside the grid.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Protocol
 
 import numpy as np
 
-from etslam.scene import (GroundTruthScan, Pose, Scene, ground_truth_scans, ragged_ranges,
-                          require_positive, rotation, trajectory_pose, wrap_angle)
+from etslam.scene import (GroundTruthScan, Pose, Scene, ground_truth_scans, require_positive,
+                          rotation, trajectory_pose, wrap_angle)
 
 LOG_ODDS_CLAMP = 10.0
 # grid border beyond the scene bounds on every side [m]
@@ -92,16 +92,9 @@ class OccupancyGrid:
         coords /= self.resolution
         return np.floor(coords, out=coords).astype(np.intp)
 
-    def index_of(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row-major ``log_odds`` index of each point's cell and whether it is in the grid.
-
-        Out-of-grid points get index 0; callers mask them with the second array.
-        """
-        cells = self.cell_of(points)
-        return self.index_of_cells(cells[..., 0], cells[..., 1])
-
     def index_of_cells(self, cx: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``index_of`` for cell coordinates; ``cx`` and ``cy`` broadcast together."""
+        """Row-major ``log_odds`` index of each cell (0 off the grid, which callers
+        mask) and whether it is in the grid; ``cx`` and ``cy`` broadcast together."""
         nx, ny = self.shape
         ok = (cx >= 0) & (cx < nx) & (cy >= 0) & (cy < ny)
         return np.where(ok, cx * ny + cy, 0), ok
@@ -169,7 +162,7 @@ def match_scan(
     Ties are broken by smallest correction magnitude, then lexicographically
     by (dx, dy, dtheta).  Empty scan or empty grid returns the prior flagged.
     """
-    if len(scan) == 0 or not grid.has_occupied():
+    if len(scan) == 0:
         return MatchResult(prior, 0.0, False)
     dxy, dth, order = _candidates(window)
     world = np.stack([scan @ rotation(prior.heading + dt).T + prior.position
@@ -178,7 +171,12 @@ def match_scan(
     # one cell_of per shift value gives every candidate's cells: (A, n, P, 2)
     cells = grid.cell_of(world[:, None] + dxy[None, :, None, None])
     lin, ok = grid.index_of_cells(cells[:, :, None, :, 0], cells[:, None, :, :, 1])
-    scores = np.where(ok, grid.log_odds.ravel()[lin], 0.0).sum(axis=-1)  # (A, n, n)
+    looked = np.where(ok, grid.log_odds.ravel()[lin], 0.0)
+    # a positive value is an occupied cell, so the whole grid is read only when
+    # no candidate lands on one
+    if not looked.max() > 0.0 and not grid.has_occupied():
+        return MatchResult(prior, 0.0, False)
+    scores = looked.sum(axis=-1)  # (A, n, n)
     best = order[np.argmax(scores.ravel()[order])]
     a, i, j = np.unravel_index(best, scores.shape)
     corrected = Pose(
@@ -193,25 +191,25 @@ def update_grid(grid: OccupancyGrid, pose: Pose, ends: np.ndarray) -> OccupancyG
     at the endpoint.
 
     Cells are deduplicated per ray so one observation contributes one
-    increment; log-odds are clamped to +-LOG_ODDS_CLAMP.  Mutates and
-    returns ``grid``.
+    increment; decremented cells are clamped at -LOG_ODDS_CLAMP, endpoint
+    cells at +LOG_ODDS_CLAMP.  Mutates and returns ``grid``.
     """
     start = pose.position
-    end_idx, end_ok = grid.index_of(ends)
-    end_idx = end_idx[end_ok]
     delta = ends - start
-    dists = np.linalg.norm(delta, axis=1)
-    step = grid.resolution * 0.5
-    counts = np.maximum(1, np.ceil(dists / step).astype(int))
+    dists = np.sqrt(np.add.reduce(delta * delta, axis=1))
+    counts = np.maximum(1, np.ceil(dists / (grid.resolution * 0.5)).astype(int))
+    first = np.cumsum(counts) - counts
+    n = counts.sum()
     # sample j of a ray with k samples sits at fraction j / k along it
-    ray_idx, sample = ragged_ranges(np.zeros_like(counts), counts)
-    fracs = sample / counts[ray_idx]
-    # each sample's cell, axis by axis on 1-D arrays: cell_of(start + fracs * delta)
+    fracs = (np.arange(n) - np.repeat(first, counts)) / np.repeat(counts, counts)
+    # each sample's cell, axis by axis on 1-D arrays: cell_of(start + fracs * delta),
+    # then each endpoint's: cell_of(ends)
     cells = []
     for axis in (0, 1):
-        coords = np.take(delta[:, axis], ray_idx)
-        coords *= fracs
-        coords += start[axis]
+        coords = np.empty(n + len(ends))
+        np.multiply(np.repeat(delta[:, axis], counts), fracs, out=coords[:n])
+        coords[:n] += start[axis]
+        coords[n:] = ends[:, axis]
         cells.append(grid.cell_along(coords, axis))
     cx, cy = cells
     nx, ny = grid.shape
@@ -220,14 +218,15 @@ def update_grid(grid: OccupancyGrid, pose: Pose, ends: np.ndarray) -> OccupancyG
     idx = cx
     idx *= ny
     idx += cy
-    # off-grid samples get index -1, which no in-grid cell shares
+    # off-grid samples and endpoints get index -1, which no in-grid cell shares
     idx[~ok] = -1
+    idx, end_idx = idx[:n], idx[n:]
     # each ray decrements a crossed cell once: a ray's samples are monotone in
     # x and in y, so its samples in one cell are consecutive, and a run starts
     # at a ray's first sample or where the index changes
-    run_start = np.empty(len(idx), dtype=bool)
+    run_start = np.empty(n, dtype=bool)
     np.not_equal(idx[1:], idx[:-1], out=run_start[1:])
-    run_start[np.cumsum(counts) - counts] = True
+    run_start[first] = True
     # np.compress: numpy's boolean indexing is slower on a mask this irregular
     run_idx = np.compress(run_start, idx)
     flat = grid.log_odds.reshape(-1)
@@ -238,13 +237,16 @@ def update_grid(grid: OccupancyGrid, pose: Pose, ends: np.ndarray) -> OccupancyG
     dropped[end_idx] = True
     dropped[-1] = True
     free_idx = np.compress(~dropped[run_idx], run_idx)
+    end_idx = np.compress(end_idx >= 0, end_idx)
     # hit protection: grazing traversal samples quantize into wall cells;
     # never erode a cell already observed as occupied
-    np.add.at(flat, free_idx[flat[free_idx] <= 0.0], -grid.l_free)
+    free_idx = free_idx[flat[free_idx] <= 0.0]
+    np.add.at(flat, free_idx, -grid.l_free)
     np.add.at(flat, end_idx, grid.l_occ)
-    # cells no update touched are already inside the clamp
-    touched = np.concatenate([free_idx, end_idx])
-    flat[touched] = np.clip(flat[touched], -LOG_ODDS_CLAMP, LOG_ODDS_CLAMP)
+    # only a decremented cell can pass the lower clamp, only an endpoint cell
+    # the upper one
+    flat[free_idx] = np.maximum(flat[free_idx], -LOG_ODDS_CLAMP)
+    flat[end_idx] = np.minimum(flat[end_idx], LOG_ODDS_CLAMP)
     return grid
 
 

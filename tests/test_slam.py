@@ -1,6 +1,7 @@
 """Occupancy-grid SLAM tests: grid model, scan matching, full loop behavior."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -190,11 +191,12 @@ def _update_grid_reference(grid, pose, ends):
     return grid
 
 
-def _matches_reference(shape, scans):
-    """``update_grid`` and the reference, each on a fresh (-5, -5) grid of ``shape`` at
-    0.1 m, give the same log-odds bytes after every (pose, sensor-frame scan) of
-    ``scans``; returns the updated grid."""
-    fast, ref = (_grid(origin=np.array([-5.0, -5.0]), resolution=0.1, log_odds=np.zeros(shape))
+def _matches_reference(shape, scans, log_odds=None):
+    """``update_grid`` and the reference, each on a (-5, -5) grid of ``shape`` at 0.1 m,
+    fresh or a copy of ``log_odds``, give the same log-odds bytes after every (pose,
+    sensor-frame scan) of ``scans``; returns the updated grid."""
+    fast, ref = (_grid(origin=np.array([-5.0, -5.0]), resolution=0.1,
+                       log_odds=np.zeros(shape) if log_odds is None else log_odds.copy())
                  for _ in range(2))
     for pose, scan in scans:
         world = scan_to_points(scan, pose)
@@ -263,6 +265,34 @@ def test_update_grid_matches_reference_on_thin_grid(shape):
     scans.append((scans[0][0], np.zeros((0, 2))))
     fast = _matches_reference(shape, scans)
     assert fast.has_occupied() and np.any(fast.log_odds < 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_update_grid_clamp_matches_reference_on_filled_grid(seed):
+    """update_grid clamps only its decremented cells below and its endpoint cells
+    above; on a grid filled inside the clamp, with cells at the clamp, within one
+    update of it, at 0.0 and at -0.0, that is the reference's clip of the whole
+    grid.  The scans, some from poses off the grid, revisit their cells until cells
+    sit at both bounds."""
+    rng = np.random.default_rng(seed)
+    cfg = SlamConfig()
+    edge = [LOG_ODDS_CLAMP, -LOG_ODDS_CLAMP, LOG_ODDS_CLAMP - cfg.l_occ / 2,
+            LOG_ODDS_CLAMP - cfg.l_occ, -LOG_ODDS_CLAMP + cfg.l_free / 2,
+            -LOG_ODDS_CLAMP + cfg.l_free, 0.0, -0.0]
+    shape = (100, 80)
+    log_odds = rng.uniform(-LOG_ODDS_CLAMP, LOG_ODDS_CLAMP, shape)
+    mask = rng.random(shape) < 0.6
+    log_odds[mask] = rng.choice(edge, np.count_nonzero(mask))
+    poses = [Pose(*rng.uniform([-4.5, -4.5, -math.pi], [4.5, 2.5, math.pi])) for _ in range(3)]
+    poses += [Pose(-6.0, 1.0, 0.0), Pose(0.3, 4.5, -1.0)]  # off the grid
+    scans = [(pose, polar_points(rng.uniform(0.05, 9.0, 40), rng.uniform(-math.pi, math.pi, 40)))
+             for pose in poses]
+    # 25 visits: 25 decrements of 0.4 take a cell from 0 to the lower bound, and 24
+    # increments of 0.85 one from the lower bound to the upper
+    fast = _matches_reference(shape, scans * 25, log_odds)
+    assert np.all(np.abs(fast.log_odds) <= LOG_ODDS_CLAMP)
+    assert np.any(fast.log_odds == LOG_ODDS_CLAMP) and np.any(fast.log_odds == -LOG_ODDS_CLAMP)
+    assert np.any(np.signbit(fast.log_odds) & (fast.log_odds == 0.0))
 
 
 _FINITE = st.floats(-50.0, 50.0)
@@ -397,8 +427,15 @@ def test_match_recovers_injected_lattice_offset(seed, x, y, heading, i, j, a):
     assert wrap_angle(result.pose.heading - truth.heading) == pytest.approx(0.0, abs=1e-9)
 
 
+def _index_of(grid, points):
+    """Row-major ``log_odds`` index of each point's cell and whether it is in the grid:
+    ``cell_of``, then ``index_of_cells``."""
+    cells = grid.cell_of(points)
+    return grid.index_of_cells(cells[..., 0], cells[..., 1])
+
+
 def _match_scan_reference(scan, grid, prior, window):
-    """match_scan with one index_of per rotation over every (dx, dy) shift."""
+    """match_scan with one _index_of per rotation over every (dx, dy) shift."""
     if len(scan) == 0 or np.count_nonzero(grid.log_odds > 0.0) == 0:
         return MatchResult(prior, 0.0, False)
     dxy, dth = window.offsets()
@@ -408,7 +445,7 @@ def _match_scan_reference(scan, grid, prior, window):
     shifts = np.stack(np.meshgrid(dxy, dxy, indexing="ij"), axis=-1).reshape(-1, 2)
     for a, dt in enumerate(dth):
         world = scan @ rotation(prior.heading + dt).T + prior.position  # (P, 2)
-        lin, ok = grid.index_of(world[None, :, :] + shifts[:, None, :])  # (K, P)
+        lin, ok = _index_of(grid, world[None, :, :] + shifts[:, None, :])  # (K, P)
         scores[a] = np.where(ok, flat[lin], 0.0).sum(axis=1).reshape(n_xy, n_xy)
     th_g, dx_g, dy_g = np.meshgrid(dth, dxy, dxy, indexing="ij")
     mag = dx_g**2 + dy_g**2 + th_g**2
@@ -455,6 +492,54 @@ def test_match_scan_matches_per_rotation_reference(window):
     for scan, grid, prior in cases:
         assert _result_bytes(match_scan(scan, grid, prior, window)) == \
             _result_bytes(_match_scan_reference(scan, grid, prior, window))
+
+
+def _candidate_cells(scan, grid, prior, window):
+    """Each in-grid cell that some candidate of ``window`` puts a scan point in,
+    mapped to the set of those candidates' (dtheta, dx, dy) indices."""
+    dxy, dth = window.offsets()
+    reach = {}
+    for a, i, j in itertools.product(range(len(dth)), range(len(dxy)), range(len(dxy))):
+        world = scan @ rotation(prior.heading + dth[a]).T + prior.position
+        lin, ok = _index_of(grid, world + np.array([dxy[i], dxy[j]]))
+        for cell in lin[ok].tolist():
+            reach.setdefault(cell, set()).add((a, i, j))
+    return reach
+
+
+@pytest.mark.parametrize("case", ["non_positive", "positive_out_of_reach",
+                                  "positive_under_one_candidate"])
+def test_match_reads_whole_grid_only_without_positive_candidate(case):
+    """match_scan reads the whole grid only when no candidate lands on a positive
+    cell.  With every cell <= 0 and negative ones under the scan, the prior comes
+    back unmatched.  One positive cell out of every candidate's reach makes the
+    grid occupied, so the match is the argmax over non-positive scores.  One
+    positive cell under exactly one candidate is seen in the gather itself."""
+    rng = np.random.default_rng(17)
+    log_odds = -np.round(rng.uniform(0.0, 2.0, (300, 300)), 1)
+    log_odds[rng.random((300, 300)) < 0.2] = 0.0
+    grid = _grid(origin=np.array([-15.0, -15.0]), resolution=0.1, log_odds=log_odds)
+    # at 12 m and more, one 0.5 degree step of the window moves a point a cell
+    scan = polar_points(rng.uniform(0.3, 13.0, 12), rng.uniform(-math.pi, math.pi, 12))
+    prior = Pose(0.3, 0.4, 0.2)
+    reach = _candidate_cells(scan, grid, prior, _WINDOW)
+    flat = grid.log_odds.reshape(-1)
+    assert np.any(flat[list(reach)] < 0.0)
+    if case == "positive_out_of_reach":
+        assert 0 not in reach
+        flat[0] = 0.85
+    elif case == "positive_under_one_candidate":
+        cell = min(c for c, cands in reach.items() if len(cands) == 1)
+        flat[cell] = 0.85
+    result = match_scan(scan, grid, prior, _WINDOW)
+    assert _result_bytes(result) == _result_bytes(_match_scan_reference(scan, grid, prior,
+                                                                        _WINDOW))
+    if case == "non_positive":
+        assert result == MatchResult(prior, 0.0, False)
+    else:
+        assert result.matched and result.pose != prior
+    if case == "positive_out_of_reach":
+        assert result.score < 0.0
 
 
 @pytest.mark.parametrize("kw, field", [
