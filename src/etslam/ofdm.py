@@ -80,10 +80,6 @@ class WaveformConfig:
         return self.d_over_lambda * self.wavelength
 
     @property
-    def bandwidth(self) -> float:
-        return self.n_subcarriers * self.delta_f
-
-    @property
     def range_bin_width(self) -> float:
         return C0 / (2.0 * self.n_subcarriers * self.delta_f)
 

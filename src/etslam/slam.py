@@ -2,11 +2,10 @@
 
 Localization uses correlative scan matching over a discrete (dx, dy, dtheta)
 window around the dead-reckoned prior; the map is a clamped log-odds grid
-plus the accumulated world-frame point cloud.  ``OccupancyGrid.cell_of`` is
-the one point-to-cell rule: the matcher reads log-odds through it (then
-``index_of_cells``), and the inverse sensor model writes them through
-``cell_along``, the same rule one axis at a time, for its ray samples and
-endpoints.  Both ignore points outside the grid.
+plus the accumulated world-frame point cloud.  ``OccupancyGrid.flat_index`` is
+the one point-to-cell rule: the matcher gathers log-odds through it, and the
+inverse sensor model scatters them through it for its ray samples and
+endpoints.  A point off the grid gets index -1, which both ignore.
 """
 
 from __future__ import annotations
@@ -82,22 +81,21 @@ class OccupancyGrid:
     def shape(self) -> tuple[int, int]:
         return self.log_odds.shape
 
-    def cell_of(self, points: np.ndarray) -> np.ndarray:
-        return np.floor((np.atleast_2d(points) - self.origin) / self.resolution).astype(int)
-
-    def cell_along(self, coords: np.ndarray, axis: int) -> np.ndarray:
-        """``cell_of`` along one axis for 1-D ``coords``, which it overwrites: the same
-        operations in the same order, so each floor keeps its bits."""
-        coords -= self.origin[axis]
-        coords /= self.resolution
-        return np.floor(coords, out=coords).astype(np.intp)
-
-    def index_of_cells(self, cx: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row-major ``log_odds`` index of each cell (0 off the grid, which callers
-        mask) and whether it is in the grid; ``cx`` and ``cy`` broadcast together."""
+    def flat_index(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Row-major ``log_odds`` index of each point's cell, -1 off the grid; ``x`` and
+        ``y`` broadcast together and are overwritten.  Each axis is shifted to the
+        origin, divided by the resolution and floored, in that order."""
+        cells = []
+        for coords, origin in zip((x, y), self.origin):
+            coords -= origin
+            coords /= self.resolution
+            cells.append(np.floor(coords, out=coords).astype(np.intp))
+        cx, cy = cells
         nx, ny = self.shape
-        ok = (cx >= 0) & (cx < nx) & (cy >= 0) & (cy < ny)
-        return np.where(ok, cx * ny + cy, 0), ok
+        # one unsigned compare per axis tests 0 <= cell < n
+        ok = (cx.view(np.uintp) < nx) & (cy.view(np.uintp) < ny)
+        cx *= ny
+        return np.where(ok, cx + cy, -1)
 
     def has_occupied(self) -> bool:
         """Whether any cell's log-odds is above 0, read from ``log_odds`` itself."""
@@ -167,11 +165,11 @@ def match_scan(
     dxy, dth, order = _candidates(window)
     world = np.stack([scan @ rotation(prior.heading + dt).T + prior.position
                       for dt in dth])  # (A, P, 2)
-    # a shift (dx, dy) moves x cells by dx alone and y cells by dy alone, so
-    # one cell_of per shift value gives every candidate's cells: (A, n, P, 2)
-    cells = grid.cell_of(world[:, None] + dxy[None, :, None, None])
-    lin, ok = grid.index_of_cells(cells[:, :, None, :, 0], cells[:, None, :, :, 1])
-    looked = np.where(ok, grid.log_odds.ravel()[lin], 0.0)
+    # a shift (dx, dy) moves x by dx alone and y by dy alone, so the shifted x
+    # (A, n, 1, P) and y (A, 1, n, P) give every candidate's cells: (A, n, n, P)
+    lin = grid.flat_index(world[:, None, None, :, 0] + dxy[:, None, None],
+                          world[:, None, None, :, 1] + dxy[:, None])
+    looked = np.where(lin >= 0, grid.log_odds.ravel()[lin], 0.0)
     # a positive value is an occupied cell, so the whole grid is read only when
     # no candidate lands on one
     if not looked.max() > 0.0 and not grid.has_occupied():
@@ -202,24 +200,16 @@ def update_grid(grid: OccupancyGrid, pose: Pose, ends: np.ndarray) -> OccupancyG
     n = counts.sum()
     # sample j of a ray with k samples sits at fraction j / k along it
     fracs = (np.arange(n) - np.repeat(first, counts)) / np.repeat(counts, counts)
-    # each sample's cell, axis by axis on 1-D arrays: cell_of(start + fracs * delta),
-    # then each endpoint's: cell_of(ends)
-    cells = []
+    # each sample's cell, start + fracs * delta, then each endpoint's, on 1-D
+    # arrays per axis; off-grid ones get index -1, which no in-grid cell shares
+    coords = []
     for axis in (0, 1):
-        coords = np.empty(n + len(ends))
-        np.multiply(np.repeat(delta[:, axis], counts), fracs, out=coords[:n])
-        coords[:n] += start[axis]
-        coords[n:] = ends[:, axis]
-        cells.append(grid.cell_along(coords, axis))
-    cx, cy = cells
-    nx, ny = grid.shape
-    # one unsigned compare per axis tests 0 <= cell < n
-    ok = (cx.view(np.uintp) < nx) & (cy.view(np.uintp) < ny)
-    idx = cx
-    idx *= ny
-    idx += cy
-    # off-grid samples and endpoints get index -1, which no in-grid cell shares
-    idx[~ok] = -1
+        c = np.empty(n + len(ends))
+        np.multiply(np.repeat(delta[:, axis], counts), fracs, out=c[:n])
+        c[:n] += start[axis]
+        c[n:] = ends[:, axis]
+        coords.append(c)
+    idx = grid.flat_index(*coords)
     idx, end_idx = idx[:n], idx[n:]
     # each ray decrements a crossed cell once: a ray's samples are monotone in
     # x and in y, so its samples in one cell are consecutive, and a run starts

@@ -49,6 +49,47 @@ MUTANTS = (
      "    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, trial_index]))",
      "    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed + trial_index))",
      ["tests/test_harness.py::test_trial_seeded_from_seed_and_index"]),
+    # a point one cell past the grid's x edge gets index nx * ny + cy, not -1
+    ("etslam/slam.py",
+     "        ok = (cx.view(np.uintp) < nx) & (cy.view(np.uintp) < ny)",
+     "        ok = (cx.view(np.uintp) <= nx) & (cy.view(np.uintp) < ny)",
+     ["tests/test_slam.py::test_flat_index_hand_computed_cells"]),
+    # each ragged range starts one past its lower bound
+    ("etslam/scene.py",
+     "    j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(size) - size), size)",
+     "    j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(size) - size), size) + 1",
+     ["tests/test_scene.py::test_ragged_ranges_match_double_loop"]),
+    # the broad phase's arcs lose their pad, so a ray aimed at an edge's end can miss it
+    ("etslam/scene.py",
+     "ARC_PAD = 1e-9",
+     "ARC_PAD = 0.0",
+     ["tests/test_scene.py::test_broad_phase_rays_aimed_at_endpoints_and_corners"]),
+    # a run of range peaks continues across the end of a row into the next
+    ("etslam/ofdm.py",
+     "    joined[1:] = (np.diff(cand) == 1) & (cand[1:] % n != 0)",
+     "    joined[1:] = np.diff(cand) == 1",
+     ["tests/test_ofdm.py::test_detect_peaks_mask_matches_greedy_reference"]),
+    # the complex noise's standard deviation is sqrt(2) too large
+    ("etslam/ofdm.py",
+     "    z *= math.sqrt(sigma2 / 2.0)",
+     "    z *= math.sqrt(sigma2)",
+     ["tests/test_ofdm.py::test_snr_calibration"]),
+    # the steering phase turns the other way, mirroring each bearing
+    ("etslam/ofdm.py",
+     "    steer = np.exp(1j * np.outer(np.arange(cfg.n_tx), omega))",
+     "    steer = np.exp(-1j * np.outer(np.arange(cfg.n_tx), omega))",
+     ["tests/test_ofdm.py::test_sense_places_detection_at_bin_centre"]),
+    # hit protection leaves cells at exactly 0.0 undecremented
+    ("etslam/slam.py",
+     "    free_idx = free_idx[flat[free_idx] <= 0.0]",
+     "    free_idx = free_idx[flat[free_idx] < 0.0]",
+     ["tests/test_slam.py::test_update_grid_matches_2d_unique_reference"]),
+    # score ties go to the first candidate in (dtheta, dx, dy) order, not the smallest
+    # correction
+    ("etslam/slam.py",
+     "    best = order[np.argmax(scores.ravel()[order])]",
+     "    best = np.argmax(scores)",
+     ["tests/test_slam.py::test_match_scan_matches_per_rotation_reference"]),
 )
 
 

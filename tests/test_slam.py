@@ -52,6 +52,22 @@ def _grid(**kw):
     return OccupancyGrid(l_occ=cfg.l_occ, l_free=cfg.l_free, **kw)
 
 
+def _cell(grid, points):
+    """Each point's (cx, cy) cell of ``grid``, floored here rather than read from
+    ``OccupancyGrid.flat_index``, which the tests check against it."""
+    return np.floor((np.atleast_2d(points) - grid.origin) / grid.resolution).astype(int)
+
+
+def _index_of(grid, points):
+    """Row-major ``log_odds`` index of each point's cell (0 off the grid, which
+    callers mask) and whether it is in the grid."""
+    cells = _cell(grid, points)
+    cx, cy = cells[..., 0], cells[..., 1]
+    nx, ny = grid.shape
+    ok = (cx >= 0) & (cx < nx) & (cy >= 0) & (cy < ny)
+    return np.where(ok, cx * ny + cy, 0), ok
+
+
 def _sensor(delta_r=0.0, delta_theta_deg=0.0):
     return ParametricSensor(
         model=ErrorModel(delta_r=delta_r, delta_theta=math.radians(delta_theta_deg)),
@@ -92,10 +108,35 @@ def test_grid_for_scene_dimensions():
     assert not grid.has_occupied()
 
 
-def test_grid_cell_of():
-    grid = _grid(origin=np.array([0.0, 0.0]), resolution=0.5,
-                 log_odds=np.zeros((10, 10)))
-    assert list(grid.cell_of(np.array([[1.26, 0.74]]))[0]) == [2, 1]
+def test_flat_index_hand_computed_cells():
+    """On a 10 x 6 grid at 0.5 m from (-1, 2), row-major: (0.26, 2.74) is in cell
+    (2, 1), index 13; the origin is index 0 and (3.9, 4.9), in cell (9, 5), is the
+    last, 59.  A point at the origin plus 10 cells on x, or 1e-12 below the origin
+    on y, is off the grid."""
+    grid = _grid(origin=np.array([-1.0, 2.0]), resolution=0.5, log_odds=np.zeros((10, 6)))
+    x = np.array([0.26, -1.0, 3.9, 4.0, 0.0])
+    y = np.array([2.74, 2.0, 4.9, 3.0, 2.0 - 1e-12])
+    assert grid.flat_index(x, y).tolist() == [13, 0, 59, -1, -1]
+
+
+def test_flat_index_broadcasts_and_overwrites_its_inputs():
+    """x of shape (A, n, 1, P) and y of shape (A, 1, n, P), as the matcher passes
+    them, give (A, n, n, P) indices, and each input is left holding its floored
+    cell coordinate."""
+    grid = _grid(origin=np.array([-1.0, 2.0]), resolution=0.5, log_odds=np.zeros((10, 6)))
+    rng = np.random.default_rng(3)
+    a, n, p = 3, 4, 5
+    # reaching past the grid on both sides of each axis
+    x = rng.uniform(-2.0, 5.0, (a, n, 1, p))
+    y = rng.uniform(1.0, 6.0, (a, 1, n, p))
+    x0, y0 = x.copy(), y.copy()
+    lin = grid.flat_index(x, y)
+    assert lin.shape == (a, n, n, p)
+    want, ok = _index_of(grid, np.stack(np.broadcast_arrays(x0, y0), axis=-1))
+    assert np.any(ok) and not np.all(ok)
+    assert lin.tolist() == np.where(ok, want, -1).tolist()
+    assert x.tolist() == np.floor((x0 + 1.0) / 0.5).tolist()
+    assert y.tolist() == np.floor((y0 - 2.0) / 0.5).tolist()
 
 
 def test_grid_rejects_bad_resolution():
@@ -116,10 +157,10 @@ def test_update_single_detection():
     update_grid(grid, pose, scan_to_points(polar_points(np.array([2.0]), np.array([0.0])), pose))
     raised = np.argwhere(grid.log_odds > 0.0)
     assert len(raised) == 1
-    assert list(raised[0]) == list(grid.cell_of(np.array([[2.0, 0.0]]))[0])
+    assert list(raised[0]) == list(_cell(grid, [2.0, 0.0])[0])
     assert grid.log_odds[tuple(raised[0])] == pytest.approx(grid.l_occ)
     # cells along the ray were decremented
-    mid = grid.cell_of(np.array([[1.0, 0.0]]))[0]
+    mid = _cell(grid, [1.0, 0.0])[0]
     assert grid.log_odds[tuple(mid)] == pytest.approx(-grid.l_free)
 
 
@@ -130,8 +171,8 @@ def test_update_clamps_log_odds():
     world = scan_to_points(polar_points(np.array([2.0]), np.array([0.0])), pose)
     for _ in range(20):
         update_grid(grid, pose, world)
-    end = tuple(grid.cell_of(np.array([[2.0, 0.0]]))[0])
-    mid = tuple(grid.cell_of(np.array([[1.0, 0.0]]))[0])
+    end = tuple(_cell(grid, [2.0, 0.0])[0])
+    mid = tuple(_cell(grid, [1.0, 0.0])[0])
     assert grid.log_odds[end] == LOG_ODDS_CLAMP
     for _ in range(30):
         update_grid(grid, pose, world)
@@ -144,7 +185,7 @@ def test_update_does_not_erode_occupied_cells():
                  log_odds=np.zeros((100, 100)))
     pose = Pose(0.0, 0.0, 0.0)
     update_grid(grid, pose, scan_to_points(polar_points(np.array([1.0]), np.array([0.0])), pose))
-    hit = tuple(grid.cell_of(np.array([[1.0, 0.0]]))[0])
+    hit = tuple(_cell(grid, [1.0, 0.0])[0])
     before = grid.log_odds[hit]
     assert before > 0
     update_grid(grid, pose, scan_to_points(polar_points(np.array([3.0]), np.array([0.0])), pose))
@@ -166,12 +207,12 @@ def _update_grid_reference(grid, pose, ends):
     if len(ends) == 0:
         return grid
     start = pose.position
-    end_cells = grid.cell_of(ends)
+    end_cells = _cell(grid, ends)
     dists = np.linalg.norm(ends - start, axis=1)
     counts = np.maximum(1, np.ceil(dists / (grid.resolution * 0.5)).astype(int))
     ray_idx = np.repeat(np.arange(len(ends)), counts)
     fracs = np.concatenate([np.arange(k) / k for k in counts])
-    cells = grid.cell_of(start + fracs[:, None] * (ends[ray_idx] - start))
+    cells = _cell(grid, start + fracs[:, None] * (ends[ray_idx] - start))
     end_set = set(map(tuple, end_cells.tolist()))
     keep = np.array([cell not in end_set for cell in map(tuple, cells.tolist())], dtype=bool)
     cells, ray_idx = cells[keep], ray_idx[keep]
@@ -308,7 +349,7 @@ def test_ray_samples_in_one_cell_are_consecutive(start, end, k, origin, resoluti
     grid = _grid(origin=np.array(origin), resolution=resolution,
                  log_odds=np.zeros((1, 1)))
     start, end = np.array(start), np.array(end)
-    cells = grid.cell_of(start + (np.arange(k) / k)[:, None] * (end - start))
+    cells = _cell(grid, start + (np.arange(k) / k)[:, None] * (end - start))
     runs = 1 + np.count_nonzero(np.any(np.diff(cells, axis=0) != 0, axis=1))
     assert runs == len(np.unique(cells, axis=0))
 
@@ -324,7 +365,7 @@ def test_out_of_grid_endpoint_does_not_shield_in_grid_cell():
     pose = Pose(-0.05, 0.0, 0.0)
     ends = np.array([[0.05, -5.15], [-0.05, 4.0]]) - pose.position
     scan = polar_points(np.hypot(ends[:, 0], ends[:, 1]), np.arctan2(ends[:, 1], ends[:, 0]))
-    assert grid.cell_of(scan_to_points(scan, pose)).tolist() == [[50, -2], [49, 90]]
+    assert _cell(grid, scan_to_points(scan, pose)).tolist() == [[50, -2], [49, 90]]
     update_grid(grid, pose, scan_to_points(scan, pose))
     assert grid.log_odds[49, 79] == -grid.l_free
 
@@ -425,13 +466,6 @@ def test_match_recovers_injected_lattice_offset(seed, x, y, heading, i, j, a):
     assert result.pose.y == pytest.approx(y, abs=1e-9)
     # Pose wraps heading pi to -pi
     assert wrap_angle(result.pose.heading - truth.heading) == pytest.approx(0.0, abs=1e-9)
-
-
-def _index_of(grid, points):
-    """Row-major ``log_odds`` index of each point's cell and whether it is in the grid:
-    ``cell_of``, then ``index_of_cells``."""
-    cells = grid.cell_of(points)
-    return grid.index_of_cells(cells[..., 0], cells[..., 1])
 
 
 def _match_scan_reference(scan, grid, prior, window):
