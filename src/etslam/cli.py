@@ -37,9 +37,17 @@ def _load_cfg(args) -> harness.ExperimentConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_csv(path: str, n_cols: int) -> np.ndarray:
     """Finite numeric rows of exactly ``n_cols`` fields; only the first data line may be
-    a header."""
+    a header, and only when none of its fields is a number."""
     rows = []
     header_allowed = True
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -51,7 +59,7 @@ def _read_csv(path: str, n_cols: int) -> np.ndarray:
         try:
             values = [float(p) for p in parts[:n_cols]]
         except ValueError:
-            if first:
+            if first and not any(map(_is_number, parts)):
                 continue  # header line
             raise ValueError(f"{path}:{lineno}: non-numeric row {line!r}") from None
         if len(parts) != n_cols:

@@ -5,10 +5,11 @@ Run from the repository root:
     python tests/mutants.py
 
 Each mutant is (file under ``src/``, old line, new line, test ids).  The old
-line must occur exactly once in its file, as a whole line.  The mutant is
-applied to a temporary copy of ``src/``, and only its named tests run, against
-that copy.  A mutant survives when those tests pass; the script exits non-zero
-if any mutant survives or cannot be applied.  pytest does not collect this file.
+line must occur exactly once in its file, as a whole line.  ``src/`` is copied
+once; each mutant in turn is applied to that copy, only its named tests run
+against it, and the file is restored.  A mutant survives when those tests pass;
+the script exits non-zero if any mutant survives or cannot be applied.  pytest
+does not collect this file.
 """
 
 from __future__ import annotations
@@ -90,6 +91,36 @@ MUTANTS = (
      "    best = order[np.argmax(scores.ravel()[order])]",
      "    best = np.argmax(scores)",
      ["tests/test_slam.py::test_match_scan_matches_per_rotation_reference"]),
+    # a ray whose first sample shares the previous ray's last cell joins that ray's run
+    ("etslam/slam.py",
+     "    run_start[first] = True",
+     "    pass",
+     ["tests/test_slam.py::test_update_grid_rays_sharing_a_cell_each_decrement_it"]),
+    # snapshot times are deduplicated by value, so -0.0 is written as 0
+    ("etslam/harness.py",
+     "        bits, which = np.unique(np.ascontiguousarray(rec.map_times, dtype=float).view(np.int64),",
+     "        bits, which = np.unique(np.ascontiguousarray(rec.map_times, dtype=float),",
+     ["tests/test_harness.py::test_emit_csv_matches_savetxt[500]"]),
+    # a lone target's "no other target" row is 0, not c^p
+    ("etslam/metrics.py",
+     "    part = np.partition(np.vstack([d, np.full(len(estimates), cp)]), 1, axis=0)",
+     "    part = np.partition(np.vstack([d, np.full(len(estimates), 0.0)]), 1, axis=0)",
+     ["tests/test_metrics.py::test_cost_matrix_single_perfect"]),
+    # the cell key's row width leaves no room for column offsets up to 4, so keys wrap
+    ("etslam/clustering.py",
+     "    width = int(ij[:, 1].max()) + 9",
+     "    width = int(ij[:, 1].max()) + 1",
+     ["tests/test_clustering.py::test_border_point_joins_lowest_cluster_id"]),
+    # pointer jumping stops after one jump, short of each node's root
+    ("etslam/clustering.py",
+     "        while not np.array_equal(jumped := root[root], root):",
+     "        if not np.array_equal(jumped := root[root], root):",
+     ["tests/test_clustering.py::test_lattice_exact_boundary_matches_reference[1-0.5]"]),
+    # peaks are ranked over the whole image, not within their row
+    ("etslam/ofdm.py",
+     "    rank = np.arange(kept.size) - ranked.searchsorted(ranked)",
+     "    rank = np.arange(kept.size)",
+     ["tests/test_ofdm.py::test_detect_peaks_mask_matches_greedy_reference"]),
 )
 
 
@@ -105,37 +136,46 @@ def apply(src: Path, path: str, old: str, new: str) -> None:
     target.write_text("\n".join(lines))
 
 
-def run(path: str, old: str, new: str, tests: list[str]) -> tuple[bool, str]:
-    """Whether the mutant is killed (applied to a copy of ``src/``, its tests fail),
-    and the last line pytest printed."""
-    with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+def run(src: Path, env: dict, path: str, old: str, new: str,
+        tests: list[str]) -> tuple[bool, str]:
+    """Whether the mutant is killed (applied to ``src``, its tests fail), and the last
+    line pytest printed; the file is restored afterwards."""
+    target = src / path
+    original = target.read_text()
+    try:
         apply(src, path, old, new)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        found = subprocess.run([sys.executable, "-c", "import etslam; print(etslam.__file__)"],
-                               env=env, cwd=ROOT, capture_output=True, text=True, check=True)
-        if not Path(found.stdout.strip()).is_relative_to(src):
-            raise RuntimeError(f"the tests would import etslam from {found.stdout.strip()}")
         proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                                *tests], env=env, cwd=ROOT, capture_output=True, text=True)
+    finally:
+        target.write_text(original)
     # 1: tests failed; any other non-zero code (no tests collected, an error) is no kill
     return proc.returncode == 1, (proc.stdout.strip().splitlines() or [""])[-1]
 
 
 def main() -> int:
     survived = 0
-    for path, old, new, tests in MUTANTS:
-        try:
-            killed, summary = run(path, old, new, tests)
-        except ValueError as exc:
-            print(f"NOT APPLIED {exc}")
-            survived += 1
-            continue
-        print(f"{'killed  ' if killed else 'SURVIVED'} {path}: {old.strip()!r} -> {new.strip()!r}"
-              f" ({summary})")
-        survived += not killed
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        # no child writes bytecode, so no version of a file loads another's .pyc: its
+        # check reads only size and whole-second mtime, which a same-size line rewritten
+        # within the same second keeps
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        found = subprocess.run([sys.executable, "-c", "import etslam; print(etslam.__file__)"],
+                               env=env, cwd=ROOT, capture_output=True, text=True, check=True)
+        if not Path(found.stdout.strip()).is_relative_to(src):
+            raise RuntimeError(f"the tests would import etslam from {found.stdout.strip()}")
+        for path, old, new, tests in MUTANTS:
+            try:
+                killed, summary = run(src, env, path, old, new, tests)
+            except ValueError as exc:
+                print(f"NOT APPLIED {exc}")
+                survived += 1
+                continue
+            print(f"{'killed  ' if killed else 'SURVIVED'} {path}: {old.strip()!r} -> "
+                  f"{new.strip()!r} ({summary})")
+            survived += not killed
     print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
     return 1 if survived else 0
 

@@ -102,6 +102,21 @@ def test_metric_et_gospa_p2(tmp_path, capsys):
         "0.353553391,0.125,0,0,0"]
 
 
+@pytest.mark.parametrize("truth_rows, est_rows, value", [
+    # one target at the origin, one estimate 0.5 m off
+    ("1,0,0\n", "0.5,0\n", "0.25"),
+    # ragged truth, two points then one: each estimate is 0.5 m from its own target's
+    # nearest point, so the value is 2 * 0.25; rows reduced into the wrong target differ
+    ("1,0,0\n1,0,1\n2,20,0\n", "0.5,1\n20,0.5\n", "0.5"),
+], ids=["one_target", "ragged_truth"])
+def test_metric_et_gospa_default_params(tmp_path, capsys, truth_rows, est_rows, value):
+    truth, est = tmp_path / "truth.csv", tmp_path / "est.csv"
+    truth.write_text("target_id,x,y\n" + truth_rows)
+    est.write_text("x,y\n" + est_rows)
+    assert main(["metric", "et-gospa", "--truth", str(truth), "--est", str(est)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"value {value}"
+
+
 def test_cluster_command(tmp_path, capsys):
     src = tmp_path / "pts.csv"
     src.write_text("x,y\n0,0\n0,0.1\n5,5\n5,5.1\n9,9\n")
@@ -117,11 +132,39 @@ def test_cluster_command(tmp_path, capsys):
         b"# etslam csv v1\nx,y,label\n0,0,0\n0,0.1,0\n5,5,1\n5,5.1,1\n9,9,-1\n")
 
 
+def test_cluster_border_point_at_default_params(tmp_path, capsys):
+    """At the ``ClusterParams`` defaults, eps 0.5 and min_pts 3, (0, 0.65) is a border
+    point, reached only over its one mixed edge to the core point (0, 0.2); (5, 5) is
+    noise."""
+    src, dst = tmp_path / "pts.csv", tmp_path / "labels.csv"
+    src.write_text("x,y\n0,0\n0,0.1\n0,0.2\n0,0.65\n5,5\n")
+    assert main(["cluster", "--input", str(src), "--output", str(dst)]) == 0
+    assert capsys.readouterr().out == "1 clusters, 1 noise points\n"
+    assert dst.read_text().splitlines()[2:] == ["0,0,0", "0,0.1,0", "0,0.2,0", "0,0.65,0", "5,5,-1"]
+
+
 def test_read_csv_rejects_later_non_numeric_row(tmp_path):
     src = tmp_path / "pts.csv"
     src.write_text("# comment\nx,y\n0,0\n\nx,y\n1,1\n")
     with pytest.raises(ValueError, match=r"pts\.csv:5: non-numeric row"):
         _read_csv(str(src), 2)
+
+
+@pytest.mark.parametrize("truth_rows, est_rows, message", [
+    ("1,0,0x\n2,5,5\n", "5,5\n", r"truth\.csv:1: non-numeric row '1,0,0x'"),
+    ("target_id,x,y\n1,0,0\n", "0.5,O\n0,0\n", r"est\.csv:1: non-numeric row '0.5,O'"),
+], ids=["truth", "est"])
+def test_read_csv_rejects_first_row_holding_a_number(tmp_path, capsys, truth_rows, est_rows,
+                                                     message):
+    """A first row with a number among its fields is data, not a header: ``1,0,0x`` was
+    skipped as one, losing target 1, and scored ``value 0`` against ``5,5``."""
+    truth, est = tmp_path / "truth.csv", tmp_path / "est.csv"
+    truth.write_text(truth_rows)
+    est.write_text(est_rows)
+    assert main(["metric", "et-gospa", "--truth", str(truth), "--est", str(est)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"etslam: error: .*{message}\n", captured.err)
 
 
 def test_read_csv_rejects_short_row(tmp_path, capsys):
@@ -205,6 +248,18 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert (out / "map_points_1.csv").exists()
 
 
+def test_simulate_ofdm_writes_versioned_metric_curve(tmp_path):
+    """A tiny OFDM run (N = 1024) through ``main``, which sets BLAS to one thread."""
+    cfg = _write_tiny_config(tmp_path)
+    doc = yaml.safe_load(cfg.read_text())
+    doc["sensor"] = {"backend": "ofdm"}
+    doc["waveform"] = {"fc": 28.0e9, "delta_f": 1.2e6, "N": 1024, "snr_db": 10.0}
+    cfg.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "metric_curve.csv").read_text().startswith(f"{harness.CSV_HEADER_COMMENT}\n")
+
+
 def test_simulate_trial_override(tmp_path):
     cfg = _write_tiny_config(tmp_path)
     out = tmp_path / "out1"
@@ -230,6 +285,19 @@ def test_simulate_seed_override(tmp_path):
 
     assert read("overridden") == read("configured")
     assert read("overridden") != read("base")
+
+
+def test_simulate_refuses_an_experiment_without_targets(tmp_path, capsys):
+    """Refused at load, naming the scene, before any trial runs or any CSV is written."""
+    cfg = _write_tiny_config(tmp_path)
+    doc = yaml.safe_load(cfg.read_text())
+    doc["scene"]["targets"] = []
+    cfg.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "etslam: error: scene: key 'targets': at least one target required\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["trials", "seed"])

@@ -288,6 +288,21 @@ def test_update_grid_matches_2d_unique_reference():
     assert fast.has_occupied() and np.any(fast.log_odds < 0)
 
 
+def test_update_grid_rays_sharing_a_cell_each_decrement_it():
+    """On a 20 x 20 grid at 0.1 m from the origin, from (0.95, 0.95): the ray to
+    (1.03, 0.95) samples x = 0.95 and 0.99, both in cell (9, 9), and ends in (10, 9);
+    the ray to (0.95, 1.45) starts in (9, 9) too, crosses cells (9, 10) to (9, 13) and
+    ends in (9, 14).  Each ray decrements (9, 9) once, so it reads -2 * l_free: the
+    second ray's first sample starts a run although its cell is the first ray's last."""
+    grid = _grid(origin=np.zeros(2), resolution=0.1, log_odds=np.zeros((20, 20)))
+    update_grid(grid, Pose(0.95, 0.95, 0.0), np.array([[1.03, 0.95], [0.95, 1.45]]))
+    want = np.zeros((20, 20))
+    want[9, 9] = -0.8
+    want[9, 10:14] = -0.4
+    want[9, 14] = want[10, 9] = 0.85
+    assert grid.log_odds.tolist() == want.tolist()
+
+
 @pytest.mark.parametrize("shape", [(1, 40), (40, 1), (2, 40), (40, 2)])
 def test_update_grid_matches_reference_on_thin_grid(shape):
     """On a grid one or two cells wide, rays from outside enter it, some through cell
