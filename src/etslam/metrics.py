@@ -17,16 +17,23 @@ max(0, |Y| - sum_i |x_i|) estimates pay c^p / alpha each.
 
 ``gospa_baseline`` is the point-target baseline on the same pair costs,
 ``_min_costs`` with each truth point a target of its own.
+
+Both solve their matching with scipy's rectangular LAP solver,
+``linear_sum_assignment`` (Crouse 2016), in either orientation.  The optimal
+total is unique; when several argmins exist the solver breaks the tie and no
+canonical choice is made.  The exhaustive oracle that gates it lives in the
+tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment as solve_assignment
 
-from etslam.assignment import solve_assignment
 from etslam.scene import as_points, require_positive
 
 
@@ -40,6 +47,13 @@ class MetricParams:
         require_positive("metric", c=self.c)
         if not (1.0 <= self.p < np.inf):
             raise ValueError("p must satisfy 1 <= p < inf")
+        # every pair cost lies in [0, 2c^p]; Python's float power raises past the range
+        try:
+            bounded = math.isfinite(2.0 * float(self.c) ** self.p)
+        except OverflowError:
+            bounded = False
+        if not bounded:
+            raise ValueError(f"metric 2*c**p must be a finite float, got c={self.c:g}, p={self.p:g}")
         if not (0.0 < self.alpha <= 2.0):
             raise ValueError("alpha must satisfy 0 < alpha <= 2")
 
@@ -143,7 +157,9 @@ def et_gospa(
     assignment: list[Optional[int]] = [None] * n_x
     sum_pairs = 0.0
     if n_y:
-        rows, cols, sum_pairs = solve_assignment(cost_matrix(targets, estimates, params))
+        costs = cost_matrix(targets, estimates, params)
+        rows, cols = solve_assignment(costs)
+        sum_pairs = float(costs[rows, cols].sum())
         for i, j in zip(rows.tolist(), cols.tolist()):
             assignment[i] = j
     cp = params.c ** params.p
@@ -176,7 +192,9 @@ def gospa_baseline(
     if len(x) == 0 or len(y) == 0:
         return float(((cp / params.alpha) * (len(x) + len(y))) ** (1.0 / params.p))
     # each truth point a one-point target, so a pair costs min(d^p, c^p)
-    *_, matched = solve_assignment(_min_costs(list(x[:, None]), y, params))
+    costs = _min_costs(list(x[:, None]), y, params)
+    rows, cols = solve_assignment(costs)
+    matched = float(costs[rows, cols].sum())
     unmatched = abs(len(x) - len(y))
     return float((matched + (cp / params.alpha) * unmatched) ** (1.0 / params.p))
 

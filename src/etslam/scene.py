@@ -20,14 +20,6 @@ import yaml
 BOUNDARY_TOL = 1e-6
 
 
-class SceneValidationError(ValueError):
-    """A scene document violates the schema or a geometric invariant."""
-
-
-class GeometryError(ValueError):
-    """A geometric precondition was violated (e.g. ray origin inside a target)."""
-
-
 def wrap_angle(a: float) -> float:
     """Normalize an angle to [-pi, pi)."""
     return (a + math.pi) % (2.0 * math.pi) - math.pi
@@ -54,7 +46,7 @@ class Pose:
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.heading)):
-            raise SceneValidationError("pose components must be finite")
+            raise ValueError("pose components must be finite")
         object.__setattr__(self, "heading", wrap_angle(self.heading))
 
     @property
@@ -70,9 +62,9 @@ class Rectangle:
     rotation: float = 0.0
 
     def __post_init__(self):
-        require_positive("rectangle", SceneValidationError, width=self.width, height=self.height)
+        require_positive("rectangle", width=self.width, height=self.height)
         if not np.all(np.isfinite([*self.center, self.rotation])):
-            raise SceneValidationError("rectangle center and rotation must be finite")
+            raise ValueError("rectangle center and rotation must be finite")
 
     def corners(self) -> np.ndarray:
         hw, hh = self.width / 2.0, self.height / 2.0
@@ -97,9 +89,9 @@ class Circle:
     radius: float
 
     def __post_init__(self):
-        require_positive("circle", SceneValidationError, radius=self.radius)
+        require_positive("circle", radius=self.radius)
         if not np.all(np.isfinite(self.center)):
-            raise SceneValidationError("circle center must be finite")
+            raise ValueError("circle center must be finite")
 
     def signed_distance(self, points: np.ndarray) -> np.ndarray:
         d = np.linalg.norm(np.atleast_2d(points) - np.asarray(self.center), axis=-1)
@@ -136,10 +128,10 @@ class ExtendedTarget:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.reference_points, dtype=float))
         if pts.size == 0:
-            raise SceneValidationError(f"target {self.id}: reference_points empty")
+            raise ValueError(f"target {self.id}: reference_points empty")
         sd = self.shape.signed_distance(pts)
         if not np.all(np.abs(sd) <= BOUNDARY_TOL):  # a NaN point is off the boundary too
-            raise SceneValidationError(
+            raise ValueError(
                 f"target {self.id}: reference point off boundary (|sd|={np.abs(sd).max():.2e})"
             )
         object.__setattr__(self, "reference_points", pts)
@@ -158,17 +150,16 @@ class Trajectory:
     def __post_init__(self):
         wp = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
         if wp.shape[0] < 2:
-            raise SceneValidationError("trajectory needs >= 2 waypoints")
-        require_positive("trajectory", SceneValidationError, speed=self.speed,
-                         step_interval=self.step_interval)
+            raise ValueError("trajectory needs >= 2 waypoints")
+        require_positive("trajectory", speed=self.speed, step_interval=self.step_interval)
         if not np.all(np.isfinite(wp)):
-            raise SceneValidationError("trajectory waypoints must be finite")
+            raise ValueError("trajectory waypoints must be finite")
         lengths = np.linalg.norm(np.diff(wp, axis=0), axis=1)
         # a repeated waypoint gives a segment with no heading, and trajectory_pose
         # divides by the length of the segment it ends on
         zero = np.flatnonzero(lengths == 0.0)
         if zero.size:
-            raise SceneValidationError(f"trajectory segment {zero[0]} has zero length")
+            raise ValueError(f"trajectory segment {zero[0]} has zero length")
         for name, value in (("waypoints", wp), ("segment_lengths", lengths),
                             ("cumulative_lengths", np.concatenate([[0.0], np.cumsum(lengths)])),
                             ("closed", bool(np.allclose(wp[0], wp[-1])))):
@@ -259,9 +250,9 @@ class Scene:
 
     def _validate(self):
         if not np.all(np.isfinite([self.bounds_min, self.bounds_max])):
-            raise SceneValidationError("bounds: min and max must be finite")
+            raise ValueError("bounds: min and max must be finite")
         if not np.all(self.bounds_max > self.bounds_min):
-            raise SceneValidationError("bounds: max must exceed min componentwise")
+            raise ValueError("bounds: max must exceed min componentwise")
         for tgt in self.targets:
             if isinstance(tgt.shape, Rectangle):
                 extreme = tgt.shape.corners()
@@ -270,24 +261,21 @@ class Scene:
                 r = tgt.shape.radius
                 extreme = np.array([c - r, c + r])
             if np.any(extreme < self.bounds_min) or np.any(extreme > self.bounds_max):
-                raise SceneValidationError(f"target {tgt.id} extends outside scene bounds")
+                raise ValueError(f"target {tgt.id} extends outside scene bounds")
         wp = self.trajectory.waypoints
         # the bounds are a box, so a segment between two waypoints inside it stays inside
         outside = np.flatnonzero(np.any((wp < self.bounds_min) | (wp > self.bounds_max), axis=1))
         if outside.size:
-            raise SceneValidationError(
-                f"trajectory waypoint {outside[0]} lies outside scene bounds")
+            raise ValueError(f"trajectory waypoint {outside[0]} lies outside scene bounds")
         for tgt in self.targets:
             if np.any(tgt.shape.signed_distance(wp) <= 0.0):
-                raise SceneValidationError(
-                    f"trajectory waypoint inside target {tgt.id}"
-                )
+                raise ValueError(f"trajectory waypoint inside target {tgt.id}")
         # one ray per segment, from its start along it
         lengths = self.trajectory.segment_lengths
         t = _cast_rays(self, wp[:-1], (np.diff(wp, axis=0) / lengths[:, None])[:, None])
         blocked = np.flatnonzero(t[:, 0] < lengths)
         if blocked.size:
-            raise SceneValidationError(f"trajectory segment {blocked[0]} intersects a target")
+            raise ValueError(f"trajectory segment {blocked[0]} intersects a target")
 
     def contains_point_in_target(self, points: np.ndarray) -> np.ndarray:
         """Whether each point of ``points``, shape (..., 2), lies strictly inside a
@@ -434,7 +422,7 @@ def ground_truth_scans(
         block = poses[start:start + RAY_BLOCK]
         origins = np.array([[p.x, p.y] for p in block])
         if scene.contains_point_in_target(origins).any():
-            raise GeometryError("scan origin lies inside a target")
+            raise ValueError("scan origin lies inside a target")
         world = np.array([p.heading for p in block])[:, None] + bearings
         dirs = polar_points(1.0, world)  # (P, B, 2)
         t = _cast_rays(scene, origins, dirs)
@@ -464,7 +452,7 @@ def ground_truth_scan(
 
 def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
-        raise SceneValidationError(f"{where}: missing field '{key}'")
+        raise ValueError(f"{where}: missing field '{key}'")
     return mapping[key]
 
 
@@ -493,15 +481,14 @@ def convert(value, kind):
     return value
 
 
-def require_positive(what: str = "", error: type = ValueError, *, or_zero: bool = False,
-                     **values) -> None:
-    """Raise ``error("<what> <name> must be finite and > 0")`` for the first of ``values``
+def require_positive(what: str = "", *, or_zero: bool = False, **values) -> None:
+    """Raise ``ValueError("<what> <name> must be finite and > 0")`` for the first of ``values``
     outside that range (``>= 0`` with ``or_zero``); NaN and inf are outside both.  With
     no ``what``, the name alone."""
     for name, value in values.items():
         if not ((0.0 <= value if or_zero else 0.0 < value) and value < math.inf):
             bound = ">= 0" if or_zero else "> 0"
-            raise error(f"{what} {name} must be finite and {bound}".lstrip())
+            raise ValueError(f"{what} {name} must be finite and {bound}".lstrip())
 
 
 def as_radians(value) -> float:
@@ -582,17 +569,17 @@ _SHAPES = {
 
 def _parse_target(doc: dict) -> ExtendedTarget:
     if type(doc) is not dict:
-        raise SceneValidationError(f"scene: key 'targets': expected a mapping, got {doc!r}")
+        raise ValueError(f"scene: key 'targets': expected a mapping, got {doc!r}")
     where = f"target {_require(doc, 'id', 'target')}"
     kind = _require(doc, "kind", where)
     if type(kind) is not str or kind not in _SHAPES:
-        raise SceneValidationError(f"{where}: unknown kind '{kind}' (expected rect|circle)")
+        raise ValueError(f"{where}: unknown kind '{kind}' (expected rect|circle)")
     shape_cls, shape_keys, required = _SHAPES[kind]
     target, shape_kw = parse_section(doc, where, _TARGET_KEYS, shape_keys, required=required)
     try:
         shape = shape_cls(**shape_kw)
-    except SceneValidationError as exc:
-        raise SceneValidationError(f"{where}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
     refs = target.get("reference_points")
     if refs is None:
         refs = reference_points(shape, target.get("ref_count", DEFAULT_REF_COUNT))
@@ -606,12 +593,12 @@ def load_scene(source: Union[str, Path, dict]) -> Scene:
     """
     doc = source if isinstance(source, dict) else yaml.safe_load(Path(source).read_text())
     if not isinstance(doc, dict):
-        raise SceneValidationError("scene document must be a mapping")
+        raise ValueError("scene document must be a mapping")
     [sections] = parse_section(doc, "scene", _SCENE_KEYS, required=_SCENE_KEYS)
     targets = [_parse_target(t) for t in sections["targets"]]
     ids = [t.id for t in targets]
     if len(set(ids)) != len(ids):
-        raise SceneValidationError("duplicate target ids")
+        raise ValueError("duplicate target ids")
     [trajectory] = parse_section(sections["trajectory"], "trajectory", _TRAJECTORY_KEYS,
                                  required=_TRAJECTORY_KEYS)
     [bounds] = parse_section(sections["bounds"], "bounds", _BOUNDS_KEYS, required=_BOUNDS_KEYS)

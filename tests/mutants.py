@@ -6,22 +6,27 @@ Run from the repository root:
 
 Each mutant is (file under ``src/``, old line, new line, test ids).  The old
 line must occur exactly once in its file, as a whole line.  ``src/`` is copied
-once; each mutant in turn is applied to that copy, only its named tests run
-against it, and the file is restored.  A mutant survives when those tests pass;
-the script exits non-zero if any mutant survives or cannot be applied.  pytest
-does not collect this file.
+once per worker; each mutant is applied to a free copy, only its named tests
+run against it, and the file is restored.  ``WORKERS`` mutants run at a time,
+and the results print in the table's order.  A mutant survives when those
+tests pass; the script exits non-zero if any mutant survives or cannot be
+applied.  pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# mutants checked at once, each in its own copy of src/ and its own pytest process
+WORKERS = 2
 
 MUTANTS = (
     # the empty-grid check trusts the gathered candidate values alone
@@ -121,6 +126,32 @@ MUTANTS = (
      "    rank = np.arange(kept.size) - ranked.searchsorted(ranked)",
      "    rank = np.arange(kept.size)",
      ["tests/test_ofdm.py::test_detect_peaks_mask_matches_greedy_reference"]),
+    # a run that does not end on the snapshot cadence loses its final snapshot
+    ("etslam/slam.py",
+     "        if k % every == 0 or k == n_steps:",
+     "        if k % every == 0:",
+     ["tests/test_harness.py::test_run_trial_snapshots_the_final_step_off_the_cadence"]),
+    # a segment counts as blocked only by a target in its first half
+    ("etslam/scene.py",
+     "        blocked = np.flatnonzero(t[:, 0] < lengths)",
+     "        blocked = np.flatnonzero(t[:, 0] < 0.5 * lengths)",
+     ["tests/test_scene.py::test_trajectory_blocked_past_segment_midpoint_rejected"]),
+    # a waypoint on a target's boundary counts as outside it
+    ("etslam/scene.py",
+     "            if np.any(tgt.shape.signed_distance(wp) <= 0.0):",
+     "            if np.any(tgt.shape.signed_distance(wp) < 0.0):",
+     ["tests/test_scene.py::test_waypoint_on_target_boundary_rejected"]),
+    # a path at exactly c0/(2*delta_f), which wraps to range 0, is sensed
+    ("etslam/ofdm.py",
+     "    if np.any(gt.ranges >= cfg.unambiguous_range):",
+     "    if np.any(gt.ranges > cfg.unambiguous_range):",
+     ["tests/test_ofdm.py::test_unambiguous_window_closed_at_its_bound"]),
+    # a (c, p) whose pair-cost bound 2c^p overflows a float constructs
+    ("etslam/metrics.py",
+     '            raise ValueError(f"metric 2*c**p must be a finite float, got c={self.c:g}, '
+     'p={self.p:g}")',
+     "            pass",
+     ["tests/test_metrics.py::test_params_refuse_pair_cost_bound_past_float_range"]),
 )
 
 
@@ -152,32 +183,47 @@ def run(src: Path, env: dict, path: str, old: str, new: str,
     return proc.returncode == 1, (proc.stdout.strip().splitlines() or [""])[-1]
 
 
+def copy_src(dest: Path) -> tuple[Path, dict]:
+    """A copy of ``src/`` at ``dest`` and the environment whose tests import etslam from
+    it."""
+    shutil.copytree(ROOT / "src", dest, ignore=shutil.ignore_patterns("__pycache__"))
+    # no child writes bytecode, so no version of a file loads another's .pyc: its
+    # check reads only size and whole-second mtime, which a same-size line rewritten
+    # within the same second keeps
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(dest), os.environ.get("PYTHONPATH")])))
+    found = subprocess.run([sys.executable, "-c", "import etslam; print(etslam.__file__)"],
+                           env=env, cwd=ROOT, capture_output=True, text=True, check=True)
+    if not Path(found.stdout.strip()).is_relative_to(dest):
+        raise RuntimeError(f"the tests would import etslam from {found.stdout.strip()}")
+    return dest, env
+
+
 def main() -> int:
-    survived = 0
     with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        # no child writes bytecode, so no version of a file loads another's .pyc: its
-        # check reads only size and whole-second mtime, which a same-size line rewritten
-        # within the same second keeps
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        found = subprocess.run([sys.executable, "-c", "import etslam; print(etslam.__file__)"],
-                               env=env, cwd=ROOT, capture_output=True, text=True, check=True)
-        if not Path(found.stdout.strip()).is_relative_to(src):
-            raise RuntimeError(f"the tests would import etslam from {found.stdout.strip()}")
-        for path, old, new, tests in MUTANTS:
+        free = queue.SimpleQueue()
+        for k in range(WORKERS):
+            free.put(copy_src(Path(tmp) / f"src{k}"))
+
+        def check(mutant) -> tuple[bool, str]:
+            path, old, new, tests = mutant
+            src, env = free.get()
             try:
                 killed, summary = run(src, env, path, old, new, tests)
             except ValueError as exc:
-                print(f"NOT APPLIED {exc}")
-                survived += 1
-                continue
-            print(f"{'killed  ' if killed else 'SURVIVED'} {path}: {old.strip()!r} -> "
-                  f"{new.strip()!r} ({summary})")
-            survived += not killed
-    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
-    return 1 if survived else 0
+                return False, f"NOT APPLIED {exc}"
+            finally:
+                free.put((src, env))
+            return killed, (f"{'killed  ' if killed else 'SURVIVED'} {path}: {old.strip()!r} -> "
+                            f"{new.strip()!r} ({summary})")
+
+        killed = 0
+        with ThreadPoolExecutor(WORKERS) as pool:
+            for ok, line in pool.map(check, MUTANTS):
+                print(line, flush=True)
+                killed += ok
+    print(f"{killed} of {len(MUTANTS)} mutants killed")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":

@@ -209,6 +209,20 @@ def test_read_csv_rejects_non_finite_field(tmp_path, capsys, row):
     assert "truth.csv:3: non-finite value" in capsys.readouterr().err
 
 
+def test_metric_refuses_pair_cost_bound_past_float_range(tmp_path, capsys):
+    """This printed a bare ``(34, 'Numerical result out of range')``."""
+    truth = tmp_path / "truth.csv"
+    truth.write_text("target_id,x,y\n1,0,0\n")
+    est = tmp_path / "est.csv"
+    est.write_text("0,0\n")
+    assert main(["metric", "et-gospa", "--truth", str(truth), "--est", str(est),
+                 "--c", "1e10", "--p", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "etslam: error: metric 2*c**p must be a finite float, got c=1e+10, p=40\n")
+
+
 def test_metric_rejects_fractional_target_id(tmp_path, capsys):
     """Ids 1.2 and 1.7 were truncated into one target 1."""
     truth = tmp_path / "truth.csv"

@@ -339,6 +339,15 @@ def test_out_of_range_value_rejected_at_load(path, key, value, message):
         load_experiment(doc)
 
 
+def test_metric_pair_cost_bound_refused_at_load():
+    """This loaded, and the first snapshot's ``et_gospa`` raised a bare OverflowError."""
+    doc = tiny_doc()
+    doc["metric"] = yaml.safe_load("{c: 1.0e10, p: 40}")
+    with pytest.raises(ValueError,
+                       match=r"^metric 2\*c\*\*p must be a finite float, got c=1e\+10, p=40$"):
+        load_experiment(doc)
+
+
 def test_int_leaf_at_int64_bounds_loads():
     assert load_experiment(tiny_doc(seed=2**63 - 1)).seed == 2**63 - 1
     assert load_experiment(tiny_doc(estimate_cap=float(2**62))).estimate_cap == 2**62
@@ -552,6 +561,13 @@ def test_distinct_trials_differ():
     cfg = load_experiment(tiny_doc())
     r0, r1 = run_trial(cfg, 0), run_trial(cfg, 1)
     assert not np.array_equal(r0.map_points, r1.map_points)
+
+
+def test_run_trial_snapshots_the_final_step_off_the_cadence():
+    """A run that does not end on the snapshot cadence still reports its last step."""
+    cfg = dataclasses.replace(load_experiment("ci.yaml"), duration=3.5, snapshot_cadence=1.0,
+                              trials=1)
+    assert run_trial(cfg, 0).times.tolist() == [1.0, 2.0, 3.0, 3.5]
 
 
 class _FirstDraws(Exception):

@@ -8,14 +8,15 @@ with the package implementation and gates it on random instances.
 import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from etslam import harness, metrics
-from etslam.assignment import solve_assignment
 from etslam.metrics import (
     EtGospaResult,
     MetricParams,
@@ -385,6 +386,24 @@ def test_invalid_params_rejected():
         MetricParams(alpha=3.0)
 
 
+@pytest.mark.parametrize("c, p, shown", [
+    (1e10, 40.0, "c=1e+10, p=40"), (5.0, 1e300, "c=5, p=1e+300"),
+    (1e200, 2.0, "c=1e+200, p=2"),
+    # c^p is finite here, 2c^p is not
+    (np.nextafter(sys.float_info.max / 2, math.inf), 1.0, "c=8.98847e+307, p=1"),
+], ids=["c1e10-p40", "c5-p1e300", "c1e200-p2", "2c-past-max"])
+def test_params_refuse_pair_cost_bound_past_float_range(c, p, shown):
+    """A pair cost lies in [0, 2c^p]: each of these constructed, and the first
+    ``et_gospa`` raised a bare ``OverflowError: (34, 'Numerical result out of range')``."""
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(f'metric 2*c**p must be a finite float, got {shown}')}$"):
+        MetricParams(c=c, p=p)
+
+
+def test_params_accept_largest_finite_pair_cost_bound():
+    assert 2.0 * MetricParams(c=sys.float_info.max / 2, p=1.0).c == sys.float_info.max
+
+
 def test_missed_target_surcharge():
     # one estimate, two targets: unmatched target pays 2 c^p
     targets = [np.array([[0.0, 0.0]]), np.array([[50.0, 0.0]])]
@@ -551,7 +570,8 @@ def test_gospa_baseline_matches_its_pair_matrix(p):
         x = rng.uniform(-4.0, 4.0, (n_x, 2))
         y = rng.uniform(-4.0, 4.0, (n_y, 2))
         d2 = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1)
-        *_, matched = solve_assignment(np.minimum(d2 ** p, cp))
+        costs = np.minimum(d2 ** p, cp)
+        matched = costs[linear_sum_assignment(costs)].sum()
         want = (matched + (cp / params.alpha) * abs(n_x - n_y)) ** (1.0 / p)
         assert gospa_baseline(x, y, params) == want
 

@@ -30,7 +30,8 @@ from etslam.ofdm import (
     detect_peaks,
     sense,
 )
-from etslam.scene import Pose, ground_truth_scan, load_scene, polar_points, trajectory_pose
+from etslam.scene import (GroundTruthScan, Pose, ground_truth_scan, load_scene, polar_points,
+                          trajectory_pose)
 
 TABLE = dict(fc=28.0e9, delta_f=1.2e5, n_subcarriers=10240, n_tx=32, d_over_lambda=0.5)
 # the frame model's symbol duration T = Tp + Tc under the table numerology: the
@@ -310,6 +311,23 @@ def test_out_of_window_paths_rejected():
     scene = _one_circle_scene(cfg.unambiguous_range + 10.0)
     with pytest.raises(ValueError, match="^path range outside unambiguous window c0/"):
         _sense_at(scene, Pose(3.0, 3.0, 0.0), _sensor(cfg), np.random.default_rng(0))
+
+
+def test_unambiguous_window_closed_at_its_bound():
+    """A path at exactly c0/(2*delta_f), about 125 m at ``ci.yaml``'s spacing, wraps to 0
+    and is refused; the float just below it is sensed."""
+    exp = load_experiment("ci.yaml")
+    cfg = dataclasses.replace(exp.waveform, snr_db=None)
+    sensor = dataclasses.replace(exp, backend="ofdm", waveform=cfg).make_sensor()
+    rng = np.random.default_rng(0)
+
+    def one_path(r):
+        return GroundTruthScan(bearings=sensor.bearings[:1], ranges=np.array([r]),
+                               points=np.zeros((1, 2)))
+
+    with pytest.raises(ValueError, match="^path range outside unambiguous window c0/"):
+        sense(one_path(cfg.unambiguous_range), sensor, rng)
+    assert len(sense(one_path(np.nextafter(cfg.unambiguous_range, 0.0)), sensor, rng)) > 0
 
 
 def test_snr_calibration():

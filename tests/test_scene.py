@@ -15,11 +15,9 @@ from etslam import scene as scene_module
 from etslam.clustering import recovered_target_count
 from etslam.scene import (
     Circle,
-    GeometryError,
     Pose,
     Rectangle,
     Scene,
-    SceneValidationError,
     ExtendedTarget,
     RAY_BLOCK,
     RAY_MIN_T,
@@ -70,28 +68,44 @@ def test_default_scene_composition():
 
 
 def test_zero_width_rectangle_rejected():
-    with pytest.raises(SceneValidationError):
+    with pytest.raises(ValueError, match=r"^target 1: rectangle width must be finite and > 0$"):
         _simple_scene(targets=[
             {"id": 1, "kind": "rect", "center": [10.0, 0.0], "width": 0.0, "height": 2.0},
         ])
 
 
 def test_waypoint_inside_target_rejected():
-    with pytest.raises(SceneValidationError):
+    with pytest.raises(ValueError, match=r"^trajectory waypoint inside target 1$"):
         _simple_scene(waypoints=[[10.0, 0.0], [0.0, -5.0]])
 
 
 def test_trajectory_through_target_rejected():
-    with pytest.raises(SceneValidationError):
+    with pytest.raises(ValueError, match=r"^trajectory segment 0 intersects a target$"):
         _simple_scene(waypoints=[[0.0, 0.0], [20.0, 0.0]])
 
 
 def test_trajectory_first_blocked_segment_named():
     """Segment 0 is clear, segments 1 and 2 both cross the rectangle: 1 is named."""
     waypoints = [[0.0, -5.0], [5.0, 0.0], [15.0, 0.0], [5.0, 0.5]]
-    with pytest.raises(SceneValidationError,
-                       match=r"^trajectory segment 1 intersects a target$"):
+    with pytest.raises(ValueError, match=r"^trajectory segment 1 intersects a target$"):
         _simple_scene(waypoints=waypoints)
+
+
+def test_trajectory_blocked_past_segment_midpoint_rejected():
+    """The target sits 14 m along the 20 m first leg of the packaged loop."""
+    doc = yaml.safe_load(Path(DEFAULT_SCENE).read_text())
+    doc["targets"].append({"id": 11, "kind": "rect", "center": [20.0, 5.0], "width": 2.0,
+                           "height": 2.0})
+    with pytest.raises(ValueError, match=r"^trajectory segment 0 intersects a target$"):
+        load_scene(doc)
+
+
+def test_waypoint_on_target_boundary_rejected():
+    """Waypoint 1 lies on the left edge of the rectangle: on a boundary counts as inside."""
+    with pytest.raises(ValueError, match=r"^trajectory waypoint inside target 1$"):
+        _simple_scene(targets=[{"id": 1, "kind": "rect", "center": [15.0, 15.0], "width": 2.0,
+                                "height": 2.0}],
+                      waypoints=[[5.0, 5.0], [14.0, 15.0], [5.0, 25.0]])
 
 
 @pytest.mark.parametrize("index, waypoint", [(1, [45.0, 5.0]), (3, [5.0, -0.5])])
@@ -99,7 +113,7 @@ def test_waypoint_outside_bounds_rejected(index, waypoint):
     """Both loaded: the packaged scene's bounds are [0, 30] on each axis."""
     doc = yaml.safe_load(Path(DEFAULT_SCENE).read_text())
     doc["trajectory"]["waypoints"][index] = waypoint
-    with pytest.raises(SceneValidationError,
+    with pytest.raises(ValueError,
                        match=f"^trajectory waypoint {index} lies outside scene bounds$"):
         load_scene(doc)
 
@@ -111,13 +125,14 @@ def test_waypoint_on_bounds_accepted():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(SceneValidationError):
+    with pytest.raises(ValueError,
+                       match=r"^target 1: unknown kind 'triangle' \(expected rect\|circle\)$"):
         _simple_scene(targets=[{"id": 1, "kind": "triangle", "center": [5.0, 5.0]}])
 
 
 @pytest.mark.parametrize("kind", [[], {}], ids=["list", "mapping"])
 def test_unhashable_kind_rejected_with_location(kind):
-    with pytest.raises(SceneValidationError, match=r"^target 3: unknown kind"):
+    with pytest.raises(ValueError, match=r"^target 3: unknown kind"):
         _simple_scene(targets=[{"id": 3, "kind": kind, "center": [5.0, 5.0], "radius": 1.0}])
 
 
@@ -164,7 +179,7 @@ def test_coordinates_fail_loudly(path, value, message):
 ], ids=["rect-center", "rect-rotation", "circle-center", "scene-bounds", "rect-width",
         "rect-height", "circle-radius"])
 def test_shapes_and_scene_built_in_code_reject_non_finite(build):
-    with pytest.raises(SceneValidationError, match="must be finite"):
+    with pytest.raises(ValueError, match="must be finite"):
         build()
 
 
@@ -182,7 +197,7 @@ def test_huge_target_id_loads_and_counts():
 
 
 def test_duplicate_ids_rejected():
-    with pytest.raises(SceneValidationError):
+    with pytest.raises(ValueError, match=r"^duplicate target ids$"):
         _simple_scene(targets=[
             {"id": 1, "kind": "circle", "center": [0.0, 10.0], "radius": 1.0},
             {"id": 1, "kind": "circle", "center": [10.0, 10.0], "radius": 1.0},
@@ -190,14 +205,15 @@ def test_duplicate_ids_rejected():
 
 
 def test_target_outside_bounds_rejected():
-    with pytest.raises(SceneValidationError):
+    with pytest.raises(ValueError, match=r"^target 1 extends outside scene bounds$"):
         _simple_scene(targets=[
             {"id": 1, "kind": "circle", "center": [39.5, 0.0], "radius": 1.0},
         ])
 
 
 def test_explicit_ref_points_validated():
-    with pytest.raises(SceneValidationError):
+    with pytest.raises(ValueError,
+                       match=r"^target 1: reference point off boundary \(\|sd\|=1\.00e\+00\)$"):
         _simple_scene(targets=[
             {"id": 1, "kind": "circle", "center": [0.0, 10.0], "radius": 1.0,
              "ref_points": [[0.0, 10.0]]},  # center, not boundary
@@ -280,7 +296,7 @@ def test_raycast_circle():
 
 def test_raycast_origin_inside_target_rejected():
     scene = _simple_scene()
-    with pytest.raises(GeometryError):
+    with pytest.raises(ValueError, match=r"^scan origin lies inside a target$"):
         _one_ray(scene, np.array([10.0, 0.0]), 0.0)
 
 
@@ -679,7 +695,7 @@ def test_ground_truth_scans_reject_origin_inside_target_mid_block():
     scene = _simple_scene()  # rect centred (10, 0) of side 2
     poses = [Pose(0.0, float(-k), 0.0) for k in range(RAY_BLOCK + 3)]
     poses[RAY_BLOCK + 1] = Pose(10.0, 0.0, 0.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(ValueError, match=r"^scan origin lies inside a target$"):
         list(ground_truth_scans(scene, poses, [0.0]))
 
 
@@ -708,7 +724,7 @@ def test_ground_truth_scans_cast_one_block_at_a_time(monkeypatch):
     for _ in range(RAY_BLOCK):
         next(scans)
     assert cast == [RAY_BLOCK]
-    with pytest.raises(GeometryError):
+    with pytest.raises(ValueError, match=r"^scan origin lies inside a target$"):
         next(scans)
     assert cast == [RAY_BLOCK]
 
