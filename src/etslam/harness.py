@@ -180,17 +180,17 @@ def load_experiment(source: Union[str, Path, dict]) -> ExperimentConfig:
         try:
             apply_condition(cfg, condition)
         except ValueError as exc:
-            if str(exc).startswith("sweep condition"):  # a parse error, which says so already
-                raise
-            name = condition.get("name", f"condition_{k}")
+            named = type(condition) is dict and "name" in condition
+            name = condition["name"] if named else f"condition_{k}"
             raise ValueError(f"sweep condition '{name}': {exc}") from None
     _condition_names(cfg.sweep_conditions)
     return cfg
 
 
 def apply_condition(cfg: ExperimentConfig, condition: dict) -> ExperimentConfig:
-    """Override the backend, the noise magnitudes and the waveform SNR for one sweep condition."""
-    updates, error_model, extra = parse_section(condition, "sweep condition", {
+    """Override the backend, the noise magnitudes and the waveform SNR for one sweep
+    condition; ``load_experiment``, which applies each, names it in a refusal."""
+    updates, error_model, extra = parse_section(condition, "", {
         "backend": _SENSOR_KEYS["backend"]}, _ERROR_MODEL_KEYS, _CONDITION_KEYS)
     if error_model:
         updates["error_model"] = dataclasses.replace(cfg.error_model, **error_model)

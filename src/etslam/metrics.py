@@ -69,21 +69,6 @@ class EtGospaResult:
     extra_count: int
 
 
-class _TargetSets(list):
-    """Target sets checked by ``_as_target_sets``.  ``et_gospa`` checks its estimates
-    beside them, so ``cost_matrix`` takes both from it as they are."""
-
-
-def _as_target_sets(targets: Sequence[np.ndarray]) -> _TargetSets:
-    out = _TargetSets()
-    for i, pts in enumerate(targets):
-        arr = as_points(pts, f"target {i}")
-        if len(arr) == 0:
-            raise ValueError(f"target {i} has no points")
-        out.append(arr)
-    return out
-
-
 # Cells of the (truth points, |Y|) distance array built at once: 2 MB per float64
 # temporary.  A larger truth set goes in groups of whole consecutive targets.
 _CELL_BUDGET = 2**18
@@ -92,6 +77,7 @@ _CELL_BUDGET = 2**18
 def _min_costs(targets: list[np.ndarray], estimates: np.ndarray, params: MetricParams):
     """D[i, j] = min_k d_c(x_{i,k}, y_j)^p, shape (|X|, |Y|), clamped after the power to
     the scalar c**p, so D <= c^p bit for bit (numpy's power of c can differ from it).
+    Either set may be empty.  Overflow is silenced: the clamp maps its inf to c^p.
 
     The squared distances are ``dx*dx + dy*dy``, x term first, the sum that
     ``np.sum(diff**2, axis=-1)`` over a (K, |Y|, 2) array gives, so D is the same
@@ -103,32 +89,36 @@ def _min_costs(targets: list[np.ndarray], estimates: np.ndarray, params: MetricP
     """
     ex, ey = estimates.T
     ends = np.cumsum([len(pts) for pts in targets])
-    rows_budget = _CELL_BUDGET // len(estimates)
+    rows_budget = _CELL_BUDGET // max(len(estimates), 1)
     d = np.empty((len(targets), len(estimates)))
     lo = 0
-    while lo < len(targets):
-        base = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, base + rows_budget, side="right")))
-        x, y = np.concatenate(targets[lo:hi]).T
-        d2 = x[:, None] - ex
-        dy = y[:, None] - ey
-        d2 *= d2
-        dy *= dy
-        d2 += dy  # dx*dx + dy*dy, in place
-        np.minimum.reduceat(d2, np.append(0, ends[lo:hi - 1] - base), axis=0, out=d[lo:hi])
-        lo = hi
-    return np.minimum(d ** params.p, params.c ** params.p)
+    with np.errstate(over="ignore"):
+        while lo < len(targets):
+            base = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, base + rows_budget, side="right")))
+            x, y = np.concatenate(targets[lo:hi]).T
+            d2 = x[:, None] - ex
+            dy = y[:, None] - ey
+            d2 *= d2
+            dy *= dy
+            d2 += dy  # dx*dx + dy*dy, in place
+            np.minimum.reduceat(d2, np.append(0, ends[lo:hi - 1] - base), axis=0, out=d[lo:hi])
+            lo = hi
+        return np.minimum(d ** params.p, params.c ** params.p)
 
 
 def cost_matrix(
     targets: Sequence[np.ndarray], estimates: np.ndarray, params: MetricParams
 ) -> np.ndarray:
-    """Pair cost E of every target against every estimate, shape (|X|, |Y|)."""
-    if not isinstance(targets, _TargetSets):
-        targets = _as_target_sets(targets)
-        estimates = as_points(estimates, "estimates")
-    if len(targets) == 0 or len(estimates) == 0:
-        raise ValueError("targets and estimates must be non-empty")
+    """Pair cost E of every target against every estimate, shape (|X|, |Y|), and the one
+    check of ``et_gospa``'s point sets: one target or more, none empty; |Y| may be 0."""
+    targets = [as_points(pts, f"target {i}") for i, pts in enumerate(targets)]
+    if not targets:
+        raise ValueError("at least one target required")
+    for i, pts in enumerate(targets):
+        if len(pts) == 0:
+            raise ValueError(f"target {i} has no points")
+    estimates = as_points(estimates, "estimates")
     d = _min_costs(targets, estimates, params)
     cp = params.c ** params.p
     # min over the other targets via the two smallest values per column; a row at
@@ -141,37 +131,36 @@ def cost_matrix(
     return cp + d - others_min
 
 
+def _value(bracket: float, params: MetricParams) -> float:
+    """The metric's value bracket^(1/p); a bracket past the float range is refused."""
+    if not math.isfinite(bracket):
+        raise ValueError(f"metric value is not a finite float at c={params.c:g}, "
+                         f"p={params.p:g}, alpha={params.alpha:g}")
+    return float(bracket ** (1.0 / params.p))
+
+
 def et_gospa(
     targets: Sequence[np.ndarray],
     estimates: np.ndarray,
     params: MetricParams = MetricParams(),
 ) -> EtGospaResult:
     """Extended-target mapping error between truth sets X and estimates Y."""
-    targets = _as_target_sets(targets)
-    if len(targets) == 0:
-        raise ValueError("at least one target required")
-    estimates = as_points(estimates, "estimates")
-    n_x, n_y = len(targets), len(estimates)
-    n_truth_points = sum(len(t) for t in targets)
-
+    costs = cost_matrix(targets, estimates, params)
+    n_x, n_y = costs.shape
+    rows, cols = solve_assignment(costs)
+    sum_pairs = float(costs[rows, cols].sum())
     assignment: list[Optional[int]] = [None] * n_x
-    sum_pairs = 0.0
-    if n_y:
-        costs = cost_matrix(targets, estimates, params)
-        rows, cols = solve_assignment(costs)
-        sum_pairs = float(costs[rows, cols].sum())
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            assignment[i] = j
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        assignment[i] = j
     cp = params.c ** params.p
     missed = max(0, n_x - n_y)
-    extra = max(0, n_y - n_truth_points)
+    extra = max(0, n_y - sum(len(t) for t in targets))
     cardinality = (cp / params.alpha) * extra
-    # each missed target pays the supremum of E: own term c^p, subtrahend 0
-    bracket = sum_pairs + missed * 2.0 * cp + cardinality
     return EtGospaResult(
-        value=float(bracket ** (1.0 / params.p)),
+        # each missed target pays the supremum of E: own term c^p, subtrahend 0
+        value=_value(sum_pairs + missed * 2.0 * cp + cardinality, params),
         assignment=tuple(assignment),
-        sum_pair_costs=float(sum_pairs),
+        sum_pair_costs=sum_pairs,
         cardinality_term=float(cardinality),
         missed_count=missed,
         extra_count=extra,
@@ -186,17 +175,12 @@ def gospa_baseline(
     """Point-target GOSPA with the clamped squared ground cost."""
     x = as_points(truth_points, "truth points")
     y = as_points(estimates, "estimates")
-    cp = params.c ** params.p
-    if len(x) == 0 and len(y) == 0:
-        return 0.0
-    if len(x) == 0 or len(y) == 0:
-        return float(((cp / params.alpha) * (len(x) + len(y))) ** (1.0 / params.p))
     # each truth point a one-point target, so a pair costs min(d^p, c^p)
     costs = _min_costs(list(x[:, None]), y, params)
     rows, cols = solve_assignment(costs)
     matched = float(costs[rows, cols].sum())
     unmatched = abs(len(x) - len(y))
-    return float((matched + (cp / params.alpha) * unmatched) ** (1.0 / params.p))
+    return _value(matched + (params.c ** params.p / params.alpha) * unmatched, params)
 
 
 def location_mse(truth: Sequence, estimate: Sequence) -> np.ndarray:

@@ -529,22 +529,24 @@ def parse_section(doc, section: str, *tables: dict, required=()) -> list[dict]:
     Each table maps a document key to ``(field, kind)`` for ``convert``.
     Only present keys are passed on, so defaults live on the dataclasses
     alone.  An unknown key, a value that does not convert and a missing
-    ``required`` key raise ValueError naming ``section`` and the key.
+    ``required`` key raise ValueError naming ``section`` and the key; with an
+    empty ``section``, the key alone, for the caller to locate.
     """
+    where = f"{section}: " if section else ""
     if type(doc) is not dict:
-        raise ValueError(f"{section}: expected a mapping, got {doc!r}")
+        raise ValueError(f"{where}expected a mapping, got {doc!r}")
     for key in required:
         _require(doc, key, section)
     out: list[dict] = [{} for _ in tables]
     for key, value in doc.items():
         i = next((i for i, table in enumerate(tables) if key in table), None)
         if i is None:
-            raise ValueError(f"{section}: unknown key '{key}'")
+            raise ValueError(f"{where}unknown key '{key}'")
         name, kind = tables[i][key]
         try:
             out[i][name] = convert(value, kind)
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"{section}: key '{key}': {exc}") from None
+            raise ValueError(f"{where}key '{key}': {exc}") from None
     return out
 
 

@@ -152,6 +152,21 @@ MUTANTS = (
      'p={self.p:g}")',
      "            pass",
      ["tests/test_metrics.py::test_params_refuse_pair_cost_bound_past_float_range"]),
+    # a metric value past the float range reads inf
+    ("etslam/metrics.py",
+     "    if not math.isfinite(bracket):",
+     "    if False:",
+     ["tests/test_metrics.py::test_value_past_float_range_refused[et_gospa-extra]"]),
+    # no estimates divide the rows budget by zero
+    ("etslam/metrics.py",
+     "    rows_budget = _CELL_BUDGET // max(len(estimates), 1)",
+     "    rows_budget = _CELL_BUDGET // len(estimates)",
+     ["tests/test_metrics.py::test_no_estimates"]),
+    # an empty target is scored, or fails in reduceat
+    ("etslam/metrics.py",
+     '            raise ValueError(f"target {i} has no points")',
+     "            pass",
+     ["tests/test_metrics.py::test_empty_target_refused[first-et_gospa]"]),
 )
 
 

@@ -223,6 +223,20 @@ def test_metric_refuses_pair_cost_bound_past_float_range(tmp_path, capsys):
         "etslam: error: metric 2*c**p must be a finite float, got c=1e+10, p=40\n")
 
 
+def test_metric_refuses_a_value_past_float_range(tmp_path, capsys):
+    """Three extra estimates at c^p/alpha = 1e310 each printed ``value inf`` and exited 0."""
+    truth = tmp_path / "truth.csv"
+    truth.write_text("target_id,x,y\n1,0,0\n")
+    est = tmp_path / "est.csv"
+    est.write_text("0,0\n1,0\n2,0\n3,0\n")
+    assert main(["metric", "et-gospa", "--truth", str(truth), "--est", str(est),
+                 "--c", "1e10", "--alpha", "1e-300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "etslam: error: metric value is not a finite float at c=1e+10, p=1, alpha=1e-300\n")
+
+
 def test_metric_rejects_fractional_target_id(tmp_path, capsys):
     """Ids 1.2 and 1.7 were truncated into one target 1."""
     truth = tmp_path / "truth.csv"

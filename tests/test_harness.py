@@ -157,7 +157,7 @@ def _section(doc, path):
     (6, ("metric",), "metric"),
     (7, ("run",), "run"),
     (8, ("sweep",), "sweep"),
-    (9, ("sweep", "conditions", 1), "sweep condition"),
+    (9, ("sweep", "conditions", 1), "sweep condition 'noisy'"),
     (10, ("scene",), "scene"),
     (11, ("scene", "bounds"), "bounds"),
     (12, ("scene", "targets", 0), "target 1"),
@@ -181,7 +181,7 @@ def test_unknown_key_names_section_and_key(path, section):
     (7, ("cluster",), "eps", [0.5], "cluster"),
     (8, ("metric",), "c", None, "metric"),
     (9, ("waveform",), "N", 4.5, "waveform"),
-    (10, ("sweep", "conditions", 0), "snr_db", "high", "sweep condition"),
+    (10, ("sweep", "conditions", 0), "snr_db", "high", "sweep condition 'clean'"),
     (11, ("scene", "targets", 0), "width", True, "target 1"),
     (12, ("scene", "trajectory"), "waypoints", [0.0, 1.0], "trajectory"),
     (13, ("scene", "bounds"), "min", [0.0, 0.0, 0.0], "bounds"),
@@ -204,7 +204,7 @@ def test_condition_rejects_other_sensor_keys(key, value):
     """A condition sets only the backend, the noise magnitudes and the SNR."""
     doc = full_doc()
     doc["sweep"]["conditions"][0][key] = value
-    with pytest.raises(ValueError, match=f"^sweep condition: unknown key '{key}'$"):
+    with pytest.raises(ValueError, match=f"^sweep condition 'clean': unknown key '{key}'$"):
         load_experiment(doc)
 
 
@@ -412,11 +412,17 @@ def test_condition_name_must_be_one_path_component(name):
     ({}, {"name": "b", "backend": "ofdm"}, "b", "ofdm backend requires a waveform section"),
     ({}, {"name": "b", "delta_r_m": -1.0}, "b", "error model delta_r must be finite and >= 0"),
     ({}, {"backend": "radar"}, "condition_2", "unknown sensor backend 'radar'"),
+    ({}, {"name": "b", "bogus": 1}, "b", "unknown key 'bogus'"),
+    ({}, {"bogus": 1}, "condition_2", "unknown key 'bogus'"),
+    ({}, {"name": "b", "snr_db": "x"}, "b", "key 'snr_db': expected float, got 'x'"),
+    ({}, 3, "condition_2", "expected a mapping, got 3"),
     ({"backend": "ofdm", "bearing_step_deg": 7.0}, {"name": "b", "backend": "parametric"}, "b",
      "the parametric fan (deg) must be a whole number of bearing_step_deg (7), got 360"),
-], ids=["no-waveform", "negative-delta-r", "unknown-backend", "fan-step"])
+], ids=["no-waveform", "negative-delta-r", "unknown-backend", "unknown-key", "unnamed-unknown-key",
+        "mistyped-snr", "not-a-mapping", "fan-step"])
 def test_condition_error_names_the_condition(sensor, condition, name, message):
-    """An error raised while a condition is applied at load names the condition, once."""
+    """Every refusal of a condition at load, of a key or of a value, names the condition
+    once, an unnamed one as ``condition_<k>``."""
     doc = tiny_doc()
     doc["sensor"].update(sensor)
     if sensor:

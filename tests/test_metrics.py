@@ -323,6 +323,17 @@ def test_empty_targets_rejected():
         et_gospa([], np.zeros((1, 2)), P514)
 
 
+@pytest.mark.parametrize("call", [et_gospa, cost_matrix])
+@pytest.mark.parametrize("at", [0, 2], ids=["first", "last"])
+def test_empty_target_refused(call, at):
+    """With no such check an empty first target read 15.0, and an empty last one
+    raised a bare ``IndexError`` from ``reduceat``."""
+    targets = [np.array([[0.0, 0.0]]), np.array([[9.0, 0.0]]), np.array([[0.0, 9.0]])]
+    targets[at] = np.zeros((0, 2))
+    with pytest.raises(ValueError, match=f"^target {at} has no points$"):
+        call(targets, np.array([[0.0, 0.0], [9.0, 0.0]]), P514)
+
+
 _POINT = np.array([[0.0, 0.0]])
 
 
@@ -359,9 +370,9 @@ def test_point_sets_must_be_finite(call, what, value):
 
 
 def test_et_gospa_checks_each_point_set_once(monkeypatch):
-    """The ci.yaml truth with 20 estimates: one ``as_points`` per target set and one for
-    the estimates, and one call to the module-level ``cost_matrix``, which checks none
-    of them again; called directly, ``cost_matrix`` still checks them all."""
+    """The ci.yaml truth with 20 estimates: one call to the module-level ``cost_matrix``,
+    whose checks are all there are, one ``as_points`` per target set and one for the
+    estimates; called directly, ``cost_matrix`` makes the same checks."""
     truth = harness.load_experiment("ci.yaml").truth_sets()
     est = np.vstack(truth)[::7][:20]
     checked, costed = [], []
@@ -415,10 +426,15 @@ def test_missed_target_surcharge():
 
 
 def test_no_estimates():
+    """Every target missed: the value is (n_x * 2c^p)^(1/p), bit for bit."""
     targets = [np.array([[0.0, 0.0]]), np.array([[50.0, 0.0]])]
-    result = et_gospa(targets, np.zeros((0, 2)), P514)
-    assert result.missed_count == 2
-    assert result.value == pytest.approx(20.0, abs=1e-12)
+    for p in (1.0, 2.5):
+        params = MetricParams(c=5.0, p=p, alpha=2.0)
+        assert cost_matrix(targets, np.zeros((0, 2)), params).shape == (len(targets), 0)
+        result = et_gospa(targets, np.zeros((0, 2)), params)
+        assert result.missed_count == 2 and result.assignment == (None, None)
+        assert result.sum_pair_costs == 0.0
+        assert result.value == (2 * 2.0 * params.c ** p) ** (1.0 / p)
 
 
 def test_oracle_equivalence_random():
@@ -543,8 +559,49 @@ def test_gospa_baseline_examples():
 
 
 def test_gospa_baseline_empty_sets():
-    assert gospa_baseline(np.zeros((0, 2)), np.zeros((0, 2)), P514) == 0.0
-    assert gospa_baseline(np.zeros((0, 2)), np.array([[1.0, 1.0]]), P514) == pytest.approx(2.5)
+    """An empty side leaves every point of the other unmatched: ((c^p/alpha) n)^(1/p),
+    and 0.0 when both are empty, bit for bit."""
+    empty, two = np.zeros((0, 2)), np.array([[1.0, 1.0], [4.0, 0.0]])
+    for p in (1.0, 2.5):
+        params = MetricParams(c=5.0, p=p, alpha=2.0)
+        want = ((params.c ** p / params.alpha) * 2) ** (1.0 / p)
+        assert gospa_baseline(empty, two, params) == want
+        assert gospa_baseline(two, empty, params) == want
+        assert gospa_baseline(empty, empty, params) == 0.0
+
+
+@pytest.mark.parametrize("truth, est, p", [
+    ([[0.0, 0.0]], [[1e200, 0.0]], 1.0),  # the squares
+    ([[1.7e308, 0.0]], [[-1.7e308, 0.0]], 1.0),  # the difference
+    ([[0.0, 0.0]], [[1e154, 0.0]], 2.0),  # d^p, d = 1e308
+    ([[0.0, 0.0]], [[1e100, 0.0]], 4.0),  # d^p, d = 1e200
+], ids=["square", "difference", "power-p2", "power-p4"])
+@pytest.mark.filterwarnings("error")
+def test_pair_cost_past_float_range_clamped_to_c(truth, est, p):
+    """A distance past the float range is clamped to c^p, so the value reads c; each
+    overflow raised a RuntimeWarning first."""
+    params = MetricParams(c=5.0, p=p, alpha=2.0)
+    assert et_gospa([truth], est, params).value == 5.0
+    assert gospa_baseline(truth, est, params) == 5.0
+
+
+_HUGE = MetricParams(c=1e10, p=1.0, alpha=1e-300)
+
+
+@pytest.mark.parametrize("call", [
+    # three missed targets at 2c^p = max float each
+    lambda: et_gospa([_POINT, _POINT + 1.0, _POINT + 2.0], np.zeros((0, 2)),
+                     MetricParams(c=sys.float_info.max / 2, p=1.0)),
+    # three extra estimates at c^p/alpha = 1e310 each
+    lambda: et_gospa([_POINT], np.arange(8.0).reshape(4, 2), _HUGE),
+    # two unmatched estimates at c^p/alpha each
+    lambda: gospa_baseline(np.zeros((0, 2)), np.array([[0.0, 0.0], [1.0, 0.0]]), _HUGE),
+], ids=["et_gospa-missed", "et_gospa-extra", "gospa_baseline-unmatched"])
+def test_value_past_float_range_refused(call):
+    """Each of these read ``inf``."""
+    with pytest.raises(ValueError, match=r"^metric value is not a finite float at c=\S+, "
+                                         r"p=1, alpha=\S+$"):
+        call()
 
 
 @settings(max_examples=200, deadline=None)
