@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment as solve_assignment
@@ -70,7 +70,7 @@ class EtGospaResult:
 
 
 # Cells of the (truth points, |Y|) distance array built at once: 2 MB per float64
-# temporary.  A larger truth set goes in groups of whole consecutive targets.
+# temporary.  A larger truth set goes in groups of whole targets.
 _CELL_BUDGET = 2**18
 
 
@@ -81,29 +81,32 @@ def _min_costs(targets: list[np.ndarray], estimates: np.ndarray, params: MetricP
 
     The squared distances are ``dx*dx + dy*dy``, x term first, the sum that
     ``np.sum(diff**2, axis=-1)`` over a (K, |Y|, 2) array gives, so D is the same
-    bit for bit as a loop over the targets.  The targets' points are stacked
-    and each target's rows reduced with ``np.minimum.reduceat``, in groups of
-    consecutive targets of at most ``_CELL_BUDGET`` cells; a target larger than
-    that is a group on its own.  Every config fits in one group, and a large
-    truth CSV needs no more memory than the budget or its largest target.
+    bit for bit as a loop over the targets.  Targets of equal point count k form
+    a group: their points, stacked as a (targets, k, |Y|) array of squared
+    distances, give each target's minimum in one ``min`` over the middle axis,
+    scattered to the targets' rows.  A group holds at most ``_CELL_BUDGET`` cells,
+    so a size class larger than that is split in target order, and a target
+    larger than that is a group on its own.  Every config fits in one group, and
+    a large truth CSV needs no more memory than the budget or its largest target.
     """
     ex, ey = estimates.T
-    ends = np.cumsum([len(pts) for pts in targets])
+    sizes = [len(pts) for pts in targets]
     rows_budget = _CELL_BUDGET // max(len(estimates), 1)
     d = np.empty((len(targets), len(estimates)))
-    lo = 0
     with np.errstate(over="ignore"):
-        while lo < len(targets):
-            base = ends[lo - 1] if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, base + rows_budget, side="right")))
-            x, y = np.concatenate(targets[lo:hi]).T
-            d2 = x[:, None] - ex
-            dy = y[:, None] - ey
-            d2 *= d2
-            dy *= dy
-            d2 += dy  # dx*dx + dy*dy, in place
-            np.minimum.reduceat(d2, np.append(0, ends[lo:hi - 1] - base), axis=0, out=d[lo:hi])
-            lo = hi
+        for k in sorted(set(sizes)):
+            rows = [i for i, n in enumerate(sizes) if n == k]
+            step = max(1, rows_budget // k)
+            for lo in range(0, len(rows), step):
+                group = rows[lo:lo + step]
+                pts = np.concatenate([targets[i] for i in group]).reshape(len(group), k, 2)
+                x, y = pts.transpose(2, 0, 1)
+                d2 = x[..., None] - ex
+                dy = y[..., None] - ey
+                d2 *= d2
+                dy *= dy
+                d2 += dy  # dx*dx + dy*dy, in place
+                d[group] = d2.min(axis=1)
         return np.minimum(d ** params.p, params.c ** params.p)
 
 
@@ -111,7 +114,14 @@ def cost_matrix(
     targets: Sequence[np.ndarray], estimates: np.ndarray, params: MetricParams
 ) -> np.ndarray:
     """Pair cost E of every target against every estimate, shape (|X|, |Y|), and the one
-    check of ``et_gospa``'s point sets: one target or more, none empty; |Y| may be 0."""
+    check of ``et_gospa``'s point sets: one target or more, none empty; |Y| may be 0.
+
+    The other targets' minimum is, in each column of D, the column's minimum for
+    every row but its argmin; the argmin row takes the column's second minimum,
+    read with the argmin entry set to c^p.  c^p is the largest value D takes, so
+    it also stands for "no other target" when |X| = 1.  E is ``(c^p + D) - that
+    minimum``, in that order.
+    """
     targets = [as_points(pts, f"target {i}") for i, pts in enumerate(targets)]
     if not targets:
         raise ValueError("at least one target required")
@@ -121,14 +131,16 @@ def cost_matrix(
     estimates = as_points(estimates, "estimates")
     d = _min_costs(targets, estimates, params)
     cp = params.c ** params.p
-    # min over the other targets via the two smallest values per column; a row at
-    # c^p, the largest value d takes, stands for "no other target" when n = 1
-    part = np.partition(np.vstack([d, np.full(len(estimates), cp)]), 1, axis=0)
-    # rows achieving the column minimum take the second-smallest instead
-    first_min_row = np.argmin(d, axis=0)
-    others_min = np.where(np.arange(len(d))[:, None] == first_min_row, part[1], part[0])
-    # fl(c^p + d) >= c^p >= others_min, so every entry is >= 0 after rounding too
-    return cp + d - others_min
+    first = np.argmin(d, axis=0)
+    cols = np.arange(d.shape[1])
+    lowest = d[first, cols]
+    costs = cp + d
+    d[first, cols] = cp
+    at_first = costs[first, cols] - np.min(d, axis=0)
+    # fl(c^p + d) >= c^p >= either minimum, so every entry is >= 0 after rounding too
+    costs -= lowest
+    costs[first, cols] = at_first
+    return costs
 
 
 def _value(bracket: float, params: MetricParams) -> float:
@@ -140,15 +152,22 @@ def _value(bracket: float, params: MetricParams) -> float:
 
 
 def et_gospa(
-    targets: Sequence[np.ndarray],
+    targets: Iterable[np.ndarray],
     estimates: np.ndarray,
     params: MetricParams = MetricParams(),
 ) -> EtGospaResult:
-    """Extended-target mapping error between truth sets X and estimates Y."""
+    """Extended-target mapping error between truth sets X and estimates Y.
+
+    ``targets`` may be any iterable of point sets; it is read once.  The matched
+    pair costs are summed by numpy in target order.
+    """
+    targets = list(targets)
     costs = cost_matrix(targets, estimates, params)
     n_x, n_y = costs.shape
     rows, cols = solve_assignment(costs)
-    sum_pairs = float(costs[rows, cols].sum())
+    # a sum past the float range reads inf, which _value refuses
+    with np.errstate(over="ignore"):
+        sum_pairs = float(costs[rows, cols].sum())
     assignment: list[Optional[int]] = [None] * n_x
     for i, j in zip(rows.tolist(), cols.tolist()):
         assignment[i] = j
@@ -178,7 +197,8 @@ def gospa_baseline(
     # each truth point a one-point target, so a pair costs min(d^p, c^p)
     costs = _min_costs(list(x[:, None]), y, params)
     rows, cols = solve_assignment(costs)
-    matched = float(costs[rows, cols].sum())
+    with np.errstate(over="ignore"):
+        matched = float(costs[rows, cols].sum())
     unmatched = abs(len(x) - len(y))
     return _value(matched + (params.c ** params.p / params.alpha) * unmatched, params)
 

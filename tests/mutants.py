@@ -106,10 +106,10 @@ MUTANTS = (
      "        bits, which = np.unique(np.ascontiguousarray(rec.map_times, dtype=float).view(np.int64),",
      "        bits, which = np.unique(np.ascontiguousarray(rec.map_times, dtype=float),",
      ["tests/test_harness.py::test_emit_csv_matches_savetxt[500]"]),
-    # a lone target's "no other target" row is 0, not c^p
+    # a lone target's "no other target" entry is 0, not c^p
     ("etslam/metrics.py",
-     "    part = np.partition(np.vstack([d, np.full(len(estimates), cp)]), 1, axis=0)",
-     "    part = np.partition(np.vstack([d, np.full(len(estimates), 0.0)]), 1, axis=0)",
+     "    d[first, cols] = cp",
+     "    d[first, cols] = 0.0",
      ["tests/test_metrics.py::test_cost_matrix_single_perfect"]),
     # the cell key's row width leaves no room for column offsets up to 4, so keys wrap
     ("etslam/clustering.py",
@@ -162,11 +162,32 @@ MUTANTS = (
      "    rows_budget = _CELL_BUDGET // max(len(estimates), 1)",
      "    rows_budget = _CELL_BUDGET // len(estimates)",
      ["tests/test_metrics.py::test_no_estimates"]),
-    # an empty target is scored, or fails in reduceat
+    # an empty target reaches the grouping, which divides its budget by zero
     ("etslam/metrics.py",
      '            raise ValueError(f"target {i} has no points")',
      "            pass",
      ["tests/test_metrics.py::test_empty_target_refused[first-et_gospa]"]),
+    # alpha = 0 constructs
+    ("etslam/metrics.py",
+     "        if not (0.0 < self.alpha <= 2.0):",
+     "        if not (0.0 <= self.alpha <= 2.0):",
+     ["tests/test_metrics.py::test_params_accept_the_closed_bound_and_refuse_the_open_one[alpha]"]),
+    # p = inf passes its own check and is refused only by the 2c^p bound's
+    ("etslam/metrics.py",
+     "        if not (1.0 <= self.p < np.inf):",
+     "        if not (1.0 <= self.p <= np.inf):",
+     ["tests/test_metrics.py::test_params_accept_the_closed_bound_and_refuse_the_open_one[p]"]),
+    # each target's minimum reads its first point only
+    ("etslam/metrics.py",
+     "                d[group] = d2.min(axis=1)",
+     "                d[group] = d2[:, 0]",
+     ["tests/test_metrics.py::test_min_costs_group_boundary"]),
+    # a group's cell budget counts targets, not points, so a size class of many
+    # points is not split
+    ("etslam/metrics.py",
+     "            step = max(1, rows_budget // k)",
+     "            step = max(1, rows_budget)",
+     ["tests/test_metrics.py::test_min_costs_group_boundary"]),
 )
 
 

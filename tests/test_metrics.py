@@ -255,20 +255,24 @@ def test_min_costs_equal_the_per_target_loop(sizes, n_y, p, c, budget, seed):
 
 
 def test_min_costs_group_boundary():
-    """A budget of 3 rows of |Y| = 4 groups targets of 2, 1, 3, 5 and 1 points as
-    [2, 1], [3], [5], [1]; D equals the loop's and the one-group result."""
+    """A budget of 4 rows of |Y| = 3 groups targets of 2, 1, 2, 3, 5, 1, 2 and 1 points by
+    point count, in target order within a count: [1, 5, 7], [0, 2], [6], [3], [4]; the
+    5-point target, larger than the budget, is a group on its own.  D equals the loop's
+    and the one-group-per-count result."""
     rng = np.random.default_rng(3)
-    targets = [rng.normal(0.0, 3.0, (k, 2)) for k in (2, 1, 3, 5, 1)]
-    est = rng.normal(0.0, 3.0, (4, 2))
+    targets = [rng.normal(0.0, 3.0, (k, 2)) for k in (2, 1, 2, 3, 5, 1, 2, 1)]
+    est = rng.normal(0.0, 3.0, (3, 2))
     params = MetricParams(c=4.0, p=2.0)
     whole = metrics._min_costs(targets, est, params)
+    index = {id(pts): i for i, pts in enumerate(targets)}
     groups = []
     concatenate = np.concatenate
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics, "_CELL_BUDGET", 3 * len(est))
-        mp.setattr(metrics.np, "concatenate", lambda a: groups.append(len(a)) or concatenate(a))
+        mp.setattr(metrics, "_CELL_BUDGET", 4 * len(est))
+        mp.setattr(metrics.np, "concatenate",
+                   lambda a: groups.append([index[id(pts)] for pts in a]) or concatenate(a))
         split = metrics._min_costs(targets, est, params)
-    assert groups == [2, 1, 1, 1]
+    assert groups == [[1, 5, 7], [0, 2], [6], [3], [4]]
     want = loop_min_costs(targets, est, params)
     assert split.tobytes() == whole.tobytes() == want.tobytes()
 
@@ -415,6 +419,18 @@ def test_params_accept_largest_finite_pair_cost_bound():
     assert 2.0 * MetricParams(c=sys.float_info.max / 2, p=1.0).c == sys.float_info.max
 
 
+@pytest.mark.parametrize("name, closed, open_, message", [
+    ("alpha", 2.0, 0.0, "alpha must satisfy 0 < alpha <= 2"),
+    ("p", 1.0, math.inf, "p must satisfy 1 <= p < inf"),
+], ids=["alpha", "p"])
+def test_params_accept_the_closed_bound_and_refuse_the_open_one(name, closed, open_, message):
+    """alpha = 2 and p = 1 construct.  alpha = 0 would price an extra estimate at
+    c^p / 0, and p = inf must fail its own check, not only the 2c^p bound's."""
+    assert getattr(MetricParams(**{name: closed}), name) == closed
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MetricParams(**{name: open_})
+
+
 def test_missed_target_surcharge():
     # one estimate, two targets: unmatched target pays 2 c^p
     targets = [np.array([[0.0, 0.0]]), np.array([[50.0, 0.0]])]
@@ -435,6 +451,36 @@ def test_no_estimates():
         assert result.missed_count == 2 and result.assignment == (None, None)
         assert result.sum_pair_costs == 0.0
         assert result.value == (2 * 2.0 * params.c ** p) ** (1.0 / p)
+
+
+def test_et_gospa_reads_a_generator_of_targets_once():
+    """Two targets of 2 and 1 points against their 3 exact points read 0.0.  As a
+    generator they read 7.5: the truth-point count read the exhausted generator, so all
+    three estimates were charged as extras."""
+    targets = [np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[9.0, 0.0]])]
+    est = np.vstack(targets)
+    want = et_gospa(targets, est, P514)
+    assert want.value == 0.0 and want.extra_count == 0
+    assert et_gospa((pts for pts in targets), est, P514) == want
+
+
+@pytest.mark.parametrize("sizes", sorted(set(itertools.permutations((1, 2, 2, 5)))), ids=str)
+def test_et_gospa_invariant_to_container_order_and_layout(sizes):
+    """Ragged targets in any order of sizes, passed as a list, a tuple or a generator,
+    against estimates that are C-ordered, Fortran-ordered or a strided view: the
+    grouped gather returns the per-target loop's ``EtGospaResult``."""
+    rng = np.random.default_rng(41)
+    targets = [rng.normal(0.0, 3.0, (k, 2)) for k in sizes]
+    est = rng.normal(0.0, 3.0, (23, 2))
+    params = MetricParams(c=4.0, p=2.0, alpha=1.5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_min_costs", loop_min_costs)
+        want = et_gospa(targets, est, params)
+    wide = np.zeros((len(est), 5))
+    wide[:, 1:4:2] = est
+    for layout in (est, np.asfortranarray(est), wide[:, 1:4:2]):
+        for container in (list, tuple, lambda t: (pts for pts in t)):
+            assert et_gospa(container(targets), layout, params) == want
 
 
 def test_oracle_equivalence_random():
@@ -602,6 +648,23 @@ def test_value_past_float_range_refused(call):
     with pytest.raises(ValueError, match=r"^metric value is not a finite float at c=\S+, "
                                          r"p=1, alpha=\S+$"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda x, y, params: et_gospa(list(x[:, None]), y, params),
+    lambda x, y, params: gospa_baseline(x, y, params),
+], ids=["et_gospa", "gospa_baseline"])
+@pytest.mark.filterwarnings("error")
+def test_pair_sum_past_float_range_refused_without_warning(call):
+    """Three targets 1e100 m apart, each matched to an estimate 1e200 m away, at
+    c^p = max float / 2: three pairs at c^p each sum past the float range, and the
+    value is refused.  The sum raised ``RuntimeWarning: overflow encountered in reduce``
+    before ``_value`` could refuse it."""
+    x = np.array([[0.0, 0.0], [1e100, 0.0], [2e100, 0.0]])
+    y = x + [0.0, 1e200]
+    with pytest.raises(ValueError, match=r"^metric value is not a finite float at "
+                                         r"c=8\.98847e\+307, p=1, alpha=2$"):
+        call(x, y, MetricParams(c=sys.float_info.max / 2, p=1.0))
 
 
 @settings(max_examples=200, deadline=None)
